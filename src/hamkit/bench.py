@@ -370,9 +370,11 @@ def cmd_optimize(cfg):
         if traj is not None:
             traj.to_csv(os.path.join(cfg.out_dir, f"optimize_rep{i}.csv"))
     verdicts = _evaluate_verdicts(p.get("verdicts", []), per_rep)
-    return Report("optimize", per_rep, verdicts,
-                  substitutions=["quartic objective stands in for the generic "
-                                 "convex rate-table row"],
+    substitutions = []
+    if p["problem"]["name"] == "quartic":
+        substitutions.append("quartic objective stands in for the generic "
+                             "convex rate-table row")
+    return Report("optimize", per_rep, verdicts, substitutions=substitutions,
                   environment=_environment(cfg), notes=notes)
 
 
@@ -547,7 +549,6 @@ def cmd_sample(cfg):
             metrics["bias_monotone"] = float(
                 all(a >= b for a, b in zip(biases, biases[1:])))
         if ksd_curve is not None:
-            from .discrepancies import stein_gram  # local: optional dependency path
             sigma = float(ksd_curve.get("sigma", 1.0))
             kernel = KernelSpec.gaussian(sigma)
             vals = []
@@ -579,11 +580,29 @@ def _read_samples_csv(path):
     return np.asarray(rows, float)
 
 
+def _check_pool(pool, task):
+    """A task's samples file must have the rows it draws and its dimension."""
+    if task["kind"] == "mmd_ustat_zero":
+        need = 2 * int(task["n"])
+    else:
+        need = int(task["m"])
+    where = f"samples file {task['samples_file']}"
+    if pool.shape[0] < need:
+        raise ConfigError(f"{where} has {pool.shape[0]} rows; "
+                          f"{task['kind']} needs {need}")
+    if pool.shape[1] == 0:
+        raise ConfigError(f"{where} has no q_ columns")
+    if "dim" in task and int(task["dim"]) != pool.shape[1]:
+        raise ConfigError(f"{where} has {pool.shape[1]} q_ columns; "
+                          f"the task says dim {task['dim']}")
+
+
 def cmd_discrepancy(cfg):
     """Estimator checks: NGD fitting, MMD unbiasedness, KSD power."""
     p = cfg.params
     _require_keys(p, _DISCREPANCY_KEYS, {"tasks"}, "discrepancy params")
     tasks = p["tasks"]
+    pools = {}   # samples_file -> its rows, read once for every worker
     for task in tasks:
         kind = task.get("kind")
         if kind == "sm_ngd":
@@ -595,8 +614,13 @@ def cmd_discrepancy(cfg):
             _require_keys(task, _KSD_TASK_KEYS, {"kind", "m"}, "ksd task")
         else:
             raise ConfigError(f"unknown discrepancy task kind {kind!r}")
-        if "samples_file" in task and not os.path.exists(task["samples_file"]):
-            raise ConfigError(f"samples file not found: {task['samples_file']}")
+        if "samples_file" in task:
+            path = task["samples_file"]
+            if not os.path.exists(path):
+                raise ConfigError(f"samples file not found: {path}")
+            if path not in pools:
+                pools[path] = _read_samples_csv(path)
+            _check_pool(pools[path], task)
 
     def worker(i, rng):
         metrics = {"rep": i}
@@ -621,9 +645,8 @@ def cmd_discrepancy(cfg):
                 vals = []
                 for _ in range(n_outer):
                     if "samples_file" in task:
-                        pool = _read_samples_csv(task["samples_file"])
-                        sel = rng._gen.permutation(pool.shape[0])[: 2 * n]
-                        both = pool[sel]
+                        pool = pools[task["samples_file"]]
+                        both = pool[rng.permutation(pool.shape[0])[: 2 * n]]
                     else:
                         both = rng.standard_normal((2 * n, d))
                     vals.append(mmd_squared(both[:n], both[n:], kernel, mode="u"))
@@ -638,7 +661,7 @@ def cmd_discrepancy(cfg):
                 shift = float(task.get("shift", 1.0))
                 kernel = KernelSpec.gaussian(float(task.get("sigma", 1.0)))
                 if "samples_file" in task:
-                    draws = _read_samples_csv(task["samples_file"])[:m]
+                    draws = pools[task["samples_file"]][:m]
                 else:
                     draws = rng.standard_normal((m, d))
                 score = lambda x, s=shift: -(x - s)  # noqa: E731

@@ -77,29 +77,31 @@ class KernelSpec:
     def inverse_multiquadric(cls, c=1.0, beta=0.5):
         return cls("inverse_multiquadric", c=c, beta=beta)
 
-    # All pairwise helpers take X (n, d) and Y (m, d) and return (n, m[, d]).
-    def _diff(self, x_arr, y_arr):
-        return x_arr[:, None, :] - y_arr[None, :, :]
+    def _profile(self, r2):
+        """(phi, phi', phi'') with k(x, y) = phi(r2), r2 = ||x - y||^2.
 
-    def gram(self, x_arr, y_arr):
-        diff = self._diff(_as_samples(x_arr), _as_samples(y_arr))
-        r2 = np.sum(diff * diff, axis=2)
+        Derivatives are taken in r2, so grad_x k = 2 phi' (x - y) and
+        d^2 k / (d x_i d y_j) = -2 phi' delta_ij - 4 phi'' (x - y)_i (x - y)_j.
+        """
         if self.family == "gaussian":
             s2 = self.params["sigma"] ** 2
-            return np.exp(-0.5 * r2 / s2)
+            phi = np.exp(r2 * (-0.5 / s2))
+            return phi, (-0.5 / s2) * phi, (0.25 / s2 ** 2) * phi
         c, beta = self.params["c"], self.params["beta"]
-        return (c * c + r2) ** (-beta)
+        u = c * c + r2
+        phi = u ** (-beta)
+        return phi, -beta * phi / u, beta * (beta + 1.0) * phi / (u * u)
+
+    # Gram helpers take X (n, d) and Y (m, d) and build every (n, m) matrix
+    # from BLAS squared distances, in O(nm) memory.
+    def gram(self, x_arr, y_arr):
+        return self._profile(_sq_dists(_as_samples(x_arr), _as_samples(y_arr)))[0]
 
     def grad_x_gram(self, x_arr, y_arr):
         """d k / d x, shape (n, m, d)."""
-        diff = self._diff(_as_samples(x_arr), _as_samples(y_arr))
-        r2 = np.sum(diff * diff, axis=2)
-        if self.family == "gaussian":
-            s2 = self.params["sigma"] ** 2
-            return -diff / s2 * np.exp(-0.5 * r2 / s2)[:, :, None]
-        c, beta = self.params["c"], self.params["beta"]
-        u = c * c + r2
-        return -2.0 * beta * diff * (u ** (-beta - 1.0))[:, :, None]
+        diff = _as_samples(x_arr)[:, None, :] - _as_samples(y_arr)[None, :, :]
+        _, dphi, _ = self._profile(np.sum(diff * diff, axis=2))
+        return 2.0 * dphi[:, :, None] * diff
 
     def grad_y_gram(self, x_arr, y_arr):
         return -self.grad_x_gram(x_arr, y_arr)
@@ -107,39 +109,23 @@ class KernelSpec:
     def mixed_trace_gram(self, x_arr, y_arr):
         """sum_i d^2 k / (d x_i d y_i), shape (n, m)."""
         x_arr, y_arr = _as_samples(x_arr), _as_samples(y_arr)
-        d = x_arr.shape[1]
-        diff = self._diff(x_arr, y_arr)
-        r2 = np.sum(diff * diff, axis=2)
-        if self.family == "gaussian":
-            s2 = self.params["sigma"] ** 2
-            return (d / s2 - r2 / s2 ** 2) * np.exp(-0.5 * r2 / s2)
-        c, beta = self.params["c"], self.params["beta"]
-        u = c * c + r2
-        return (2.0 * beta * d * u ** (-beta - 1.0)
-                - 4.0 * beta * (beta + 1.0) * r2 * u ** (-beta - 2.0))
+        r2 = _sq_dists(x_arr, y_arr)
+        _, dphi, d2phi = self._profile(r2)
+        return -2.0 * x_arr.shape[1] * dphi - 4.0 * r2 * d2phi
+
+    # Single-pair forms, from the direct difference x - y.
+    def _pair(self, x, y):
+        diff = (np.atleast_1d(np.asarray(x, float))
+                - np.atleast_1d(np.asarray(y, float)))
+        return diff, self._profile(float(diff @ diff))
 
     def mixed_hessian(self, x, y):
         """Full matrix d^2 k / (d x_i d y_j) at a single pair, shape (d, d)."""
-        x = np.atleast_1d(np.asarray(x, float))
-        y = np.atleast_1d(np.asarray(y, float))
-        diff = x - y
-        r2 = float(diff @ diff)
-        eye = np.eye(x.size)
-        if self.family == "gaussian":
-            s2 = self.params["sigma"] ** 2
-            k = math.exp(-0.5 * r2 / s2)
-            return (eye / s2 - np.outer(diff, diff) / s2 ** 2) * k
-        c, beta = self.params["c"], self.params["beta"]
-        u = c * c + r2
-        return (2.0 * beta * u ** (-beta - 1.0) * eye
-                - 4.0 * beta * (beta + 1.0) * u ** (-beta - 2.0)
-                * np.outer(diff, diff))
+        diff, (_, dphi, d2phi) = self._pair(x, y)
+        return -2.0 * dphi * np.eye(diff.size) - 4.0 * d2phi * np.outer(diff, diff)
 
-    # Scalar conveniences.
     def k(self, x, y):
-        return float(self.gram(np.atleast_1d(x)[None, :] if np.ndim(x) == 1
-                               else np.atleast_2d(x),
-                               np.atleast_2d(y))[0, 0])
+        return float(self._pair(x, y)[1][0])
 
     def grad_x(self, x, y):
         return self.grad_x_gram(np.atleast_2d(x), np.atleast_2d(y))[0, 0]
@@ -148,7 +134,20 @@ class KernelSpec:
         return -self.grad_x(x, y)
 
     def mixed_trace(self, x, y):
-        return float(self.mixed_trace_gram(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
+        diff, (_, dphi, d2phi) = self._pair(x, y)
+        return float(-2.0 * diff.size * dphi - 4.0 * (diff @ diff) * d2phi)
+
+
+def _sq_dists(x_arr, y_arr):
+    """||x_i - y_j||^2 as ||x_i||^2 + ||y_j||^2 - 2 x_i.y_j, clamped at 0.
+
+    X @ X.T is exactly symmetric, so a same-set matrix is too.
+    """
+    r2 = x_arr @ y_arr.T
+    r2 *= -2.0
+    r2 += (np.einsum("ij,ij->i", x_arr, x_arr)[:, None]
+           + np.einsum("ij,ij->i", y_arr, y_arr)[None, :])
+    return np.maximum(r2, 0.0, out=r2)
 
 
 _MEDIAN_SUBSAMPLE = 2000
@@ -167,13 +166,11 @@ def median_heuristic(samples):
         idx = np.random.Generator(np.random.PCG64(0)).choice(
             x_arr.shape[0], size=_MEDIAN_SUBSAMPLE, replace=False)
         x_arr = x_arr[np.sort(idx)]
-    diff = x_arr[:, None, :] - x_arr[None, :, :]
-    r2 = np.sum(diff * diff, axis=2)
-    iu = np.triu_indices(x_arr.shape[0], k=1)
-    vals = r2[iu]
-    if np.all(vals == 0.0):
+    # Decided on the points: rounding leaves r2 of equal rows near, not at, 0.
+    if np.all(x_arr == x_arr[0]):
         raise DegenerateSampleError("all points identical; bandwidth undefined")
-    return float(np.median(vals))
+    iu = np.triu_indices(x_arr.shape[0], k=1)
+    return float(np.median(_sq_dists(x_arr, x_arr)[iu]))
 
 
 def mmd_squared(x_samples, y_samples, kernel, mode="v"):
@@ -201,6 +198,42 @@ def mmd_squared(x_samples, y_samples, kernel, mode="v"):
     return float(sxx + syy - 2.0 * kxy.mean())
 
 
+def _stein_matrix(x_arr, y_arr, sx, sy, kernel):
+    """Stein kernel k_mu(x_i, y_j) for all pairs, from (n, m) matrices only.
+
+    With k = phi(r2), tr d_x d_y k plus the two score terms is
+    -2 phi' (d + (s_x - s_y).(x - y)) - 4 r2 phi'', and the last term is
+    phi s_x.s_y.  Updates run in place to hold few (n, m) temporaries.
+    """
+    r2 = _sq_dists(x_arr, y_arr)
+    phi, dphi, d2phi = kernel._profile(r2)
+    # (s_x - s_y).(x - y) = s_x.x + s_y.y - (s_x.y + x.s_y); for a same-set
+    # Gram the bracket is S X^T plus its transpose, so exactly symmetric.
+    cross = sx @ y_arr.T
+    cross = cross + (cross.T if y_arr is x_arr else x_arr @ sy.T)
+    out = (np.einsum("ij,ij->i", sx, x_arr)[:, None]
+           + np.einsum("ij,ij->i", sy, y_arr)[None, :])
+    out -= cross
+    del cross
+    out += x_arr.shape[1]
+    out *= dphi
+    out *= -2.0
+    d2phi *= r2
+    d2phi *= 4.0
+    out -= d2phi
+    phi *= sx @ sy.T
+    out += phi
+    return out
+
+
+def _scores(score, points):
+    """score at each row of `points`, shape (n, d); non-finite is an error."""
+    out = np.asarray([score(row) for row in points], float).reshape(points.shape)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("score is non-finite at an evaluation point")
+    return out
+
+
 def stein_kernel(x, y, score, kernel):
     """Stein reproducing kernel for K = k I, in expanded score form:
 
@@ -209,31 +242,17 @@ def stein_kernel(x, y, score, kernel):
     The expanded form avoids the density-ratio underflow of the definition;
     equivalence with the density-weighted form is a tested property.
     """
-    x = np.atleast_1d(np.asarray(x, float))
-    y = np.atleast_1d(np.asarray(y, float))
-    sx, sy = np.asarray(score(x), float), np.asarray(score(y), float)
-    if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
-        raise DomainError("score is non-finite at an evaluation point")
-    return float(
-        kernel.mixed_trace(x, y)
-        + sx @ kernel.grad_y(x, y)
-        + sy @ kernel.grad_x(x, y)
-        + kernel.k(x, y) * (sx @ sy)
-    )
+    x_arr = np.atleast_1d(np.asarray(x, float))[None, :]
+    y_arr = np.atleast_1d(np.asarray(y, float))[None, :]
+    return float(_stein_matrix(x_arr, y_arr, _scores(score, x_arr),
+                               _scores(score, y_arr), kernel)[0, 0])
 
 
 def stein_gram(x_samples, score, kernel):
-    """Full m x m Stein-kernel Gram matrix (vectorised)."""
+    """Full m x m Stein-kernel Gram matrix; a non-finite score raises."""
     x_arr = _as_samples(x_samples)
-    scores = np.asarray([score(row) for row in x_arr], float)
-    k = kernel.gram(x_arr, x_arr)
-    gx = kernel.grad_x_gram(x_arr, x_arr)
-    mixed = kernel.mixed_trace_gram(x_arr, x_arr)
-    # s(x_i) . d_y k(x_i, x_j) = -s(x_i) . gx[i, j]; s(x_j) . d_x k = +.
-    term_x = -np.einsum("id,ijd->ij", scores, gx)
-    term_y = np.einsum("jd,ijd->ij", scores, gx)
-    cross = k * (scores @ scores.T)
-    return mixed + term_x + term_y + cross
+    scores = _scores(score, x_arr)
+    return _stein_matrix(x_arr, x_arr, scores, scores, kernel)
 
 
 def ksd_u_statistic(x_samples, score, kernel, with_stderr=False):

@@ -56,6 +56,11 @@ class RngStream:
         self.counter += 1
         return self._gen.uniform(low, high, size)
 
+    def permutation(self, n):
+        """A random ordering of range(n)."""
+        self.counter += 1
+        return self._gen.permutation(n)
+
     def integers(self, low, high):
         """Uniform integer in the closed range [low, high]."""
         self.counter += 1

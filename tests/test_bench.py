@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from hamkit import bench
 from hamkit.bench import ExperimentConfig, Report, reevaluate, run_experiment
 from hamkit.cli import main as cli_main
 from hamkit.errors import ConfigError
+from hamkit.samplers import write_samples_csv
 
 
 def base_optimize_params():
@@ -91,6 +93,15 @@ class TestOptimizeExperiment:
         assert all(1.8 <= r <= 2.2 for r in rates)
         assert (tmp_path / "optimize_rep0.csv").exists()
         assert (tmp_path / "optimize_rep1.csv").exists()
+        assert report.substitutions == []
+
+    def test_quartic_carries_substitution_note(self, tmp_path):
+        params = dict(base_optimize_params(), problem={"name": "quartic"},
+                      num_steps=200, x0=[1.0, -0.5], verdicts=[])
+        report = run_experiment(ExperimentConfig("optimize", params,
+                                                 out_dir=str(tmp_path)))
+        assert len(report.substitutions) == 1
+        assert report.substitutions[0].startswith("quartic objective")
 
     def test_determinism(self, tmp_path):
         outs = []
@@ -248,6 +259,37 @@ class TestDiscrepancyExperiment:
         params = {"tasks": [{"kind": "ksd_mismatch", "m": 10,
                              "samples_file": "/nonexistent.csv"}]}
         with pytest.raises(ConfigError, match="samples file"):
+            run_experiment(ExperimentConfig("discrepancy", params))
+
+    def test_samples_file_read_once(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "pool.csv")
+        write_samples_csv(path, np.random.default_rng(0).standard_normal((60, 2)))
+        read, reads = bench._read_samples_csv, []
+
+        def counted(p):
+            reads.append(p)
+            return read(p)
+
+        monkeypatch.setattr(bench, "_read_samples_csv", counted)
+        params = {"tasks": [
+            {"kind": "mmd_ustat_zero", "n": 20, "dim": 2, "n_outer": 10,
+             "samples_file": path},
+            {"kind": "ksd_mismatch", "m": 40, "samples_file": path}]}
+        report = run_experiment(ExperimentConfig(
+            "discrepancy", params, out_dir=str(tmp_path)))
+        assert reads == [path]
+        assert math.isfinite(report.per_rep[0]["mmd_u_mean"])
+
+    @pytest.mark.parametrize("task, match", [
+        ({"kind": "mmd_ustat_zero", "n": 20}, "40"),
+        ({"kind": "ksd_mismatch", "m": 31}, "31"),
+        ({"kind": "ksd_mismatch", "m": 10, "dim": 3}, "dim"),
+    ], ids=["mmd_short", "ksd_short", "dim_mismatch"])
+    def test_samples_file_mismatch(self, tmp_path, task, match):
+        path = str(tmp_path / "pool.csv")
+        write_samples_csv(path, np.random.default_rng(0).standard_normal((30, 2)))
+        params = {"tasks": [dict(task, samples_file=path)]}
+        with pytest.raises(ConfigError, match=match):
             run_experiment(ExperimentConfig("discrepancy", params))
 
     def test_samples_file_round_trip(self, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from hamkit import (
@@ -99,6 +101,9 @@ class TestMedianHeuristic:
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             median_heuristic(np.ones(10))
+        row = np.random.default_rng(3).standard_normal(3)
+        with pytest.raises(DegenerateSampleError):
+            median_heuristic(np.tile(row, (10, 1)))
         with pytest.raises(DomainError):
             median_heuristic(np.array([1.0]))
 
@@ -153,6 +158,32 @@ class TestMmd:
             mmd_squared(np.array([[1.0]]), np.array([[2.0]]), k, mode="w")
 
 
+KERNELS = [KernelSpec.gaussian(0.9),
+           KernelSpec.inverse_multiquadric(c=1.3, beta=0.5)]
+
+
+def shifted_score(z):
+    return -(np.asarray(z) - 0.5)
+
+
+def stein_reference(x, y, score, kernel):
+    """Expanded Stein kernel from the scalar, direct-difference kernel forms."""
+    sx, sy = score(x), score(y)
+    return (kernel.mixed_trace(x, y) + sx @ kernel.grad_y(x, y)
+            + sy @ kernel.grad_x(x, y) + kernel.k(x, y) * (sx @ sy))
+
+
+def assert_matches_reference(pts, kernel):
+    gram = stein_gram(pts, shifted_score, kernel)
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            want = stein_reference(pts[i], pts[j], shifted_score, kernel)
+            assert gram[i, j] == pytest.approx(want, abs=1e-12)
+            assert stein_kernel(pts[i], pts[j], shifted_score,
+                                kernel) == pytest.approx(want, abs=1e-12)
+    return gram
+
+
 class TestSteinKernel:
     def test_value_at_mode(self):
         k = KernelSpec.gaussian(1.0)
@@ -182,6 +213,22 @@ class TestSteinKernel:
                 assert gram[i, j] == pytest.approx(
                     stein_kernel(pts[i], pts[j], score, k), abs=1e-12)
 
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["gaussian", "imq"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_gram_matches_reference(self, kernel, dim):
+        pts = np.random.default_rng(18).standard_normal((6, dim))
+        pts = np.vstack([pts, pts[:2], pts[3:4]])   # duplicate rows
+        assert_matches_reference(pts, kernel)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+               st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d),
+               min_size=1, max_size=6)),
+           st.sampled_from(KERNELS))
+    def test_gram_reference_and_symmetry_property(self, rows, kernel):
+        gram = assert_matches_reference(np.asarray(rows), kernel)
+        assert np.array_equal(gram, gram.T)
+
     def test_gram_psd(self):
         k = KernelSpec.gaussian(1.0)
         pts = np.random.default_rng(9).standard_normal((50, 1))
@@ -192,6 +239,15 @@ class TestSteinKernel:
         k = KernelSpec.gaussian(1.0)
         with np.errstate(invalid="ignore"), pytest.raises(DomainError):
             stein_kernel([1.0], [0.0], lambda z: z * np.inf, k)
+
+    def test_nonfinite_score_rejected_by_gram(self):
+        k = KernelSpec.gaussian(1.0)
+        pts = np.array([[0.0], [1.0], [2.0]])
+        score = lambda z: np.where(z > 1.5, np.nan, -z)  # noqa: E731
+        with pytest.raises(DomainError):
+            stein_gram(pts, score, k)
+        with pytest.raises(DomainError):
+            ksd_u_statistic(pts, score, k)
 
 
 class TestKsd:

@@ -48,7 +48,12 @@ class TestRngStream:
         rng = RngStream(0)
         rng.standard_normal(3)
         rng.uniform()
-        assert rng.counter == 2
+        rng.permutation(4)
+        assert rng.counter == 3
+
+    def test_permutation_is_the_generator_call(self):
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
+        assert np.array_equal(RngStream(5).permutation(50), ref.permutation(50))
 
 
 class TestChainState:

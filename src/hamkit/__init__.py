@@ -13,7 +13,6 @@ from .core import (
     PhasePoint,
     Problem,
     conformal_vector_field,
-    delta_eta,
     dissipation_rate,
     evaluate_hamiltonian,
 )

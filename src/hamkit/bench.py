@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .discrepancies import (
     mmd_squared,
     sm_ngd_fit,
 )
-from .errors import ConfigError, DivergenceError, FitDomainError, HamkitError
+from .errors import ConfigError, DivergenceError, FitDomainError
 from .integrators import OptimizerConfig, Trajectory, fit_rate, run_optimizer
 from .manifold import (
     MatrixGroupState,
@@ -231,13 +230,10 @@ def _environment(cfg):
 
 
 def _run_reps(cfg, worker):
-    """Run `worker(rep_index, rng)` for each repetition in a thread pool."""
+    """Run `worker(rep_index, rng)` for each repetition, in order, each on its
+    own split stream."""
     streams = RngStream(cfg.seed).split(cfg.reps)
-    if cfg.reps == 1:
-        return [worker(0, streams[0])]
-    with ThreadPoolExecutor(max_workers=min(cfg.reps, 4)) as pool:
-        futures = [pool.submit(worker, i, streams[i]) for i in range(cfg.reps)]
-        return [f.result() for f in futures]
+    return [worker(i, stream) for i, stream in enumerate(streams)]
 
 
 # ---------------------------------------------------------------- problems --
@@ -260,6 +256,8 @@ def _make_schedule(block):
                   "schedule block")
     kind = block["kind"]
     if kind == "constant":
+        if "gamma" not in block:
+            raise ConfigError("constant schedule needs 'gamma'")
         return DampingSchedule.constant(float(block["gamma"]))
     if kind == "vanishing":
         return DampingSchedule.vanishing(r=float(block.get("r", 3.0)),
@@ -299,7 +297,7 @@ def _envelope(traj, n_blocks, spacing="linear"):
         gaps.append(traj.gaps[j])
     return Trajectory(steps=np.arange(len(times)), times=np.asarray(times),
                       values=np.asarray(gaps), gaps=np.asarray(gaps),
-                      energies=np.zeros(len(times)))
+                      extra=np.zeros(len(times)))
 
 
 _OPTIMIZE_KEYS = {"problem", "method", "schedule", "step", "num_steps",
@@ -489,9 +487,14 @@ def cmd_sample(cfg):
     if kind == "hmc":
         _require_keys(samp, _HMC_KEYS, {"kind", "step", "n_leapfrog", "n_draws"},
                       "hmc sampler block")
+        if int(samp["n_draws"]) < 1:
+            raise ConfigError("hmc sampler needs n_draws >= 1")
     elif kind == "em":
         _require_keys(samp, _EM_KEYS, {"kind", "dt_grid", "n_steps"},
                       "em sampler block")
+        n_steps = int(samp["n_steps"])
+        if not 0 <= int(samp.get("burn_in", n_steps // 10)) < n_steps:
+            raise ConfigError("em sampler needs 0 <= burn_in < n_steps")
     else:
         raise ConfigError(f"unknown sampler kind {kind!r}")
 
@@ -682,7 +685,4 @@ _COMMANDS = {"optimize": cmd_optimize, "manifold": cmd_manifold,
 
 
 def run_experiment(cfg):
-    try:
-        return _COMMANDS[cfg.experiment](cfg)
-    except KeyError:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}") from None
+    return _COMMANDS[cfg.experiment](cfg)

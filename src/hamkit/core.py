@@ -6,7 +6,7 @@ parallel workers; the operations at the bottom are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +21,6 @@ __all__ = [
     "evaluate_hamiltonian",
     "conformal_vector_field",
     "dissipation_rate",
-    "delta_eta",
 ]
 
 
@@ -182,11 +181,6 @@ class DampingSchedule:
         if t_a < self.t0:
             raise DomainError(f"vanishing schedule undefined at t={t_a} < t0={self.t0}")
         return self.r * math.log(t_b / t_a)
-
-
-def delta_eta(sched, t_a, t_b):
-    """Exact closed-form integral of the damping over [t_a, t_b]."""
-    return sched.delta_eta(t_a, t_b)
 
 
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))

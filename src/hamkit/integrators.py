@@ -1,13 +1,14 @@
 """Flat-space optimisers: damped leapfrog, gradient-flow baseline, rate fits.
 
-The damped leapfrog is written in the numerically stable half-step form: the
-time integral of the damping enters only through Delta_eta over half a step,
-so no large exponentials appear.
+Every damped optimiser step (here and in `manifold`) is the conformal half
+kick / drift / half kick `_conformal_step`, in the numerically stable
+half-step form: the damping enters only through Delta_eta over half a step,
+so no large exponentials appear.  Every run is the record loop `_run_steps`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +23,6 @@ __all__ = [
     "run_optimizer",
     "fit_rate",
 ]
-
-TRAJECTORY_CSV_HEADER = "step,time,value,gap,energy"
 
 
 @dataclass
@@ -58,6 +57,16 @@ class OptimizerConfig:
             raise DomainError("metric dimension does not match initial state")
 
 
+def _write_text(path_or_file, body):
+    """Write `body` to an open file or to a new file at a path; return it."""
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(body)
+    else:
+        with open(path_or_file, "w") as fh:
+            fh.write(body)
+    return body
+
+
 @dataclass
 class Trajectory:
     """Recorded optimisation history at spacing step * record_every."""
@@ -66,51 +75,60 @@ class Trajectory:
     times: np.ndarray
     values: np.ndarray          # f(q_k)
     gaps: np.ndarray | None     # f(q_k) - f_star when the minimum is known
-    energies: np.ndarray        # H(q_k, p_k)
+    extra: np.ndarray           # H(q_k, p_k), or a geometric fidelity measure
     reason: str = "completed"
-    states: list | None = None
+    extra_name: str = "energy"
 
     def __len__(self):
         return len(self.times)
 
     def to_csv(self, path_or_file):
-        rows = []
         gaps = self.gaps if self.gaps is not None else [math.nan] * len(self)
-        for k, t, v, g, e in zip(self.steps, self.times, self.values, gaps,
-                                 self.energies):
-            rows.append(f"{int(k)},{t:.17e},{v:.17e},{g:.17e},{e:.17e}")
-        body = TRAJECTORY_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(body)
-        else:
-            with open(path_or_file, "w") as fh:
-                fh.write(body)
-        return body
+        rows = [
+            f"{int(k)},{t:.17e},{v:.17e},{g:.17e},{e:.17e}"
+            for k, t, v, g, e in zip(self.steps, self.times, self.values, gaps,
+                                     self.extra)
+        ]
+        header = f"step,time,value,gap,{self.extra_name}"
+        return _write_text(path_or_file, header + "\n" + "\n".join(rows) + "\n")
+
+
+def _conformal_step(q, p, t_k, dt, sched, kick, drift, project=None):
+    """One conformal-symplectic step from (q_k, p_k) at time t_k:
+
+    p_{k+1/2} = exp(-De) L(q_k) (p_k - (dt/2) kick(q_k, p_k))
+    q_{k+1}, p_{k+1/2} = drift(q_k, p_{k+1/2}, dt cosh(De), exp(-De))
+    p_{k+1}   = L(q_{k+1}) (exp(-De) p_{k+1/2} - (dt/2) kick(q_{k+1}, p_{k+1/2}))
+
+    De is the exact damping integral over [t_k, t_k + dt/2] and L the momentum
+    map `project(q, p)` (default: identity).  A drift may also correct
+    p_{k+1/2} (RATTLE's multiplier kick).  Non-finite results raise
+    DivergenceError.
+    """
+    project = project or (lambda q, p: p)
+    de = sched.delta_eta(t_k, t_k + 0.5 * dt)
+    decay = math.exp(-de)
+    p_half = decay * project(q, p - 0.5 * dt * kick(q, p))
+    q_new, p_half = drift(q, p_half, dt * math.cosh(de), decay)
+    p_new = project(q_new, decay * p_half - 0.5 * dt * kick(q_new, p_half))
+    if not (np.isfinite(q_new).all() and np.isfinite(p_new).all()):
+        raise DivergenceError(f"non-finite state after step at t={t_k}; "
+                              "step size too large?")
+    return q_new, p_new
 
 
 def dissipative_leapfrog_step(x, t_k, cfg, prob):
     """One damped leapfrog step from (q_k, p_k) at time t_k.
 
-    p_{k+1/2} = exp(-De) (p_k - (dt/2) grad f(q_k))
-    q_{k+1}   = q_k + dt cosh(De) g^{-1} p_{k+1/2}
-    p_{k+1}   = exp(-De) p_{k+1/2} - (dt/2) grad f(q_{k+1})
-
-    with De the exact damping integral over [t_k, t_k + dt/2].  The position
-    update carries a plus sign so the undamped limit is the classical
-    leapfrog.
+    The conformal step with kick grad f and drift
+    q_{k+1} = q_k + dt cosh(De) g^{-1} p_{k+1/2}, whose plus sign makes the
+    undamped limit the classical leapfrog.
     """
-    dt = cfg.step
-    de = cfg.schedule.delta_eta(t_k, t_k + 0.5 * dt)
-    decay = math.exp(-de)
-    ch = math.cosh(de)
-    p_half = decay * (x.p - 0.5 * dt * prob.grad(x.q))
-    q_new = x.q + dt * ch * cfg.metric.inv_mul(p_half)
-    p_new = decay * p_half - 0.5 * dt * prob.grad(q_new)
-    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(p_new))):
-        raise DivergenceError(
-            f"non-finite state after step at t={t_k}; step size too large?"
-        )
-    return PhasePoint(q_new, p_new)
+    q, p = _conformal_step(
+        x.q, x.p, t_k, cfg.step, cfg.schedule,
+        kick=lambda q, p: prob.grad(q),
+        drift=lambda q, p, h, decay: (q + h * cfg.metric.inv_mul(p), p))
+    return PhasePoint(q, p)
 
 
 def gradient_flow_step(q, dt, prob):
@@ -119,6 +137,43 @@ def gradient_flow_step(q, dt, prob):
     if not np.all(np.isfinite(q_new)):
         raise DivergenceError("non-finite iterate in gradient flow")
     return q_new
+
+
+def _run_steps(x, advance, value, extra, t0, dt, num_steps, f_star,
+               record_every=1, target_gap=None, too_far=None,
+               extra_name="energy"):
+    """Record/stop loop of every optimiser run; returns (Trajectory, last state).
+
+    `advance(x, t_k)` steps from t_k; `value(x)` is f and `extra(x, f)` the
+    fifth column.  Records step 0, every `record_every`-th, the last and any
+    stopping step; stops on `too_far(x, f)` or a gap below `target_gap`.  f is
+    evaluated once per step while a stop rule is active, otherwise only on
+    recorded steps.  A step's DivergenceError is re-raised with its index.
+    """
+    watch_gap = target_gap is not None and f_star is not None
+    f = value(x)
+    rows = [(0, t0, f, extra(x, f))]
+    reason = "completed"
+    for k in range(1, num_steps + 1):
+        try:
+            x = advance(x, t0 + (k - 1) * dt)
+        except DivergenceError as exc:
+            raise DivergenceError(str(exc), step=k) from None
+        due = k % record_every == 0 or k == num_steps
+        if not (due or watch_gap or too_far is not None):
+            continue
+        f = value(x)
+        diverged = too_far is not None and too_far(x, f)
+        reached = watch_gap and f - f_star < target_gap
+        if due or diverged or reached:
+            rows.append((k, t0 + k * dt, f, extra(x, f)))
+        if diverged or reached:
+            reason = "diverged" if diverged else "target_reached"
+            break
+    steps, times, values, extras = (np.asarray(col) for col in zip(*rows))
+    gaps = values - f_star if f_star is not None else None
+    return Trajectory(steps, times, values, gaps, extras, reason,
+                      extra_name), x
 
 
 _METHODS = ("dissipative_leapfrog", "gradient_flow")
@@ -133,52 +188,23 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
     """
     if method not in _METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {_METHODS}")
-    t0 = cfg.schedule.start_time()
-    x = cfg.x0
-    steps, times, values, energies = [0], [t0], [prob.value(x.q)], []
-    energies.append(evaluate_hamiltonian(x, cfg.metric, prob)
-                    if method == "dissipative_leapfrog" else values[0])
-    reason = "completed"
-    k_done = 0
-    for k in range(1, cfg.num_steps + 1):
-        t_k = t0 + (k - 1) * cfg.step
-        try:
-            if method == "dissipative_leapfrog":
-                x = dissipative_leapfrog_step(x, t_k, cfg, prob)
-            else:
-                x = PhasePoint(gradient_flow_step(x.q, cfg.step, prob), x.p)
-        except DivergenceError as exc:
-            raise DivergenceError(str(exc), step=k) from None
-        k_done = k
-        f_k = prob.value(x.q)
-        diverged = (abs(f_k) > cfg.divergence_threshold
-                    or float(np.linalg.norm(x.q)) > cfg.divergence_threshold)
-        reached = (cfg.target_gap is not None and prob.f_star is not None
-                   and f_k - prob.f_star < cfg.target_gap)
-        if k % cfg.record_every == 0 or k == cfg.num_steps or diverged or reached:
-            steps.append(k)
-            times.append(t0 + k * cfg.step)
-            values.append(f_k)
-            energies.append(evaluate_hamiltonian(x, cfg.metric, prob)
-                            if method == "dissipative_leapfrog" else f_k)
-        if diverged:
-            reason = "diverged"
-            break
-        if reached:
-            reason = "target_reached"
-            break
+    leapfrog = method == "dissipative_leapfrog"
 
-    values = np.asarray(values)
-    gaps = values - prob.f_star if prob.f_star is not None else None
-    return Trajectory(
-        steps=np.asarray(steps),
-        times=np.asarray(times),
-        values=values,
-        gaps=gaps,
-        energies=np.asarray(energies),
-        reason=reason,
-        states=[x],
-    )
+    def advance(x, t_k):
+        if leapfrog:
+            return dissipative_leapfrog_step(x, t_k, cfg, prob)
+        return PhasePoint(gradient_flow_step(x.q, cfg.step, prob), x.p)
+
+    def energy(x, f):
+        return evaluate_hamiltonian(x, cfg.metric, prob) if leapfrog else f
+
+    thr = cfg.divergence_threshold
+    traj, _ = _run_steps(
+        cfg.x0, advance, lambda x: prob.value(x.q), energy,
+        cfg.schedule.start_time(), cfg.step, cfg.num_steps, prob.f_star,
+        record_every=cfg.record_every, target_gap=cfg.target_gap,
+        too_far=lambda x, f: abs(f) > thr or float(np.linalg.norm(x.q)) > thr)
+    return traj
 
 
 def fit_rate(traj, model="power_law", burn_in=0.2):

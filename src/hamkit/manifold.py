@@ -1,19 +1,14 @@
 """Optimisation beyond flat space: SO(n) group steps and constrained RATTLE."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .core import PhasePoint
-from .errors import (
-    ConstraintSolveError,
-    DivergenceError,
-    DomainError,
-    GeometryError,
-)
+from .errors import ConstraintSolveError, DomainError, GeometryError
+from .integrators import _conformal_step, _run_steps
 
 __all__ = [
     "MatrixGroupState",
@@ -32,7 +27,6 @@ __all__ = [
 
 ORTHO_TOL = 1e-8
 SKEW_TOL = 1e-10
-ORTHO_FAIL = 1e-6
 
 
 def skew_part(m):
@@ -126,51 +120,30 @@ def trace_objective(C):
     )
 
 
-def _lie_force(prob, Q, mode, P_for_literal):
-    if mode == "skew_projection":
-        return skew_part(Q.T @ prob.grad(Q))
-    # Verbatim printed force: Tr[d_Q f(Q) . Q . P] P with (d_Q f)_ij = df/dQ_ji.
-    dq = prob.grad(Q).T
-    return float(np.trace(dq @ Q @ P_for_literal)) * P_for_literal
-
-
 def lie_group_step(st, t_k, dt, g_scalar, sched, prob, mode="skew_projection"):
     """One damped leapfrog step on SO(n) with exact exponential update.
 
-    skew_projection (default) uses the trivialised gradient skew(Q^T df/dQ);
-    paper_literal applies the printed trace-weighted force verbatim (kept for
-    fidelity testing only).
+    The drift is Q exp((dt cosh(De) / g_scalar) P_{k+1/2}) and the momentum
+    map is skew_part.  skew_projection (default) uses the trivialised
+    gradient skew(Q^T df/dQ); paper_literal applies the printed
+    trace-weighted force verbatim (kept for fidelity testing only).
     """
     if mode not in ("skew_projection", "paper_literal"):
         raise DomainError(f"unknown lie step mode {mode!r}")
     if not g_scalar > 0:
         raise DomainError("g_scalar must be positive")
-    de = sched.delta_eta(t_k, t_k + 0.5 * dt)
-    decay = math.exp(-de)
-    ch = math.cosh(de)
-    Q, P = st.Q, st.P
-
     if mode == "skew_projection":
-        p_half = decay * (P - 0.5 * dt * _lie_force(prob, Q, mode, None))
-    else:
-        p_half = decay * (P - 0.5 * dt * _lie_force(prob, Q, mode, P))
-    q_new = Q @ scipy.linalg.expm((dt * ch / g_scalar) * p_half)
-    if mode == "skew_projection":
-        p_new = decay * p_half - 0.5 * dt * _lie_force(prob, q_new, mode, None)
-    else:
-        # Final force mixes P_{k+1/2} in the trace with the printed trailing P_k.
-        dq = prob.grad(q_new).T
-        p_new = decay * p_half - 0.5 * dt * float(np.trace(dq @ q_new @ p_half)) * P
+        def kick(Q, P):
+            return skew_part(Q.T @ prob.grad(Q))
+    else:  # printed force Tr[d_Q f(Q) . Q . P] P_k, (d_Q f)_ij = df/dQ_ji
+        def kick(Q, P):
+            return float(np.trace(prob.grad(Q).T @ Q @ P)) * st.P
 
-    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(p_new))):
-        raise DivergenceError(f"non-finite group state after step at t={t_k}")
-    defect = np.linalg.norm(q_new.T @ q_new - np.eye(st.n))
-    if defect > ORTHO_FAIL:
-        raise GeometryError(
-            f"group membership lost: ||Q^T Q - I||_F = {defect:.3e} > {ORTHO_FAIL}"
-        )
-    p_new = skew_part(p_new)  # removes roundoff-level symmetric residue
-    return MatrixGroupState(q_new, p_new)
+    Q, P = _conformal_step(
+        st.Q, st.P, t_k, dt, sched, kick,
+        drift=lambda Q, P, h, decay: (Q @ scipy.linalg.expm((h / g_scalar) * P), P),
+        project=lambda Q, P: skew_part(P))
+    return MatrixGroupState(Q, P)
 
 
 class ConstraintSet:
@@ -205,6 +178,10 @@ class ConstraintSet:
         return cls(0, None, None)
 
 
+def _sup_norm(v):  # max |v_i|; 0.0 for the empty residual of no constraints
+    return float(np.max(np.abs(v), initial=0.0))
+
+
 def sphere_constraint(radius=1.0, **kwargs):
     """psi(q) = ||q||^2 - radius^2."""
     return ConstraintSet(
@@ -215,27 +192,21 @@ def sphere_constraint(radius=1.0, **kwargs):
     )
 
 
-def _constraint_solve(jac, g, rhs):
-    """Solve R_g x = rhs with R_g = J g^{-1} J^T; error when rank-deficient."""
-    r_g = jac @ g.g_inv @ jac.T
-    try:
-        factor = scipy.linalg.cho_factor(r_g)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise GeometryError("constraint Jacobian is rank deficient "
-                            "(R_g not positive definite)") from exc
-    return scipy.linalg.cho_solve(factor, rhs)
-
-
 def project_momentum(q, p, g, cons):
     """Oblique projector L_g p with L_g = I - J^T R_g^{-1} J g^{-1}.
 
     L_g annihilates J g^{-1} (the constrained cotangent condition) and is
-    idempotent.
+    idempotent.  A rank-deficient J raises GeometryError.
     """
     if cons.m == 0:
         return np.array(p, float)
     jac = cons.jacobian(q)
-    return p - jac.T @ _constraint_solve(jac, g, jac @ g.inv_mul(p))
+    try:
+        factor = scipy.linalg.cho_factor(jac @ g.g_inv @ jac.T)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise GeometryError("constraint Jacobian is rank deficient "
+                            "(R_g not positive definite)") from exc
+    return p - jac.T @ scipy.linalg.cho_solve(factor, jac @ g.inv_mul(p))
 
 
 def rattle_step(x, t_k, dt, g, sched, prob, cons):
@@ -243,138 +214,61 @@ def rattle_step(x, t_k, dt, g, sched, prob, cons):
 
     The position update, the multiplier kick and the constraint equations are
     solved simultaneously: Newton iteration on lambda until
-    psi(q_{k+1}(lambda)) = 0 within cons.newton_tol.
+    psi(q_{k+1}(lambda)) = 0 within cons.newton_tol.  The momentum map is
+    project_momentum; without constraints this is the flat damped leapfrog.
     """
-    de = sched.delta_eta(t_k, t_k + 0.5 * dt)
-    decay = math.exp(-de)
-    ch = math.cosh(de)
-
-    p_half = decay * project_momentum(x.q, x.p - 0.5 * dt * prob.grad(x.q), g, cons)
-    if cons.m == 0:
-        q_new = x.q + dt * ch * g.inv_mul(p_half)
-        p_new = decay * p_half - 0.5 * dt * prob.grad(q_new)
-        return PhasePoint(q_new, p_new), np.zeros(0)
-
-    jac_k = cons.jacobian(x.q)
-    base_q = x.q + dt * ch * g.inv_mul(p_half)
-    # q(lambda) = base_q - kick_mat @ lambda
-    kick_mat = (dt * ch) * (0.5 * dt * decay) * (g.g_inv @ jac_k.T)
     lam = np.zeros(cons.m)
-    q_new = base_q
-    converged = False
-    for _ in range(cons.newton_max_iter):
-        res = cons.value(q_new)
-        if np.linalg.norm(res, np.inf) <= cons.newton_tol:
-            converged = True
-            break
-        jac_cur = cons.jacobian(q_new) if cons.full_relinearize else jac_k
-        a = jac_cur @ kick_mat
-        try:
-            dlam = np.linalg.solve(a, res)
-        except np.linalg.LinAlgError as exc:
-            raise GeometryError("singular Newton system in RATTLE "
-                                "constraint solve") from exc
-        lam = lam + dlam
-        q_new = base_q - kick_mat @ lam
-    if not converged:
-        res_norm = float(np.linalg.norm(cons.value(q_new), np.inf))
+
+    def drift(q, p_half, h, decay):
+        nonlocal lam
+        jac_k = cons.jacobian(q)
+        base_q = q + h * g.inv_mul(p_half)
+        # q(lambda) = base_q - kick_mat @ lambda
+        kick_mat = h * (0.5 * dt * decay) * (g.g_inv @ jac_k.T)
+        q_new = base_q
+        for _ in range(cons.newton_max_iter):
+            res = cons.value(q_new)
+            if _sup_norm(res) <= cons.newton_tol:
+                return q_new, p_half - 0.5 * dt * decay * (jac_k.T @ lam)
+            jac_cur = cons.jacobian(q_new) if cons.full_relinearize else jac_k
+            try:
+                dlam = np.linalg.solve(jac_cur @ kick_mat, res)
+            except np.linalg.LinAlgError as exc:
+                raise GeometryError("singular Newton system in RATTLE "
+                                    "constraint solve") from exc
+            lam = lam + dlam
+            q_new = base_q - kick_mat @ lam
         raise ConstraintSolveError(
             f"Newton iteration did not reach tol {cons.newton_tol} in "
-            f"{cons.newton_max_iter} iterations", residual=res_norm)
+            f"{cons.newton_max_iter} iterations",
+            residual=_sup_norm(cons.value(q_new)))
 
-    p_bar = p_half - 0.5 * dt * decay * (jac_k.T @ lam)
-    p_new = project_momentum(q_new, decay * p_bar - 0.5 * dt * prob.grad(q_new),
-                             g, cons)
-    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(p_new))):
-        raise DivergenceError(f"non-finite constrained state after step at t={t_k}")
-    return PhasePoint(q_new, p_new), lam
-
-
-@dataclass
-class ManifoldTrajectory:
-    """Run history with a geometric-fidelity column alongside the objective."""
-
-    steps: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
-    gaps: np.ndarray | None
-    extra: np.ndarray
-    extra_name: str
-    reason: str = "completed"
-
-    def __len__(self):
-        return len(self.times)
-
-    def to_csv(self, path_or_file):
-        header = f"step,time,value,gap,{self.extra_name}"
-        gaps = self.gaps if self.gaps is not None else [math.nan] * len(self)
-        rows = [
-            f"{int(k)},{t:.17e},{v:.17e},{g:.17e},{e:.17e}"
-            for k, t, v, g, e in zip(self.steps, self.times, self.values, gaps,
-                                     self.extra)
-        ]
-        body = header + "\n" + "\n".join(rows) + "\n"
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(body)
-        else:
-            with open(path_or_file, "w") as fh:
-                fh.write(body)
-        return body
+    q, p = _conformal_step(x.q, x.p, t_k, dt, sched,
+                           lambda q, p: prob.grad(q), drift,
+                           project=lambda q, p: project_momentum(q, p, g, cons))
+    return PhasePoint(q, p), lam
 
 
 def run_lie_optimizer(st, prob, dt, g_scalar, sched, num_steps,
                       mode="skew_projection", record_every=1,
                       target_gap=None):
     """Iterate lie_group_step; reports the orthogonality defect per record."""
-    t0 = sched.start_time()
-    steps, times, values, extras = [0], [t0], [prob.value(st.Q)], [st.orthogonality_defect()]
-    reason = "completed"
-    for k in range(1, num_steps + 1):
-        st = lie_group_step(st, t0 + (k - 1) * dt, dt, g_scalar, sched, prob, mode)
-        reached = (target_gap is not None and prob.f_star is not None
-                   and prob.gap(st.Q) < target_gap)
-        if k % record_every == 0 or k == num_steps or reached:
-            steps.append(k)
-            times.append(t0 + k * dt)
-            values.append(prob.value(st.Q))
-            extras.append(st.orthogonality_defect())
-        if reached:
-            reason = "target_reached"
-            break
-    values = np.asarray(values)
-    gaps = values - prob.f_star if prob.f_star is not None else None
-    return ManifoldTrajectory(np.asarray(steps), np.asarray(times), values, gaps,
-                              np.asarray(extras), "orthogonality_defect",
-                              reason), st
+    return _run_steps(
+        st, lambda st, t: lie_group_step(st, t, dt, g_scalar, sched, prob, mode),
+        lambda st: prob.value(st.Q), lambda st, f: st.orthogonality_defect(),
+        sched.start_time(), dt, num_steps, prob.f_star,
+        record_every=record_every, target_gap=target_gap,
+        extra_name="orthogonality_defect")
 
 
 def run_rattle_optimizer(x, prob, dt, g, sched, cons, num_steps,
                          record_every=1, target_gap=None):
     """Iterate rattle_step; reports the constraint residual per record."""
-    t0 = sched.start_time()
-    x = PhasePoint(x.q, project_momentum(x.q, x.p, g, cons))
-
-    def residual(q):
-        vals = cons.value(q)
-        return float(np.linalg.norm(vals, np.inf)) if cons.m else 0.0
-
-    steps, times = [0], [t0]
-    values, extras = [prob.value(x.q)], [residual(x.q)]
-    reason = "completed"
-    for k in range(1, num_steps + 1):
-        x, _ = rattle_step(x, t0 + (k - 1) * dt, dt, g, sched, prob, cons)
-        reached = (target_gap is not None and prob.f_star is not None
-                   and prob.value(x.q) - prob.f_star < target_gap)
-        if k % record_every == 0 or k == num_steps or reached:
-            steps.append(k)
-            times.append(t0 + k * dt)
-            values.append(prob.value(x.q))
-            extras.append(residual(x.q))
-        if reached:
-            reason = "target_reached"
-            break
-    values = np.asarray(values)
-    gaps = values - prob.f_star if prob.f_star is not None else None
-    return ManifoldTrajectory(np.asarray(steps), np.asarray(times), values, gaps,
-                              np.asarray(extras), "constraint_residual",
-                              reason), x
+    return _run_steps(
+        PhasePoint(x.q, project_momentum(x.q, x.p, g, cons)),
+        lambda x, t_k: rattle_step(x, t_k, dt, g, sched, prob, cons)[0],
+        lambda x: prob.value(x.q),
+        lambda x, f: _sup_norm(cons.value(x.q)),
+        sched.start_time(), dt, num_steps, prob.f_star,
+        record_every=record_every, target_gap=target_gap,
+        extra_name="constraint_residual")

@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KineticMetric, PhasePoint, evaluate_hamiltonian
+from .core import PhasePoint, evaluate_hamiltonian
 from .errors import DivergenceError, DomainError
-from .integrators import gradient_flow_step
+from .integrators import _write_text, gradient_flow_step
 
 __all__ = [
     "RngStream",
@@ -320,10 +320,4 @@ def write_samples_csv(path_or_file, samples, accepted=None, chain_id=0,
         if momenta is not None:
             fields += [f"{v:.17e}" for v in momenta[i]]
         lines.append(",".join(fields))
-    body = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(body)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(body)
-    return body
+    return _write_text(path_or_file, "\n".join(lines) + "\n")

@@ -85,7 +85,7 @@ def test_criterion_2_shadow_energy_order():
                               x0=PhasePoint([1.0], [0.0]),
                               metric=KineticMetric.identity(1))
         traj = run_optimizer(cfg, prob)
-        drifts.append(float(np.max(np.abs(traj.energies - traj.energies[0]))))
+        drifts.append(float(np.max(np.abs(traj.extra - traj.extra[0]))))
     ratio = drifts[0] / drifts[1]
     ok = 3.5 <= ratio <= 4.5
     _report(2, "energy-drift halving ratio (order 2)", ok,

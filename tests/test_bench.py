@@ -153,6 +153,13 @@ class TestOptimizeExperiment:
         assert not report.passed
         assert report.verdicts[0]["value"] is None
 
+    def test_constant_schedule_needs_gamma(self, tmp_path):
+        params = base_optimize_params()
+        params["schedule"] = {"kind": "constant"}
+        with pytest.raises(ConfigError, match="gamma"):
+            run_experiment(ExperimentConfig("optimize", params,
+                                            out_dir=str(tmp_path)))
+
 
 class TestManifoldExperiment:
     def test_underdamped_faster_with_rattle(self, tmp_path):
@@ -233,6 +240,23 @@ class TestSampleExperiment:
         params = {"target": {"name": "gaussian"}, "sampler": {"kind": "gibbs"}}
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig("sample", params))
+
+    @pytest.mark.parametrize("burn_in", [50, 80])
+    def test_em_burn_in_below_n_steps(self, tmp_path, burn_in):
+        params = {"target": {"name": "gaussian"},
+                  "sampler": {"kind": "em", "dt_grid": [0.1], "n_steps": 50,
+                              "burn_in": burn_in}}
+        with pytest.raises(ConfigError, match="burn_in"):
+            run_experiment(ExperimentConfig("sample", params,
+                                            out_dir=str(tmp_path)))
+
+    def test_hmc_needs_draws(self, tmp_path):
+        params = {"target": {"name": "gaussian"},
+                  "sampler": {"kind": "hmc", "step": 0.2, "n_leapfrog": 5,
+                              "n_draws": 0}}
+        with pytest.raises(ConfigError, match="n_draws"):
+            run_experiment(ExperimentConfig("sample", params,
+                                            out_dir=str(tmp_path)))
 
 
 class TestDiscrepancyExperiment:

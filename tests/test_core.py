@@ -14,7 +14,6 @@ from hamkit import (
     PhasePoint,
     Problem,
     conformal_vector_field,
-    delta_eta,
     dissipation_rate,
     evaluate_hamiltonian,
     problems,
@@ -104,10 +103,6 @@ class TestDampingSchedule:
             DampingSchedule.constant(0.0)
         with pytest.raises(DomainError):
             DampingSchedule.vanishing(r=-1.0)
-
-    def test_module_level_helper(self):
-        s = DampingSchedule.constant(2.0)
-        assert delta_eta(s, 1.0, 1.5) == pytest.approx(1.0)
 
     @given(st.floats(1.0, 50.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     @settings(max_examples=50, deadline=None)

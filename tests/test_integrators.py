@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamkit import (
     DampingSchedule,
@@ -139,7 +141,7 @@ class TestRunOptimizer:
         cfg = make_cfg(prob, 0.05, 500, DampingSchedule.constant(2.0),
                        np.array([3.0, -1.0]))
         traj = run_optimizer(cfg, prob)
-        energies = traj.energies[10:]
+        energies = traj.extra[10:]
         assert np.all(np.diff(energies) <= 1e-9)
 
     def test_overdamped_limit_approaches_gradient_flow(self):
@@ -179,10 +181,13 @@ class TestRunOptimizer:
             run_optimizer(cfg, prob)
         assert exc_info.value.step is not None
 
-    def test_time_reversibility(self):
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           st.floats(0.01, 0.5))
+    @settings(max_examples=50, deadline=None)
+    def test_time_reversibility(self, start, dt):
         prob = problems.quadratic(2, 1.3)
-        cfg = make_cfg(prob, 0.1, 1, DampingSchedule.zero(),
-                       np.array([0.7, -0.4]), np.array([0.2, 1.1]),
+        cfg = make_cfg(prob, dt, 1, DampingSchedule.zero(),
+                       np.array(start[:2]), np.array(start[2:]),
                        metric=KineticMetric.identity(2))
         x0 = cfg.x0
         x = x0

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from hamkit import (
     ConstraintSet,
@@ -110,16 +112,19 @@ class TestLieGroupStep:
                                     record_every=100)
         assert np.max(traj.extra) <= 1e-8
 
-    def test_reversibility_no_force(self):
-        rng = np.random.default_rng(7)
-        st0 = MatrixGroupState(np.eye(4), random_skew(4, rng))
+    @given(hst.integers(0, 2**32 - 1), hst.floats(0.01, 0.3))
+    @settings(max_examples=30, deadline=None)
+    def test_reversibility_no_force(self, seed, dt):
+        rng = np.random.default_rng(seed)
+        q0 = scipy.linalg.expm(random_skew(4, rng))
+        st0 = MatrixGroupState(q0, random_skew(4, rng))
         prob = trace_objective(np.zeros((4, 4)))
         st = st0
         for _ in range(30):
-            st = lie_group_step(st, 0.0, 0.1, 1.0, DampingSchedule.zero(), prob)
+            st = lie_group_step(st, 0.0, dt, 1.0, DampingSchedule.zero(), prob)
         st = st.flip_momentum()
         for _ in range(30):
-            st = lie_group_step(st, 0.0, 0.1, 1.0, DampingSchedule.zero(), prob)
+            st = lie_group_step(st, 0.0, dt, 1.0, DampingSchedule.zero(), prob)
         st = st.flip_momentum()
         assert np.linalg.norm(st.Q - st0.Q) < 1e-9
         assert np.linalg.norm(st.P - st0.P) < 1e-9
@@ -204,15 +209,19 @@ class TestProjectMomentum:
 
 
 class TestRattle:
-    def test_unconstrained_matches_flat_step(self):
+    @given(hst.lists(hst.floats(-3.0, 3.0), min_size=6, max_size=6),
+           hst.floats(0.01, 0.5), hst.floats(0.0, 10.0),
+           hst.floats(0.1, 2.0))
+    @settings(max_examples=50, deadline=None)
+    def test_unconstrained_matches_flat_step(self, start, dt, t_k, gamma):
         prob = problems.quadratic(3, 1.2)
         g = KineticMetric.scaled_identity(3, 0.1)
-        sched = DampingSchedule.constant(0.7)
-        x = PhasePoint(np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.1, -0.4]))
-        cfg = OptimizerConfig(step=0.1, num_steps=1, schedule=sched, x0=x,
+        sched = DampingSchedule.constant(gamma)
+        x = PhasePoint(np.array(start[:3]), np.array(start[3:]))
+        cfg = OptimizerConfig(step=dt, num_steps=1, schedule=sched, x0=x,
                               metric=g)
-        flat = dissipative_leapfrog_step(x, 0.0, cfg, prob)
-        constrained, lam = rattle_step(x, 0.0, 0.1, g, sched, prob,
+        flat = dissipative_leapfrog_step(x, t_k, cfg, prob)
+        constrained, lam = rattle_step(x, t_k, dt, g, sched, prob,
                                        ConstraintSet.unconstrained())
         assert lam.size == 0
         assert np.array_equal(constrained.q, flat.q)
@@ -246,6 +255,20 @@ class TestRattle:
         traj, _ = run_rattle_optimizer(PhasePoint(q0, p0),
                                        prob, 0.05, g,
                                        DampingSchedule.constant(0.5), cons, 2000)
+        assert np.max(traj.extra) <= 10 * cons.newton_tol
+
+    @given(hst.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_sphere_residual_bound_from_random_start(self, seed):
+        rng = np.random.default_rng(seed)
+        prob = problems.quadratic(3)
+        cons = sphere_constraint(newton_tol=1e-11)
+        q0 = rng.standard_normal(3)
+        q0 /= np.linalg.norm(q0)
+        g = KineticMetric.scaled_identity(3, 0.05)
+        p0 = 0.05 * rng.standard_normal(3)   # small momentum, as above
+        traj, _ = run_rattle_optimizer(PhasePoint(q0, p0), prob, 0.05, g,
+                                       DampingSchedule.constant(0.5), cons, 200)
         assert np.max(traj.extra) <= 10 * cons.newton_tol
 
     def test_full_relinearize_matches_quasi_newton(self):

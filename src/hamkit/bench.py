@@ -489,6 +489,8 @@ def cmd_sample(cfg):
                       "hmc sampler block")
         if int(samp["n_draws"]) < 1:
             raise ConfigError("hmc sampler needs n_draws >= 1")
+        if int(samp.get("burn_in", 0)) < 0:
+            raise ConfigError("hmc sampler needs burn_in >= 0")
     elif kind == "em":
         _require_keys(samp, _EM_KEYS, {"kind", "dt_grid", "n_steps"},
                       "em sampler block")

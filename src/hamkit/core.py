@@ -30,7 +30,7 @@ def _vector(x, name):
         raise DomainError(f"{name} must be a 1-d vector, got shape {arr.shape}")
     if arr.size < 1:
         raise DomainError(f"{name} must have length >= 1")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
@@ -71,7 +71,7 @@ class KineticMetric:
         g = np.asarray(g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DomainError(f"metric must be a square matrix, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DomainError("metric contains non-finite entries")
         g = 0.5 * (g + g.T)  # exactly symmetric by construction
         try:

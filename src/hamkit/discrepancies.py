@@ -228,7 +228,7 @@ def _stein_matrix(x_arr, y_arr, sx, sy, kernel):
 def _scores(score, points):
     """score at each row of `points`, shape (n, d); non-finite is an error."""
     out = np.asarray([score(row) for row in points], float).reshape(points.shape)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DomainError("score is non-finite at an evaluation point")
     return out
 

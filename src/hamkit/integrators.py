@@ -134,7 +134,7 @@ def dissipative_leapfrog_step(x, t_k, cfg, prob):
 def gradient_flow_step(q, dt, prob):
     """Explicit-Euler gradient descent: q - dt * grad f(q)."""
     q_new = q - dt * prob.grad(q)
-    if not np.all(np.isfinite(q_new)):
+    if not np.isfinite(q_new).all():
         raise DivergenceError("non-finite iterate in gradient flow")
     return q_new
 

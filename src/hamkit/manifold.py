@@ -196,17 +196,24 @@ def project_momentum(q, p, g, cons):
     """Oblique projector L_g p with L_g = I - J^T R_g^{-1} J g^{-1}.
 
     L_g annihilates J g^{-1} (the constrained cotangent condition) and is
-    idempotent.  A rank-deficient J raises GeometryError.
+    idempotent.  A rank-deficient J or a non-finite R_g = J g^{-1} J^T raises
+    GeometryError.  R_g is factored and solved with LAPACK potrf/potrs
+    directly, the routines and flags scipy.linalg.cho_factor/cho_solve use.
     """
     if cons.m == 0:
         return np.array(p, float)
     jac = cons.jacobian(q)
-    try:
-        factor = scipy.linalg.cho_factor(jac @ g.g_inv @ jac.T)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    r_g = jac @ g.g_inv @ jac.T
+    if not np.isfinite(r_g).all():
+        raise GeometryError("R_g = J g^{-1} J^T is non-finite")
+    factor, info = scipy.linalg.lapack.dpotrf(r_g, clean=0)
+    if info != 0:
         raise GeometryError("constraint Jacobian is rank deficient "
-                            "(R_g not positive definite)") from exc
-    return p - jac.T @ scipy.linalg.cho_solve(factor, jac @ g.inv_mul(p))
+                            f"(R_g not positive definite, potrf info {info})")
+    lam, info = scipy.linalg.lapack.dpotrs(factor, jac @ g.inv_mul(p))
+    if info != 0:
+        raise GeometryError(f"R_g solve failed (potrs info {info})")
+    return p - jac.T @ lam
 
 
 def rattle_step(x, t_k, dt, g, sched, prob, cons):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhasePoint, evaluate_hamiltonian
+from .core import PhasePoint
 from .errors import DivergenceError, DomainError
 from .integrators import _write_text, gradient_flow_step
 
@@ -69,7 +69,11 @@ class RngStream:
 
 @dataclass(frozen=True)
 class ChainState:
-    """Current MCMC state plus acceptance and moment bookkeeping."""
+    """Current MCMC state plus acceptance and moment bookkeeping.
+
+    `potential` and `grad` carry V(x.q) and grad V(x.q) from one HMC draw to
+    the next; they are None until the first draw has evaluated them.
+    """
 
     x: PhasePoint
     steps: int = 0
@@ -77,6 +81,8 @@ class ChainState:
     incidents: int = 0          # non-finite energy differences seen
     sum_q: np.ndarray = None
     sum_q2: np.ndarray = None
+    potential: float = None
+    grad: np.ndarray = None
 
     def __post_init__(self):
         if self.sum_q is None:
@@ -85,6 +91,8 @@ class ChainState:
             object.__setattr__(self, "sum_q2", np.zeros(self.x.dim))
         if self.accepted > self.steps:
             raise DomainError("acceptance tally cannot exceed step count")
+        if (self.potential is None) != (self.grad is None):
+            raise DomainError("potential and grad are cached together or not at all")
 
     @classmethod
     def start(cls, q):
@@ -102,22 +110,32 @@ class ChainState:
         return self.sum_q2 / max(self.steps, 1)
 
 
+def _leapfrog(q, p, grad, prob, g, dt, L):
+    """L leapfrog steps from (q, p) given grad = grad V(q).
+
+    Returns (q_L, p_L, grad V(q_L)); raises DivergenceError at the first
+    non-finite position or final momentum.
+    """
+    p = p - 0.5 * dt * grad
+    for i in range(L):
+        q = q + dt * g.inv_mul(p)
+        if not np.isfinite(q).all():
+            raise DivergenceError("leapfrog position diverged", step=i)
+        grad = prob.grad(q)
+        if i < L - 1:
+            p = p - dt * grad
+    p = p - 0.5 * dt * grad
+    if not np.isfinite(p).all():
+        raise DivergenceError("leapfrog momentum diverged", step=L - 1)
+    return q, p, grad
+
+
 def leapfrog_trajectory(x, prob, g, dt, L):
     """L leapfrog steps (half kick / full drift / half kick) for
     H = (1/2) p^T g^{-1} p + V(q)."""
     if L < 1:
         raise DomainError("L must be >= 1")
-    q = np.array(x.q)
-    p = x.p - 0.5 * dt * prob.grad(q)
-    for i in range(L):
-        q = q + dt * g.inv_mul(p)
-        if not np.all(np.isfinite(q)):
-            raise DivergenceError("leapfrog position diverged", step=i)
-        if i < L - 1:
-            p = p - dt * prob.grad(q)
-    p = p - 0.5 * dt * prob.grad(q)
-    if not np.all(np.isfinite(p)):
-        raise DivergenceError("leapfrog momentum diverged", step=L - 1)
+    q, p, _ = _leapfrog(x.q, x.p, prob.grad(x.q), prob, g, dt, L)
     return PhasePoint(q, p)
 
 
@@ -139,7 +157,7 @@ def three_stage_trajectory(x, prob, g, dt, L, a=THREE_STAGE_A, b=THREE_STAGE_B):
             q = q + drifts[j] * dt * g.inv_mul(p)
             p = p - kicks[j] * dt * prob.grad(q)
         q = q + drifts[3] * dt * g.inv_mul(p)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(q).all() and np.isfinite(p).all()):
             raise DivergenceError("three-stage trajectory diverged", step=i)
     return PhasePoint(q, p)
 
@@ -153,27 +171,44 @@ def hmc_draw(chain, prob, g, dt, L, rng, jitter=0.0):
     [ceil((1-jitter) L), L].  A non-finite energy difference counts as a
     rejection and increments the incident counter.  On rejection the stored
     state keeps the position with the refreshed momentum flipped.
+
+    V and grad V at the current position come from the chain's cache (the
+    first draw evaluates them), so a draw of L steps calls grad L times and
+    V once; the returned chain caches them at its new position.
     """
     if not 0.0 <= jitter <= 1.0:
         raise DomainError("jitter must lie in [0, 1]")
+    if L < 1:
+        raise DomainError("L must be >= 1")
     q = chain.x.q
+    if q.size != g.dim or q.size != prob.dim:
+        raise DomainError(
+            f"dimension mismatch: state {q.size}, metric {g.dim}, problem {prob.dim}"
+        )
     p = g.sample_momentum(rng)
-    z0 = PhasePoint(q, p)
     l_min = max(1, math.ceil((1.0 - jitter) * L))
     l_run = rng.integers(l_min, L) if l_min < L else L
+    v0, grad0 = chain.potential, chain.grad
     incidents = 0
     try:
-        z_prop = leapfrog_trajectory(z0, prob, g, dt, l_run)
-        d_h = (evaluate_hamiltonian(z_prop, g, prob)
-               - evaluate_hamiltonian(z0, g, prob))
+        if grad0 is None:
+            v0, grad0 = prob.value(q), prob.grad(q)
+        q1, p1, grad1 = _leapfrog(q, p, grad0, prob, g, dt, l_run)
+        v1 = prob.value(q1)
+        # H = (1/2) p^T g^{-1} p + V, as evaluate_hamiltonian forms it; a
+        # non-finite term makes d_h non-finite.
+        d_h = (0.5 * g.quad_inv(p1) + v1) - (0.5 * g.quad_inv(p) + v0)
     except (DivergenceError, ArithmeticError):
-        z_prop, d_h = None, math.inf
+        d_h = math.inf
     if not math.isfinite(d_h):
         incidents = 1
         d_h = math.inf
     u = rng.uniform()
     accept = d_h <= 0.0 or u < math.exp(-d_h)
-    new_x = z_prop if accept else z0.flip_momentum()
+    if accept:
+        new_x, v_new, grad_new = PhasePoint(q1, p1), v1, grad1
+    else:
+        new_x, v_new, grad_new = PhasePoint(q, -p), v0, grad0
     return ChainState(
         x=new_x,
         steps=chain.steps + 1,
@@ -181,6 +216,8 @@ def hmc_draw(chain, prob, g, dt, L, rng, jitter=0.0):
         incidents=chain.incidents + incidents,
         sum_q=chain.sum_q + new_x.q,
         sum_q2=chain.sum_q2 + new_x.q ** 2,
+        potential=v_new,
+        grad=grad_new,
     )
 
 
@@ -203,7 +240,7 @@ def underdamped_step(x, prob, dt, gamma, beta, rng):
     q = x.q + dt * p
     p = p - 0.5 * dt * prob.grad(q)
     p = decay * p + noise * rng.standard_normal(d)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise DivergenceError("underdamped Langevin step diverged")
     return PhasePoint(q, p)
 
@@ -216,7 +253,7 @@ def overdamped_em_step(q, prob, dt, beta, rng):
         return gradient_flow_step(np.asarray(q, float), dt, prob)
     q = np.asarray(q, float)
     q_new = q - dt * prob.grad(q) + math.sqrt(2.0 * dt / beta) * rng.standard_normal(q.size)
-    if not np.all(np.isfinite(q_new)):
+    if not np.isfinite(q_new).all():
         raise DivergenceError("Euler-Maruyama step diverged")
     return q_new
 

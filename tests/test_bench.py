@@ -258,6 +258,15 @@ class TestSampleExperiment:
             run_experiment(ExperimentConfig("sample", params,
                                             out_dir=str(tmp_path)))
 
+    def test_hmc_burn_in_not_negative(self, tmp_path):
+        # a negative burn_in used to shorten the chain to n_draws + burn_in
+        params = {"target": {"name": "gaussian"},
+                  "sampler": {"kind": "hmc", "step": 0.2, "n_leapfrog": 5,
+                              "n_draws": 20, "burn_in": -15}}
+        with pytest.raises(ConfigError, match="burn_in"):
+            run_experiment(ExperimentConfig("sample", params,
+                                            out_dir=str(tmp_path)))
+
 
 class TestDiscrepancyExperiment:
     def test_all_tasks(self, tmp_path):

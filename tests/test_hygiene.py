@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import in the package is used, and
+finiteness checks use one idiom.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -38,3 +39,22 @@ def test_module_imports_are_used(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _is_np_call(node, name):
+    """`node` is a call of `np.<name>(...)`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_finiteness_checks_use_the_method_form(path):
+    # np.isfinite(a).all() skips the np.all dispatch wrapper, which showed in
+    # per-step profiles; one idiom everywhere keeps it from creeping back
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = [node.lineno for node in ast.walk(tree)
+                 if _is_np_call(node, "all") and node.args
+                 and _is_np_call(node.args[0], "isfinite")]
+    assert not offending, (f"{path.name}: np.all(np.isfinite(...)) at lines "
+                           f"{offending}; use np.isfinite(...).all()")

@@ -207,6 +207,37 @@ class TestProjectMomentum:
             project_momentum(np.zeros(2), np.ones(2),
                              KineticMetric.identity(2), cons)
 
+    def test_nonfinite_r_g(self):
+        jac_rows = np.array([[np.inf, 0.0]])
+        cons = ConstraintSet(1, value=lambda q: jac_rows @ q,
+                             jacobian=lambda q: jac_rows)
+        with np.errstate(invalid="ignore"), pytest.raises(GeometryError):
+            project_momentum(np.zeros(2), np.ones(2),
+                             KineticMetric.identity(2), cons)
+
+    @pytest.mark.parametrize("extra_rows", [0, 1], ids=["sphere", "sphere+plane"])
+    @given(hst.lists(hst.floats(-3.0, 3.0), min_size=3, max_size=3),
+           hst.lists(hst.floats(-5.0, 5.0), min_size=3, max_size=3),
+           hst.floats(0.1, 10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scipy_cholesky_solve(self, extra_rows, q, p, scale):
+        # same LAPACK routines and flags as cho_factor/cho_solve: equal bits
+        q, p = np.array(q), np.array(p)
+        plane = np.array([[1.0, -2.0, 0.5]])
+        jacobian = lambda q: np.vstack([2.0 * q[None, :], plane[:extra_rows]])
+        cons = ConstraintSet(1 + extra_rows, value=lambda q: jacobian(q) @ q,
+                             jacobian=jacobian)
+        g = KineticMetric.scaled_identity(3, scale)
+        jac = jacobian(q)
+        try:
+            factor = scipy.linalg.cho_factor(jac @ g.g_inv @ jac.T)
+        except scipy.linalg.LinAlgError:
+            with pytest.raises(GeometryError):
+                project_momentum(q, p, g, cons)
+            return
+        expected = p - jac.T @ scipy.linalg.cho_solve(factor, jac @ g.inv_mul(p))
+        assert np.array_equal(project_momentum(q, p, g, cons), expected)
+
 
 class TestRattle:
     @given(hst.lists(hst.floats(-3.0, 3.0), min_size=6, max_size=6),

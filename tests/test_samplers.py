@@ -13,6 +13,7 @@ from hamkit import (
     PhasePoint,
     RngStream,
     complete_recipe_drift,
+    evaluate_hamiltonian,
     hmc_draw,
     leapfrog_trajectory,
     mcmc_estimate,
@@ -255,6 +256,142 @@ class TestHmc:
         assert n01 + n10 > 20  # the chain actually mixes
         z = abs(n01 - n10) / math.sqrt(n01 + n10)
         assert z < 4.0
+
+
+def _steep():
+    return Problem(2, value=lambda q: float(q @ q) ** 4,
+                   grad=lambda q: 8.0 * float(q @ q) ** 3 * q)
+
+
+def _exp_well():
+    # V overflows (math.exp raises OverflowError) before grad V does
+    return Problem(1, value=lambda q: math.exp(float(q @ q)),
+                   grad=lambda q: 2.0 * q * math.exp(min(float(q @ q), 700.0)))
+
+
+def _reference_chain(prob, g, dt, L, n_draws, rng, q0, jitter):
+    """Textbook Metropolis-corrected leapfrog HMC, one draw at a time, from
+    leapfrog_trajectory and evaluate_hamiltonian with the same rng calls."""
+    x = PhasePoint(q0, np.zeros_like(q0))
+    accepted = incidents = 0
+    sum_q, sum_q2 = np.zeros(q0.size), np.zeros(q0.size)
+    samples = np.empty((n_draws, q0.size))
+    for i in range(n_draws):
+        z0 = PhasePoint(x.q, g.sample_momentum(rng))
+        l_min = max(1, math.ceil((1.0 - jitter) * L))
+        l_run = rng.integers(l_min, L) if l_min < L else L
+        try:
+            z = leapfrog_trajectory(z0, prob, g, dt, l_run)
+            d_h = (evaluate_hamiltonian(z, g, prob)
+                   - evaluate_hamiltonian(z0, g, prob))
+        except ArithmeticError:   # DivergenceError, NumericOverflowError
+            d_h = math.inf
+        if not math.isfinite(d_h):
+            incidents += 1
+            d_h = math.inf
+        u = rng.uniform()
+        accept = d_h <= 0.0 or u < math.exp(-d_h)
+        x = z if accept else z0.flip_momentum()
+        accepted += accept
+        sum_q = sum_q + x.q
+        sum_q2 = sum_q2 + x.q ** 2
+        samples[i] = x.q
+    return x, accepted, incidents, sum_q, sum_q2, samples
+
+
+_HMC_CASES = {
+    # name: (problem, dt, L, jitter, q0)
+    "L1": (problems.standard_gaussian(3), 0.3, 1, 0.0, [0.5, -1.0, 2.0]),
+    "L3": (problems.standard_gaussian(3), 0.3, 3, 0.0, [0.5, -1.0, 2.0]),
+    "L1-jitter": (problems.standard_gaussian(3), 0.3, 1, 0.5, [0.5, -1.0, 2.0]),
+    "L3-jitter": (problems.standard_gaussian(3), 0.3, 3, 0.5, [0.5, -1.0, 2.0]),
+    "rejections": (problems.standard_gaussian(3), 1.9, 3, 0.0, [0.5, -1.0, 2.0]),
+    "banana": (problems.banana(), 0.4, 3, 0.5, [1.0, 0.5]),
+    "divergent-flights": (_steep(), 1.0, 3, 0.5, [0.5, -0.3]),
+    "overflowing-energy": (_exp_well(), 1.0, 3, 0.0, [0.2]),
+}
+
+
+class TestHmcTransition:
+    """hmc_draw against a reference loop, the V / grad V cache and its cost."""
+
+    @pytest.mark.parametrize("case", sorted(_HMC_CASES))
+    def test_matches_reference_loop(self, case):
+        prob, dt, L, jitter, q0 = _HMC_CASES[case]
+        g = KineticMetric.identity(prob.dim)
+        q0 = np.array(q0)
+        n = 150
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain, samples = run_hmc_chain(prob, g, dt, L, n, RngStream(11),
+                                           q0=q0, jitter=jitter)
+            x, accepted, incidents, sum_q, sum_q2, ref = _reference_chain(
+                prob, g, dt, L, n, RngStream(11), q0, jitter)
+        assert np.array_equal(samples, ref)
+        assert np.array_equal(chain.x.q, x.q)
+        assert np.array_equal(chain.x.p, x.p)
+        assert (chain.steps, chain.accepted, chain.incidents) == (n, accepted, incidents)
+        assert np.array_equal(chain.sum_q, sum_q)
+        assert np.array_equal(chain.sum_q2, sum_q2)
+        if case == "rejections":
+            assert 0 < accepted < n // 2
+        if case in ("divergent-flights", "overflowing-energy"):
+            assert incidents > 0 and accepted > 0
+
+    def test_gradient_and_value_calls_per_draw(self):
+        calls = {"grad": 0, "value": 0}
+        base = problems.standard_gaussian(4)
+
+        def value(q):
+            calls["value"] += 1
+            return base.value(q)
+
+        def grad(q):
+            calls["grad"] += 1
+            return base.grad(q)
+
+        prob = Problem(4, value=value, grad=grad)
+        g = KineticMetric.identity(4)
+        rng = RngStream(12)
+        L = 5
+        chain = hmc_draw(ChainState.start(np.ones(4)), prob, g, 1.9, L, rng)
+        assert calls == {"grad": L + 1, "value": 2}
+        n = 40
+        for _ in range(n):
+            calls.update(grad=0, value=0)
+            chain = hmc_draw(chain, prob, g, 1.9, L, rng)
+            assert calls == {"grad": L, "value": 1}
+        assert 0 < chain.accepted < chain.steps   # both branches were taken
+
+    @pytest.mark.parametrize("case", ["banana", "rejections", "divergent-flights"])
+    def test_cache_holds_value_and_gradient_at_position(self, case):
+        prob, dt, L, jitter, q0 = _HMC_CASES[case]
+        g = KineticMetric.identity(prob.dim)
+        rng = RngStream(13)
+        chain = ChainState.start(q0)
+        assert chain.potential is None and chain.grad is None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(60):
+                chain = hmc_draw(chain, prob, g, dt, L, rng, jitter=jitter)
+                assert chain.potential == prob.value(chain.x.q)
+                assert np.array_equal(chain.grad, prob.grad(chain.x.q))
+
+    def test_dimension_mismatch(self):
+        chain = ChainState.start(np.zeros(2))
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            hmc_draw(chain, problems.standard_gaussian(3),
+                     KineticMetric.identity(2), 0.1, 3, RngStream(0))
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            hmc_draw(chain, problems.standard_gaussian(2),
+                     KineticMetric.identity(3), 0.1, 3, RngStream(0))
+
+    def test_needs_a_leapfrog_step(self):
+        with pytest.raises(DomainError, match="L must be"):
+            hmc_draw(ChainState.start(np.zeros(1)), problems.quadratic(1),
+                     KineticMetric.identity(1), 0.1, 0, RngStream(0))
+
+    def test_cache_fields_come_together(self):
+        with pytest.raises(DomainError):
+            ChainState(PhasePoint([0.0], [0.0]), potential=0.0)
 
 
 class TestLangevin:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -49,20 +50,90 @@ __all__ = [
     "reevaluate",
 ]
 
-_EXPERIMENTS = ("optimize", "manifold", "sample", "discrepancy")
-_TOP_KEYS = {"experiment", "params", "seed", "out_dir", "reps"}
-_VERDICT_KEYS = {"name", "metric", "agg", "op", "threshold"}
-_AGGS = ("median", "min", "max", "mean", "zscore")
-_OPS = ("<=", ">=", "<", ">", "in")
+_REQUIRED = object()   # the _SCHEMA default of a key its block must give
+
+# Every config block, by the name its errors use: each allowed key with its
+# default or _REQUIRED.  A None default marks a key whose absence the code
+# tests for.  _block() checks a block against its entry and fills it in.
+_SCHEMA = {
+    "config": {"experiment": _REQUIRED, "params": _REQUIRED, "seed": 0,
+               "out_dir": ".", "reps": 1},
+    "verdict entry": {"name": None, "metric": _REQUIRED, "agg": "median",
+                      "op": _REQUIRED, "threshold": _REQUIRED},
+    "optimize params": {"problem": _REQUIRED, "method": _REQUIRED,
+                        "schedule": _REQUIRED, "step": _REQUIRED,
+                        "num_steps": _REQUIRED, "fit": _REQUIRED,
+                        "record_every": 1, "x0_scale": 2.0, "x0": None,
+                        "target_gap": None, "verdicts": ()},
+    "problem block": {"name": _REQUIRED, "dim": 2, "mu": 1.0, "a": 1.0,
+                      "b": 100.0},
+    "schedule block": {"kind": _REQUIRED, "gamma": None, "r": 3.0, "t0": 1.0},
+    "fit block": {"model": _REQUIRED, "burn_in": 0.2, "envelope": False,
+                  "envelope_blocks": 30, "envelope_spacing": "linear"},
+    "manifold params": {"n": _REQUIRED, "step": _REQUIRED, "gammas": _REQUIRED,
+                        "max_steps": _REQUIRED, "target_gap": _REQUIRED,
+                        "g_scalar": None, "mode": "skew_projection",
+                        "c_scale": 1.0, "rattle": None, "verdicts": ()},
+    "rattle block": {"dim": _REQUIRED, "step": _REQUIRED,
+                     "num_steps": _REQUIRED, "gamma": 1.0, "radius": 1.0},
+    "sample params": {"target": _REQUIRED, "sampler": _REQUIRED,
+                      "verdicts": ()},
+    "target block": {"name": _REQUIRED, "dim": 1, "ksd_curve": None},
+    "ksd_curve block": {"n_points": _REQUIRED, "sigma": 1.0},
+    "hmc sampler block": {"kind": _REQUIRED, "step": _REQUIRED,
+                          "n_leapfrog": _REQUIRED, "n_draws": _REQUIRED,
+                          "jitter": 0.0, "burn_in": 0, "step_grid": None,
+                          "grid_draws": 2000, "write_samples": False},
+    "em sampler block": {"kind": _REQUIRED, "dt_grid": _REQUIRED,
+                         "n_steps": _REQUIRED, "burn_in": None, "beta": 1.0},
+    "discrepancy params": {"tasks": _REQUIRED, "verdicts": ()},
+    "sm_ngd task": {"kind": _REQUIRED, "n_samples": _REQUIRED,
+                    "dim": _REQUIRED, "step": 1.0, "n_iter": 50, "sigma": 1.0},
+    "mmd task": {"kind": _REQUIRED, "n": _REQUIRED, "dim": None, "sigma": 1.0,
+                 "n_outer": 10, "samples_file": None},
+    "ksd task": {"kind": _REQUIRED, "m": _REQUIRED, "dim": None, "sigma": 1.0,
+                 "shift": 1.0, "samples_file": None},
+}
+_VARIANTS = {   # blocks in variants: their "kind" names the _SCHEMA entry
+    "sampler": {"hmc": "hmc sampler block", "em": "em sampler block"},
+    "discrepancy task": {"sm_ngd": "sm_ngd task", "mmd_ustat_zero": "mmd task",
+                         "ksd_mismatch": "ksd task"},
+}
 
 
-def _require_keys(block, allowed, required, where):
-    unknown = set(block) - allowed
+def _choose(table, name, what):
+    if name not in table:
+        raise ConfigError(f"unknown {what} {name!r}")
+    return table[name]
+
+
+def _block(raw, where):
+    """A copy of config block `raw` with its defaults filled in, after
+    checking its keys against _SCHEMA[where]."""
+    if where in _VARIANTS:
+        where = _choose(_VARIANTS[where], raw.get("kind"), f"{where} kind")
+    schema = _SCHEMA[where]
+    unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = required - set(block)
+    missing = {k for k, v in schema.items() if v is _REQUIRED} - set(raw)
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
+    return {**schema, **raw}
+
+
+def _zscore(vals):
+    """|mean| over its standard error; inf when that error is 0 or undefined."""
+    if len(vals) < 2:
+        return math.inf
+    se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
+    return abs(float(np.mean(vals))) / se if se > 0 else math.inf
+
+
+_AGGS = {"median": np.median, "min": np.min, "max": np.max, "mean": np.mean,
+         "zscore": _zscore}
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
+        ">": operator.gt, "in": lambda value, thr: thr[0] <= value <= thr[1]}
 
 
 @dataclass
@@ -71,14 +142,14 @@ class ExperimentConfig:
 
     experiment: str
     params: dict
-    seed: int = 0
-    out_dir: str = "."
-    reps: int = 1
+    seed: int = _SCHEMA["config"]["seed"]
+    out_dir: str = _SCHEMA["config"]["out_dir"]
+    reps: int = _SCHEMA["config"]["reps"]
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; choose from {_EXPERIMENTS}")
+        if self.experiment not in _COMMANDS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}; "
+                              f"choose from {tuple(_COMMANDS)}")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
         self.seed = int(self.seed)
@@ -87,13 +158,10 @@ class ExperimentConfig:
         self.reps = int(self.reps)
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
-        for v in self.params.get("verdicts", []):
-            _require_keys(v, _VERDICT_KEYS, {"metric", "op", "threshold"},
-                          "verdict entry")
-            if v["op"] not in _OPS:
-                raise ConfigError(f"unknown verdict op {v['op']!r}")
-            if v.get("agg", "median") not in _AGGS:
-                raise ConfigError(f"unknown verdict aggregate {v.get('agg')!r}")
+        for raw in _block(self.params, f"{self.experiment} params")["verdicts"]:
+            v = _block(raw, "verdict entry")
+            _choose(_OPS, v["op"], "verdict op")
+            _choose(_AGGS, v["agg"], "verdict aggregate")
             if v["op"] == "in":
                 thr = v["threshold"]
                 if not (isinstance(thr, (list, tuple)) and len(thr) == 2):
@@ -107,8 +175,7 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        _require_keys(raw, _TOP_KEYS, {"experiment", "params"}, "config")
-        return cls(**raw)
+        return cls(**_block(raw, "config"))
 
     @classmethod
     def load(cls, path):
@@ -122,52 +189,19 @@ class ExperimentConfig:
             indent=2, sort_keys=True)
 
 
-def _aggregate(values, agg):
-    vals = np.asarray(values, float)
-    if agg == "median":
-        return float(np.median(vals))
-    if agg == "min":
-        return float(np.min(vals))
-    if agg == "max":
-        return float(np.max(vals))
-    if agg == "mean":
-        return float(np.mean(vals))
-    if agg == "zscore":
-        if len(vals) < 2:
-            return math.inf
-        se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-        return abs(float(np.mean(vals))) / se if se > 0 else math.inf
-    raise ConfigError(f"unknown aggregate {agg!r}")
-
-
-def _check(op, value, threshold):
-    if op == "<=":
-        return value <= threshold
-    if op == ">=":
-        return value >= threshold
-    if op == "<":
-        return value < threshold
-    if op == ">":
-        return value > threshold
-    return threshold[0] <= value <= threshold[1]
-
-
 def _evaluate_verdicts(verdict_specs, per_rep):
     out = []
     for spec in verdict_specs:
-        metric, agg = spec["metric"], spec.get("agg", "median")
+        v = _block(spec, "verdict entry")
+        metric = v["metric"]
         values = [rep[metric] for rep in per_rep if metric in rep]
-        if not values:
-            out.append({"name": spec.get("name", metric), "metric": metric,
-                        "agg": agg, "op": spec["op"],
-                        "threshold": spec["threshold"],
-                        "value": None, "pass": False})
-            continue
-        value = _aggregate(values, agg)
-        out.append({"name": spec.get("name", metric), "metric": metric,
-                    "agg": agg, "op": spec["op"],
-                    "threshold": spec["threshold"], "value": value,
-                    "pass": bool(_check(spec["op"], value, spec["threshold"]))})
+        value = (float(_AGGS[v["agg"]](np.asarray(values, float)))
+                 if values else None)
+        out.append({"name": metric if v["name"] is None else v["name"],
+                    "metric": metric, "agg": v["agg"], "op": v["op"],
+                    "threshold": v["threshold"], "value": value,
+                    "pass": value is not None
+                    and bool(_OPS[v["op"]](value, v["threshold"]))})
     return out
 
 
@@ -238,33 +272,20 @@ def _run_reps(cfg, worker):
 
 # ---------------------------------------------------------------- problems --
 
-def _make_problem(block):
-    _require_keys(block, {"name", "dim", "mu", "a", "b"}, {"name"},
-                  "problem block")
-    name = block["name"]
-    if name == "quadratic":
-        return quadratic(int(block.get("dim", 2)), mu=float(block.get("mu", 1.0)))
-    if name == "quartic":
-        return quartic(int(block.get("dim", 2)))
-    if name == "rosenbrock":
-        return rosenbrock(a=float(block.get("a", 1.0)), b=float(block.get("b", 100.0)))
-    raise ConfigError(f"unknown problem {name!r}")
-
-
-def _make_schedule(block):
-    _require_keys(block, {"kind", "gamma", "r", "t0"}, {"kind"},
-                  "schedule block")
-    kind = block["kind"]
-    if kind == "constant":
-        if "gamma" not in block:
-            raise ConfigError("constant schedule needs 'gamma'")
-        return DampingSchedule.constant(float(block["gamma"]))
-    if kind == "vanishing":
-        return DampingSchedule.vanishing(r=float(block.get("r", 3.0)),
-                                         t0=float(block.get("t0", 1.0)))
-    if kind == "zero":
-        return DampingSchedule.zero()
-    raise ConfigError(f"unknown schedule kind {kind!r}")
+_PROBLEMS = {
+    "quadratic": lambda b: quadratic(int(b["dim"]), mu=float(b["mu"])),
+    "quartic": lambda b: quartic(int(b["dim"])),
+    "rosenbrock": lambda b: rosenbrock(a=float(b["a"]), b=float(b["b"])),
+}
+_SCHEDULES = {
+    "constant": lambda b: DampingSchedule.constant(float(b["gamma"])),
+    "vanishing": lambda b: DampingSchedule.vanishing(r=float(b["r"]),
+                                                     t0=float(b["t0"])),
+    "zero": lambda b: DampingSchedule.zero(),
+}
+_TARGETS = {"gaussian": lambda b: standard_gaussian(int(b["dim"])),
+            "gaussian_mixture": lambda b: gaussian_mixture_1d(),
+            "banana": lambda b: banana()}
 
 
 def _envelope(traj, n_blocks, spacing="linear"):
@@ -300,41 +321,31 @@ def _envelope(traj, n_blocks, spacing="linear"):
                       extra=np.zeros(len(times)))
 
 
-_OPTIMIZE_KEYS = {"problem", "method", "schedule", "step", "num_steps",
-                  "record_every", "x0_scale", "x0", "target_gap", "fit",
-                  "verdicts"}
-_FIT_KEYS = {"model", "burn_in", "envelope", "envelope_blocks",
-             "envelope_spacing"}
-
-
 def cmd_optimize(cfg):
     """Rate-table experiment: run an optimiser, fit the decay, check verdicts."""
-    p = cfg.params
-    _require_keys(p, _OPTIMIZE_KEYS,
-                  {"problem", "method", "schedule", "step", "num_steps", "fit"},
-                  "optimize params")
-    _require_keys(p["fit"], _FIT_KEYS, {"model"}, "fit block")
-    prob = _make_problem(p["problem"])
-    sched = _make_schedule(p["schedule"])
-    method = p["method"]
-    fit = p["fit"]
+    p = _block(cfg.params, "optimize params")
+    fit = _block(p["fit"], "fit block")
+    problem = _block(p["problem"], "problem block")
+    prob = _choose(_PROBLEMS, problem["name"], "problem")(problem)
+    schedule = _block(p["schedule"], "schedule block")
+    if schedule["kind"] == "constant" and schedule["gamma"] is None:
+        raise ConfigError("constant schedule needs 'gamma'")
+    sched = _choose(_SCHEDULES, schedule["kind"], "schedule kind")(schedule)
     notes = []
 
     def worker(i, rng):
-        if "x0" in p:
+        if p["x0"] is not None:
             q0 = np.asarray(p["x0"], float)
         else:
-            scale = float(p.get("x0_scale", 2.0))
             q0 = rng.standard_normal(prob.dim)
-            q0 = scale * q0 / np.linalg.norm(q0)
+            q0 = float(p["x0_scale"]) * q0 / np.linalg.norm(q0)
         run_cfg = OptimizerConfig(
             step=float(p["step"]), num_steps=int(p["num_steps"]),
             schedule=sched, x0=PhasePoint(q0, np.zeros(prob.dim)),
-            record_every=int(p.get("record_every", 1)),
-            target_gap=p.get("target_gap"))
+            record_every=int(p["record_every"]), target_gap=p["target_gap"])
         metrics = {"rep": i}
         try:
-            traj = run_optimizer(run_cfg, prob, method=method)
+            traj = run_optimizer(run_cfg, prob, method=p["method"])
         except DivergenceError as exc:
             metrics["diverged"] = 1.0
             metrics["divergence_step"] = float(exc.step or -1)
@@ -346,12 +357,12 @@ def cmd_optimize(cfg):
         if metrics["diverged"]:
             return metrics, traj
         fit_traj = traj
-        if fit.get("envelope", False):
-            fit_traj = _envelope(traj, int(fit.get("envelope_blocks", 30)),
-                                 spacing=fit.get("envelope_spacing", "linear"))
+        if fit["envelope"]:
+            fit_traj = _envelope(traj, int(fit["envelope_blocks"]),
+                                 spacing=fit["envelope_spacing"])
         try:
             slope, r2 = fit_rate(fit_traj, model=fit["model"],
-                                 burn_in=float(fit.get("burn_in", 0.2)))
+                                 burn_in=float(fit["burn_in"]))
             key = "exponent" if fit["model"] == "power_law" else "rate"
             metrics[key] = slope
             metrics["r2"] = r2
@@ -367,41 +378,30 @@ def cmd_optimize(cfg):
         per_rep.append(metrics)
         if traj is not None:
             traj.to_csv(os.path.join(cfg.out_dir, f"optimize_rep{i}.csv"))
-    verdicts = _evaluate_verdicts(p.get("verdicts", []), per_rep)
+    verdicts = _evaluate_verdicts(p["verdicts"], per_rep)
     substitutions = []
-    if p["problem"]["name"] == "quartic":
+    if problem["name"] == "quartic":
         substitutions.append("quartic objective stands in for the generic "
                              "convex rate-table row")
-    return Report("optimize", per_rep, verdicts, substitutions=substitutions,
+    return Report(cfg.experiment, per_rep, verdicts, substitutions=substitutions,
                   environment=_environment(cfg), notes=notes)
-
-
-_MANIFOLD_KEYS = {"n", "step", "g_scalar", "gammas", "max_steps", "target_gap",
-                  "mode", "c_scale", "rattle", "verdicts"}
-_RATTLE_KEYS = {"dim", "step", "num_steps", "gamma", "radius"}
 
 
 def cmd_manifold(cfg):
     """Damping-regime comparison on SO(n), plus an optional sphere RATTLE run."""
-    p = cfg.params
-    _require_keys(p, _MANIFOLD_KEYS, {"n", "step", "gammas", "max_steps",
-                                      "target_gap"}, "manifold params")
+    p = _block(cfg.params, "manifold params")
     n = int(p["n"])
     if n > 100:
         raise ConfigError("manifold experiments are desk scale: n <= 100")
     dt = float(p["step"])
-    g_scalar = float(p.get("g_scalar", dt))
+    g_scalar = dt if p["g_scalar"] is None else float(p["g_scalar"])
     gammas = [float(g) for g in p["gammas"]]
     max_steps = int(p["max_steps"])
     target_gap = float(p["target_gap"])
-    mode = p.get("mode", "skew_projection")
-    rattle = p.get("rattle")
-    if rattle is not None:
-        _require_keys(rattle, _RATTLE_KEYS, {"dim", "step", "num_steps"},
-                      "rattle block")
+    rattle = None if p["rattle"] is None else _block(p["rattle"], "rattle block")
 
     def worker(i, rng):
-        c_mat = float(p.get("c_scale", 1.0)) * rng.standard_normal((n, n))
+        c_mat = float(p["c_scale"]) * rng.standard_normal((n, n))
         prob = trace_objective(c_mat)
         st0 = MatrixGroupState(np.eye(n), np.zeros((n, n)))
         metrics = {"rep": i}
@@ -409,7 +409,8 @@ def cmd_manifold(cfg):
         for gamma in gammas:
             traj, _ = run_lie_optimizer(
                 st0, prob, dt, g_scalar, DampingSchedule.constant(gamma),
-                max_steps, mode=mode, record_every=1, target_gap=target_gap)
+                max_steps, mode=p["mode"], record_every=1,
+                target_gap=target_gap)
             # Unreached targets count as max_steps + 1 (a censored step count).
             reached = traj.reason == "target_reached"
             steps = int(traj.steps[-1]) if reached else max_steps + 1
@@ -427,7 +428,7 @@ def cmd_manifold(cfg):
         if rattle is not None:
             d = int(rattle["dim"])
             c_vec = rng.standard_normal(d)
-            radius = float(rattle.get("radius", 1.0))
+            radius = float(rattle["radius"])
             prob_lin = Problem(d, value=lambda q: float(c_vec @ q),
                                grad=lambda q: c_vec,
                                f_star=-radius * float(np.linalg.norm(c_vec)))
@@ -436,7 +437,7 @@ def cmd_manifold(cfg):
             g_metric = KineticMetric.scaled_identity(d, float(rattle["step"]))
             traj, x_end = run_rattle_optimizer(
                 PhasePoint(q0, np.zeros(d)), prob_lin, float(rattle["step"]),
-                g_metric, DampingSchedule.constant(float(rattle.get("gamma", 1.0))),
+                g_metric, DampingSchedule.constant(float(rattle["gamma"])),
                 sphere_constraint(radius), int(rattle["num_steps"]))
             q_star = -radius * c_vec / np.linalg.norm(c_vec)
             metrics["rattle_residual_max"] = float(np.max(traj.extra))
@@ -445,88 +446,68 @@ def cmd_manifold(cfg):
         return metrics
 
     per_rep = _run_reps(cfg, worker)
-    verdicts = _evaluate_verdicts(p.get("verdicts", []), per_rep)
-    return Report("manifold", per_rep, verdicts,
+    verdicts = _evaluate_verdicts(p["verdicts"], per_rep)
+    return Report(cfg.experiment, per_rep, verdicts,
                   substitutions=[f"SO({n}) trace objective stands in for the "
                                  "SO(500) spin-glass instance (desk scale)"],
                   environment=_environment(cfg))
 
 
-_SAMPLE_KEYS = {"target", "sampler", "verdicts"}
-_TARGETS = {"gaussian", "gaussian_mixture", "banana"}
-_HMC_KEYS = {"kind", "step", "n_leapfrog", "n_draws", "jitter", "burn_in",
-             "step_grid", "grid_draws", "write_samples"}
-_EM_KEYS = {"kind", "dt_grid", "n_steps", "burn_in", "beta"}
-_KSD_KEYS = {"n_points", "sigma"}
-
-
-def _make_target(block):
-    _require_keys(block, {"name", "dim", "ksd_curve"}, {"name"}, "target block")
-    name = block["name"]
-    if name == "gaussian":
-        return standard_gaussian(int(block.get("dim", 1)))
-    if name == "gaussian_mixture":
-        return gaussian_mixture_1d()
-    if name == "banana":
-        return banana()
-    raise ConfigError(f"unknown target {name!r}; choose from {sorted(_TARGETS)}")
-
-
 def cmd_sample(cfg):
     """Sampler validation: moments, acceptance curves and discretisation bias."""
-    p = cfg.params
-    _require_keys(p, _SAMPLE_KEYS, {"target", "sampler"}, "sample params")
-    prob = _make_target(p["target"])
-    samp = p["sampler"]
-    kind = samp.get("kind")
-    ksd_curve = p["target"].get("ksd_curve")
-    if ksd_curve is not None:
-        _require_keys(ksd_curve, _KSD_KEYS, {"n_points"}, "ksd_curve block")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
+    p = _block(cfg.params, "sample params")
+    target = _block(p["target"], "target block")
+    if target["name"] not in _TARGETS:
+        raise ConfigError(f"unknown target {target['name']!r}; "
+                          f"choose from {sorted(_TARGETS)}")
+    prob = _TARGETS[target["name"]](target)
+    gaussian = target["name"] == "gaussian"   # moments are checked against N(0, I)
+    ksd_curve = (None if target["ksd_curve"] is None
+                 else _block(target["ksd_curve"], "ksd_curve block"))
+    if ksd_curve is not None and not gaussian:
+        raise ConfigError(f"ksd_curve scores N(0, I) draws; it needs the "
+                          f"gaussian target, not {target['name']!r}")
+    samp = _block(p["sampler"], "sampler")
+    kind = samp["kind"]
     if kind == "hmc":
-        _require_keys(samp, _HMC_KEYS, {"kind", "step", "n_leapfrog", "n_draws"},
-                      "hmc sampler block")
         if int(samp["n_draws"]) < 1:
             raise ConfigError("hmc sampler needs n_draws >= 1")
-        if int(samp.get("burn_in", 0)) < 0:
+        burn = int(samp["burn_in"])
+        if burn < 0:
             raise ConfigError("hmc sampler needs burn_in >= 0")
-    elif kind == "em":
-        _require_keys(samp, _EM_KEYS, {"kind", "dt_grid", "n_steps"},
-                      "em sampler block")
-        n_steps = int(samp["n_steps"])
-        if not 0 <= int(samp.get("burn_in", n_steps // 10)) < n_steps:
-            raise ConfigError("em sampler needs 0 <= burn_in < n_steps")
     else:
-        raise ConfigError(f"unknown sampler kind {kind!r}")
+        n_steps = int(samp["n_steps"])
+        burn = n_steps // 10 if samp["burn_in"] is None else int(samp["burn_in"])
+        if not 0 <= burn < n_steps:
+            raise ConfigError("em sampler needs 0 <= burn_in < n_steps")
+    os.makedirs(cfg.out_dir, exist_ok=True)
 
     def worker(i, rng):
         metrics = {"rep": i}
         if kind == "hmc":
             g = KineticMetric.identity(prob.dim)
-            n_draws = int(samp["n_draws"])
-            burn = int(samp.get("burn_in", 0))
             chain, samples = run_hmc_chain(
                 prob, g, float(samp["step"]), int(samp["n_leapfrog"]),
-                n_draws + burn, rng, jitter=float(samp.get("jitter", 0.0)))
+                int(samp["n_draws"]) + burn, rng,
+                jitter=float(samp["jitter"]))
             kept = samples[burn:]
             metrics["acceptance"] = chain.acceptance_rate
             metrics["incidents"] = float(chain.incidents)
-            metrics["mean_abs_max"] = float(np.max(np.abs(kept.mean(axis=0))))
-            metrics["var_err_max"] = float(
-                np.max(np.abs(kept.var(axis=0) - 1.0)))
-            if samp.get("write_samples", False):
+            if gaussian:
+                metrics["mean_abs_max"] = float(np.max(np.abs(kept.mean(axis=0))))
+                metrics["var_err_max"] = float(
+                    np.max(np.abs(kept.var(axis=0) - 1.0)))
+            if samp["write_samples"]:
                 write_samples_csv(
                     os.path.join(cfg.out_dir, f"samples_rep{i}.csv"),
                     kept, chain_id=i)
-            grid = samp.get("step_grid")
+            grid = samp["step_grid"]
             if grid:
                 accs = []
                 for dt in grid:
                     sub, _ = run_hmc_chain(
                         prob, g, float(dt), max(1, round(1.0 / float(dt))),
-                        int(samp.get("grid_draws", 2000)), rng,
-                        keep_samples=False)
+                        int(samp["grid_draws"]), rng, keep_samples=False)
                     accs.append(sub.acceptance_rate)
                     metrics[f"acceptance_dt_{dt:g}"] = sub.acceptance_rate
                 order = np.argsort([float(d) for d in grid])
@@ -534,9 +515,7 @@ def cmd_sample(cfg):
                 metrics["acceptance_monotone"] = float(
                     all(a >= b - 0.02 for a, b in zip(sorted_accs, sorted_accs[1:])))
         else:  # em
-            beta = float(samp.get("beta", 1.0))
-            n_steps = int(samp["n_steps"])
-            burn = int(samp.get("burn_in", n_steps // 10))
+            beta = float(samp["beta"])
             biases = []
             for dt in samp["dt_grid"]:
                 dt = float(dt)
@@ -554,8 +533,7 @@ def cmd_sample(cfg):
             metrics["bias_monotone"] = float(
                 all(a >= b for a, b in zip(biases, biases[1:])))
         if ksd_curve is not None:
-            sigma = float(ksd_curve.get("sigma", 1.0))
-            kernel = KernelSpec.gaussian(sigma)
+            kernel = KernelSpec.gaussian(float(ksd_curve["sigma"]))
             vals = []
             for n_pts in ksd_curve["n_points"]:
                 draws = rng.standard_normal((int(n_pts), prob.dim))
@@ -565,15 +543,9 @@ def cmd_sample(cfg):
         return metrics
 
     per_rep = _run_reps(cfg, worker)
-    verdicts = _evaluate_verdicts(p.get("verdicts", []), per_rep)
-    return Report("sample", per_rep, verdicts,
+    verdicts = _evaluate_verdicts(p["verdicts"], per_rep)
+    return Report(cfg.experiment, per_rep, verdicts,
                   environment=_environment(cfg))
-
-
-_DISCREPANCY_KEYS = {"tasks", "verdicts"}
-_SM_NGD_KEYS = {"kind", "n_samples", "dim", "step", "n_iter", "sigma"}
-_MMD_KEYS = {"kind", "n", "sigma", "n_outer", "samples_file", "dim"}
-_KSD_TASK_KEYS = {"kind", "m", "sigma", "shift", "samples_file", "dim"}
 
 
 def _read_samples_csv(path):
@@ -587,40 +559,26 @@ def _read_samples_csv(path):
 
 def _check_pool(pool, task):
     """A task's samples file must have the rows it draws and its dimension."""
-    if task["kind"] == "mmd_ustat_zero":
-        need = 2 * int(task["n"])
-    else:
-        need = int(task["m"])
+    need = 2 * int(task["n"]) if task["kind"] == "mmd_ustat_zero" else int(task["m"])
     where = f"samples file {task['samples_file']}"
     if pool.shape[0] < need:
         raise ConfigError(f"{where} has {pool.shape[0]} rows; "
                           f"{task['kind']} needs {need}")
     if pool.shape[1] == 0:
         raise ConfigError(f"{where} has no q_ columns")
-    if "dim" in task and int(task["dim"]) != pool.shape[1]:
+    if task["dim"] is not None and int(task["dim"]) != pool.shape[1]:
         raise ConfigError(f"{where} has {pool.shape[1]} q_ columns; "
                           f"the task says dim {task['dim']}")
 
 
 def cmd_discrepancy(cfg):
     """Estimator checks: NGD fitting, MMD unbiasedness, KSD power."""
-    p = cfg.params
-    _require_keys(p, _DISCREPANCY_KEYS, {"tasks"}, "discrepancy params")
-    tasks = p["tasks"]
+    p = _block(cfg.params, "discrepancy params")
+    tasks = [_block(raw, "discrepancy task") for raw in p["tasks"]]
     pools = {}   # samples_file -> its rows, read once for every worker
     for task in tasks:
-        kind = task.get("kind")
-        if kind == "sm_ngd":
-            _require_keys(task, _SM_NGD_KEYS, {"kind", "n_samples", "dim"},
-                          "sm_ngd task")
-        elif kind == "mmd_ustat_zero":
-            _require_keys(task, _MMD_KEYS, {"kind", "n"}, "mmd task")
-        elif kind == "ksd_mismatch":
-            _require_keys(task, _KSD_TASK_KEYS, {"kind", "m"}, "ksd task")
-        else:
-            raise ConfigError(f"unknown discrepancy task kind {kind!r}")
-        if "samples_file" in task:
-            path = task["samples_file"]
+        path = task.get("samples_file")   # sm_ngd tasks have no such key
+        if path is not None:
             if not os.path.exists(path):
                 raise ConfigError(f"samples file not found: {path}")
             if path not in pools:
@@ -630,46 +588,40 @@ def cmd_discrepancy(cfg):
     def worker(i, rng):
         metrics = {"rep": i}
         for task in tasks:
-            kind = task["kind"]
-            if kind == "sm_ngd":
-                d = int(task["dim"])
+            d = 1 if task["dim"] is None else int(task["dim"])
+            if task["kind"] == "sm_ngd":
                 data = rng.standard_normal((int(task["n_samples"]), d)) + 1.5
-                model = GaussianLocationModel(np.zeros(d),
-                                              sigma=float(task.get("sigma", 1.0)))
-                theta, hist = sm_ngd_fit(data, model,
-                                         n_iter=int(task.get("n_iter", 50)),
-                                         step=float(task.get("step", 1.0)))
+                model = GaussianLocationModel(np.zeros(d), sigma=float(task["sigma"]))
+                theta, hist = sm_ngd_fit(data, model, rng,
+                                         n_iter=int(task["n_iter"]),
+                                         step=float(task["step"]))
                 metrics["sm_ngd_theta_err"] = float(
                     np.linalg.norm(theta - data.mean(axis=0)))
                 metrics["sm_ngd_iters"] = float(len(hist) - 1)
-            elif kind == "mmd_ustat_zero":
+            elif task["kind"] == "mmd_ustat_zero":
                 n = int(task["n"])
-                d = int(task.get("dim", 1))
-                kernel = KernelSpec.gaussian(float(task.get("sigma", 1.0)))
-                n_outer = int(task.get("n_outer", 10))
+                n_outer = int(task["n_outer"])
+                kernel = KernelSpec.gaussian(float(task["sigma"]))
                 vals = []
                 for _ in range(n_outer):
-                    if "samples_file" in task:
+                    if task["samples_file"] is not None:
                         pool = pools[task["samples_file"]]
                         both = pool[rng.permutation(pool.shape[0])[: 2 * n]]
                     else:
                         both = rng.standard_normal((2 * n, d))
                     vals.append(mmd_squared(both[:n], both[n:], kernel, mode="u"))
                 vals = np.asarray(vals)
-                se = float(vals.std(ddof=1)) / math.sqrt(n_outer)
                 metrics["mmd_u_mean"] = float(vals.mean())
-                metrics["mmd_u_stderr"] = se
-                metrics["mmd_z"] = abs(float(vals.mean())) / se if se > 0 else math.inf
+                metrics["mmd_u_stderr"] = float(vals.std(ddof=1)) / math.sqrt(n_outer)
+                metrics["mmd_z"] = _zscore(vals)
             else:  # ksd_mismatch
                 m = int(task["m"])
-                d = int(task.get("dim", 1))
-                shift = float(task.get("shift", 1.0))
-                kernel = KernelSpec.gaussian(float(task.get("sigma", 1.0)))
-                if "samples_file" in task:
+                kernel = KernelSpec.gaussian(float(task["sigma"]))
+                if task["samples_file"] is not None:
                     draws = pools[task["samples_file"]][:m]
                 else:
                     draws = rng.standard_normal((m, d))
-                score = lambda x, s=shift: -(x - s)  # noqa: E731
+                score = lambda x, s=float(task["shift"]): -(x - s)  # noqa: E731
                 val, se = ksd_u_statistic(draws, score, kernel, with_stderr=True)
                 metrics["ksd_value"] = val
                 metrics["ksd_stderr"] = se
@@ -677,11 +629,12 @@ def cmd_discrepancy(cfg):
         return metrics
 
     per_rep = _run_reps(cfg, worker)
-    verdicts = _evaluate_verdicts(p.get("verdicts", []), per_rep)
-    return Report("discrepancy", per_rep, verdicts,
+    verdicts = _evaluate_verdicts(p["verdicts"], per_rep)
+    return Report(cfg.experiment, per_rep, verdicts,
                   environment=_environment(cfg))
 
 
+# The experiments by name: the CLI's subcommands and the only list of them.
 _COMMANDS = {"optimize": cmd_optimize, "manifold": cmd_manifold,
              "sample": cmd_sample, "discrepancy": cmd_discrepancy}
 

@@ -5,12 +5,11 @@ Exit codes: 0 all verdicts pass, 2 a verdict failed, 1 execution error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .bench import ExperimentConfig, run_experiment
+from .bench import _COMMANDS, ExperimentConfig, run_experiment
 from .errors import ConfigError, HamkitError
-
-_SUBCOMMANDS = ("optimize", "manifold", "sample", "discrepancy")
 
 
 def build_parser():
@@ -18,7 +17,7 @@ def build_parser():
         prog="hamkit",
         description="Dissipative Hamiltonian optimisation / sampling benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _COMMANDS:
         cmd = sub.add_parser(name, help=f"run a {name} experiment")
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--seed", type=int, default=None,
@@ -37,15 +36,11 @@ def main(argv=None):
             raise ConfigError(
                 f"config declares experiment {cfg.experiment!r} but the "
                 f"{args.command!r} subcommand was invoked")
-        if args.seed is not None:
-            cfg = ExperimentConfig(cfg.experiment, cfg.params, args.seed,
-                                   cfg.out_dir, cfg.reps)
-        if args.out is not None:
-            cfg = ExperimentConfig(cfg.experiment, cfg.params, cfg.seed,
-                                   args.out, cfg.reps)
-        if args.reps is not None:
-            cfg = ExperimentConfig(cfg.experiment, cfg.params, cfg.seed,
-                                   cfg.out_dir, args.reps)
+        overrides = {"seed": args.seed, "out_dir": args.out,
+                     "reps": args.reps}
+        # replace() re-runs ExperimentConfig's checks on the new values
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items()
+                                          if v is not None})
         report = run_experiment(cfg)
         path = report.write(cfg.out_dir)
     except (ConfigError, OSError) as exc:

@@ -117,9 +117,6 @@ class KineticMetric:
         """Draw p ~ N(0, g), i.e. velocity g^{-1} p ~ N(0, g^{-1})."""
         return self.chol @ rng.standard_normal(self.dim)
 
-    def is_identity(self):
-        return bool(np.array_equal(self.g, np.eye(self.dim)))
-
 
 @dataclass(frozen=True)
 class DampingSchedule:
@@ -193,14 +190,13 @@ class Problem:
     finite-difference fallback for testing only and flags it as such.
     """
 
-    def __init__(self, dim, value, grad, hessian_vec=None, f_star=None,
-                 q_star=None, name="", grad_is_fd=False):
+    def __init__(self, dim, value, grad, f_star=None, q_star=None, name="",
+                 grad_is_fd=False):
         if dim < 1:
             raise DomainError("problem dimension must be >= 1")
         self.dim = int(dim)
         self._value = value
         self._grad = grad
-        self._hessian_vec = hessian_vec
         self.f_star = None if f_star is None else float(f_star)
         self.q_star = None if q_star is None else np.asarray(q_star, float)
         self.name = name
@@ -225,11 +221,6 @@ class Problem:
 
     def grad(self, q):
         return np.asarray(self._grad(np.asarray(q, float)), float)
-
-    def hessian_vec(self, q, v):
-        if self._hessian_vec is None:
-            raise DomainError(f"problem {self.name!r} has no Hessian-vector product")
-        return np.asarray(self._hessian_vec(np.asarray(q, float), np.asarray(v, float)), float)
 
     def gap(self, q):
         """f(q) - f_star; requires a known minimum."""

@@ -102,9 +102,6 @@ class KernelSpec:
         _, dphi, _ = self._profile(np.sum(diff * diff, axis=2))
         return 2.0 * dphi[:, :, None] * diff
 
-    def grad_y_gram(self, x_arr, y_arr):
-        return -self.grad_x_gram(x_arr, y_arr)
-
     def mixed_trace_gram(self, x_arr, y_arr):
         """sum_i d^2 k / (d x_i d y_i), shape (n, m)."""
         x_arr, y_arr = _as_samples(x_arr), _as_samples(y_arr)
@@ -502,20 +499,20 @@ def natural_gradient_step(theta, grad, g, step, ridge=None):
     return theta - step * direction
 
 
-def sm_ngd_fit(x_samples, model, n_iter=50, step=1.0, tol=1e-10, n_mc=200,
-               rng=None, ridge=None):
+def sm_ngd_fit(x_samples, model, rng, n_iter=50, step=1.0, tol=1e-10, n_mc=200,
+               ridge=None):
     """Fit a score model by natural-gradient descent on the SM objective.
 
     The loss is half the printed estimator, so its information tensor is its
     Hessian at the optimum and a unit step is exact Newton for quadratic
-    families.  Returns (theta, per-iteration theta history).
+    families.  Each iteration estimates that tensor from n_mc model draws
+    taken from `rng`.  Returns (theta, per-iteration theta history).
     """
     x_arr = _as_samples(x_samples)
     history = [model.theta.copy()]
     for _ in range(n_iter):
         grad = 0.5 * model.sm_theta_grad(x_arr)
-        g = information_tensor("sm", model, max(n_mc, 100),
-                               rng or _dummy_rng())
+        g = information_tensor("sm", model, max(n_mc, 100), rng)
         theta_new = natural_gradient_step(model.theta, grad, g, step,
                                           ridge=ridge)
         model = model.with_theta(theta_new)
@@ -523,10 +520,3 @@ def sm_ngd_fit(x_samples, model, n_iter=50, step=1.0, tol=1e-10, n_mc=200,
         if np.linalg.norm(history[-1] - history[-2]) < tol:
             break
     return model.theta, history
-
-
-class _dummy_rng:
-    """Deterministic stand-in where the integrand is exact (constant)."""
-
-    def standard_normal(self, size=None):
-        return np.zeros(size)

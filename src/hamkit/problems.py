@@ -22,7 +22,6 @@ def quadratic(d, mu=1.0):
         d,
         value=lambda q: 0.5 * mu * float(q @ q),
         grad=lambda q: mu * q,
-        hessian_vec=lambda q, v: mu * v,
         f_star=0.0,
         q_star=np.zeros(d),
         name=f"quadratic(mu={mu})",
@@ -70,7 +69,6 @@ def standard_gaussian(d):
         d,
         value=lambda q: 0.5 * float(q @ q),
         grad=lambda q: q,
-        hessian_vec=lambda q, v: v,
         f_star=0.0,
         q_star=np.zeros(d),
         name=f"standard_gaussian({d})",

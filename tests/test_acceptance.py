@@ -257,7 +257,7 @@ def test_criterion_9_sm_ngd_fitting():
     rng = RngStream(5)
     data = rng.standard_normal((200, 2)) + 1.5
     model = GaussianLocationModel(np.zeros(2))
-    theta, history = sm_ngd_fit(data, model, n_iter=50, step=1.0)
+    theta, history = sm_ngd_fit(data, model, rng, n_iter=50, step=1.0)
     iters = len(history) - 1
     err = float(np.linalg.norm(theta - data.mean(axis=0)))
 

@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +269,28 @@ class TestSampleExperiment:
             run_experiment(ExperimentConfig("sample", params,
                                             out_dir=str(tmp_path)))
 
+    @pytest.mark.parametrize("name", ["banana", "gaussian_mixture"])
+    def test_moment_metrics_only_for_gaussian(self, tmp_path, name):
+        # mean_abs_max and var_err_max measure the distance from N(0, I)
+        params = {"target": {"name": name},
+                  "sampler": {"kind": "hmc", "step": 0.1, "n_leapfrog": 5,
+                              "n_draws": 200}}
+        report = run_experiment(ExperimentConfig("sample", params,
+                                                 out_dir=str(tmp_path)))
+        rep = report.per_rep[0]
+        assert 0.0 < rep["acceptance"] <= 1.0
+        assert "mean_abs_max" not in rep and "var_err_max" not in rep
+
+    @pytest.mark.parametrize("name", ["banana", "gaussian_mixture"])
+    def test_ksd_curve_needs_gaussian_target(self, tmp_path, name):
+        # the curve scores fresh N(0, I) draws, not the sampler's output
+        params = {"target": {"name": name, "ksd_curve": {"n_points": [20, 40]}},
+                  "sampler": {"kind": "hmc", "step": 0.1, "n_leapfrog": 5,
+                              "n_draws": 200}}
+        with pytest.raises(ConfigError, match="ksd_curve"):
+            run_experiment(ExperimentConfig("sample", params,
+                                            out_dir=str(tmp_path)))
+
 
 class TestDiscrepancyExperiment:
     def test_all_tasks(self, tmp_path):
@@ -385,6 +409,12 @@ class TestCli:
         assert cli_main(["sample", "--config", path]) == 1
         assert "subcommand" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--reps", "0")])
+    def test_exit_one_on_bad_override(self, tmp_path, capsys, flag, value):
+        path = self.write_config(tmp_path, base_optimize_params())
+        assert cli_main(["optimize", "--config", path, flag, value]) == 1
+        assert flag[2:] in capsys.readouterr().err
+
     def test_overrides(self, tmp_path):
         path = self.write_config(tmp_path, base_optimize_params(), seed=1)
         out2 = str(tmp_path / "alt")
@@ -396,3 +426,104 @@ class TestCli:
         assert stored["environment"]["seed"] == 9
         assert stored["environment"]["reps"] == 2
         assert len(stored["per_rep"]) == 2
+
+
+# Small runnable configs that between them hold every block of bench._SCHEMA,
+# each block leaving some of its keys to their defaults.
+def schema_configs(tmp_path):
+    pool = str(tmp_path / "pool.csv")
+    write_samples_csv(pool, np.random.default_rng(0).standard_normal((40, 2)))
+    verdicts = [{"metric": "rep", "op": ">=", "threshold": 0.0}]
+    params = {
+        "optimize": {
+            "problem": {"name": "quadratic", "dim": 2},
+            "method": "dissipative_leapfrog",
+            "schedule": {"kind": "vanishing"}, "step": 0.05,
+            "num_steps": 200, "fit": {"model": "exponential"},
+            "verdicts": verdicts},
+        "manifold": {
+            "n": 4, "step": 0.05, "gammas": [1.0, 100.0], "max_steps": 50,
+            "target_gap": 1e-4,
+            "rattle": {"dim": 3, "step": 0.05, "num_steps": 50}},
+        "sample_hmc": {
+            "target": {"name": "gaussian", "dim": 2,
+                       "ksd_curve": {"n_points": [20, 40]}},
+            "sampler": {"kind": "hmc", "step": 0.2, "n_leapfrog": 3,
+                        "n_draws": 50, "step_grid": [0.2], "grid_draws": 20}},
+        "sample_em": {
+            "target": {"name": "gaussian"},
+            "sampler": {"kind": "em", "dt_grid": [0.5, 0.1], "n_steps": 50}},
+        "discrepancy": {"tasks": [
+            {"kind": "sm_ngd", "n_samples": 20, "dim": 2, "n_iter": 5},
+            {"kind": "mmd_ustat_zero", "n": 10, "n_outer": 3,
+             "samples_file": pool},
+            {"kind": "ksd_mismatch", "m": 20, "dim": 2, "samples_file": pool}]},
+    }
+    return {name: {"experiment": name.split("_")[0], "params": body,
+                   "out_dir": str(tmp_path / "out")}
+            for name, body in params.items()}
+
+
+# where each _SCHEMA block sits: (config, path of keys into the raw JSON)
+SCHEMA_BLOCKS = {
+    "config": ("optimize", ()),
+    "verdict entry": ("optimize", ("params", "verdicts", 0)),
+    "optimize params": ("optimize", ("params",)),
+    "problem block": ("optimize", ("params", "problem")),
+    "schedule block": ("optimize", ("params", "schedule")),
+    "fit block": ("optimize", ("params", "fit")),
+    "manifold params": ("manifold", ("params",)),
+    "rattle block": ("manifold", ("params", "rattle")),
+    "sample params": ("sample_hmc", ("params",)),
+    "target block": ("sample_hmc", ("params", "target")),
+    "ksd_curve block": ("sample_hmc", ("params", "target", "ksd_curve")),
+    "hmc sampler block": ("sample_hmc", ("params", "sampler")),
+    "em sampler block": ("sample_em", ("params", "sampler")),
+    "discrepancy params": ("discrepancy", ("params",)),
+    "sm_ngd task": ("discrepancy", ("params", "tasks", 0)),
+    "mmd task": ("discrepancy", ("params", "tasks", 1)),
+    "ksd task": ("discrepancy", ("params", "tasks", 2)),
+}
+
+
+def run_raw(raw):
+    return run_experiment(ExperimentConfig.parse(json.dumps(raw)))
+
+
+@pytest.mark.parametrize("where", sorted(bench._SCHEMA))
+def test_schema_block_contract(tmp_path, where):
+    name, path = SCHEMA_BLOCKS[where]
+
+    def config_and_block():
+        raw = schema_configs(tmp_path)[name]
+        block = raw
+        for key in path:
+            block = block[key]
+        return raw, block
+
+    raw, block = config_and_block()
+    block["bogus_key"] = 1
+    with pytest.raises(ConfigError, match=re.escape(
+            f"unknown keys ['bogus_key'] in {where}")):
+        run_raw(raw)
+
+    # a variant block's kind is what chose the block
+    family = [f for f, kinds in bench._VARIANTS.items()
+              if where in kinds.values()]
+    required = [k for k, v in bench._SCHEMA[where].items()
+                if v is bench._REQUIRED]
+    for key in required:
+        raw, block = config_and_block()
+        del block[key]
+        message = (f"unknown {family[0]} kind None" if family and key == "kind"
+                   else f"missing keys ['{key}'] in {where}")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_raw(raw)
+
+    # defaults are filled into copies: the loaded params stay as loaded
+    raw, _ = config_and_block()
+    cfg = ExperimentConfig.parse(json.dumps(raw))
+    before = copy.deepcopy(cfg.params)
+    report = run_experiment(cfg)
+    assert cfg.params == before
+    assert report.per_rep

@@ -391,9 +391,16 @@ class TestNaturalGradient:
         rng = RngStream(17)
         data = rng.standard_normal((200, 2)) + 1.5
         theta, history = sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)),
-                                    n_iter=50, step=1.0)
+                                    rng, n_iter=50, step=1.0)
         assert len(history) - 1 <= 50
         assert np.linalg.norm(theta - data.mean(axis=0)) < 1e-6
+
+    def test_sm_ngd_needs_an_rng(self):
+        # the information tensor is a Monte Carlo estimate over model draws;
+        # there is no draw-free fallback
+        data = RngStream(17).standard_normal((20, 2))
+        with pytest.raises(TypeError, match="rng"):
+            sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)), n_iter=5)
 
 
 class TestConsistency:
@@ -404,7 +411,7 @@ class TestConsistency:
             pool = rng.standard_normal((10000, 1))
             for m in errors:
                 theta, _ = sm_ngd_fit(pool[:m], GaussianLocationModel(np.zeros(1)),
-                                      n_iter=10)
+                                      rng, n_iter=10)
                 errors[m].append(abs(float(theta[0])))
         med = [np.median(errors[m]) for m in (100, 1000, 10000)]
         assert med[0] > med[1] > med[2]

@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import in the package is used, and
-finiteness checks use one idiom.
+"""Source hygiene: every module-level import in the package is used,
+finiteness checks use one idiom, and config defaults live in one table.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -58,3 +58,17 @@ def test_finiteness_checks_use_the_method_form(path):
                  and _is_np_call(node.args[0], "isfinite")]
     assert not offending, (f"{path.name}: np.all(np.isfinite(...)) at lines "
                            f"{offending}; use np.isfinite(...).all()")
+
+
+def test_bench_defaults_live_in_the_schema():
+    # bench._SCHEMA holds every config default; a `.get(key, default)` in
+    # bench.py would declare one a second time, out of the table's sight
+    path = PACKAGE / "bench.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "get"
+                 and len(node.args) + len(node.keywords) >= 2]
+    assert not offending, (f"bench.py: .get(key, default) at lines "
+                           f"{offending}; declare the default in _SCHEMA")

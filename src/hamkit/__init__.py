@@ -41,7 +41,6 @@ from .integrators import (
 from .manifold import (
     ConstraintSet,
     MatrixGroupState,
-    MatrixProblem,
     lie_group_step,
     project_momentum,
     rattle_step,

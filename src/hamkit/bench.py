@@ -9,6 +9,7 @@ import json
 import math
 import operator
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,11 +259,6 @@ def reevaluate(report_dict, verdict_specs):
     return _evaluate_verdicts(verdict_specs, report_dict["per_rep"])
 
 
-def _environment(cfg):
-    return {"package": "hamkit", "version": __version__,
-            "numpy": np.__version__, "seed": cfg.seed, "reps": cfg.reps}
-
-
 def _run_reps(cfg, worker):
     """Run `worker(rep_index, rng)` for each repetition, in order, each on its
     own split stream."""
@@ -321,9 +317,8 @@ def _envelope(traj, n_blocks, spacing="linear"):
                       extra=np.zeros(len(times)))
 
 
-def cmd_optimize(cfg):
+def cmd_optimize(cfg, p):
     """Rate-table experiment: run an optimiser, fit the decay, check verdicts."""
-    p = _block(cfg.params, "optimize params")
     fit = _block(p["fit"], "fit block")
     problem = _block(p["problem"], "problem block")
     prob = _choose(_PROBLEMS, problem["name"], "problem")(problem)
@@ -343,19 +338,17 @@ def cmd_optimize(cfg):
             step=float(p["step"]), num_steps=int(p["num_steps"]),
             schedule=sched, x0=PhasePoint(q0, np.zeros(prob.dim)),
             record_every=int(p["record_every"]), target_gap=p["target_gap"])
-        metrics = {"rep": i}
         try:
             traj = run_optimizer(run_cfg, prob, method=p["method"])
         except DivergenceError as exc:
-            metrics["diverged"] = 1.0
-            metrics["divergence_step"] = float(exc.step or -1)
-            return metrics, None
-        metrics["diverged"] = float(traj.reason == "diverged")
-        metrics["final_value"] = float(traj.values[-1])
+            return {"diverged": 1.0, "divergence_step": float(exc.step or -1)}
+        traj.to_csv(os.path.join(cfg.out_dir, f"optimize_rep{i}.csv"))
+        metrics = {"diverged": float(traj.reason == "diverged"),
+                   "final_value": float(traj.values[-1])}
         if traj.gaps is not None:
             metrics["final_gap"] = float(traj.gaps[-1])
         if metrics["diverged"]:
-            return metrics, traj
+            return metrics
         fit_traj = traj
         if fit["envelope"]:
             fit_traj = _envelope(traj, int(fit["envelope_blocks"]),
@@ -369,27 +362,17 @@ def cmd_optimize(cfg):
         except FitDomainError as exc:
             metrics["fit_failed"] = 1.0
             notes.append(f"rep {i}: rate fit failed: {exc}")
-        return metrics, traj
+        return metrics
 
-    results = _run_reps(cfg, worker)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    per_rep = []
-    for i, (metrics, traj) in enumerate(results):
-        per_rep.append(metrics)
-        if traj is not None:
-            traj.to_csv(os.path.join(cfg.out_dir, f"optimize_rep{i}.csv"))
-    verdicts = _evaluate_verdicts(p["verdicts"], per_rep)
     substitutions = []
     if problem["name"] == "quartic":
         substitutions.append("quartic objective stands in for the generic "
                              "convex rate-table row")
-    return Report(cfg.experiment, per_rep, verdicts, substitutions=substitutions,
-                  environment=_environment(cfg), notes=notes)
+    return worker, substitutions, notes
 
 
-def cmd_manifold(cfg):
+def cmd_manifold(cfg, p):
     """Damping-regime comparison on SO(n), plus an optional sphere RATTLE run."""
-    p = _block(cfg.params, "manifold params")
     n = int(p["n"])
     if n > 100:
         raise ConfigError("manifold experiments are desk scale: n <= 100")
@@ -404,7 +387,7 @@ def cmd_manifold(cfg):
         c_mat = float(p["c_scale"]) * rng.standard_normal((n, n))
         prob = trace_objective(c_mat)
         st0 = MatrixGroupState(np.eye(n), np.zeros((n, n)))
-        metrics = {"rep": i}
+        metrics = {}
         steps_needed = {}
         for gamma in gammas:
             traj, _ = run_lie_optimizer(
@@ -445,17 +428,12 @@ def cmd_manifold(cfg):
                 np.linalg.norm(x_end.q - q_star))
         return metrics
 
-    per_rep = _run_reps(cfg, worker)
-    verdicts = _evaluate_verdicts(p["verdicts"], per_rep)
-    return Report(cfg.experiment, per_rep, verdicts,
-                  substitutions=[f"SO({n}) trace objective stands in for the "
-                                 "SO(500) spin-glass instance (desk scale)"],
-                  environment=_environment(cfg))
+    return worker, [f"SO({n}) trace objective stands in for the SO(500) "
+                    "spin-glass instance (desk scale)"], []
 
 
-def cmd_sample(cfg):
+def cmd_sample(cfg, p):
     """Sampler validation: moments, acceptance curves and discretisation bias."""
-    p = _block(cfg.params, "sample params")
     target = _block(p["target"], "target block")
     if target["name"] not in _TARGETS:
         raise ConfigError(f"unknown target {target['name']!r}; "
@@ -480,10 +458,13 @@ def cmd_sample(cfg):
         burn = n_steps // 10 if samp["burn_in"] is None else int(samp["burn_in"])
         if not 0 <= burn < n_steps:
             raise ConfigError("em sampler needs 0 <= burn_in < n_steps")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+        if not gaussian:
+            raise ConfigError(f"the em sampler's var_dt_* and bias_monotone "
+                              f"measure the distance from N(0, I); it needs "
+                              f"the gaussian target, not {target['name']!r}")
 
     def worker(i, rng):
-        metrics = {"rep": i}
+        metrics = {}
         if kind == "hmc":
             g = KineticMetric.identity(prob.dim)
             chain, samples = run_hmc_chain(
@@ -542,19 +523,21 @@ def cmd_sample(cfg):
             metrics["ksd_decreasing"] = float(abs(vals[-1]) < abs(vals[0]))
         return metrics
 
-    per_rep = _run_reps(cfg, worker)
-    verdicts = _evaluate_verdicts(p["verdicts"], per_rep)
-    return Report(cfg.experiment, per_rep, verdicts,
-                  environment=_environment(cfg))
+    return worker, [], []
 
 
 def _read_samples_csv(path):
+    """The q_ columns of a samples CSV, one row per sample."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         q_cols = [j for j, name in enumerate(header) if name.startswith("q_")]
-        rows = [[float(parts[j]) for j in q_cols]
-                for parts in (line.strip().split(",") for line in fh if line.strip())]
-    return np.asarray(rows, float)
+        try:
+            with warnings.catch_warnings():
+                # a header-only file reads as 0 rows, which _check_pool reports
+                warnings.simplefilter("ignore", UserWarning)
+                return np.loadtxt(fh, delimiter=",", usecols=q_cols, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"samples file {path}: {exc}") from None
 
 
 def _check_pool(pool, task):
@@ -571,9 +554,8 @@ def _check_pool(pool, task):
                           f"the task says dim {task['dim']}")
 
 
-def cmd_discrepancy(cfg):
+def cmd_discrepancy(cfg, p):
     """Estimator checks: NGD fitting, MMD unbiasedness, KSD power."""
-    p = _block(cfg.params, "discrepancy params")
     tasks = [_block(raw, "discrepancy task") for raw in p["tasks"]]
     pools = {}   # samples_file -> its rows, read once for every worker
     for task in tasks:
@@ -586,7 +568,7 @@ def cmd_discrepancy(cfg):
             _check_pool(pools[path], task)
 
     def worker(i, rng):
-        metrics = {"rep": i}
+        metrics = {}
         for task in tasks:
             d = 1 if task["dim"] is None else int(task["dim"])
             if task["kind"] == "sm_ngd":
@@ -628,10 +610,7 @@ def cmd_discrepancy(cfg):
                 metrics["ksd_z"] = val / se if se > 0 else math.inf
         return metrics
 
-    per_rep = _run_reps(cfg, worker)
-    verdicts = _evaluate_verdicts(p["verdicts"], per_rep)
-    return Report(cfg.experiment, per_rep, verdicts,
-                  environment=_environment(cfg))
+    return worker, [], []
 
 
 # The experiments by name: the CLI's subcommands and the only list of them.
@@ -640,4 +619,20 @@ _COMMANDS = {"optimize": cmd_optimize, "manifold": cmd_manifold,
 
 
 def run_experiment(cfg):
-    return _COMMANDS[cfg.experiment](cfg)
+    """Run `cfg` and return its Report.
+
+    The experiment's command checks its own blocks and returns a per-rep
+    worker `worker(i, rng) -> metrics`, with the report's substitution notes
+    and a list the worker may append run notes to.  Each rep runs on its own
+    stream and writes its CSVs into `out_dir`.
+    """
+    p = _block(cfg.params, f"{cfg.experiment} params")
+    worker, substitutions, notes = _COMMANDS[cfg.experiment](cfg, p)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    per_rep = _run_reps(cfg, lambda i, rng: {"rep": i, **worker(i, rng)})
+    return Report(cfg.experiment, per_rep,
+                  _evaluate_verdicts(p["verdicts"], per_rep),
+                  substitutions=substitutions, notes=notes,
+                  environment={"package": "hamkit", "version": __version__,
+                               "numpy": np.__version__, "seed": cfg.seed,
+                               "reps": cfg.reps})

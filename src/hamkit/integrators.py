@@ -57,8 +57,14 @@ class OptimizerConfig:
             raise DomainError("metric dimension does not match initial state")
 
 
-def _write_text(path_or_file, body):
-    """Write `body` to an open file or to a new file at a path; return it."""
+def _write_csv(path_or_file, header, fmts, columns):
+    """Write `header` and one line per row of `columns`, each value printf-
+    formatted by its column's entry of `fmts` ("%d", or "%.17e", from which
+    every float64 reads back exactly), to an open file or a new file at a
+    path.  Returns the text written."""
+    line = ",".join(fmts) + "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
+    body = header + "\n" + "".join(line % row for row in rows)
     if hasattr(path_or_file, "write"):
         path_or_file.write(body)
     else:
@@ -83,14 +89,10 @@ class Trajectory:
         return len(self.times)
 
     def to_csv(self, path_or_file):
-        gaps = self.gaps if self.gaps is not None else [math.nan] * len(self)
-        rows = [
-            f"{int(k)},{t:.17e},{v:.17e},{g:.17e},{e:.17e}"
-            for k, t, v, g, e in zip(self.steps, self.times, self.values, gaps,
-                                     self.extra)
-        ]
-        header = f"step,time,value,gap,{self.extra_name}"
-        return _write_text(path_or_file, header + "\n" + "\n".join(rows) + "\n")
+        gaps = self.gaps if self.gaps is not None else np.full(len(self), math.nan)
+        return _write_csv(path_or_file, f"step,time,value,gap,{self.extra_name}",
+                          ["%d"] + ["%.17e"] * 4,
+                          [self.steps, self.times, self.values, gaps, self.extra])
 
 
 def _conformal_step(q, p, t_k, dt, sched, kick, drift, project=None):
@@ -233,6 +235,11 @@ def fit_rate(traj, model="power_law", burn_in=0.2):
     if np.any(gaps <= 0.0):
         raise FitDomainError(
             "non-positive gap inside the fitting window; shrink the window"
+        )
+    if model == "power_law" and np.any(t <= 0.0):
+        raise FitDomainError(
+            "non-positive time inside the power-law fitting window; "
+            "raise burn_in or start the schedule at t > 0"
         )
     y = np.log(gaps)
     xv = np.log(t) if model == "power_law" else t

@@ -6,13 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import PhasePoint
+from .core import PhasePoint, Problem
 from .errors import ConstraintSolveError, DomainError, GeometryError
 from .integrators import _conformal_step, _run_steps
 
 __all__ = [
     "MatrixGroupState",
-    "MatrixProblem",
     "ConstraintSet",
     "lie_group_step",
     "rattle_step",
@@ -68,28 +67,6 @@ class MatrixGroupState:
         return MatrixGroupState(self.Q, -self.P)
 
 
-class MatrixProblem:
-    """Objective over square matrices with Euclidean gradient df/dQ_ij."""
-
-    def __init__(self, n, value, grad, f_star=None, name=""):
-        self.n = int(n)
-        self._value = value
-        self._grad = grad
-        self.f_star = None if f_star is None else float(f_star)
-        self.name = name
-
-    def value(self, Q):
-        return float(self._value(Q))
-
-    def grad(self, Q):
-        return np.asarray(self._grad(Q), float)
-
-    def gap(self, Q):
-        if self.f_star is None:
-            raise DomainError(f"matrix problem {self.name!r} has no certified minimum")
-        return self.value(Q) - self.f_star
-
-
 def so_trace_minimum(C):
     """Closed-form minimum of Tr(C Q) over Q in SO(n).
 
@@ -108,16 +85,12 @@ def so_trace_minimum(C):
 
 
 def trace_objective(C):
-    """f(Q) = Tr(C Q) with its certified minimum over SO(n)."""
+    """f(Q) = Tr(C Q) over n x n matrices (dim n^2), with its certified
+    minimum and minimiser over SO(n)."""
     C = np.asarray(C, float)
-    f_star, _ = so_trace_minimum(C)
-    return MatrixProblem(
-        C.shape[0],
-        value=lambda Q: float(np.trace(C @ Q)),
-        grad=lambda Q: C.T,
-        f_star=f_star,
-        name="trace_objective",
-    )
+    f_star, q_star = so_trace_minimum(C)
+    return Problem(C.size, value=lambda Q: np.trace(C @ Q), grad=lambda Q: C.T,
+                   f_star=f_star, q_star=q_star, name="trace_objective")
 
 
 def lie_group_step(st, t_k, dt, g_scalar, sched, prob, mode="skew_projection"):
@@ -149,14 +122,12 @@ def lie_group_step(st, t_k, dt, g_scalar, sched, prob, mode="skew_projection"):
 class ConstraintSet:
     """Equality constraints psi_a(q) = 0 with Jacobian rows dpsi_a/dq."""
 
-    def __init__(self, m, value, jacobian, newton_tol=1e-10, newton_max_iter=50,
-                 full_relinearize=False):
+    def __init__(self, m, value, jacobian, newton_tol=1e-10, newton_max_iter=50):
         self.m = int(m)
         self._value = value
         self._jacobian = jacobian
         self.newton_tol = float(newton_tol)
         self.newton_max_iter = int(newton_max_iter)
-        self.full_relinearize = bool(full_relinearize)
 
     def value(self, q):
         if self.m == 0:
@@ -232,14 +203,14 @@ def rattle_step(x, t_k, dt, g, sched, prob, cons):
         base_q = q + h * g.inv_mul(p_half)
         # q(lambda) = base_q - kick_mat @ lambda
         kick_mat = h * (0.5 * dt * decay) * (g.g_inv @ jac_k.T)
+        newton_mat = jac_k @ kick_mat   # frozen-Jacobian (quasi-)Newton
         q_new = base_q
         for _ in range(cons.newton_max_iter):
             res = cons.value(q_new)
             if _sup_norm(res) <= cons.newton_tol:
                 return q_new, p_half - 0.5 * dt * decay * (jac_k.T @ lam)
-            jac_cur = cons.jacobian(q_new) if cons.full_relinearize else jac_k
             try:
-                dlam = np.linalg.solve(jac_cur @ kick_mat, res)
+                dlam = np.linalg.solve(newton_mat, res)
             except np.linalg.LinAlgError as exc:
                 raise GeometryError("singular Newton system in RATTLE "
                                     "constraint solve") from exc

@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import PhasePoint
 from .errors import DivergenceError, DomainError
-from .integrators import _write_text, gradient_flow_step
+from .integrators import _write_csv, gradient_flow_step
 
 __all__ = [
     "RngStream",
@@ -345,16 +345,12 @@ def write_samples_csv(path_or_file, samples, accepted=None, chain_id=0,
     samples = np.asarray(samples, float)
     if samples.ndim == 1:
         samples = samples[:, None]
-    d = samples.shape[1]
+    n, d = samples.shape
     cols = ["chain", "step", "accepted"] + [f"q_{i + 1}" for i in range(d)]
+    columns = [[chain_id] * n, range(n),
+               np.ones(n, int) if accepted is None else accepted, *samples.T]
     if momenta is not None:
         cols += [f"p_{i + 1}" for i in range(d)]
-    lines = [",".join(cols)]
-    for i, row in enumerate(samples):
-        acc = 1 if accepted is None else int(accepted[i])
-        fields = [str(chain_id), str(i), str(acc)]
-        fields += [f"{v:.17e}" for v in row]
-        if momenta is not None:
-            fields += [f"{v:.17e}" for v in momenta[i]]
-        lines.append(",".join(fields))
-    return _write_text(path_or_file, "\n".join(lines) + "\n")
+        columns += list(np.asarray(momenta, float).T)
+    return _write_csv(path_or_file, ",".join(cols),
+                      ["%d"] * 3 + ["%.17e"] * (len(cols) - 3), columns)

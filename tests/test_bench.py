@@ -136,6 +136,18 @@ class TestOptimizeExperiment:
         assert "rate" in agg
         assert set(agg["rate"]) == {"median", "iqr"}
 
+    def test_power_law_fit_from_time_zero_is_a_note(self, tmp_path):
+        # a constant schedule records t = 0; a power-law fit over it used to
+        # die in numpy's least squares instead of failing as a fit
+        params = dict(base_optimize_params(), num_steps=400, verdicts=[],
+                      fit={"model": "power_law", "burn_in": 0.0})
+        report = run_experiment(ExperimentConfig("optimize", params,
+                                                 out_dir=str(tmp_path)))
+        assert report.per_rep[0]["fit_failed"] == 1.0
+        assert "exponent" not in report.per_rep[0]
+        assert report.notes[0].startswith("rep 0: rate fit failed")
+        assert (tmp_path / "optimize_rep0.csv").exists()
+
     def test_divergence_recorded_not_raised(self, tmp_path):
         params = base_optimize_params()
         params["step"] = 10.0
@@ -282,6 +294,17 @@ class TestSampleExperiment:
         assert "mean_abs_max" not in rep and "var_err_max" not in rep
 
     @pytest.mark.parametrize("name", ["banana", "gaussian_mixture"])
+    def test_em_needs_gaussian_target(self, tmp_path, name):
+        # var_dt_* and bias_monotone compare the second moment against 1;
+        # banana at seed 0 gave var_dt_0.05 = 8.14
+        params = {"target": {"name": name},
+                  "sampler": {"kind": "em", "dt_grid": [0.2, 0.05],
+                              "n_steps": 200}}
+        with pytest.raises(ConfigError, match=f"em sampler.*{name}"):
+            run_experiment(ExperimentConfig("sample", params,
+                                            out_dir=str(tmp_path)))
+
+    @pytest.mark.parametrize("name", ["banana", "gaussian_mixture"])
     def test_ksd_curve_needs_gaussian_target(self, tmp_path, name):
         # the curve scores fresh N(0, I) draws, not the sampler's output
         params = {"target": {"name": name, "ksd_curve": {"n_points": [20, 40]}},
@@ -348,6 +371,33 @@ class TestDiscrepancyExperiment:
         params = {"tasks": [dict(task, samples_file=path)]}
         with pytest.raises(ConfigError, match=match):
             run_experiment(ExperimentConfig("discrepancy", params))
+
+    @pytest.mark.parametrize("cell", ["abc", ""], ids=["text", "empty"])
+    def test_samples_file_bad_cell(self, tmp_path, cell):
+        path = tmp_path / "pool.csv"
+        path.write_text(f"chain,step,accepted,q_1,q_2\n0,0,1,1.0,2.0\n"
+                        f"0,1,1,{cell},2.0\n")
+        params = {"tasks": [{"kind": "ksd_mismatch", "m": 2,
+                             "samples_file": str(path)}]}
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            run_experiment(ExperimentConfig("discrepancy", params))
+
+    def test_header_only_samples_file(self, tmp_path, recwarn):
+        path = tmp_path / "pool.csv"
+        path.write_text("chain,step,accepted,q_1\n")
+        params = {"tasks": [{"kind": "ksd_mismatch", "m": 2,
+                             "samples_file": str(path)}]}
+        with pytest.raises(ConfigError, match="0 rows"):
+            run_experiment(ExperimentConfig("discrepancy", params))
+        assert not recwarn.list
+
+    def test_samples_csv_keeps_every_bit(self, tmp_path):
+        path = str(tmp_path / "bits.csv")
+        samples = np.array([[-0.0, 5e-324], [1e308, -1e308], [0.1, 1 / 3]])
+        write_samples_csv(path, samples)
+        back = bench._read_samples_csv(path)
+        assert back.dtype == np.float64
+        assert back.tobytes() == samples.tobytes()
 
     def test_samples_file_round_trip(self, tmp_path):
         sample_params = {

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used,
-finiteness checks use one idiom, and config defaults live in one table.
+finiteness checks use one idiom, config defaults live in one table, and one
+driver builds every report.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -72,3 +73,24 @@ def test_bench_defaults_live_in_the_schema():
                  and len(node.args) + len(node.keywords) >= 2]
     assert not offending, (f"bench.py: .get(key, default) at lines "
                            f"{offending}; declare the default in _SCHEMA")
+
+
+def _report_calls(tree):
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Report"}
+
+
+def test_only_run_experiment_builds_a_report():
+    # the one driver checks params, runs the reps and evaluates the verdicts;
+    # a second Report( would bring back a second copy of that tail
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in MODULES}
+    driver = next(node for node in trees["bench.py"].body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "run_experiment")
+    allowed = {("bench.py", line) for line in _report_calls(driver)}
+    calls = {(name, line) for name, tree in trees.items()
+             for line in _report_calls(tree)}
+    assert allowed and calls == allowed, (
+        f"Report( outside run_experiment at {sorted(calls - allowed)}")

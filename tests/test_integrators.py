@@ -22,6 +22,7 @@ from hamkit import (
     problems,
     run_optimizer,
 )
+from hamkit.bench import _envelope
 
 
 def make_cfg(prob, step, num_steps, schedule, q0, p0=None, metric="auto", **kw):
@@ -231,11 +232,34 @@ class TestFitRate:
         with pytest.raises(FitDomainError):
             fit_rate(traj, "power_law", burn_in=0.0)
 
+    def test_power_law_needs_positive_times(self):
+        # a constant schedule starts at t = 0, where log t is -inf
+        t = np.linspace(0.0, 2.0, 20)
+        gaps = np.exp(-t)
+        traj = Trajectory(np.arange(20), t, gaps, gaps, np.zeros(20))
+        with pytest.raises(FitDomainError, match="time"):
+            fit_rate(traj, "power_law", burn_in=0.0)
+        assert fit_rate(traj, "exponential", burn_in=0.0)[0] == \
+            pytest.approx(1.0, abs=1e-9)
+
     def test_missing_gaps(self):
         t = np.linspace(1.0, 2.0, 20)
         traj = Trajectory(np.arange(20), t, t, None, np.zeros(20))
         with pytest.raises(FitDomainError):
             fit_rate(traj)
+
+
+@pytest.mark.parametrize("r", [1.5, 3.0])
+def test_quartic_r_law(r):
+    # Su, Boyd & Candes (arXiv:1503.01243): under gamma = r/t the gap of
+    # f = |q|^p decays as t^(-2rp/(p+2)); p = 4 gives -4r/3.  The fit is the
+    # optimize_quartic workload's: log envelope of 40 blocks, burn-in 0.3.
+    cfg = make_cfg(problems.quartic(2), 0.05, 15000,
+                   DampingSchedule.vanishing(r=r, t0=1.0), np.array([1.8, 0.0]))
+    traj = run_optimizer(cfg, problems.quartic(2))
+    exponent, _ = fit_rate(_envelope(traj, 40, spacing="log"), "power_law",
+                           burn_in=0.3)
+    assert exponent == pytest.approx(-2.0 * r * 4 / (4 + 2), abs=0.2)
 
 
 class TestTrajectoryCsv:
@@ -257,3 +281,14 @@ class TestTrajectoryCsv:
         assert len(first) == 5
         # full round-trip precision
         assert float(first[2]) == traj.values[0]
+
+    def test_missing_gaps_write_nan(self):
+        traj = Trajectory(np.arange(2), np.array([0.0, 0.5]),
+                          np.array([1.0, -0.0]), None, np.array([2.0, 3.0]))
+        buf = io.StringIO()
+        assert traj.to_csv(buf) == buf.getvalue()
+        assert buf.getvalue().splitlines()[1:] == [
+            "0,0.00000000000000000e+00,1.00000000000000000e+00,nan,"
+            "2.00000000000000000e+00",
+            "1,5.00000000000000000e-01,-0.00000000000000000e+00,nan,"
+            "3.00000000000000000e+00"]

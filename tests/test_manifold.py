@@ -64,6 +64,14 @@ class TestTraceMinimumOracle:
                     q[:, 0] *= -1.0
                 assert np.trace(c @ q) >= f_star - 1e-10
 
+    def test_trace_objective_is_a_problem_with_its_minimiser(self):
+        c = np.random.default_rng(7).standard_normal((4, 4))
+        prob = trace_objective(c)
+        assert isinstance(prob, Problem)
+        assert prob.dim == 16
+        assert prob.gap(prob.q_star) == pytest.approx(0.0, abs=1e-12)
+        assert np.array_equal(prob.grad(np.eye(4)), c.T)
+
     def test_two_by_two_brute_force(self):
         rng = np.random.default_rng(2)
         c = rng.standard_normal((2, 2))
@@ -301,20 +309,6 @@ class TestRattle:
         traj, _ = run_rattle_optimizer(PhasePoint(q0, p0), prob, 0.05, g,
                                        DampingSchedule.constant(0.5), cons, 200)
         assert np.max(traj.extra) <= 10 * cons.newton_tol
-
-    def test_full_relinearize_matches_quasi_newton(self):
-        rng = np.random.default_rng(14)
-        prob = problems.quadratic(3)
-        q0 = rng.standard_normal(3)
-        q0 /= np.linalg.norm(q0)
-        x = PhasePoint(q0, np.zeros(3))
-        g = KineticMetric.identity(3)
-        sched = DampingSchedule.constant(1.0)
-        a, _ = rattle_step(x, 0.0, 0.05, g, sched, prob, sphere_constraint())
-        b, _ = rattle_step(x, 0.0, 0.05, g, sched, prob,
-                           sphere_constraint(full_relinearize=True))
-        assert np.max(np.abs(a.q - b.q)) < 1e-9
-
 
 class TestManifoldCsv:
     def test_extra_column_names(self):

@@ -4,6 +4,10 @@ Every damped optimiser step (here and in `manifold`) is the conformal half
 kick / drift / half kick `_conformal_step`, in the numerically stable
 half-step form: the damping enters only through Delta_eta over half a step,
 so no large exponentials appear.  Every run is the record loop `_run_steps`.
+
+The run drivers step raw arrays and carry the end-of-step force into the
+next step; a validated `PhasePoint` exists only at the edges, and the public
+one-step functions are thin wrappers over the same raw steps.
 """
 from __future__ import annotations
 
@@ -57,14 +61,22 @@ class OptimizerConfig:
             raise DomainError("metric dimension does not match initial state")
 
 
+_CSV_CHUNK = 2048  # rows converted to Python numbers at a time
+
+
 def _write_csv(path_or_file, header, fmts, columns):
     """Write `header` and one line per row of `columns`, each value printf-
     formatted by its column's entry of `fmts` ("%d", or "%.17e", from which
     every float64 reads back exactly), to an open file or a new file at a
-    path.  Returns the text written."""
+    path.  Returns the text written.  Rows are converted and formatted
+    `_CSV_CHUNK` at a time, so no whole column is held as Python numbers."""
     line = ",".join(fmts) + "\n"
-    rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
-    body = header + "\n" + "".join(line % row for row in rows)
+    columns = [np.asarray(c) for c in columns]
+    parts = [header + "\n"]
+    for i in range(0, max(map(len, columns)), _CSV_CHUNK):
+        rows = zip(*(c[i:i + _CSV_CHUNK].tolist() for c in columns), strict=True)
+        parts.append("".join(line % row for row in rows))
+    body = "".join(parts)
     if hasattr(path_or_file, "write"):
         path_or_file.write(body)
     else:
@@ -95,7 +107,7 @@ class Trajectory:
                           [self.steps, self.times, self.values, gaps, self.extra])
 
 
-def _conformal_step(q, p, t_k, dt, sched, kick, drift, project=None):
+def _conformal_step(q, p, force, t_k, dt, sched, kick, drift, project=None):
     """One conformal-symplectic step from (q_k, p_k) at time t_k:
 
     p_{k+1/2} = exp(-De) L(q_k) (p_k - (dt/2) kick(q_k, p_k))
@@ -104,19 +116,32 @@ def _conformal_step(q, p, t_k, dt, sched, kick, drift, project=None):
 
     De is the exact damping integral over [t_k, t_k + dt/2] and L the momentum
     map `project(q, p)` (default: identity).  A drift may also correct
-    p_{k+1/2} (RATTLE's multiplier kick).  Non-finite results raise
-    DivergenceError.
+    p_{k+1/2} (RATTLE's multiplier kick).  `force` is kick(q_k, p_k), or None
+    to evaluate it.  Returns (q_{k+1}, p_{k+1}, kick(q_{k+1}, p_{k+1/2})),
+    the last being the next step's force when the kick reads only q.
+    Non-finite results raise DivergenceError.
     """
     project = project or (lambda q, p: p)
+    if force is None:
+        force = kick(q, p)
     de = sched.delta_eta(t_k, t_k + 0.5 * dt)
     decay = math.exp(-de)
-    p_half = decay * project(q, p - 0.5 * dt * kick(q, p))
+    p_half = decay * project(q, p - 0.5 * dt * force)
     q_new, p_half = drift(q, p_half, dt * math.cosh(de), decay)
-    p_new = project(q_new, decay * p_half - 0.5 * dt * kick(q_new, p_half))
+    force = kick(q_new, p_half)
+    p_new = project(q_new, decay * p_half - 0.5 * dt * force)
     if not (np.isfinite(q_new).all() and np.isfinite(p_new).all()):
         raise DivergenceError(f"non-finite state after step at t={t_k}; "
                               "step size too large?")
-    return q_new, p_new
+    return q_new, p_new, force
+
+
+def _leapfrog_step(q, p, force, t_k, cfg, prob):
+    """`dissipative_leapfrog_step` on raw arrays; see `_conformal_step`."""
+    return _conformal_step(
+        q, p, force, t_k, cfg.step, cfg.schedule,
+        kick=lambda q, p: prob.grad(q),
+        drift=lambda q, p, h, decay: (q + h * cfg.metric.inv_mul(p), p))
 
 
 def dissipative_leapfrog_step(x, t_k, cfg, prob):
@@ -126,10 +151,7 @@ def dissipative_leapfrog_step(x, t_k, cfg, prob):
     q_{k+1} = q_k + dt cosh(De) g^{-1} p_{k+1/2}, whose plus sign makes the
     undamped limit the classical leapfrog.
     """
-    q, p = _conformal_step(
-        x.q, x.p, t_k, cfg.step, cfg.schedule,
-        kick=lambda q, p: prob.grad(q),
-        drift=lambda q, p, h, decay: (q + h * cfg.metric.inv_mul(p), p))
+    q, p, _ = _leapfrog_step(x.q, x.p, None, t_k, cfg, prob)
     return PhasePoint(q, p)
 
 
@@ -191,21 +213,30 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
     if method not in _METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {_METHODS}")
     leapfrog = method == "dissipative_leapfrog"
+    g = cfg.metric
+    if leapfrog and prob.dim != g.dim:
+        raise DomainError(f"dimension mismatch: state {cfg.x0.dim}, metric "
+                          f"{g.dim}, problem {prob.dim}")
 
-    def advance(x, t_k):
+    def advance(x, t_k):  # x = (q, p, grad f(q) or None)
         if leapfrog:
-            return dissipative_leapfrog_step(x, t_k, cfg, prob)
-        return PhasePoint(gradient_flow_step(x.q, cfg.step, prob), x.p)
+            return _leapfrog_step(*x, t_k, cfg, prob)
+        return gradient_flow_step(x[0], cfg.step, prob), x[1], None
 
     def energy(x, f):
-        return evaluate_hamiltonian(x, cfg.metric, prob) if leapfrog else f
+        if not leapfrog:
+            return f
+        h = 0.5 * g.quad_inv(x[1]) + f
+        # a non-finite term raises NumericOverflowError there
+        return h if math.isfinite(h) else evaluate_hamiltonian(
+            PhasePoint(x[0], x[1]), g, prob)
 
     thr = cfg.divergence_threshold
     traj, _ = _run_steps(
-        cfg.x0, advance, lambda x: prob.value(x.q), energy,
-        cfg.schedule.start_time(), cfg.step, cfg.num_steps, prob.f_star,
-        record_every=cfg.record_every, target_gap=cfg.target_gap,
-        too_far=lambda x, f: abs(f) > thr or float(np.linalg.norm(x.q)) > thr)
+        (cfg.x0.q, cfg.x0.p, None), advance, lambda x: prob.value(x[0]),
+        energy, cfg.schedule.start_time(), cfg.step, cfg.num_steps,
+        prob.f_star, record_every=cfg.record_every, target_gap=cfg.target_gap,
+        too_far=lambda x, f: abs(f) > thr or math.sqrt(x[0] @ x[0]) > thr)
     return traj
 
 

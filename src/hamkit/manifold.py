@@ -1,4 +1,10 @@
-"""Optimisation beyond flat space: SO(n) group steps and constrained RATTLE."""
+"""Optimisation beyond flat space: SO(n) group steps and constrained RATTLE.
+
+As in `integrators`, the run drivers step raw arrays and carry per-position
+terms across steps: the Lie force skew(Q^T grad f) and ||Q^T Q - I|| (formed
+once per step, to check the group and to record it); RATTLE's grad f, J, the
+factor of R_g and the residual that ended the Newton solve.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -45,12 +51,7 @@ class MatrixGroupState:
         P = np.asarray(self.P, float)
         if Q.shape != P.shape or Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise DomainError("Q and P must be square matrices of equal shape")
-        defect = np.linalg.norm(Q.T @ Q - np.eye(Q.shape[0]))
-        if defect > ORTHO_TOL:
-            raise GeometryError(f"Q is not orthogonal: ||Q^T Q - I||_F = {defect:.3e}")
-        skew_defect = np.linalg.norm(P + P.T)
-        if skew_defect > SKEW_TOL:
-            raise GeometryError(f"P is not skew: ||P + P^T||_F = {skew_defect:.3e}")
+        _group_defect(Q, P)
         Q.flags.writeable = False
         P.flags.writeable = False
         object.__setattr__(self, "Q", Q)
@@ -65,6 +66,17 @@ class MatrixGroupState:
 
     def flip_momentum(self):
         return MatrixGroupState(self.Q, -self.P)
+
+
+def _group_defect(Q, P):
+    """||Q^T Q - I||_F; GeometryError beyond ORTHO_TOL, or P not skew."""
+    defect = float(np.linalg.norm(Q.T @ Q - np.eye(Q.shape[0])))
+    if defect > ORTHO_TOL:
+        raise GeometryError(f"Q is not orthogonal: ||Q^T Q - I||_F = {defect:.3e}")
+    skew_defect = np.linalg.norm(P + P.T)
+    if skew_defect > SKEW_TOL:
+        raise GeometryError(f"P is not skew: ||P + P^T||_F = {skew_defect:.3e}")
+    return defect
 
 
 def so_trace_minimum(C):
@@ -93,14 +105,8 @@ def trace_objective(C):
                    f_star=f_star, q_star=q_star, name="trace_objective")
 
 
-def lie_group_step(st, t_k, dt, g_scalar, sched, prob, mode="skew_projection"):
-    """One damped leapfrog step on SO(n) with exact exponential update.
-
-    The drift is Q exp((dt cosh(De) / g_scalar) P_{k+1/2}) and the momentum
-    map is skew_part.  skew_projection (default) uses the trivialised
-    gradient skew(Q^T df/dQ); paper_literal applies the printed
-    trace-weighted force verbatim (kept for fidelity testing only).
-    """
+def _lie_step(Q, P, force, t_k, dt, g_scalar, sched, prob, mode):
+    """`lie_group_step` on raw arrays; see `_conformal_step`."""
     if mode not in ("skew_projection", "paper_literal"):
         raise DomainError(f"unknown lie step mode {mode!r}")
     if not g_scalar > 0:
@@ -109,13 +115,26 @@ def lie_group_step(st, t_k, dt, g_scalar, sched, prob, mode="skew_projection"):
         def kick(Q, P):
             return skew_part(Q.T @ prob.grad(Q))
     else:  # printed force Tr[d_Q f(Q) . Q . P] P_k, (d_Q f)_ij = df/dQ_ji
-        def kick(Q, P):
-            return float(np.trace(prob.grad(Q).T @ Q @ P)) * st.P
+        P_k = P
 
-    Q, P = _conformal_step(
-        st.Q, st.P, t_k, dt, sched, kick,
+        def kick(Q, P):
+            return float(np.trace(prob.grad(Q).T @ Q @ P)) * P_k
+
+    return _conformal_step(
+        Q, P, force, t_k, dt, sched, kick,
         drift=lambda Q, P, h, decay: (Q @ scipy.linalg.expm((h / g_scalar) * P), P),
         project=lambda Q, P: skew_part(P))
+
+
+def lie_group_step(st, t_k, dt, g_scalar, sched, prob, mode="skew_projection"):
+    """One damped leapfrog step on SO(n) with exact exponential update.
+
+    The drift is Q exp((dt cosh(De) / g_scalar) P_{k+1/2}) and the momentum
+    map is skew_part.  skew_projection (default) uses the trivialised
+    gradient skew(Q^T df/dQ); paper_literal applies the printed
+    trace-weighted force verbatim (kept for fidelity testing only).
+    """
+    Q, P, _ = _lie_step(st.Q, st.P, None, t_k, dt, g_scalar, sched, prob, mode)
     return MatrixGroupState(Q, P)
 
 
@@ -163,6 +182,33 @@ def sphere_constraint(radius=1.0, **kwargs):
     )
 
 
+def _projector(q, g, cons):
+    """(J, potrf factor of R_g = J g^{-1} J^T) at q, which `_project` needs;
+    the factor is None without constraints.  A rank-deficient J or a
+    non-finite R_g raises GeometryError."""
+    jac = cons.jacobian(q)
+    if cons.m == 0:
+        return jac, None
+    r_g = jac @ g.g_inv @ jac.T
+    if not np.isfinite(r_g).all():
+        raise GeometryError("R_g = J g^{-1} J^T is non-finite")
+    factor, info = scipy.linalg.lapack.dpotrf(r_g, clean=0)
+    if info != 0:
+        raise GeometryError("constraint Jacobian is rank deficient "
+                            f"(R_g not positive definite, potrf info {info})")
+    return jac, factor
+
+
+def _project(p, jac, factor, g):
+    """L_g p from `_projector`'s (J, factor) at the same position."""
+    if factor is None:
+        return np.array(p, float)
+    lam, info = scipy.linalg.lapack.dpotrs(factor, jac @ g.inv_mul(p))
+    if info != 0:
+        raise GeometryError(f"R_g solve failed (potrs info {info})")
+    return p - jac.T @ lam
+
+
 def project_momentum(q, p, g, cons):
     """Oblique projector L_g p with L_g = I - J^T R_g^{-1} J g^{-1}.
 
@@ -171,44 +217,28 @@ def project_momentum(q, p, g, cons):
     GeometryError.  R_g is factored and solved with LAPACK potrf/potrs
     directly, the routines and flags scipy.linalg.cho_factor/cho_solve use.
     """
-    if cons.m == 0:
-        return np.array(p, float)
-    jac = cons.jacobian(q)
-    r_g = jac @ g.g_inv @ jac.T
-    if not np.isfinite(r_g).all():
-        raise GeometryError("R_g = J g^{-1} J^T is non-finite")
-    factor, info = scipy.linalg.lapack.dpotrf(r_g, clean=0)
-    if info != 0:
-        raise GeometryError("constraint Jacobian is rank deficient "
-                            f"(R_g not positive definite, potrf info {info})")
-    lam, info = scipy.linalg.lapack.dpotrs(factor, jac @ g.inv_mul(p))
-    if info != 0:
-        raise GeometryError(f"R_g solve failed (potrs info {info})")
-    return p - jac.T @ lam
+    return _project(p, *_projector(q, g, cons), g)
 
 
-def rattle_step(x, t_k, dt, g, sched, prob, cons):
-    """One damped RATTLE step; returns (new state, Lagrange multipliers).
-
-    The position update, the multiplier kick and the constraint equations are
-    solved simultaneously: Newton iteration on lambda until
-    psi(q_{k+1}(lambda)) = 0 within cons.newton_tol.  The momentum map is
-    project_momentum; without constraints this is the flat damped leapfrog.
-    """
-    lam = np.zeros(cons.m)
+def _rattle_step(q, p, force, jac, factor, t_k, dt, g, sched, prob, cons):
+    """`rattle_step` on raw arrays, given grad f, J and the factor of R_g at q
+    (None to evaluate them).  Returns (q, p, grad f, J, factor) at the new
+    position, the multipliers and the sup norm of psi(q_{k+1}) that ended the
+    Newton solve."""
+    lam, residual, q_k = np.zeros(cons.m), 0.0, q
 
     def drift(q, p_half, h, decay):
-        nonlocal lam
-        jac_k = cons.jacobian(q)
+        nonlocal lam, residual
         base_q = q + h * g.inv_mul(p_half)
         # q(lambda) = base_q - kick_mat @ lambda
-        kick_mat = h * (0.5 * dt * decay) * (g.g_inv @ jac_k.T)
-        newton_mat = jac_k @ kick_mat   # frozen-Jacobian (quasi-)Newton
+        kick_mat = h * (0.5 * dt * decay) * (g.g_inv @ jac.T)
+        newton_mat = jac @ kick_mat   # frozen-Jacobian (quasi-)Newton
         q_new = base_q
         for _ in range(cons.newton_max_iter):
             res = cons.value(q_new)
-            if _sup_norm(res) <= cons.newton_tol:
-                return q_new, p_half - 0.5 * dt * decay * (jac_k.T @ lam)
+            residual = _sup_norm(res)
+            if residual <= cons.newton_tol:
+                return q_new, p_half - 0.5 * dt * decay * (jac.T @ lam)
             try:
                 dlam = np.linalg.solve(newton_mat, res)
             except np.linalg.LinAlgError as exc:
@@ -221,9 +251,27 @@ def rattle_step(x, t_k, dt, g, sched, prob, cons):
             f"{cons.newton_max_iter} iterations",
             residual=_sup_norm(cons.value(q_new)))
 
-    q, p = _conformal_step(x.q, x.p, t_k, dt, sched,
-                           lambda q, p: prob.grad(q), drift,
-                           project=lambda q, p: project_momentum(q, p, g, cons))
+    def project(q, p):   # called at q_k, then at the new position
+        nonlocal jac, factor
+        if jac is None or q is not q_k:
+            jac, factor = _projector(q, g, cons)
+        return _project(p, jac, factor, g)
+
+    q, p, force = _conformal_step(q, p, force, t_k, dt, sched,
+                                  lambda q, p: prob.grad(q), drift, project)
+    return q, p, force, jac, factor, lam, residual
+
+
+def rattle_step(x, t_k, dt, g, sched, prob, cons):
+    """One damped RATTLE step; returns (new state, Lagrange multipliers).
+
+    The position update, the multiplier kick and the constraint equations are
+    solved simultaneously: Newton iteration on lambda until
+    psi(q_{k+1}(lambda)) = 0 within cons.newton_tol.  The momentum map is
+    project_momentum; without constraints this is the flat damped leapfrog.
+    """
+    q, p, _, _, _, lam, _ = _rattle_step(x.q, x.p, None, None, None, t_k, dt,
+                                         g, sched, prob, cons)
     return PhasePoint(q, p), lam
 
 
@@ -231,22 +279,36 @@ def run_lie_optimizer(st, prob, dt, g_scalar, sched, num_steps,
                       mode="skew_projection", record_every=1,
                       target_gap=None):
     """Iterate lie_group_step; reports the orthogonality defect per record."""
-    return _run_steps(
-        st, lambda st, t: lie_group_step(st, t, dt, g_scalar, sched, prob, mode),
-        lambda st: prob.value(st.Q), lambda st, f: st.orthogonality_defect(),
+    carry = mode == "skew_projection"   # paper_literal's force reads P
+
+    def advance(x, t_k):  # x = (Q, P, force or None, ||Q^T Q - I||_F)
+        Q, P, force = _lie_step(x[0], x[1], x[2] if carry else None, t_k, dt,
+                                g_scalar, sched, prob, mode)
+        return Q, P, force, _group_defect(Q, P)
+
+    traj, (Q, P, _, _) = _run_steps(
+        (st.Q, st.P, None, st.orthogonality_defect()), advance,
+        lambda x: prob.value(x[0]), lambda x, f: x[3],
         sched.start_time(), dt, num_steps, prob.f_star,
         record_every=record_every, target_gap=target_gap,
         extra_name="orthogonality_defect")
+    return traj, MatrixGroupState(Q, P)
 
 
 def run_rattle_optimizer(x, prob, dt, g, sched, cons, num_steps,
                          record_every=1, target_gap=None):
     """Iterate rattle_step; reports the constraint residual per record."""
-    return _run_steps(
-        PhasePoint(x.q, project_momentum(x.q, x.p, g, cons)),
-        lambda x, t_k: rattle_step(x, t_k, dt, g, sched, prob, cons)[0],
-        lambda x: prob.value(x.q),
-        lambda x, f: _sup_norm(cons.value(x.q)),
+    jac, factor = _projector(x.q, g, cons)
+    x = PhasePoint(x.q, _project(x.p, jac, factor, g))
+
+    def advance(s, t_k):  # s = (q, p, grad f or None, J, factor, residual)
+        *s, _, residual = _rattle_step(*s[:5], t_k, dt, g, sched, prob, cons)
+        return *s, residual
+
+    traj, (q, p, *_) = _run_steps(
+        (x.q, x.p, None, jac, factor, _sup_norm(cons.value(x.q))), advance,
+        lambda s: prob.value(s[0]), lambda s, f: s[5],
         sched.start_time(), dt, num_steps, prob.f_star,
         record_every=record_every, target_gap=target_gap,
         extra_name="constraint_residual")
+    return traj, PhasePoint(q, p)

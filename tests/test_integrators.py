@@ -12,8 +12,10 @@ from hamkit import (
     DomainError,
     FitDomainError,
     KineticMetric,
+    NumericOverflowError,
     OptimizerConfig,
     PhasePoint,
+    Problem,
     Trajectory,
     dissipative_leapfrog_step,
     evaluate_hamiltonian,
@@ -22,6 +24,7 @@ from hamkit import (
     problems,
     run_optimizer,
 )
+from hamkit import integrators
 from hamkit.bench import _envelope
 
 
@@ -178,9 +181,32 @@ class TestRunOptimizer:
         cfg = make_cfg(prob, 10.0, 2000, DampingSchedule.zero(),
                        np.array([1.0]), divergence_threshold=math.inf,
                        record_every=1000)
+        # the index at which a loop over the public step first goes non-finite
+        x, first = cfg.x0, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, cfg.num_steps + 1):
+                try:
+                    x = dissipative_leapfrog_step(x, 0.0, cfg, prob)
+                except DivergenceError:
+                    first = k
+                    break
+        assert first is not None
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc_info:
             run_optimizer(cfg, prob)
-        assert exc_info.value.step is not None
+        assert exc_info.value.step == first
+
+    @pytest.mark.parametrize("term", ["potential", "kinetic"])
+    def test_non_finite_energy_term_raises(self, term):
+        # q stays finite and no stop rule fires; one term of H is non-finite
+        prob = Problem(1, value=lambda q: math.inf if q[0] > 1.5 else float(q @ q),
+                       grad=lambda q: 2.0 * q)
+        cfg = make_cfg(prob, 0.1, 200, DampingSchedule.zero(), np.array([1.0]),
+                       np.array([3.0] if term == "potential" else [1e200]),
+                       metric=KineticMetric.identity(1),
+                       divergence_threshold=math.inf)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericOverflowError, match=term):
+            run_optimizer(cfg, prob)
 
     @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
            st.floats(0.01, 0.5))
@@ -292,3 +318,17 @@ class TestTrajectoryCsv:
             "2.00000000000000000e+00",
             "1,5.00000000000000000e-01,-0.00000000000000000e+00,nan,"
             "3.00000000000000000e+00"]
+
+    def test_rows_across_chunks(self):
+        # rows are formatted a chunk at a time: the text must not show it
+        n = 2 * integrators._CSV_CHUNK + 1   # the short column ends on a chunk
+        rng = np.random.default_rng(16)
+        cols = [np.arange(n)] + [rng.standard_normal(n) for _ in range(4)]
+        traj = Trajectory(*cols)
+        expected = "step,time,value,gap,energy\n" + "".join(
+            "%d,%.17e,%.17e,%.17e,%.17e\n" % row
+            for row in zip(*(c.tolist() for c in cols)))
+        assert traj.to_csv(io.StringIO()) == expected
+        with pytest.raises(ValueError):
+            Trajectory(cols[0], *cols[1:4], cols[4][:-1]).to_csv(io.StringIO())
+

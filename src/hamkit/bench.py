@@ -453,6 +453,10 @@ def cmd_sample(cfg, p):
         burn = int(samp["burn_in"])
         if burn < 0:
             raise ConfigError("hmc sampler needs burn_in >= 0")
+        grid = samp["step_grid"]
+        if grid and (int(samp["grid_draws"]) < 1 or not all(float(d) > 0 for d in grid)):
+            raise ConfigError(f"hmc step_grid needs steps > 0 and grid_draws >= 1, "
+                              f"got {grid} and {samp['grid_draws']}")
     else:
         n_steps = int(samp["n_steps"])
         burn = n_steps // 10 if samp["burn_in"] is None else int(samp["burn_in"])
@@ -482,7 +486,6 @@ def cmd_sample(cfg, p):
                 write_samples_csv(
                     os.path.join(cfg.out_dir, f"samples_rep{i}.csv"),
                     kept, chain_id=i)
-            grid = samp["step_grid"]
             if grid:
                 accs = []
                 for dt in grid:

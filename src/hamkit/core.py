@@ -36,6 +36,12 @@ def _vector(x, name):
     return arr
 
 
+def _all_finite(x):
+    """np.isfinite(x).all(), scanning x only when its sum of squares (finite iff
+    every entry is, or it overflowed) reads non-finite."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """Position/momentum pair (q, p) in flat phase space."""
@@ -64,7 +70,8 @@ class KineticMetric:
 
     Caches the inverse and the Cholesky factor (g = L L^T); the factor is
     used for Gaussian momentum draws.  Positive-definiteness is certified at
-    construction by the factorisation itself.
+    construction by the factorisation itself.  If g^{-1} and the factor are
+    exact multiples of I, their products are scalings (bit-identical on finite p).
     """
 
     def __init__(self, g):
@@ -88,6 +95,8 @@ class KineticMetric:
         self.g = g
         self.g_inv = g_inv
         self.chol = chol
+        scaled = all(np.array_equal(a, a[0, 0] * np.eye(len(a))) for a in (g_inv, chol))
+        self._scale = float(g_inv[0, 0]) if scaled else None
         for a in (self.g, self.g_inv, self.chol):
             a.flags.writeable = False
 
@@ -107,15 +116,17 @@ class KineticMetric:
 
     def inv_mul(self, p):
         """g^{-1} p."""
-        return self.g_inv @ p
+        return self.g_inv @ p if self._scale is None else self._scale * p
 
     def quad_inv(self, p):
         """p^T g^{-1} p."""
-        return float(p @ self.g_inv @ p)
+        s = self._scale
+        return float(p @ self.g_inv @ p if s is None else (s * p) @ p)
 
     def sample_momentum(self, rng):
         """Draw p ~ N(0, g), i.e. velocity g^{-1} p ~ N(0, g^{-1})."""
-        return self.chol @ rng.standard_normal(self.dim)
+        z = rng.standard_normal(self.dim)
+        return self.chol @ z if self._scale is None else self.chol[0, 0] * z
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KineticMetric, PhasePoint, evaluate_hamiltonian
+from .core import KineticMetric, PhasePoint, _all_finite, evaluate_hamiltonian
 from .errors import DivergenceError, DomainError, FitDomainError
 
 __all__ = [
@@ -130,7 +130,7 @@ def _conformal_step(q, p, force, t_k, dt, sched, kick, drift, project=None):
     q_new, p_half = drift(q, p_half, dt * math.cosh(de), decay)
     force = kick(q_new, p_half)
     p_new = project(q_new, decay * p_half - 0.5 * dt * force)
-    if not (np.isfinite(q_new).all() and np.isfinite(p_new).all()):
+    if not (_all_finite(q_new) and _all_finite(p_new)):
         raise DivergenceError(f"non-finite state after step at t={t_k}; "
                               "step size too large?")
     return q_new, p_new, force

@@ -1,4 +1,8 @@
-"""Samplers: HMC with Metropolis correction, Langevin steppers, recipe drift."""
+"""Samplers: HMC with Metropolis correction, Langevin steppers, recipe drift.
+
+An HMC chain steps raw arrays (`_hmc_transition`); validated `PhasePoint` and
+`ChainState` objects exist only at its edges, and `hmc_draw` wraps the same step.
+"""
 from __future__ import annotations
 
 import math
@@ -6,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhasePoint
+from .core import PhasePoint, _all_finite
 from .errors import DivergenceError, DomainError
 from .integrators import _write_csv, gradient_flow_step
 
@@ -119,13 +123,13 @@ def _leapfrog(q, p, grad, prob, g, dt, L):
     p = p - 0.5 * dt * grad
     for i in range(L):
         q = q + dt * g.inv_mul(p)
-        if not np.isfinite(q).all():
+        if not _all_finite(q):
             raise DivergenceError("leapfrog position diverged", step=i)
         grad = prob.grad(q)
         if i < L - 1:
             p = p - dt * grad
     p = p - 0.5 * dt * grad
-    if not np.isfinite(p).all():
+    if not _all_finite(p):
         raise DivergenceError("leapfrog momentum diverged", step=L - 1)
     return q, p, grad
 
@@ -162,6 +166,40 @@ def three_stage_trajectory(x, prob, g, dt, L, a=THREE_STAGE_A, b=THREE_STAGE_B):
     return PhasePoint(q, p)
 
 
+def _check_hmc(q, prob, g, L, jitter):
+    if not 0.0 <= jitter <= 1.0:
+        raise DomainError("jitter must lie in [0, 1]")
+    if L < 1:
+        raise DomainError("L must be >= 1")
+    if q.size != g.dim or q.size != prob.dim:
+        raise DomainError(f"dimension mismatch: state {q.size}, metric "
+                          f"{g.dim}, problem {prob.dim}")
+
+
+def _hmc_transition(q, v0, grad0, prob, g, dt, L, rng, jitter):
+    """`hmc_draw` on raw arrays from position q with V(q), grad V(q) (None:
+    evaluate them).  Returns (q, p, V, grad V, accepted, incident) of the
+    new state; arguments are not checked."""
+    p = g.sample_momentum(rng)
+    l_min = max(1, math.ceil((1.0 - jitter) * L))
+    l_run = rng.integers(l_min, L) if l_min < L else L
+    try:
+        if grad0 is None:
+            v0, grad0 = prob.value(q), prob.grad(q)
+        q1, p1, grad1 = _leapfrog(q, p, grad0, prob, g, dt, l_run)
+        v1 = prob.value(q1)
+        # H = (1/2) p^T g^{-1} p + V, as evaluate_hamiltonian forms it; a
+        # non-finite term makes d_h non-finite.
+        d_h = (0.5 * g.quad_inv(p1) + v1) - (0.5 * g.quad_inv(p) + v0)
+    except (DivergenceError, ArithmeticError):
+        d_h = math.inf
+    incident = not math.isfinite(d_h)   # counts as a rejection
+    u = rng.uniform()
+    if not incident and (d_h <= 0.0 or u < math.exp(-d_h)):
+        return q1, p1, v1, grad1, True, incident
+    return q, -p, v0, grad0, False, incident
+
+
 def hmc_draw(chain, prob, g, dt, L, rng, jitter=0.0):
     """One HMC transition: momentum refresh, leapfrog flight, Metropolis test.
 
@@ -176,49 +214,12 @@ def hmc_draw(chain, prob, g, dt, L, rng, jitter=0.0):
     first draw evaluates them), so a draw of L steps calls grad L times and
     V once; the returned chain caches them at its new position.
     """
-    if not 0.0 <= jitter <= 1.0:
-        raise DomainError("jitter must lie in [0, 1]")
-    if L < 1:
-        raise DomainError("L must be >= 1")
-    q = chain.x.q
-    if q.size != g.dim or q.size != prob.dim:
-        raise DomainError(
-            f"dimension mismatch: state {q.size}, metric {g.dim}, problem {prob.dim}"
-        )
-    p = g.sample_momentum(rng)
-    l_min = max(1, math.ceil((1.0 - jitter) * L))
-    l_run = rng.integers(l_min, L) if l_min < L else L
-    v0, grad0 = chain.potential, chain.grad
-    incidents = 0
-    try:
-        if grad0 is None:
-            v0, grad0 = prob.value(q), prob.grad(q)
-        q1, p1, grad1 = _leapfrog(q, p, grad0, prob, g, dt, l_run)
-        v1 = prob.value(q1)
-        # H = (1/2) p^T g^{-1} p + V, as evaluate_hamiltonian forms it; a
-        # non-finite term makes d_h non-finite.
-        d_h = (0.5 * g.quad_inv(p1) + v1) - (0.5 * g.quad_inv(p) + v0)
-    except (DivergenceError, ArithmeticError):
-        d_h = math.inf
-    if not math.isfinite(d_h):
-        incidents = 1
-        d_h = math.inf
-    u = rng.uniform()
-    accept = d_h <= 0.0 or u < math.exp(-d_h)
-    if accept:
-        new_x, v_new, grad_new = PhasePoint(q1, p1), v1, grad1
-    else:
-        new_x, v_new, grad_new = PhasePoint(q, -p), v0, grad0
-    return ChainState(
-        x=new_x,
-        steps=chain.steps + 1,
-        accepted=chain.accepted + int(accept),
-        incidents=chain.incidents + incidents,
-        sum_q=chain.sum_q + new_x.q,
-        sum_q2=chain.sum_q2 + new_x.q ** 2,
-        potential=v_new,
-        grad=grad_new,
-    )
+    _check_hmc(chain.x.q, prob, g, L, jitter)
+    q, p, v, grad, accepted, incident = _hmc_transition(
+        chain.x.q, chain.potential, chain.grad, prob, g, dt, L, rng, jitter)
+    return ChainState(PhasePoint(q, p), chain.steps + 1, chain.accepted + accepted,
+                      chain.incidents + incident, chain.sum_q + q,
+                      chain.sum_q2 + q ** 2, v, grad)
 
 
 def underdamped_step(x, prob, dt, gamma, beta, rng):
@@ -328,15 +329,25 @@ def mcmc_estimate(samples, f):
 
 def run_hmc_chain(prob, g, dt, L, n_draws, rng, q0=None, jitter=0.0,
                   keep_samples=True):
-    """Drive a single HMC chain; returns (final ChainState, samples array)."""
-    q0 = np.zeros(prob.dim) if q0 is None else np.atleast_1d(np.asarray(q0, float))
-    chain = ChainState.start(q0)
+    """Drive a single HMC chain, draw for draw as chained `hmc_draw` calls;
+    returns (final ChainState, samples array)."""
+    if n_draws < 0:
+        raise DomainError(f"n_draws must be >= 0, got {n_draws}")
+    x = ChainState.start(np.zeros(prob.dim) if q0 is None else q0).x
+    _check_hmc(x.q, prob, g, L, jitter)
+    q, p, v, grad, accepted, incidents = x.q, x.p, None, None, 0, 0
+    sum_q, sum_q2 = np.zeros(q.size), np.zeros(q.size)
     samples = np.empty((n_draws, prob.dim)) if keep_samples else None
     for i in range(n_draws):
-        chain = hmc_draw(chain, prob, g, dt, L, rng, jitter=jitter)
+        q, p, v, grad, acc, inc = _hmc_transition(q, v, grad, prob, g, dt, L,
+                                                  rng, jitter)
+        accepted, incidents = accepted + acc, incidents + inc
+        sum_q += q
+        sum_q2 += q ** 2
         if keep_samples:
-            samples[i] = chain.x.q
-    return chain, samples
+            samples[i] = q
+    return ChainState(PhasePoint(q, p), n_draws, accepted, incidents, sum_q,
+                      sum_q2, v, grad), samples
 
 
 def write_samples_csv(path_or_file, samples, accepted=None, chain_id=0,

@@ -281,6 +281,21 @@ class TestSampleExperiment:
             run_experiment(ExperimentConfig("sample", params,
                                             out_dir=str(tmp_path)))
 
+    @pytest.mark.parametrize("grid, grid_draws", [
+        ([0.2, 0.1], 0),      # every acceptance_dt_* read 0.0 and passed
+        ([0.2, 0.0], 20),     # 1.0 / 0.0 raised ZeroDivisionError
+        ([-0.1], 20),
+        ([math.nan], 20),
+    ])
+    def test_hmc_step_grid_checked(self, tmp_path, grid, grid_draws):
+        params = {"target": {"name": "gaussian"},
+                  "sampler": {"kind": "hmc", "step": 0.2, "n_leapfrog": 5,
+                              "n_draws": 20, "step_grid": grid,
+                              "grid_draws": grid_draws}}
+        with pytest.raises(ConfigError, match="step_grid"):
+            run_experiment(ExperimentConfig("sample", params,
+                                            out_dir=str(tmp_path)))
+
     @pytest.mark.parametrize("name", ["banana", "gaussian_mixture"])
     def test_moment_metrics_only_for_gaussian(self, tmp_path, name):
         # mean_abs_max and var_err_max measure the distance from N(0, I)

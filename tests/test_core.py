@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from hamkit import (
@@ -64,6 +65,24 @@ class TestKineticMetric:
     def test_quad_inv(self):
         g = KineticMetric.identity(2)
         assert g.quad_inv(np.array([3.0, 4.0])) == pytest.approx(25.0)
+
+    @given(c=st.sampled_from([1.0, 0.05, 0.2, 3.0, 0.1, 7.3])
+           | st.floats(1e-4, 1e4), d=st.integers(1, 50), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_scaled_identity_products_equal_dense(self, c, d, data):
+        # a multiple of I multiplies as a scalar, bit for bit the dense result
+        g = KineticMetric.scaled_identity(d, c)
+        assert g._scale is not None
+        p = data.draw(hnp.arrays(np.float64, d, elements=st.floats(-1e6, 1e6)))
+        assert np.array_equal(g.inv_mul(p), g.g_inv @ p)
+        assert g.quad_inv(p) == float(p @ g.g_inv @ p)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        assert np.array_equal(g.sample_momentum(np.random.default_rng(seed)),
+                              g.chol @ np.random.default_rng(seed).standard_normal(d))
+
+    @pytest.mark.parametrize("g", [[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 2.0]]])
+    def test_other_metrics_take_the_dense_products(self, g):
+        assert KineticMetric(g)._scale is None
 
     def test_momentum_sampling_covariance(self):
         rng = np.random.default_rng(0)

@@ -154,28 +154,15 @@ def test_rattle_driver_matches_step_loop(seed, kind, record_every, target_gap):
     assert np.array_equal(x_end.p, ref[-1].p)
 
 
-def count_calls(monkeypatch, owner, name):
-    """Count the calls of owner.<name> for the rest of the test."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("num_steps", [10, 200])
-def test_flat_run_work_counts(monkeypatch, num_steps):
+def test_flat_run_work_counts(count_calls, num_steps):
     prob = problems.quartic(2)
     cfg = OptimizerConfig(step=0.05, num_steps=num_steps,
                           schedule=DampingSchedule.vanishing(),
                           x0=PhasePoint([1.8, 0.0], [0.0, 0.0]))
-    grads = count_calls(monkeypatch, Problem, "grad")
-    values = count_calls(monkeypatch, Problem, "value")
-    validations = count_calls(monkeypatch, PhasePoint, "__post_init__")
+    grads = count_calls(Problem, "grad")
+    values = count_calls(Problem, "value")
+    validations = count_calls(PhasePoint, "__post_init__")
     traj = run_optimizer(cfg, prob)
     assert len(traj) == num_steps + 1
     assert len(grads) == num_steps + 1
@@ -184,10 +171,10 @@ def test_flat_run_work_counts(monkeypatch, num_steps):
 
 
 @pytest.mark.parametrize("num_steps", [10, 200])
-def test_rattle_run_jacobian_calls(monkeypatch, num_steps):
+def test_rattle_run_jacobian_calls(count_calls, num_steps):
     rng = np.random.default_rng(4)
     q0 = rng.standard_normal(3)
-    jacobians = count_calls(monkeypatch, ConstraintSet, "jacobian")
+    jacobians = count_calls(ConstraintSet, "jacobian")
     run_rattle_optimizer(PhasePoint(q0 / np.linalg.norm(q0), np.zeros(3)),
                          sphere_problem(rng), 0.05,
                          KineticMetric.scaled_identity(3, 0.05),

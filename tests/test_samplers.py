@@ -8,6 +8,7 @@ from hamkit import (
     ChainState,
     DampingSchedule,
     DiffusionSpec,
+    DivergenceError,
     DomainError,
     KineticMetric,
     PhasePoint,
@@ -24,7 +25,7 @@ from hamkit import (
     underdamped_step,
     write_samples_csv,
 )
-from hamkit.core import Problem
+from hamkit.core import Problem, _all_finite
 from hamkit.integrators import gradient_flow_step
 from hamkit.samplers import THREE_STAGE_A, THREE_STAGE_B
 
@@ -102,6 +103,42 @@ class TestLeapfrog:
 
         ratio = max_err(0.1) / max_err(0.05)
         assert 3.0 < ratio < 5.0
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_divergence_step_and_no_gradient_at_a_non_finite_position(self, d):
+        # V = -(k/2)|q|^2 multiplies |q| by about k dt^2 a step, so q passes
+        # through finite values whose |q|^2 overflows before q itself does
+        k, dt, L = 1e20, 1.0, 40
+
+        def grad(q):
+            assert np.isfinite(q).all()
+            return -k * q
+
+        prob = Problem(d, value=lambda q: -0.5 * k * float(q @ q), grad=grad)
+        g = KineticMetric.identity(d)
+        x = PhasePoint(np.ones(d), np.zeros(d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, p = x.q, x.p - 0.5 * dt * grad(x.q)
+            overflowed = False
+            for step in range(L):   # plain loop with entry-wise checks
+                q = q + dt * p
+                if not np.isfinite(q).all():
+                    break
+                overflowed |= not math.isfinite(np.vdot(q, q))
+                p = p - dt * grad(q)
+            with pytest.raises(DivergenceError) as exc:
+                leapfrog_trajectory(x, prob, g, dt, L)
+        assert overflowed and step < L - 1
+        assert exc.value.step == step
+        assert "position" in str(exc.value)
+
+    @pytest.mark.parametrize("x", [[1.0, -2.0], [1e200, -1e200], [1e300, np.nan],
+                                   [np.inf, 0.0], [-np.inf], [np.nan],
+                                   np.full((3, 3), 1e170), [[1.0, np.inf]]])
+    def test_all_finite_is_the_entrywise_check(self, x):
+        x = np.asarray(x, float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _all_finite(x) == np.isfinite(x).all()
 
 
 class TestThreeStage:
@@ -312,30 +349,100 @@ _HMC_CASES = {
 }
 
 
+def _hmc_metrics(d):
+    """The identity, a scaled identity (both multiply by a scalar inside
+    KineticMetric) and, for d > 1, a non-diagonal SPD metric (dense)."""
+    metrics = {"identity": KineticMetric.identity(d),
+               "scaled": KineticMetric.scaled_identity(d, 3.0)}
+    if d > 1:
+        metrics["spd"] = KineticMetric(np.eye(d) + 0.4 * np.ones((d, d))
+                                       + 0.1 * np.diag(np.arange(d)))
+    return metrics
+
+
+def assert_same_chain(a, b):
+    assert np.array_equal(a.x.q, b.x.q) and np.array_equal(a.x.p, b.x.p)
+    assert (a.steps, a.accepted, a.incidents) == (b.steps, b.accepted, b.incidents)
+    assert np.array_equal(a.sum_q, b.sum_q)
+    assert np.array_equal(a.sum_q2, b.sum_q2)
+    assert a.potential == b.potential
+    assert np.array_equal(a.grad, b.grad)
+
+
 class TestHmcTransition:
     """hmc_draw against a reference loop, the V / grad V cache and its cost."""
 
     @pytest.mark.parametrize("case", sorted(_HMC_CASES))
     def test_matches_reference_loop(self, case):
         prob, dt, L, jitter, q0 = _HMC_CASES[case]
-        g = KineticMetric.identity(prob.dim)
         q0 = np.array(q0)
         n = 150
-        with np.errstate(over="ignore", invalid="ignore"):
-            chain, samples = run_hmc_chain(prob, g, dt, L, n, RngStream(11),
-                                           q0=q0, jitter=jitter)
-            x, accepted, incidents, sum_q, sum_q2, ref = _reference_chain(
-                prob, g, dt, L, n, RngStream(11), q0, jitter)
-        assert np.array_equal(samples, ref)
-        assert np.array_equal(chain.x.q, x.q)
-        assert np.array_equal(chain.x.p, x.p)
-        assert (chain.steps, chain.accepted, chain.incidents) == (n, accepted, incidents)
-        assert np.array_equal(chain.sum_q, sum_q)
-        assert np.array_equal(chain.sum_q2, sum_q2)
-        if case == "rejections":
-            assert 0 < accepted < n // 2
-        if case in ("divergent-flights", "overflowing-energy"):
-            assert incidents > 0 and accepted > 0
+        for name, g in _hmc_metrics(prob.dim).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                chain, samples = run_hmc_chain(prob, g, dt, L, n, RngStream(11),
+                                               q0=q0, jitter=jitter)
+                x, accepted, incidents, sum_q, sum_q2, ref = _reference_chain(
+                    prob, g, dt, L, n, RngStream(11), q0, jitter)
+            assert np.array_equal(samples, ref), name
+            assert np.array_equal(chain.x.q, x.q)
+            assert np.array_equal(chain.x.p, x.p)
+            assert (chain.steps, chain.accepted, chain.incidents) == (n, accepted, incidents)
+            assert np.array_equal(chain.sum_q, sum_q)
+            assert np.array_equal(chain.sum_q2, sum_q2)
+            if name != "identity":
+                continue
+            if case == "rejections":
+                assert 0 < accepted < n // 2
+            if case in ("divergent-flights", "overflowing-energy"):
+                assert incidents > 0 and accepted > 0
+
+    @pytest.mark.parametrize("case", ["banana", "rejections", "divergent-flights",
+                                      "overflowing-energy"])
+    def test_chain_equals_chained_draws(self, case):
+        prob, dt, L, jitter, q0 = _HMC_CASES[case]
+        n = 120
+        for g in _hmc_metrics(prob.dim).values():
+            rng = RngStream(14)
+            chain = ChainState.start(q0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                run, samples = run_hmc_chain(prob, g, dt, L, n, RngStream(14),
+                                             q0=q0, jitter=jitter)
+                for i in range(n):
+                    chain = hmc_draw(chain, prob, g, dt, L, rng, jitter=jitter)
+                    assert np.array_equal(samples[i], chain.x.q)
+            assert_same_chain(run, chain)
+        assert 0 < chain.accepted < n
+
+    @pytest.mark.parametrize("n_draws", [10, 200])
+    def test_chain_work_counts(self, count_calls, n_draws):
+        prob, L = problems.standard_gaussian(5), 4
+        grads = count_calls(Problem, "grad")
+        values = count_calls(Problem, "value")
+        points = count_calls(PhasePoint, "__post_init__")
+        states = count_calls(ChainState, "__post_init__")
+        chain, _ = run_hmc_chain(prob, KineticMetric.identity(5), 0.3, L,
+                                 n_draws, RngStream(15), q0=np.ones(5))
+        assert 0 < chain.accepted and chain.incidents == 0
+        assert len(grads) == n_draws * L + 1
+        assert len(values) == n_draws + 1
+        assert len(points) <= 2 and len(states) <= 2
+
+    @pytest.mark.parametrize("keep_samples", [True, False])
+    def test_negative_draw_count(self, keep_samples):
+        with pytest.raises(DomainError, match="n_draws"):
+            run_hmc_chain(problems.standard_gaussian(2), KineticMetric.identity(2),
+                          0.1, 3, -1, RngStream(0), keep_samples=keep_samples)
+
+    def test_chain_checks_arguments(self):
+        prob, g = problems.standard_gaussian(2), KineticMetric.identity(2)
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            run_hmc_chain(prob, g, 0.1, 3, 5, RngStream(0), q0=np.zeros(3))
+        with pytest.raises(DomainError, match="L must be"):
+            run_hmc_chain(prob, g, 0.1, 0, 5, RngStream(0))
+        with pytest.raises(DomainError, match="jitter"):
+            run_hmc_chain(prob, g, 0.1, 3, 5, RngStream(0), jitter=1.5)
+        with pytest.raises(DomainError, match="non-finite"):
+            run_hmc_chain(prob, g, 0.1, 3, 5, RngStream(0), q0=[0.0, math.nan])
 
     def test_gradient_and_value_calls_per_draw(self):
         calls = {"grad": 0, "value": 0}

@@ -111,6 +111,8 @@ def _choose(table, name, what):
 def _block(raw, where):
     """A copy of config block `raw` with its defaults filled in, after
     checking its keys against _SCHEMA[where]."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
     if where in _VARIANTS:
         where = _choose(_VARIANTS[where], raw.get("kind"), f"{where} kind")
     schema = _SCHEMA[where]
@@ -121,6 +123,15 @@ def _block(raw, where):
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
     return {**schema, **raw}
+
+
+def _blocks(parent, key, where):
+    """_block of each entry of the list parent[key], each a `where`."""
+    raw = parent[key]
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{key!r} must be a JSON list of {where} objects, "
+                          f"got {type(raw).__name__}")
+    return [_block(entry, where) for entry in raw]
 
 
 def _zscore(vals):
@@ -151,16 +162,14 @@ class ExperimentConfig:
         if self.experiment not in _COMMANDS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {tuple(_COMMANDS)}")
-        if not isinstance(self.params, dict):
-            raise ConfigError("params must be an object")
         self.seed = int(self.seed)
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         self.reps = int(self.reps)
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
-        for raw in _block(self.params, f"{self.experiment} params")["verdicts"]:
-            v = _block(raw, "verdict entry")
+        params = _block(self.params, f"{self.experiment} params")
+        for v in _blocks(params, "verdicts", "verdict entry"):
             _choose(_OPS, v["op"], "verdict op")
             _choose(_AGGS, v["agg"], "verdict aggregate")
             if v["op"] == "in":
@@ -174,8 +183,6 @@ class ExperimentConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
         return cls(**_block(raw, "config"))
 
     @classmethod
@@ -559,7 +566,7 @@ def _check_pool(pool, task):
 
 def cmd_discrepancy(cfg, p):
     """Estimator checks: NGD fitting, MMD unbiasedness, KSD power."""
-    tasks = [_block(raw, "discrepancy task") for raw in p["tasks"]]
+    tasks = _blocks(p, "tasks", "discrepancy task")
     pools = {}   # samples_file -> its rows, read once for every worker
     for task in tasks:
         path = task.get("samples_file")   # sm_ngd tasks have no such key

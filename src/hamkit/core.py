@@ -36,6 +36,31 @@ def _vector(x, name):
     return arr
 
 
+def _as_samples(x):
+    """x as an (n, d) float array; a 1-d x is n points in one dimension."""
+    arr = np.asarray(x, float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise DomainError(f"samples must be (n, d) arrays, got shape {arr.shape}")
+    return arr
+
+
+def _rows(f, x_arr):
+    """f at each row of x_arr, stacked along a new first axis.  User callables
+    take one point, so this is the one loop over the points of a batch."""
+    return np.asarray([f(row) for row in x_arr], float)
+
+
+def _central_diffs(f, x, h):
+    """(f(x + h_j e_j) - f(x - h_j e_j)) / (2 h_j) for each coordinate j,
+    stacked along a new first axis; h is a scalar or one step per coordinate."""
+    steps = np.diag(np.broadcast_to(np.asarray(h, float), x.shape))
+    diffs = _rows(f, x + steps) - _rows(f, x - steps)
+    # .T moves the coordinate axis last, where the steps broadcast
+    return (diffs.T / (2.0 * steps.diagonal())).T
+
+
 def _all_finite(x):
     """np.isfinite(x).all(), scanning x only when its sum of squares (finite iff
     every entry is, or it overflowed) reads non-finite."""
@@ -217,13 +242,7 @@ class Problem:
     def with_fd_gradient(cls, dim, value, **kwargs):
         def fd_grad(q):
             q = np.asarray(q, float)
-            g = np.empty_like(q)
-            for i in range(q.size):
-                h = _FD_STEP * max(1.0, abs(q[i]))
-                e = np.zeros_like(q)
-                e[i] = h
-                g[i] = (value(q + e) - value(q - e)) / (2 * h)
-            return g
+            return _central_diffs(value, q, _FD_STEP * np.maximum(1.0, np.abs(q)))
 
         return cls(dim, value, fd_grad, grad_is_fd=True, **kwargs)
 

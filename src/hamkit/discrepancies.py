@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
+from .core import _as_samples, _central_diffs, _rows
 from .errors import (
     CapabilityError,
     ConditioningError,
@@ -30,15 +31,6 @@ __all__ = [
     "natural_gradient_step",
     "sm_ngd_fit",
 ]
-
-
-def _as_samples(x):
-    arr = np.asarray(x, float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise DomainError(f"samples must be (n, d) arrays, got shape {arr.shape}")
-    return arr
 
 
 class KernelSpec:
@@ -224,7 +216,7 @@ def _stein_matrix(x_arr, y_arr, sx, sy, kernel):
 
 def _scores(score, points):
     """score at each row of `points`, shape (n, d); non-finite is an error."""
-    out = np.asarray([score(row) for row in points], float).reshape(points.shape)
+    out = _rows(score, points).reshape(points.shape)
     if not np.isfinite(out).all():
         raise DomainError("score is non-finite at an evaluation point")
     return out
@@ -317,16 +309,13 @@ class ScoreModel:
             raise CapabilityError(
                 f"model {self.name!r} lacks an analytic score divergence; "
                 "enable fd_fallback to use finite differences")
-        h = 1e-5
+
+        def flux(y):
+            b_mat = self.b(y)
+            return b_mat @ b_mat.T @ self.score(y)
+
         x = np.atleast_1d(np.asarray(x, float))
-        div = 0.0
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = h
-            hi = self.b(x + e) @ self.b(x + e).T @ self.score(x + e)
-            lo = self.b(x - e) @ self.b(x - e).T @ self.score(x - e)
-            div += (hi[j] - lo[j]) / (2.0 * h)
-        return float(div)
+        return float(np.trace(_central_diffs(flux, x, 1e-5)))
 
     def sample(self, n, rng):
         if self._sample is None:
@@ -411,12 +400,9 @@ def sm_estimate(x_samples, model):
     """Score-matching estimator:
     mean over samples of ||B^T d_x log q||^2 + 2 d_x.(B B^T d_x log q)."""
     x_arr = _as_samples(x_samples)
-    total = 0.0
-    for row in x_arr:
-        b_mat = model.b(row)
-        s = model.score(row)
-        total += float(s @ b_mat @ b_mat.T @ s) + 2.0 * model.score_div_b(row)
-    return total / x_arr.shape[0]
+    bts = np.einsum("adk,ad->ak", _rows(model.b, x_arr), _rows(model.score, x_arr))
+    terms = np.einsum("ak,ak->a", bts, bts) + 2.0 * _rows(model.score_div_b, x_arr)
+    return float(terms.mean())
 
 
 def _warn_if_indefinite(g):
@@ -432,44 +418,40 @@ def information_tensor(kind, model, n_mc, rng, kernel=None):
     """Monte Carlo estimate of the information tensor for SM, KSD or MMD.
 
     SM/KSD sample the model; MMD pushes base-measure samples through the
-    generator.  The output is symmetrised.
+    generator and sums over all n_mc^2 pairs at once, so it holds
+    O(n_mc^2 (d + 2p)) floats for d-dimensional samples and p parameters.
+    The output is symmetrised.
     """
+    if kind not in ("sm", "ksd", "mmd"):
+        raise DomainError(f"unknown information tensor kind {kind!r}")
+    if kind != "sm" and kernel is None:
+        raise DomainError(f"{kind.upper()} information tensor needs a kernel")
     if n_mc < 100:
         raise DomainError("information tensor needs MC size >= 100")
-    if kind == "sm":
-        x_arr = model.sample(n_mc, rng)
-        p = model.n_params
-        g = np.zeros((p, p))
-        for row in x_arr:
-            w = model.b(row).T @ model.dscore_dtheta(row)   # (d, p)
-            g += w.T @ w
-        g /= n_mc
-    elif kind == "ksd":
-        if kernel is None:
-            raise DomainError("KSD information tensor needs a kernel")
-        x_arr = model.sample(n_mc, rng)
-        w = np.stack([model.b(row).T @ model.dscore_dtheta(row)
-                      for row in x_arr])                     # (n, d, p)
-        k = kernel.gram(x_arr, x_arr)
-        # G_ij = E_x E_y [ k(x,y) w_j(x) . w_i(y) ]  (V-statistic over pairs)
-        g = np.einsum("ab,adi,bdj->ij", k, w, w) / (n_mc * n_mc)
-    elif kind == "mmd":
-        if kernel is None:
-            raise DomainError("MMD information tensor needs a kernel")
+    if kind == "mmd":
         u_arr = model.sample_base(n_mc, rng)
         v_arr = model.sample_base(n_mc, rng)
-        p = model.theta.size
-        g = np.zeros((p, p))
-        for u in u_arr:
-            x = model.push(u)
-            dtu = model.dpush_dtheta(u)
-            for v in v_arr:
-                y = model.push(v)
-                dtv = model.dpush_dtheta(v)
-                g += dtu.T @ kernel.mixed_hessian(x, y) @ dtv
+        diff = _rows(model.push, u_arr)[:, None, :] - _rows(model.push, v_arr)
+        _, dphi, d2phi = kernel._profile(np.einsum("abk,abk->ab", diff, diff))
+        ju = _rows(model.dpush_dtheta, u_arr)                   # (n, d, p)
+        jv = _rows(model.dpush_dtheta, v_arr)
+        # sum_ab J(u_a)^T (-2 phi' I - 4 phi'' diff diff^T) J(v_b), the mixed
+        # Hessian of k at each pair (KernelSpec.mixed_hessian)
+        g = (-2.0 * np.einsum("ab,adi,bdj->ij", dphi, ju, jv)
+             - 4.0 * np.einsum("ab,abi,abj->ij", d2phi,
+                               np.einsum("abk,aki->abi", diff, ju),
+                               np.einsum("abk,bkj->abj", diff, jv)))
         g /= n_mc * n_mc
     else:
-        raise DomainError(f"unknown information tensor kind {kind!r}")
+        x_arr = model.sample(n_mc, rng)
+        # w[a] = B(x_a)^T d/dtheta s(x_a), shape (n, d, p)
+        w = _rows(lambda x: model.b(x).T @ model.dscore_dtheta(x), x_arr)
+        if kind == "sm":
+            g = np.einsum("adi,adj->ij", w, w) / n_mc
+        else:
+            # G_ij = E_x E_y [ k(x,y) w_j(x) . w_i(y) ]  (V-statistic over pairs)
+            k = kernel.gram(x_arr, x_arr)
+            g = np.einsum("ab,adi,bdj->ij", k, w, w) / (n_mc * n_mc)
     g = 0.5 * (g + g.T)
     _warn_if_indefinite(g)
     return g

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhasePoint, _all_finite
+from .core import PhasePoint, _all_finite, _as_samples, _central_diffs, _rows
 from .errors import DivergenceError, DomainError
 from .integrators import _write_csv, gradient_flow_step
 
@@ -287,15 +287,8 @@ class DiffusionSpec:
         """(div M)_i = sum_j dM_ij/dx_j for M = A + S."""
         if self.divergence is not None:
             return np.asarray(self.divergence(x), float)
-        x = np.asarray(x, float)
-        h = self.fd_step
-        div = np.zeros(x.size)
-        for j in range(x.size):
-            e = np.zeros(x.size)
-            e[j] = h
-            dm = (self.total(x + e) - self.total(x - e)) / (2.0 * h)
-            div += dm[:, j]
-        return div
+        dm = _central_diffs(self.total, np.asarray(x, float), self.fd_step)
+        return np.trace(dm, axis1=0, axis2=2)   # dm[j] = dM/dx_j
 
 
 def complete_recipe_drift(x, prob, spec):
@@ -311,13 +304,11 @@ def mcmc_estimate(samples, f):
 
     Uses floor(sqrt(n)) batches; requires at least 100 samples.
     """
-    samples = np.asarray(samples, float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
+    samples = _as_samples(samples)
     n = samples.shape[0]
     if n < 100:
         raise DomainError(f"mcmc_estimate needs >= 100 samples, got {n}")
-    fs = np.asarray([float(f(s)) for s in samples])
+    fs = _rows(f, samples).reshape(n)
     mean = float(fs.mean())
     n_batches = int(math.floor(math.sqrt(n)))
     batch_size = n // n_batches
@@ -353,9 +344,7 @@ def run_hmc_chain(prob, g, dt, L, n_draws, rng, q0=None, jitter=0.0,
 def write_samples_csv(path_or_file, samples, accepted=None, chain_id=0,
                       momenta=None):
     """CSV dump: chain,step,accepted,q_1..q_d (momenta appended on request)."""
-    samples = np.asarray(samples, float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
+    samples = _as_samples(samples)
     n, d = samples.shape
     cols = ["chain", "step", "accepted"] + [f"q_{i + 1}" for i in range(d)]
     columns = [[chain_id] * n, range(n),

@@ -480,6 +480,29 @@ class TestCli:
         assert cli_main(["optimize", "--config", path, flag, value]) == 1
         assert flag[2:] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, key, value, named", [
+        ("optimize", "problem", 5, "problem block"),
+        ("optimize", "problem", "quartic", "problem block"),
+        ("optimize", "verdicts", 5, "verdicts"),
+        ("discrepancy", "tasks", 5, "tasks"),
+        ("discrepancy", "tasks", {}, "tasks"),
+        ("discrepancy", "tasks", [5], "discrepancy task"),
+        ("discrepancy", "verdicts", ["x"], "verdict entry"),
+    ])
+    def test_exit_one_on_block_of_wrong_type(self, tmp_path, capsys,
+                                             experiment, key, value, named):
+        params = (base_optimize_params() if experiment == "optimize" else
+                  {"tasks": [{"kind": "sm_ngd", "n_samples": 20, "dim": 2,
+                              "n_iter": 2}]})
+        params[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": experiment, "params": params,
+                                    "out_dir": str(tmp_path / "out")}))
+        assert cli_main([experiment, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, err
+        assert "must be a JSON" in err, err
+
     def test_overrides(self, tmp_path):
         path = self.write_config(tmp_path, base_optimize_params(), seed=1)
         out2 = str(tmp_path / "alt")

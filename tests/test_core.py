@@ -19,6 +19,7 @@ from hamkit import (
     evaluate_hamiltonian,
     problems,
 )
+from hamkit.core import _FD_STEP, _central_diffs
 
 
 class TestPhasePoint:
@@ -282,3 +283,35 @@ class TestProblems:
         prob = Problem.with_fd_gradient(1, lambda q: float(q @ q))
         assert prob.grad_is_fd
         assert not problems.quadratic(1).grad_is_fd
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12])
+    def test_fd_gradient_matches_coordinate_loop(self, dim):
+        # the step is _FD_STEP * max(1, |q_j|) per coordinate, bit for bit
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim))
+
+        def value(q):
+            return float(np.sin(q) @ a @ np.cos(q) + q @ q ** 3)
+
+        fd = Problem.with_fd_gradient(dim, value)
+        for scale in (1e-3, 1.0, 1e3):
+            q = scale * rng.standard_normal(dim)
+            ref = np.empty(dim)
+            for i in range(dim):
+                h = _FD_STEP * max(1.0, abs(q[i]))
+                e = np.zeros(dim)
+                e[i] = h
+                ref[i] = (value(q + e) - value(q - e)) / (2 * h)
+            assert np.array_equal(fd.grad(q), ref)
+
+    def test_central_diffs_per_coordinate_steps(self):
+        # a matrix-valued f with one step per coordinate: slice j is the
+        # difference along e_j over 2 h_j
+        def f(x):
+            return np.outer(np.sin(x), x ** 2)
+
+        x = np.array([0.3, -1.2, 2.0])
+        h = np.array([1e-3, 2e-4, 5e-2])
+        ref = [(f(x + h[j] * e) - f(x - h[j] * e)) / (2.0 * h[j])
+               for j, e in enumerate(np.eye(3))]
+        assert np.array_equal(_central_diffs(f, x, h), np.array(ref))

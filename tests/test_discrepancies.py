@@ -360,6 +360,126 @@ class TestInformationTensor:
             information_tensor("ksd", model, 200, RngStream(0))
 
 
+def curved_model(d, p, fd_fallback=False):
+    """A score model whose B field, score and theta-Jacobian all vary with x."""
+    rng = np.random.default_rng(10 * d + p)
+    m_mat = rng.standard_normal((d, p))
+    c_mat = 0.3 * rng.standard_normal((d, d))
+
+    def scale(x):
+        return 1.0 + 0.1 * np.sin(x).sum()
+
+    return ScoreModel(
+        rng.standard_normal(p), d,
+        score=lambda x, th: -(x - m_mat @ th) * scale(x),
+        dscore_dtheta=lambda x, th: m_mat * scale(x),
+        b_field=lambda x: (np.eye(d) + np.diag(0.3 * np.tanh(x))
+                           + c_mat * np.cos(x).sum()),
+        sample=lambda n, th, r: r.standard_normal((n, d)) + m_mat @ th,
+        fd_fallback=fd_fallback, name="curved")
+
+
+class ScaledGenerator:
+    """push(u) = theta * u, whose theta-Jacobian diag(u) differs per sample."""
+
+    def __init__(self, theta):
+        self.theta = np.asarray(theta, float)
+        self.dim = self.theta.size
+
+    def sample_base(self, n, rng):
+        return rng.standard_normal((n, self.dim))
+
+    def push(self, u):
+        return self.theta * u
+
+    def dpush_dtheta(self, u):
+        return np.diag(u)
+
+
+def assert_close(a, b):
+    """rtol 1e-12 in the max norm: max |a - b| <= 1e-12 max |b|."""
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (a, b)
+
+
+class TestEstimatorsMatchLoops:
+    """The array forms of the estimators against the per-row and per-pair
+    loops they replaced, and the work they do."""
+
+    @pytest.mark.parametrize("d, p", [(1, 1), (2, 3), (3, 2)])
+    def test_sm_tensor(self, d, p):
+        model = curved_model(d, p)
+        g = information_tensor("sm", model, 120, RngStream(20))
+        ref = np.zeros((p, p))
+        for x in model.sample(120, RngStream(20)):
+            w = model.b(x).T @ model.dscore_dtheta(x)
+            ref += w.T @ w
+        assert_close(g, (ref + ref.T) / (2 * 120))
+
+    @pytest.mark.parametrize("d, p", [(1, 1), (2, 3), (3, 2)])
+    def test_ksd_tensor(self, d, p):
+        model = curved_model(d, p)
+        kernel = KernelSpec.gaussian(1.3)
+        g = information_tensor("ksd", model, 100, RngStream(21), kernel=kernel)
+        x_arr = model.sample(100, RngStream(21))
+        w = [model.b(x).T @ model.dscore_dtheta(x) for x in x_arr]
+        ref = np.zeros((p, p))
+        for a in range(100):
+            for b in range(100):
+                ref += kernel.k(x_arr[a], x_arr[b]) * w[a].T @ w[b]
+        assert_close(g, (ref + ref.T) / (2 * 100 ** 2))
+
+    @pytest.mark.parametrize("kernel", [
+        KernelSpec.gaussian(1.1),
+        KernelSpec.inverse_multiquadric(c=1.2, beta=0.6),
+    ], ids=["gaussian", "imq"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_mmd_tensor(self, kernel, d):
+        gen = ScaledGenerator(np.linspace(0.5, 1.5, d))
+        g = information_tensor("mmd", gen, 100, RngStream(22), kernel=kernel)
+        rng = RngStream(22)
+        u_arr, v_arr = gen.sample_base(100, rng), gen.sample_base(100, rng)
+        ref = np.zeros((d, d))
+        for u in u_arr:
+            for v in v_arr:
+                ref += (gen.dpush_dtheta(u).T
+                        @ kernel.mixed_hessian(gen.push(u), gen.push(v))
+                        @ gen.dpush_dtheta(v))
+        assert_close(g, (ref + ref.T) / (2 * 100 ** 2))
+
+    @pytest.mark.parametrize("d, p", [(1, 1), (3, 2)])
+    def test_sm_estimate_fd_fallback(self, d, p):
+        model = curved_model(d, p, fd_fallback=True)
+        x_arr = model.sample(50, RngStream(23))
+        h = 1e-5
+        total = 0.0
+        for x in x_arr:
+            b, s = model.b(x), model.score(x)
+            div = 0.0
+            for j in range(d):
+                e = np.zeros(d)
+                e[j] = h
+                hi = model.b(x + e) @ model.b(x + e).T @ model.score(x + e)
+                lo = model.b(x - e) @ model.b(x - e).T @ model.score(x - e)
+                div += (hi[j] - lo[j]) / (2.0 * h)
+            total += float(s @ b @ b.T @ s) + 2.0 * div
+        assert sm_estimate(x_arr, model) == pytest.approx(total / 50, rel=1e-12)
+
+    def test_mmd_tensor_work(self, count_calls):
+        # one push and one Jacobian per sample, and no per-pair Hessian; the
+        # pair loop made n_mc^2 Hessian and n_mc + n_mc^2 Jacobian calls
+        hessians = count_calls(KernelSpec, "mixed_hessian")
+        jacobians = count_calls(ScaledGenerator, "dpush_dtheta")
+        pushes = count_calls(ScaledGenerator, "push")
+        information_tensor("mmd", ScaledGenerator(np.ones(2)), 100,
+                           RngStream(24), kernel=KernelSpec.gaussian(1.0))
+        assert (len(hessians), len(jacobians), len(pushes)) == (0, 200, 200)
+
+    def test_sm_tensor_work(self, count_calls):
+        b_calls = count_calls(ScoreModel, "b")
+        information_tensor("sm", curved_model(2, 2), 100, RngStream(25))
+        assert len(b_calls) == 100
+
+
 class TestNaturalGradient:
     def test_identity_tensor_plain_step(self):
         theta = np.array([1.0, 2.0])

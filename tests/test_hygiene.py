@@ -94,3 +94,32 @@ def test_only_run_experiment_builds_a_report():
              for line in _report_calls(tree)}
     assert allowed and calls == allowed, (
         f"Report( outside run_experiment at {sorted(calls - allowed)}")
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.comprehension)   # each has a .target
+
+
+def _nested_loop_lines(func):
+    """Lines of loops (for statements or comprehension clauses) that run
+    inside another loop of `func`."""
+    lines = set()
+    for outer in ast.walk(func):
+        if isinstance(outer, _LOOPS):
+            lines |= {node.target.lineno for node in ast.walk(outer)
+                      if node is not outer and isinstance(node, _LOOPS)}
+        if isinstance(outer, (ast.ListComp, ast.SetComp, ast.DictComp,
+                              ast.GeneratorExp)) and len(outer.generators) > 1:
+            lines.add(outer.lineno)
+    return sorted(lines)
+
+
+def test_estimators_have_no_pair_loops():
+    # sums over sample pairs are array contractions (np.einsum over stacked
+    # rows, Gram matrices); a loop nested in a loop is the shape of the
+    # per-pair Python sum they replaced
+    path = PACKAGE / "discrepancies.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = {node.name: lines for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and (lines := _nested_loop_lines(node))}
+    assert not offending, f"discrepancies.py: nested loops at {offending}"

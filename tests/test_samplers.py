@@ -601,6 +601,30 @@ class TestCompleteRecipe:
         with pytest.raises(DomainError):
             complete_recipe_drift(np.zeros(2), prob, neg_s)
 
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12])
+    def test_fd_divergence_matches_coordinate_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        c = rng.standard_normal((dim, dim))
+
+        def s_field(x):
+            t = np.tanh(x)
+            return np.eye(dim) + np.outer(t, t)
+
+        def a_field(x):
+            m = np.outer(np.sin(x), c @ x)
+            return m - m.T
+
+        spec = DiffusionSpec(s_field, a_field)
+        for _ in range(3):
+            x = rng.standard_normal(dim)
+            ref = np.zeros(dim)
+            for j in range(dim):
+                e = np.zeros(dim)
+                e[j] = spec.fd_step
+                dm = (spec.total(x + e) - spec.total(x - e)) / (2.0 * spec.fd_step)
+                ref += dm[:, j]
+            assert np.array_equal(spec.div_total(x), ref)
+
     def test_irreversible_preserves_gaussian_moments(self):
         # EM simulation of the full recipe with A != 0, initialised at the
         # target, keeps moments near target values

@@ -52,8 +52,6 @@ from .manifold import (
     trace_objective,
 )
 from .samplers import (
-    THREE_STAGE_A,
-    THREE_STAGE_B,
     ChainState,
     DiffusionSpec,
     RngStream,
@@ -63,7 +61,6 @@ from .samplers import (
     mcmc_estimate,
     overdamped_em_step,
     run_hmc_chain,
-    three_stage_trajectory,
     underdamped_step,
     write_samples_csv,
 )
@@ -79,6 +76,7 @@ from .discrepancies import (
     natural_gradient_step,
     sm_estimate,
     sm_ngd_fit,
+    stein_gram,
     stein_kernel,
 )
 from . import problems

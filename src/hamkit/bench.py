@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 _REQUIRED = object()   # the _SCHEMA default of a key its block must give
+# The values a key takes, and their name, by the type of its _SCHEMA default;
+# a bool is no number.  Other defaults (None, (), _REQUIRED) take any value.
+_KINDS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a number"), str: (str, "a string")}
 
 # Every config block, by the name its errors use: each allowed key with its
 # default or _REQUIRED.  A None default marks a key whose absence the code
@@ -103,14 +108,14 @@ _VARIANTS = {   # blocks in variants: their "kind" names the _SCHEMA entry
 
 
 def _choose(table, name, what):
-    if name not in table:
-        raise ConfigError(f"unknown {what} {name!r}")
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {what} {name!r}; choose from {sorted(table)}")
     return table[name]
 
 
 def _block(raw, where):
     """A copy of config block `raw` with its defaults filled in, after
-    checking its keys against _SCHEMA[where]."""
+    checking its keys against _SCHEMA[where] and its values against _KINDS."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
     if where in _VARIANTS:
@@ -122,6 +127,12 @@ def _block(raw, where):
     missing = {k for k, v in schema.items() if v is _REQUIRED} - set(raw)
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
+    for key, value in raw.items():
+        if type(schema[key]) not in _KINDS:
+            continue
+        kind, name = _KINDS[type(schema[key])]
+        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+            raise ConfigError(f"{key!r} in {where} must be {name}, got {value!r}")
     return {**schema, **raw}
 
 
@@ -159,9 +170,8 @@ class ExperimentConfig:
     reps: int = _SCHEMA["config"]["reps"]
 
     def __post_init__(self):
-        if self.experiment not in _COMMANDS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                              f"choose from {tuple(_COMMANDS)}")
+        _choose(_COMMANDS, self.experiment, "experiment")
+        _block(vars(self), "config")   # the types of seed, out_dir and reps
         self.seed = int(self.seed)
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
@@ -170,12 +180,7 @@ class ExperimentConfig:
             raise ConfigError("reps must be >= 1")
         params = _block(self.params, f"{self.experiment} params")
         for v in _blocks(params, "verdicts", "verdict entry"):
-            _choose(_OPS, v["op"], "verdict op")
-            _choose(_AGGS, v["agg"], "verdict aggregate")
-            if v["op"] == "in":
-                thr = v["threshold"]
-                if not (isinstance(thr, (list, tuple)) and len(thr) == 2):
-                    raise ConfigError("'in' verdicts need a [lo, hi] threshold")
+            _check_verdict(v)
 
     @classmethod
     def parse(cls, text):
@@ -191,16 +196,23 @@ class ExperimentConfig:
             return cls.parse(fh.read())
 
     def serialise(self):
-        return json.dumps(
-            {"experiment": self.experiment, "params": self.params,
-             "seed": self.seed, "out_dir": self.out_dir, "reps": self.reps},
-            indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
+def _check_verdict(v):
+    """Verdict entry v, after checking its op, aggregate and "in" threshold."""
+    _choose(_OPS, v["op"], "verdict op")
+    _choose(_AGGS, v["agg"], "verdict aggregate")
+    thr = v["threshold"]
+    if v["op"] == "in" and not (isinstance(thr, (list, tuple)) and len(thr) == 2):
+        raise ConfigError("'in' verdicts need a [lo, hi] threshold")
+    return v
 
 
 def _evaluate_verdicts(verdict_specs, per_rep):
     out = []
     for spec in verdict_specs:
-        v = _block(spec, "verdict entry")
+        v = _check_verdict(_block(spec, "verdict entry"))
         metric = v["metric"]
         values = [rep[metric] for rep in per_rep if metric in rep]
         value = (float(_AGGS[v["agg"]](np.asarray(values, float)))
@@ -239,16 +251,8 @@ class Report:
         return agg
 
     def to_dict(self):
-        return {
-            "experiment": self.experiment,
-            "environment": self.environment,
-            "substitutions": self.substitutions,
-            "per_rep": self.per_rep,
-            "aggregates": self.aggregates(),
-            "verdicts": self.verdicts,
-            "notes": self.notes,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "aggregates": self.aggregates(),
+                "passed": self.passed}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -442,10 +446,7 @@ def cmd_manifold(cfg, p):
 def cmd_sample(cfg, p):
     """Sampler validation: moments, acceptance curves and discretisation bias."""
     target = _block(p["target"], "target block")
-    if target["name"] not in _TARGETS:
-        raise ConfigError(f"unknown target {target['name']!r}; "
-                          f"choose from {sorted(_TARGETS)}")
-    prob = _TARGETS[target["name"]](target)
+    prob = _choose(_TARGETS, target["name"], "target")(target)
     gaussian = target["name"] == "gaussian"   # moments are checked against N(0, I)
     ksd_curve = (None if target["ksd_curve"] is None
                  else _block(target["ksd_curve"], "ksd_curve block"))

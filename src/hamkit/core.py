@@ -259,12 +259,16 @@ class Problem:
         return self.value(q) - self.f_star
 
 
+def _check_dims(dim, g, prob):
+    """DomainError unless a state of length `dim`, metric g and problem agree."""
+    if dim != g.dim or dim != prob.dim:
+        raise DomainError(f"dimension mismatch: state {dim}, metric {g.dim}, "
+                          f"problem {prob.dim}")
+
+
 def evaluate_hamiltonian(x, g, prob):
     """H(q, p) = (1/2) p^T g^{-1} p + f(q)."""
-    if x.dim != g.dim or x.dim != prob.dim:
-        raise DomainError(
-            f"dimension mismatch: state {x.dim}, metric {g.dim}, problem {prob.dim}"
-        )
+    _check_dims(x.dim, g, prob)
     kinetic = 0.5 * g.quad_inv(x.p)
     potential = prob.value(x.q)
     if not math.isfinite(kinetic):

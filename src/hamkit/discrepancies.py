@@ -1,6 +1,7 @@
 """Kernel discrepancies (MMD, KSD), score matching, and natural-gradient fits."""
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 
@@ -336,11 +337,10 @@ class ScoreModel:
             f"model {self.name!r} has no analytic estimator gradient")
 
     def with_theta(self, theta):
-        return ScoreModel(theta, self.dim, self._score, self._dscore_dtheta,
-                          b_field=self._b_field, score_div_b=self._score_div_b,
-                          sample=self._sample, log_density=self._log_density,
-                          sm_theta_grad=self._sm_theta_grad,
-                          fd_fallback=self.fd_fallback, name=self.name)
+        """A copy of this model at parameters theta."""
+        model = copy.copy(self)
+        model.theta = np.atleast_1d(np.asarray(theta, float))
+        return model
 
 
 def GaussianLocationModel(theta, sigma=1.0, b_matrix=None):

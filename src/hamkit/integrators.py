@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KineticMetric, PhasePoint, _all_finite, evaluate_hamiltonian
+from .core import (KineticMetric, PhasePoint, _all_finite, _check_dims,
+                   evaluate_hamiltonian)
 from .errors import DivergenceError, DomainError, FitDomainError
 
 __all__ = [
@@ -214,9 +215,7 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
         raise DomainError(f"unknown method {method!r}; choose from {_METHODS}")
     leapfrog = method == "dissipative_leapfrog"
     g = cfg.metric
-    if leapfrog and prob.dim != g.dim:
-        raise DomainError(f"dimension mismatch: state {cfg.x0.dim}, metric "
-                          f"{g.dim}, problem {prob.dim}")
+    _check_dims(cfg.x0.dim, g, prob)
 
     def advance(x, t_k):  # x = (q, p, grad f(q) or None)
         if leapfrog:

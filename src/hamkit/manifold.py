@@ -57,12 +57,9 @@ class MatrixGroupState:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "P", P)
 
-    @property
-    def n(self):
-        return self.Q.shape[0]
-
     def orthogonality_defect(self):
-        return float(np.linalg.norm(self.Q.T @ self.Q - np.eye(self.n)))
+        """||Q^T Q - I||_F."""
+        return _group_defect(self.Q, self.P)
 
     def flip_momentum(self):
         return MatrixGroupState(self.Q, -self.P)

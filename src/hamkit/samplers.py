@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhasePoint, _all_finite, _as_samples, _central_diffs, _rows
+from .core import (PhasePoint, _all_finite, _as_samples, _central_diffs,
+                   _check_dims, _rows)
 from .errors import DivergenceError, DomainError
 from .integrators import _write_csv, gradient_flow_step
 
@@ -20,9 +21,6 @@ __all__ = [
     "DiffusionSpec",
     "hmc_draw",
     "leapfrog_trajectory",
-    "three_stage_trajectory",
-    "THREE_STAGE_A",
-    "THREE_STAGE_B",
     "underdamped_step",
     "overdamped_em_step",
     "complete_recipe_drift",
@@ -30,11 +28,6 @@ __all__ = [
     "run_hmc_chain",
     "write_samples_csv",
 ]
-
-# Minimum-error three-stage weights (standard values; user-overridable).
-THREE_STAGE_A = 0.29619504261126
-THREE_STAGE_B = 0.11888010966548
-
 
 class RngStream:
     """Seedable random stream (PCG64 behind a numpy Generator).
@@ -137,32 +130,8 @@ def _leapfrog(q, p, grad, prob, g, dt, L):
 def leapfrog_trajectory(x, prob, g, dt, L):
     """L leapfrog steps (half kick / full drift / half kick) for
     H = (1/2) p^T g^{-1} p + V(q)."""
-    if L < 1:
-        raise DomainError("L must be >= 1")
+    _check_hmc(x.q, prob, g, L, 0.0)
     q, p, _ = _leapfrog(x.q, x.p, prob.grad(x.q), prob, g, dt, L)
-    return PhasePoint(q, p)
-
-
-def three_stage_trajectory(x, prob, g, dt, L, a=THREE_STAGE_A, b=THREE_STAGE_B):
-    """L steps of the palindromic three-stage geodesic composition.
-
-    Per step: drift(b) kick(a) drift(1/2-b) kick(1-2a) drift(1/2-b) kick(a)
-    drift(b), each weight scaled by dt; drift weights sum to 1, kick weights
-    sum to 1, so V == 0 yields a pure drift of total length dt*L.
-    """
-    if L < 1:
-        raise DomainError("L must be >= 1")
-    q = np.array(x.q)
-    p = np.array(x.p)
-    drifts = (b, 0.5 - b, 0.5 - b, b)
-    kicks = (a, 1.0 - 2.0 * a, a)
-    for i in range(L):
-        for j in range(3):
-            q = q + drifts[j] * dt * g.inv_mul(p)
-            p = p - kicks[j] * dt * prob.grad(q)
-        q = q + drifts[3] * dt * g.inv_mul(p)
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            raise DivergenceError("three-stage trajectory diverged", step=i)
     return PhasePoint(q, p)
 
 
@@ -171,9 +140,7 @@ def _check_hmc(q, prob, g, L, jitter):
         raise DomainError("jitter must lie in [0, 1]")
     if L < 1:
         raise DomainError("L must be >= 1")
-    if q.size != g.dim or q.size != prob.dim:
-        raise DomainError(f"dimension mismatch: state {q.size}, metric "
-                          f"{g.dim}, problem {prob.dim}")
+    _check_dims(q.size, g, prob)
 
 
 def _hmc_transition(q, v0, grad0, prob, g, dt, L, rng, jitter):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -84,6 +85,31 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig("optimize", base_optimize_params(), reps=0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "3"), ("seed", True), ("seed", 2.5), ("seed", 2.0),
+        ("reps", "2"), ("reps", False), ("reps", 1.5)])
+    def test_seed_and_reps_must_be_integers(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"'{key}' in config must be an integer, got {value!r}")):
+            ExperimentConfig("optimize", base_optimize_params(), **{key: value})
+
+    def test_integer_seed_and_reps_of_any_integer_type(self):
+        cfg = ExperimentConfig("optimize", base_optimize_params(),
+                               seed=np.int64(3), reps=np.int32(2))
+        assert (cfg.seed, cfg.reps) == (3, 2)
+        assert type(cfg.seed) is int and type(cfg.reps) is int
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"metric": "x", "op": "~", "threshold": 1}, "unknown verdict op '~'"),
+        ({"metric": "x", "agg": "mode", "op": "<=", "threshold": 1},
+         "unknown verdict aggregate 'mode'"),
+        ({"metric": "x", "op": "in", "threshold": 1}, "[lo, hi] threshold"),
+    ])
+    def test_reevaluate_rejects_a_bad_verdict(self, spec, named):
+        stored = {"per_rep": [{"rep": 0, "x": 0.5}]}
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            reevaluate(stored, [spec])
+
 
 class TestOptimizeExperiment:
     def test_exponential_rate_verdicts_pass(self, tmp_path):
@@ -128,6 +154,18 @@ class TestOptimizeExperiment:
         stored = json.loads(open(path).read())
         redone = reevaluate(stored, params["verdicts"])
         assert redone == stored["verdicts"]
+
+    def test_to_dict_is_the_fields_plus_aggregates_and_passed(self):
+        report = Report("optimize", [{"rep": 0, "x": 1.0}, {"rep": 1, "x": 3.0}],
+                        [{"name": "x", "pass": True}], notes=["n"])
+        body = report.to_dict()
+        assert set(body) == ({f.name for f in dataclasses.fields(Report)}
+                             | {"aggregates", "passed"})
+        for f in dataclasses.fields(Report):
+            assert body[f.name] == getattr(report, f.name)
+        assert body["aggregates"] == report.aggregates()
+        assert body["aggregates"]["x"] == {"median": 2.0, "iqr": 1.0}
+        assert body["passed"] is True
 
     def test_aggregates_present(self, tmp_path):
         cfg = ExperimentConfig("optimize", base_optimize_params(),
@@ -503,6 +541,29 @@ class TestCli:
         assert err.startswith("error:") and named in err, err
         assert "must be a JSON" in err, err
 
+    @pytest.mark.parametrize("experiment, path, key, value, named", [
+        ("optimize", (), "seed", "x", "config"),
+        ("optimize", (), "seed", 2.5, "config"),
+        ("optimize", ("params",), "record_every", True, "optimize params"),
+        ("discrepancy", ("params", "tasks", 0), "sigma", "1", "sm_ngd task"),
+    ])
+    def test_exit_one_on_value_of_wrong_type(self, tmp_path, capsys, experiment,
+                                             path, key, value, named):
+        params = (base_optimize_params() if experiment == "optimize" else
+                  {"tasks": [{"kind": "sm_ngd", "n_samples": 20, "dim": 2,
+                              "n_iter": 2}]})
+        raw = {"experiment": experiment, "params": params,
+               "out_dir": str(tmp_path / "out")}
+        block = raw
+        for part in path:
+            block = block[part]
+        block[key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert cli_main([experiment, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}' in {named} must be" in err, err
+
     def test_overrides(self, tmp_path):
         path = self.write_config(tmp_path, base_optimize_params(), seed=1)
         out2 = str(tmp_path / "alt")
@@ -615,3 +676,49 @@ def test_schema_block_contract(tmp_path, where):
     report = run_experiment(cfg)
     assert cfg.params == before
     assert report.per_rep
+
+
+# A wrong kind of value for each kind of _SCHEMA default; a float default
+# also takes an integer, and no number default takes a bool.
+WRONG_KINDS = {bool: [1, "true"], int: [True, 2.5, "2"], float: [True, "1"],
+               str: [1, True]}
+
+
+def typed_keys(where):
+    return {k: v for k, v in bench._SCHEMA[where].items()
+            if type(v) in WRONG_KINDS}
+
+
+@pytest.mark.parametrize("where", [w for w in sorted(bench._SCHEMA)
+                                   if typed_keys(w)])
+def test_schema_values_of_the_wrong_kind(tmp_path, where):
+    name, path = SCHEMA_BLOCKS[where]
+    for key, default in typed_keys(where).items():
+        for value in WRONG_KINDS[type(default)]:
+            raw = schema_configs(tmp_path)[name]
+            block = raw
+            for part in path:
+                block = block[part]
+            block[key] = value
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"'{key}' in {where} must be")):
+                run_raw(raw)
+
+
+@pytest.mark.parametrize("name, path, what, choices", [
+    ("optimize", ("params", "problem", "name"), "problem",
+     ["quadratic", "quartic", "rosenbrock"]),
+    ("optimize", ("params", "schedule", "kind"), "schedule kind",
+     ["constant", "vanishing", "zero"]),
+    ("sample_hmc", ("params", "target", "name"), "target",
+     ["banana", "gaussian", "gaussian_mixture"]),
+])
+def test_unknown_name_lists_the_choices(tmp_path, name, path, what, choices):
+    raw = schema_configs(tmp_path)[name]
+    block = raw
+    for part in path[:-1]:
+        block = block[part]
+    block[path[-1]] = "nonesuch"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"unknown {what} 'nonesuch'; choose from {choices}")):
+        run_raw(raw)

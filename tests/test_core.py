@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,16 +9,22 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from hamkit import (
+    ChainState,
     DampingSchedule,
     DomainError,
     KineticMetric,
     NumericOverflowError,
+    OptimizerConfig,
     PhasePoint,
     Problem,
+    RngStream,
     conformal_vector_field,
     dissipation_rate,
     evaluate_hamiltonian,
+    hmc_draw,
+    leapfrog_trajectory,
     problems,
+    run_optimizer,
 )
 from hamkit.core import _FD_STEP, _central_diffs
 
@@ -163,6 +170,28 @@ class TestEvaluateHamiltonian:
         with pytest.raises(DomainError):
             evaluate_hamiltonian(PhasePoint([1.0], [1.0]),
                                  KineticMetric.identity(1), prob)
+
+    @pytest.mark.parametrize("entry", ["hamiltonian", "leapfrog_optimizer",
+                                       "gradient_flow", "hmc_draw",
+                                       "leapfrog_trajectory"])
+    def test_every_entry_point_names_the_three_dimensions(self, entry):
+        # a 1-d state and metric against a 2-d problem, refused before any
+        # step by the same check, with the same message
+        x, g = PhasePoint([1.0], [0.0]), KineticMetric.identity(1)
+        prob = problems.quadratic(2)
+        cfg = OptimizerConfig(step=0.1, num_steps=3, x0=x, metric=g,
+                              schedule=DampingSchedule.constant(1.0))
+        calls = {
+            "hamiltonian": lambda: evaluate_hamiltonian(x, g, prob),
+            "leapfrog_optimizer": lambda: run_optimizer(cfg, prob),
+            "gradient_flow": lambda: run_optimizer(cfg, prob, "gradient_flow"),
+            "hmc_draw": lambda: hmc_draw(ChainState(x), prob, g, 0.1, 2,
+                                         RngStream(0)),
+            "leapfrog_trajectory": lambda: leapfrog_trajectory(x, prob, g, 0.1, 2),
+        }
+        with pytest.raises(DomainError, match=re.escape(
+                "dimension mismatch: state 1, metric 1, problem 2")):
+            calls[entry]()
 
 
 class TestConformalField:

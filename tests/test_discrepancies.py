@@ -330,6 +330,19 @@ class TestSmEstimate:
                 / (2 * h) for e in np.eye(2)])
             assert np.max(np.abs(model.score(x) - fd)) < 1e-6
 
+    @pytest.mark.parametrize("theta", [[1.0, -2.0], [3, 4]])
+    def test_with_theta_changes_only_theta(self, theta):
+        model = GaussianLocationModel(np.array([0.4, -1.0]), sigma=1.3,
+                                      b_matrix=np.diag([2.0, 0.5]))
+        moved = model.with_theta(theta)
+        assert moved.theta.dtype == float and np.array_equal(moved.theta, theta)
+        assert np.array_equal(model.theta, [0.4, -1.0])
+        assert vars(moved).keys() == vars(model).keys()
+        assert all(vars(moved)[k] is v for k, v in vars(model).items()
+                   if k != "theta")
+        x = np.array([0.3, 0.7])
+        assert np.allclose(moved.score(x), -(x - np.asarray(theta)) / 1.3 ** 2)
+
 
 class TestInformationTensor:
     def test_sm_gaussian_location_exact(self):

@@ -1,11 +1,12 @@
 """Source hygiene: every module-level import in the package is used,
-finiteness checks use one idiom, config defaults live in one table, and one
-driver builds every report.
+finiteness checks use one idiom, config defaults live in one table, one
+driver builds every report, and the package exports every public name.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
 """
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -123,3 +124,14 @@ def test_estimators_have_no_pair_loops():
                  if isinstance(node, ast.FunctionDef)
                  and (lines := _nested_loop_lines(node))}
     assert not offending, f"discrepancies.py: nested loops at {offending}"
+
+
+def test_package_exports_every_public_name():
+    # each module's __all__ lists its public names; `import hamkit` must offer
+    # every one of them
+    missing = {
+        module: sorted(set(importlib.import_module(f"hamkit.{module}").__all__)
+                       - set(hamkit.__all__))
+        for module in ("core", "integrators", "manifold", "samplers",
+                       "discrepancies")}
+    assert not any(missing.values()), f"not exported by hamkit: {missing}"

@@ -21,13 +21,11 @@ from hamkit import (
     overdamped_em_step,
     problems,
     run_hmc_chain,
-    three_stage_trajectory,
     underdamped_step,
     write_samples_csv,
 )
 from hamkit.core import Problem, _all_finite
 from hamkit.integrators import gradient_flow_step
-from hamkit.samplers import THREE_STAGE_A, THREE_STAGE_B
 
 
 class TestRngStream:
@@ -139,61 +137,6 @@ class TestLeapfrog:
         x = np.asarray(x, float)
         with np.errstate(over="ignore", invalid="ignore"):
             assert _all_finite(x) == np.isfinite(x).all()
-
-
-class TestThreeStage:
-    def test_pure_drift(self):
-        prob = problems.constant(1)
-        g = KineticMetric.identity(1)
-        x = PhasePoint([0.0], [1.0])
-        y = three_stage_trajectory(x, prob, g, 0.3, 4)
-        assert y.q == pytest.approx(0.3 * 4, abs=1e-14)
-        assert y.p == pytest.approx(1.0)
-
-    def test_collapses_to_leapfrog_at_special_weights(self):
-        # a=1/4, b=1/2 merges the kicks into drift-kick-drift per step
-        prob = problems.quadratic(1)
-        g = KineticMetric.identity(1)
-        x = PhasePoint([0.7], [-0.3])
-        dt = 0.13
-        y = three_stage_trajectory(x, prob, g, dt, 3, a=0.25, b=0.5)
-        q, p = x.q.copy(), x.p.copy()
-        for _ in range(3):
-            q = q + 0.5 * dt * p
-            p = p - dt * prob.grad(q)
-            q = q + 0.5 * dt * p
-        assert np.allclose(y.q, q, atol=1e-14)
-        assert np.allclose(y.p, p, atol=1e-14)
-
-    @staticmethod
-    def _max_energy_err(stepper, dt, horizon=30.0):
-        prob = problems.quadratic(1)
-        g = KineticMetric.identity(1)
-        x = PhasePoint([1.0], [0.5])
-        h0 = 0.5 * 0.25 + 0.5
-        err = 0.0
-        for _ in range(int(horizon / dt)):
-            x = stepper(x, prob, g, dt)
-            err = max(err, abs(0.5 * x.p[0] ** 2 + 0.5 * x.q[0] ** 2 - h0))
-        return err
-
-    def test_default_weights_order_two_small_constant(self):
-        # defaults are minimum-error order 2: quartic ratio ~4 per halving,
-        # constant well below plain leapfrog
-        three = lambda x, prob, g, dt: three_stage_trajectory(x, prob, g, dt, 1)
-        leap = lambda x, prob, g, dt: leapfrog_trajectory(x, prob, g, dt, 1)
-        e1, e2 = self._max_energy_err(three, 0.2), self._max_energy_err(three, 0.1)
-        assert 3.5 < e1 / e2 < 4.5
-        assert e1 < self._max_energy_err(leap, 0.2) / 10.0
-
-    def test_order_four_at_tuned_weights(self):
-        # at a fixed default a, the b solving the order condition gives
-        # quartic energy-error scaling (ratio ~16 per halving)
-        b4 = 0.113082763446295
-        tuned = lambda x, prob, g, dt: three_stage_trajectory(
-            x, prob, g, dt, 1, a=THREE_STAGE_A, b=b4)
-        e1, e2 = self._max_energy_err(tuned, 0.2), self._max_energy_err(tuned, 0.1)
-        assert 13.0 < e1 / e2 < 19.0
 
 
 class TestHmc:

@@ -38,19 +38,6 @@ from .integrators import (
     gradient_flow_step,
     run_optimizer,
 )
-from .manifold import (
-    ConstraintSet,
-    MatrixGroupState,
-    lie_group_step,
-    project_momentum,
-    rattle_step,
-    run_lie_optimizer,
-    run_rattle_optimizer,
-    skew_part,
-    so_trace_minimum,
-    sphere_constraint,
-    trace_objective,
-)
 from .samplers import (
     ChainState,
     DiffusionSpec,
@@ -81,4 +68,19 @@ from .discrepancies import (
 )
 from . import problems
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# hamkit.manifold imports scipy.linalg (expm, LAPACK Cholesky); its names load
+# it on first use, so the flat optimisers, samplers and estimators never do
+_MANIFOLD = ("ConstraintSet", "MatrixGroupState", "lie_group_step",
+             "project_momentum", "rattle_step", "run_lie_optimizer",
+             "run_rattle_optimizer", "skew_part", "so_trace_minimum",
+             "sphere_constraint", "trace_objective")
+
+
+def __getattr__(name):
+    if name not in _MANIFOLD:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import manifold
+    return getattr(manifold, name)
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_MANIFOLD)

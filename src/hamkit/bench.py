@@ -5,6 +5,7 @@ carry enough raw metrics to recompute every verdict offline.
 """
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import numbers
@@ -25,14 +26,7 @@ from .discrepancies import (
     sm_ngd_fit,
 )
 from .errors import ConfigError, DivergenceError, FitDomainError
-from .integrators import OptimizerConfig, Trajectory, fit_rate, run_optimizer
-from .manifold import (
-    MatrixGroupState,
-    run_lie_optimizer,
-    run_rattle_optimizer,
-    sphere_constraint,
-    trace_objective,
-)
+from .integrators import _METHODS, OptimizerConfig, Trajectory, fit_rate, run_optimizer
 from .problems import banana, gaussian_mixture_1d, quadratic, quartic, rosenbrock, standard_gaussian
 from .samplers import (
     RngStream,
@@ -52,23 +46,57 @@ __all__ = [
     "reevaluate",
 ]
 
-_REQUIRED = object()   # the _SCHEMA default of a key its block must give
-# The values a key takes, and their name, by the type of its _SCHEMA default;
-# a bool is no number.  Other defaults (None, (), _REQUIRED) take any value.
-_KINDS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
-          float: (numbers.Real, "a number"), str: (str, "a string")}
+# Every run draws from numpy.random and takes np.median, which loads numpy.ma.
+# numpy imports both on first use; load them with the harness, so that their
+# import counts as set-up (as a manifold config's scipy does), not as a run.
+importlib.import_module("numpy.random")
+importlib.import_module("numpy.ma")
+
+
+@dataclass(frozen=True)
+class _Required:
+    """The _SCHEMA entry of a key its block must give.  Its `kind` keys _KINDS;
+    None marks a block, a list of blocks or a name, each checked where read."""
+
+    kind: object = None
+
+
+_REQUIRED, _INT, _NUM, _STR = map(_Required, (None, int, float, str))
+
+
+def _of(kind):
+    """A test for instances of `kind`; a bool is no number."""
+    return lambda v: isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
+
+
+def _list_of(test, size=None):
+    """A test for lists of `size` entries, or of at least one, that pass `test`."""
+    return lambda v: (isinstance(v, (list, tuple)) and all(map(test, v))
+                      and (len(v) == size if size else len(v) > 0))
+
+
+_INTEGER, _NUMBER = _of(numbers.Integral), _of(numbers.Real)
+# The test a key's value must pass, and its name, by the key's kind: the type
+# of its _SCHEMA default or its _Required's kind.  Other defaults (None, ())
+# take any value.
+_KINDS = {bool: (_of(bool), "a boolean"), int: (_INTEGER, "an integer"),
+          float: (_NUMBER, "a number"), str: (_of(str), "a string"),
+          "integers": (_list_of(_INTEGER), "a non-empty list of integers"),
+          "numbers": (_list_of(_NUMBER), "a non-empty list of numbers"),
+          "threshold": (lambda v: _NUMBER(v) or _list_of(_NUMBER, 2)(v),
+                        "a number or a [lo, hi] pair of numbers")}
 
 # Every config block, by the name its errors use: each allowed key with its
-# default or _REQUIRED.  A None default marks a key whose absence the code
+# default or a _Required.  A None default marks a key whose absence the code
 # tests for.  _block() checks a block against its entry and fills it in.
 _SCHEMA = {
     "config": {"experiment": _REQUIRED, "params": _REQUIRED, "seed": 0,
                "out_dir": ".", "reps": 1},
-    "verdict entry": {"name": None, "metric": _REQUIRED, "agg": "median",
-                      "op": _REQUIRED, "threshold": _REQUIRED},
+    "verdict entry": {"name": None, "metric": _STR, "agg": "median",
+                      "op": _REQUIRED, "threshold": _Required("threshold")},
     "optimize params": {"problem": _REQUIRED, "method": _REQUIRED,
-                        "schedule": _REQUIRED, "step": _REQUIRED,
-                        "num_steps": _REQUIRED, "fit": _REQUIRED,
+                        "schedule": _REQUIRED, "step": _NUM,
+                        "num_steps": _INT, "fit": _REQUIRED,
                         "record_every": 1, "x0_scale": 2.0, "x0": None,
                         "target_gap": None, "verdicts": ()},
     "problem block": {"name": _REQUIRED, "dim": 2, "mu": 1.0, "a": 1.0,
@@ -76,28 +104,28 @@ _SCHEMA = {
     "schedule block": {"kind": _REQUIRED, "gamma": None, "r": 3.0, "t0": 1.0},
     "fit block": {"model": _REQUIRED, "burn_in": 0.2, "envelope": False,
                   "envelope_blocks": 30, "envelope_spacing": "linear"},
-    "manifold params": {"n": _REQUIRED, "step": _REQUIRED, "gammas": _REQUIRED,
-                        "max_steps": _REQUIRED, "target_gap": _REQUIRED,
+    "manifold params": {"n": _INT, "step": _NUM, "gammas": _Required("numbers"),
+                        "max_steps": _INT, "target_gap": _NUM,
                         "g_scalar": None, "mode": "skew_projection",
                         "c_scale": 1.0, "rattle": None, "verdicts": ()},
-    "rattle block": {"dim": _REQUIRED, "step": _REQUIRED,
-                     "num_steps": _REQUIRED, "gamma": 1.0, "radius": 1.0},
+    "rattle block": {"dim": _INT, "step": _NUM, "num_steps": _INT,
+                     "gamma": 1.0, "radius": 1.0},
     "sample params": {"target": _REQUIRED, "sampler": _REQUIRED,
                       "verdicts": ()},
     "target block": {"name": _REQUIRED, "dim": 1, "ksd_curve": None},
-    "ksd_curve block": {"n_points": _REQUIRED, "sigma": 1.0},
-    "hmc sampler block": {"kind": _REQUIRED, "step": _REQUIRED,
-                          "n_leapfrog": _REQUIRED, "n_draws": _REQUIRED,
+    "ksd_curve block": {"n_points": _Required("integers"), "sigma": 1.0},
+    "hmc sampler block": {"kind": _REQUIRED, "step": _NUM,
+                          "n_leapfrog": _INT, "n_draws": _INT,
                           "jitter": 0.0, "burn_in": 0, "step_grid": None,
                           "grid_draws": 2000, "write_samples": False},
-    "em sampler block": {"kind": _REQUIRED, "dt_grid": _REQUIRED,
-                         "n_steps": _REQUIRED, "burn_in": None, "beta": 1.0},
+    "em sampler block": {"kind": _REQUIRED, "dt_grid": _Required("numbers"),
+                         "n_steps": _INT, "burn_in": None, "beta": 1.0},
     "discrepancy params": {"tasks": _REQUIRED, "verdicts": ()},
-    "sm_ngd task": {"kind": _REQUIRED, "n_samples": _REQUIRED,
-                    "dim": _REQUIRED, "step": 1.0, "n_iter": 50, "sigma": 1.0},
-    "mmd task": {"kind": _REQUIRED, "n": _REQUIRED, "dim": None, "sigma": 1.0,
+    "sm_ngd task": {"kind": _REQUIRED, "n_samples": _INT,
+                    "dim": _INT, "step": 1.0, "n_iter": 50, "sigma": 1.0},
+    "mmd task": {"kind": _REQUIRED, "n": _INT, "dim": None, "sigma": 1.0,
                  "n_outer": 10, "samples_file": None},
-    "ksd task": {"kind": _REQUIRED, "m": _REQUIRED, "dim": None, "sigma": 1.0,
+    "ksd task": {"kind": _REQUIRED, "m": _INT, "dim": None, "sigma": 1.0,
                  "shift": 1.0, "samples_file": None},
 }
 _VARIANTS = {   # blocks in variants: their "kind" names the _SCHEMA entry
@@ -124,15 +152,15 @@ def _block(raw, where):
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = {k for k, v in schema.items() if v is _REQUIRED} - set(raw)
+    missing = {k for k, v in schema.items() if isinstance(v, _Required)} - set(raw)
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
     for key, value in raw.items():
-        if type(schema[key]) not in _KINDS:
-            continue
-        kind, name = _KINDS[type(schema[key])]
-        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-            raise ConfigError(f"{key!r} in {where} must be {name}, got {value!r}")
+        default = schema[key]
+        kind = default.kind if isinstance(default, _Required) else type(default)
+        if kind in _KINDS and not _KINDS[kind][0](value):
+            raise ConfigError(f"{key!r} in {where} must be {_KINDS[kind][1]}, "
+                              f"got {value!r}")
     return {**schema, **raw}
 
 
@@ -171,6 +199,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _choose(_COMMANDS, self.experiment, "experiment")
+        if self.experiment == "manifold":
+            _bind_manifold()   # scipy loads with the config, not in the run
         _block(vars(self), "config")   # the types of seed, out_dir and reps
         self.seed = int(self.seed)
         if self.seed < 0:
@@ -200,12 +230,12 @@ class ExperimentConfig:
 
 
 def _check_verdict(v):
-    """Verdict entry v, after checking its op, aggregate and "in" threshold."""
+    """Verdict entry v, after checking its op, aggregate and threshold."""
     _choose(_OPS, v["op"], "verdict op")
     _choose(_AGGS, v["agg"], "verdict aggregate")
-    thr = v["threshold"]
-    if v["op"] == "in" and not (isinstance(thr, (list, tuple)) and len(thr) == 2):
-        raise ConfigError("'in' verdicts need a [lo, hi] threshold")
+    if (v["op"] == "in") != isinstance(v["threshold"], (list, tuple)):
+        need = "a [lo, hi]" if v["op"] == "in" else "a number"
+        raise ConfigError(f"{v['op']!r} verdicts need {need} threshold")
     return v
 
 
@@ -293,6 +323,7 @@ _SCHEDULES = {
 _TARGETS = {"gaussian": lambda b: standard_gaussian(int(b["dim"])),
             "gaussian_mixture": lambda b: gaussian_mixture_1d(),
             "banana": lambda b: banana()}
+_FIT_MODELS = {"power_law": "exponent", "exponential": "rate"}   # metric names
 
 
 def _envelope(traj, n_blocks, spacing="linear"):
@@ -337,6 +368,8 @@ def cmd_optimize(cfg, p):
     if schedule["kind"] == "constant" and schedule["gamma"] is None:
         raise ConfigError("constant schedule needs 'gamma'")
     sched = _choose(_SCHEDULES, schedule["kind"], "schedule kind")(schedule)
+    _choose(dict.fromkeys(_METHODS), p["method"], "method")
+    rate_key = _choose(_FIT_MODELS, fit["model"], "fit model")
     notes = []
 
     def worker(i, rng):
@@ -367,8 +400,7 @@ def cmd_optimize(cfg, p):
         try:
             slope, r2 = fit_rate(fit_traj, model=fit["model"],
                                  burn_in=float(fit["burn_in"]))
-            key = "exponent" if fit["model"] == "power_law" else "rate"
-            metrics[key] = slope
+            metrics[rate_key] = slope
             metrics["r2"] = r2
         except FitDomainError as exc:
             metrics["fit_failed"] = 1.0
@@ -393,6 +425,7 @@ def cmd_manifold(cfg, p):
     max_steps = int(p["max_steps"])
     target_gap = float(p["target_gap"])
     rattle = None if p["rattle"] is None else _block(p["rattle"], "rattle block")
+    _choose(dict.fromkeys(_LIE_MODES), p["mode"], "lie step mode")
 
     def worker(i, rng):
         c_mat = float(p["c_scale"]) * rng.standard_normal((n, n))
@@ -622,6 +655,26 @@ def cmd_discrepancy(cfg, p):
         return metrics
 
     return worker, [], []
+
+
+# What cmd_manifold uses of hamkit.manifold, which imports scipy.linalg.  They
+# are bound into this module on first need, a manifold config or a read from
+# outside, and a name already bound (say, a tracer's wrapper) stays bound.
+_MANIFOLD = ("MatrixGroupState", "run_lie_optimizer", "run_rattle_optimizer",
+             "sphere_constraint", "trace_objective", "_LIE_MODES")
+
+
+def _bind_manifold():
+    from . import manifold
+    for name in _MANIFOLD:
+        globals().setdefault(name, getattr(manifold, name))
+
+
+def __getattr__(name):
+    if name not in _MANIFOLD:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_manifold()
+    return globals()[name]
 
 
 # The experiments by name: the CLI's subcommands and the only list of them.

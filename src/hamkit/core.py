@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericOverflowError
 
@@ -110,7 +109,9 @@ class KineticMetric:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError as exc:
             raise DomainError("metric is not positive definite") from exc
-        g_inv = scipy.linalg.cho_solve((chol, True), np.eye(g.shape[0]))
+        # inv(L)^T inv(L) gives cho_solve's bits when L is diagonal
+        inv_chol = np.linalg.inv(chol)
+        g_inv = inv_chol.T @ inv_chol
         g_inv = 0.5 * (g_inv + g_inv.T)
         defect = np.max(np.abs(g @ g_inv - np.eye(g.shape[0])))
         if defect > 1e-10:

@@ -6,7 +6,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .core import _as_samples, _central_diffs, _rows
 from .errors import (
@@ -458,7 +457,8 @@ def information_tensor(kind, model, n_mc, rng, kernel=None):
 
 
 def natural_gradient_step(theta, grad, g, step, ridge=None):
-    """theta - step * (G + ridge I)^{-1} grad, solved by factorisation.
+    """theta - step * (G + ridge I)^{-1} grad, through its Cholesky factor L
+    as inv(L)^T (inv(L) grad).
 
     Default ridge: 1e-8 * trace(G) / dim.
     """
@@ -472,13 +472,15 @@ def natural_gradient_step(theta, grad, g, step, ridge=None):
         ridge = 1e-8 * float(np.trace(g)) / p
     if ridge < 0:
         raise DomainError("ridge must be >= 0")
+    tensor = g + ridge * np.eye(p)
+    if not (np.isfinite(tensor).all() and np.isfinite(grad).all()):
+        raise DomainError("natural gradient step needs a finite tensor and gradient")
     try:
-        factor = scipy.linalg.cho_factor(g + ridge * np.eye(p))
-        direction = scipy.linalg.cho_solve(factor, grad)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        inv_chol = np.linalg.inv(np.linalg.cholesky(tensor))
+    except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             "singular information tensor; increase the ridge") from exc
-    return theta - step * direction
+    return theta - step * (inv_chol.T @ (inv_chol @ grad))
 
 
 def sm_ngd_fit(x_samples, model, rng, n_iter=50, step=1.0, tol=1e-10, n_mc=200,

@@ -32,6 +32,7 @@ __all__ = [
 
 ORTHO_TOL = 1e-8
 SKEW_TOL = 1e-10
+_LIE_MODES = ("skew_projection", "paper_literal")
 
 
 def skew_part(m):
@@ -104,7 +105,7 @@ def trace_objective(C):
 
 def _lie_step(Q, P, force, t_k, dt, g_scalar, sched, prob, mode):
     """`lie_group_step` on raw arrays; see `_conformal_step`."""
-    if mode not in ("skew_projection", "paper_literal"):
+    if mode not in _LIE_MODES:
         raise DomainError(f"unknown lie step mode {mode!r}")
     if not g_scalar > 0:
         raise DomainError("g_scalar must be positive")

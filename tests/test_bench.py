@@ -564,6 +564,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}' in {named} must be" in err, err
 
+    @pytest.mark.parametrize("path, key, value, named", [
+        (("params",), "num_steps", 2.7, "'num_steps' in optimize params must "
+         "be an integer, got 2.7"),
+        (("params",), "step", "abc", "'step' in optimize params must be a "
+         "number, got 'abc'"),
+        (("params", "verdicts", 1), "threshold", "1", "'threshold' in verdict "
+         "entry must be a number or a [lo, hi] pair of numbers, got '1'"),
+        (("params", "verdicts", 1), "threshold", [0.0, 1.0],
+         "'>=' verdicts need a number threshold"),
+    ])
+    def test_required_values_are_checked_at_load(self, tmp_path, capsys, path,
+                                                 key, value, named):
+        raw = {"experiment": "optimize", "params": base_optimize_params(),
+               "out_dir": str(tmp_path / "out")}
+        block = raw
+        for part in path:
+            block = block[part]
+        block[key] = value
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig.parse(json.dumps(raw))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert cli_main(["optimize", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_overrides(self, tmp_path):
         path = self.write_config(tmp_path, base_optimize_params(), seed=1)
         out2 = str(tmp_path / "alt")
@@ -660,7 +687,7 @@ def test_schema_block_contract(tmp_path, where):
     family = [f for f, kinds in bench._VARIANTS.items()
               if where in kinds.values()]
     required = [k for k, v in bench._SCHEMA[where].items()
-                if v is bench._REQUIRED]
+                if isinstance(v, bench._Required)]
     for key in required:
         raw, block = config_and_block()
         del block[key]
@@ -678,15 +705,22 @@ def test_schema_block_contract(tmp_path, where):
     assert report.per_rep
 
 
-# A wrong kind of value for each kind of _SCHEMA default; a float default
-# also takes an integer, and no number default takes a bool.
+# A wrong kind of value for each kind of _SCHEMA entry (the type of a default,
+# or a required key's declared kind); a float also takes an integer, and no
+# number takes a bool.
 WRONG_KINDS = {bool: [1, "true"], int: [True, 2.5, "2"], float: [True, "1"],
-               str: [1, True]}
+               str: [1, True], "integers": [3, [], [2.5], ["2"], [True]],
+               "numbers": [1.0, [], ["1"], [True], "1"],
+               "threshold": ["1", True, [1.0], [1.0, 2.0, 3.0], [1.0, "2"]]}
+
+
+def kind(entry):
+    return entry.kind if isinstance(entry, bench._Required) else type(entry)
 
 
 def typed_keys(where):
     return {k: v for k, v in bench._SCHEMA[where].items()
-            if type(v) in WRONG_KINDS}
+            if kind(v) in WRONG_KINDS}
 
 
 @pytest.mark.parametrize("where", [w for w in sorted(bench._SCHEMA)
@@ -694,7 +728,7 @@ def typed_keys(where):
 def test_schema_values_of_the_wrong_kind(tmp_path, where):
     name, path = SCHEMA_BLOCKS[where]
     for key, default in typed_keys(where).items():
-        for value in WRONG_KINDS[type(default)]:
+        for value in WRONG_KINDS[kind(default)]:
             raw = schema_configs(tmp_path)[name]
             block = raw
             for part in path:
@@ -722,3 +756,25 @@ def test_unknown_name_lists_the_choices(tmp_path, name, path, what, choices):
     with pytest.raises(ConfigError, match=re.escape(
             f"unknown {what} 'nonesuch'; choose from {choices}")):
         run_raw(raw)
+
+
+@pytest.mark.parametrize("name, path, what, choices", [
+    ("optimize", ("params", "method"), "method",
+     ["dissipative_leapfrog", "gradient_flow"]),
+    ("optimize", ("params", "fit", "model"), "fit model",
+     ["exponential", "power_law"]),
+    ("manifold", ("params", "mode"), "lie step mode",
+     ["paper_literal", "skew_projection"]),
+])
+def test_library_names_are_checked_before_the_reps(tmp_path, name, path,
+                                                   what, choices):
+    # these names used to reach the library inside rep 0, after its run
+    raw = schema_configs(tmp_path)[name]
+    block = raw
+    for part in path[:-1]:
+        block = block[part]
+    block[path[-1]] = "nonesuch"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"unknown {what} 'nonesuch'; choose from {choices}")):
+        run_raw(raw)
+    assert not os.path.exists(raw["out_dir"])   # no rep ran, no CSV written

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
 
 from hamkit import (
@@ -22,7 +23,7 @@ from hamkit import (
     stein_kernel,
 )
 from hamkit.discrepancies import ScoreModel, TranslationGenerator, stein_gram
-from hamkit.errors import CapabilityError, ConditioningError
+from hamkit.errors import CapabilityError, ConditioningError, DomainError
 
 
 class TestKernelSpec:
@@ -519,6 +520,42 @@ class TestNaturalGradient:
         with pytest.raises(ConditioningError):
             natural_gradient_step(np.zeros(2), np.ones(2),
                                   np.zeros((2, 2)), 1.0, ridge=0.0)
+
+    @given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           scaled_identity=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_diagonal_tensor_step_is_cho_solve_bit_for_bit(self, d, seed,
+                                                          scaled_identity):
+        # GaussianLocationModel's tensor is diagonal; its fits keep their bits
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            scales = np.exp(rng.uniform(-14.0, 14.0, 1 if scaled_identity else d))
+            g = np.diag(np.broadcast_to(scales, d))
+            theta, grad = rng.standard_normal((2, d)) * 100.0
+            ridge = 1e-8 * float(np.trace(g)) / d   # the default ridge
+            expected = theta - 0.7 * cho_solve(cho_factor(g + ridge * np.eye(d)), grad)
+            assert np.array_equal(natural_gradient_step(theta, grad, g, 0.7), expected)
+
+    @given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           shift=st.floats(0.05, 1.0))
+    @settings(max_examples=120, deadline=None)
+    def test_step_matches_cho_solve(self, d, seed, shift):
+        # a general SPD tensor (condition number below about 100): within
+        # 1e-13 relative; 20,000 draws of this family differed by <= 4.7e-15
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d))
+        g = a @ a.T / d + shift * np.eye(d)
+        grad = rng.standard_normal(d)
+        expected = cho_solve(cho_factor(g), grad)
+        got = -natural_gradient_step(np.zeros(d), grad, g, 1.0, ridge=0.0)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("g, grad", [
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.inf, 1.0])])
+    def test_non_finite_input(self, g, grad):
+        with pytest.raises(DomainError, match="finite"):
+            natural_gradient_step(np.zeros(2), grad, g, 1.0)
 
     def test_sm_ngd_recovers_sample_mean(self):
         rng = RngStream(17)

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used,
 finiteness checks use one idiom, config defaults live in one table, one
-driver builds every report, and the package exports every public name.
+driver builds every report, the package exports every public name, and
+only the manifold module imports scipy.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -135,3 +136,18 @@ def test_package_exports_every_public_name():
         for module in ("core", "integrators", "manifold", "samplers",
                        "discrepancies")}
     assert not any(missing.values()), f"not exported by hamkit: {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_manifold_imports_scipy(path):
+    # scipy.linalg costs more than half of `import hamkit.cli`; only the
+    # Lie-group and RATTLE code needs it (expm, LAPACK Cholesky), and the
+    # package loads hamkit.manifold only when something asks for it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [alias.name for node in tree.body if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module]
+    scipy = [m for m in modules if m.split(".")[0] == "scipy"]
+    assert path.name == "manifold.py" or not scipy, (
+        f"{path.name} imports {scipy} at module level")

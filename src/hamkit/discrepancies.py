@@ -161,11 +161,28 @@ def median_heuristic(samples):
     return float(np.median(_sq_dists(x_arr, x_arr)[iu]))
 
 
+_TILE_ROWS = 64   # Gram rows built at a time by _tile_sums
+
+
+def _tile_sums(n, tile):
+    """Row sums and main diagonal of an n-row matrix, built by tile(rows)
+    one slice of _TILE_ROWS rows at a time, so at most _TILE_ROWS rows are
+    held.  The diagonal is as long as the matrix's shorter side."""
+    sums, diags = [], []
+    for lo in range(0, n, _TILE_ROWS):
+        block = tile(slice(lo, lo + _TILE_ROWS))
+        sums.append(block.sum(axis=1))
+        diags.append(block.diagonal(lo).copy())   # a view would keep block
+    return np.concatenate(sums), np.concatenate(diags)
+
+
 def mmd_squared(x_samples, y_samples, kernel, mode="v"):
     """Squared maximum mean discrepancy between two sample sets.
 
     mode='v': biased V-statistic (includes diagonal terms, always >= 0).
     mode='u': unbiased U-statistic (diagonal excluded in same-set sums).
+    Each Gram is reduced in row tiles (_tile_sums), holding O(64 n) entries;
+    KernelSpec.gram gives the full matrices.
     """
     if mode not in ("v", "u"):
         raise DomainError(f"unknown MMD mode {mode!r}")
@@ -175,15 +192,17 @@ def mmd_squared(x_samples, y_samples, kernel, mode="v"):
         raise DomainError("both sample sets must be non-empty")
     if mode == "u" and (n < 2 or m < 2):
         raise DomainError("U-statistic MMD needs >= 2 points per set")
-    kxx = kernel.gram(x_arr, x_arr)
-    kyy = kernel.gram(y_arr, y_arr)
-    kxy = kernel.gram(x_arr, y_arr)
-    if mode == "v":
-        val = kxx.mean() + kyy.mean() - 2.0 * kxy.mean()
-        return max(float(val), 0.0)  # clips roundoff-level negatives
-    sxx = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
-    syy = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
-    return float(sxx + syy - 2.0 * kxy.mean())
+
+    def mean(a, b, distinct=False):
+        """Mean of k(a_i, b_j) over all pairs, or over pairs with i != j."""
+        sums, diag = _tile_sums(a.shape[0], lambda rows: kernel.gram(a[rows], b))
+        if distinct:
+            return (sums - diag).sum() / (a.shape[0] * (a.shape[0] - 1))
+        return sums.sum() / (a.shape[0] * b.shape[0])
+
+    u = mode == "u"
+    val = mean(x_arr, x_arr, u) + mean(y_arr, y_arr, u) - 2.0 * mean(x_arr, y_arr)
+    return float(val) if u else max(float(val), 0.0)  # clips roundoff negatives
 
 
 def _stein_matrix(x_arr, y_arr, sx, sy, kernel):
@@ -249,19 +268,23 @@ def ksd_u_statistic(x_samples, score, kernel, with_stderr=False):
     May be negative (it is unbiased for zero at the target).  With
     with_stderr=True also returns the asymptotic standard error computed
     from the per-point conditional means (valid off the target, where the
-    U-statistic is non-degenerate).
+    U-statistic is non-degenerate).  The scores are taken once, and a
+    non-finite one raises before any kernel entry is built; the Stein Gram
+    is then reduced in row tiles (_tile_sums), holding O(64 m) entries.
+    stein_gram gives the full matrix.
     """
     x_arr = _as_samples(x_samples)
     m = x_arr.shape[0]
     if m < 2:
         raise DomainError("KSD U-statistic needs m >= 2")
-    gram = stein_gram(x_arr, score, kernel)
-    total = gram.sum() - np.trace(gram)
-    value = float(total / (m * (m - 1)))
+    s = _scores(score, x_arr)
+    sums, diag = _tile_sums(m, lambda rows: _stein_matrix(
+        x_arr[rows], x_arr, s[rows], s, kernel))
+    h = sums - diag
+    value = float(h.sum() / (m * (m - 1)))
     if not with_stderr:
         return value
-    h = (gram.sum(axis=1) - np.diag(gram)) / (m - 1)
-    var = 4.0 * np.var(h, ddof=1) / m
+    var = 4.0 * np.var(h / (m - 1), ddof=1) / m
     return value, float(math.sqrt(max(var, 0.0)))
 
 

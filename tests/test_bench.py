@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -715,7 +716,7 @@ WRONG_KINDS = {bool: [1, "true"], int: [True, 2.5, "2"], float: [True, "1"],
 
 
 def kind(entry):
-    return entry.kind if isinstance(entry, bench._Required) else type(entry)
+    return getattr(entry, "kind", type(entry))   # _Required, _Optional
 
 
 def typed_keys(where):
@@ -778,3 +779,49 @@ def test_library_names_are_checked_before_the_reps(tmp_path, name, path,
             f"unknown {what} 'nonesuch'; choose from {choices}")):
         run_raw(raw)
     assert not os.path.exists(raw["out_dir"])   # no rep ran, no CSV written
+
+
+# An optional key (an _Optional entry) is None when left out or given as null,
+# and otherwise must be of its kind.  Params-level and verdict keys fail when
+# the config loads, block keys when the command checks its blocks; either way
+# before the first rep runs or its output directory is made.
+@pytest.mark.parametrize("name, path, key, value, named", [
+    ("sample_hmc", ("params", "sampler"), "step_grid", ["a"],
+     "'step_grid' in hmc sampler block must be a non-empty list of numbers"),
+    ("optimize", ("params",), "x0", ["1", "2"],
+     "'x0' in optimize params must be a non-empty list of numbers"),
+    ("optimize", ("params",), "target_gap", "1e-6",
+     "'target_gap' in optimize params must be a number"),
+    ("manifold", ("params",), "g_scalar", [0.05],
+     "'g_scalar' in manifold params must be a number"),
+    ("optimize", ("params", "schedule"), "gamma", "1",
+     "'gamma' in schedule block must be a number"),
+    ("sample_em", ("params", "sampler"), "burn_in", 2.5,
+     "'burn_in' in em sampler block must be an integer"),
+    ("discrepancy", ("params", "tasks", 1), "dim", "2",
+     "'dim' in mmd task must be an integer"),
+    ("discrepancy", ("params", "tasks", 2), "dim", 2.0,
+     "'dim' in ksd task must be an integer"),
+    ("discrepancy", ("params", "tasks", 1), "samples_file", 3,
+     "'samples_file' in mmd task must be a string"),
+    ("optimize", ("params", "verdicts", 0), "name", 5,
+     "'name' in verdict entry must be a string"),
+])
+def test_optional_values_are_checked_before_the_run(tmp_path, capsys, name,
+                                                    path, key, value, named):
+    raw = schema_configs(tmp_path)[name]
+    block = raw
+    for part in path:
+        block = block[part]
+    block[key] = None   # null is the default
+    run_raw(raw)
+    shutil.rmtree(tmp_path / "out")
+    block[key] = value
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        run_raw(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert cli_main([raw["experiment"], "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err, err
+    assert not (tmp_path / "out").exists()

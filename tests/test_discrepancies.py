@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from hamkit import (
     sm_ngd_fit,
     stein_kernel,
 )
-from hamkit.discrepancies import ScoreModel, TranslationGenerator, stein_gram
+from hamkit.discrepancies import (
+    _TILE_ROWS,
+    ScoreModel,
+    TranslationGenerator,
+    _tile_sums,
+    stein_gram,
+)
 from hamkit.errors import CapabilityError, ConditioningError, DomainError
 
 
@@ -279,6 +286,99 @@ class TestKsd:
         with pytest.raises(DomainError):
             ksd_u_statistic(np.array([[1.0]]), lambda z: -z,
                             KernelSpec.gaussian(1.0))
+
+
+# Sample sizes from two points to three row tiles and one past, so that
+# hypothesis meets the tile boundaries.
+TILED_SIZES = st.integers(2, 3 * _TILE_ROWS + 1)
+
+
+def draw_points(seed, *sizes):
+    """Standard normal arrays of the given shapes, from one seed."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(size) for size in sizes]
+
+
+class TestTiledReductions:
+    """The KSD and MMD estimators reduce their Grams in row tiles; they must
+    agree with the formulas on the full Gram (KernelSpec.gram, stein_gram).
+    Summing row sums is not numpy's flat pairwise sum, and BLAS may pick
+    another kernel for a tile than for the full product, so the two agree to
+    1e-13 of the largest |Gram entry|, not bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(TILED_SIZES, TILED_SIZES, st.integers(0, 2 ** 32 - 1))
+    def test_tile_sums_are_row_sums_and_diagonal(self, n, cols, seed):
+        (mat,) = draw_points(seed, (n, cols))
+        sums, diag = _tile_sums(n, lambda rows: mat[rows])
+        assert np.array_equal(sums, mat.sum(axis=1))
+        assert np.array_equal(diag, np.diagonal(mat))
+
+    @settings(max_examples=40, deadline=None)
+    @given(TILED_SIZES, st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(KERNELS))
+    def test_ksd_matches_full_gram(self, m, d, seed, kernel):
+        (x,) = draw_points(seed, (m, d))
+        gram = stein_gram(x, shifted_score, kernel)
+        tol = 1e-13 * np.abs(gram).max()
+        h = (gram.sum(axis=1) - np.diag(gram)) / (m - 1)
+        value, se = ksd_u_statistic(x, shifted_score, kernel, with_stderr=True)
+        assert abs(value - (gram.sum() - np.trace(gram)) / (m * (m - 1))) <= tol
+        assert abs(se - math.sqrt(4.0 * np.var(h, ddof=1) / m)) <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(TILED_SIZES, TILED_SIZES, st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from(KERNELS))
+    def test_mmd_matches_full_gram(self, n, m, d, seed, kernel):
+        x, y = draw_points(seed, (n, d), (m, d))
+        y += 0.3
+        kxx, kyy, kxy = kernel.gram(x, x), kernel.gram(y, y), kernel.gram(x, y)
+        tol = 1e-13 * max(np.abs(k).max() for k in (kxx, kyy, kxy))
+        u = ((kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+             + (kyy.sum() - np.trace(kyy)) / (m * (m - 1)) - 2.0 * kxy.mean())
+        v = kxx.mean() + kyy.mean() - 2.0 * kxy.mean()
+        assert abs(mmd_squared(x, y, kernel, "u") - u) <= tol
+        assert abs(mmd_squared(x, y, kernel, "v") - max(v, 0.0)) <= tol
+
+    @settings(max_examples=20, deadline=None)
+    @given(TILED_SIZES, st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(KERNELS))
+    def test_mmd_vstat_of_a_copy_is_zero(self, n, d, seed, kernel):
+        (x,) = draw_points(seed, (n, d))
+        assert mmd_squared(x, x.copy(), kernel, "v") == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(TILED_SIZES, st.integers(1, 6), st.data())
+    def test_nan_score_raises_before_any_tile(self, m, d, data):
+        bad = data.draw(st.integers(0, m - 1))
+        x = np.zeros((m, d))
+        x[bad] = 1.0
+        score = lambda z: np.where(z > 0.5, np.nan, -z)  # noqa: E731
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(KernelSpec, "_profile", lambda *a: pytest.fail(
+                "a kernel tile was built"))
+            with pytest.raises(DomainError):
+                ksd_u_statistic(x, score, KernelSpec.gaussian(1.0))
+
+
+@pytest.mark.parametrize("estimator, n", [("ksd", 1200), ("mmd", 1000)])
+def test_estimators_peak_below_one_full_gram(estimator, n):
+    """Memory guard: the tiled estimators hold O(64 n) entries, so the
+    traced peak of a call stays below one n x n float64 array (11.5 MB for
+    KSD at m = 1200, d = 10; 8 MB for MMD at n = m = 1000)."""
+    x, y = draw_points(0, (n, 10), (n, 10))
+    if estimator == "ksd":
+        call = lambda: ksd_u_statistic(  # noqa: E731
+            x, shifted_score, KernelSpec.gaussian(1.0), with_stderr=True)
+    else:
+        call = lambda: mmd_squared(x, y, KernelSpec.gaussian(3.0), "u")  # noqa: E731
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8, f"{estimator} peaked at {peak / 1e6:.1f} MB"
 
 
 class TestSmEstimate:

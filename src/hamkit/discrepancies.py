@@ -157,23 +157,36 @@ def median_heuristic(samples):
     # Decided on the points: rounding leaves r2 of equal rows near, not at, 0.
     if np.all(x_arr == x_arr[0]):
         raise DegenerateSampleError("all points identical; bandwidth undefined")
-    iu = np.triu_indices(x_arr.shape[0], k=1)
-    return float(np.median(_sq_dists(x_arr, x_arr)[iu]))
+    upper = np.triu(np.ones((x_arr.shape[0],) * 2, bool), 1)
+    return float(np.median(_sq_dists(x_arr, x_arr)[upper]))
 
 
-_TILE_ROWS = 64   # Gram rows built at a time by _tile_sums
+_TILE_ROWS = 64   # Gram rows built at a time by _row_tiles
 
 
-def _tile_sums(n, tile):
-    """Row sums and main diagonal of an n-row matrix, built by tile(rows)
-    one slice of _TILE_ROWS rows at a time, so at most _TILE_ROWS rows are
-    held.  The diagonal is as long as the matrix's shorter side."""
-    sums, diags = [], []
+def _row_tiles(n, tile, symmetric):
+    """(lo, hi, tile(rows, cols)) for each slice of _TILE_ROWS rows of an
+    n-row matrix.  cols is every column, or for a symmetric matrix the
+    columns from lo on: the diagonal block and the upper triangle."""
     for lo in range(0, n, _TILE_ROWS):
-        block = tile(slice(lo, lo + _TILE_ROWS))
-        sums.append(block.sum(axis=1))
-        diags.append(block.diagonal(lo).copy())   # a view would keep block
-    return np.concatenate(sums), np.concatenate(diags)
+        hi = min(lo + _TILE_ROWS, n)
+        yield lo, hi, tile(slice(lo, hi), slice(lo if symmetric else 0, None))
+
+
+def _tile_sums(n, tile, symmetric=False):
+    """Row sums and main diagonal of an n-row matrix from _row_tiles, so at
+    most _TILE_ROWS rows are held.  The diagonal is as long as the matrix's
+    shorter side.  A symmetric tile builds only H[lo:hi, lo:]; the column
+    sums of its part right of the diagonal block stand in for the lower
+    triangle's rows hi:, so each pair is built once."""
+    sums, diags = np.zeros(n), []
+    for lo, hi, block in _row_tiles(n, tile, symmetric):
+        sums[lo:hi] += block.sum(axis=1)
+        if symmetric:
+            sums[hi:] += block[:, hi - lo:].sum(axis=0)
+        # a view would keep block
+        diags.append(block.diagonal(0 if symmetric else lo).copy())
+    return sums, np.concatenate(diags)
 
 
 def mmd_squared(x_samples, y_samples, kernel, mode="v"):
@@ -181,8 +194,8 @@ def mmd_squared(x_samples, y_samples, kernel, mode="v"):
 
     mode='v': biased V-statistic (includes diagonal terms, always >= 0).
     mode='u': unbiased U-statistic (diagonal excluded in same-set sums).
-    Each Gram is reduced in row tiles (_tile_sums), holding O(64 n) entries;
-    KernelSpec.gram gives the full matrices.
+    Each Gram is reduced in full-width row tiles (_tile_sums), holding
+    O(64 n) entries; KernelSpec.gram gives the full matrices.
     """
     if mode not in ("v", "u"):
         raise DomainError(f"unknown MMD mode {mode!r}")
@@ -195,7 +208,8 @@ def mmd_squared(x_samples, y_samples, kernel, mode="v"):
 
     def mean(a, b, distinct=False):
         """Mean of k(a_i, b_j) over all pairs, or over pairs with i != j."""
-        sums, diag = _tile_sums(a.shape[0], lambda rows: kernel.gram(a[rows], b))
+        sums, diag = _tile_sums(a.shape[0], lambda rows, cols: kernel.gram(
+            a[rows], b[cols]))
         if distinct:
             return (sums - diag).sum() / (a.shape[0] * (a.shape[0] - 1))
         return sums.sum() / (a.shape[0] * b.shape[0])
@@ -210,14 +224,13 @@ def _stein_matrix(x_arr, y_arr, sx, sy, kernel):
 
     With k = phi(r2), tr d_x d_y k plus the two score terms is
     -2 phi' (d + (s_x - s_y).(x - y)) - 4 r2 phi'', and the last term is
-    phi s_x.s_y.  Updates run in place to hold few (n, m) temporaries.
+    phi s_x.s_y, with (s_x - s_y).(x - y) = s_x.x + s_y.y - (s_x.y + x.s_y).
+    Updates run in place to hold few (n, m) temporaries.
     """
     r2 = _sq_dists(x_arr, y_arr)
     phi, dphi, d2phi = kernel._profile(r2)
-    # (s_x - s_y).(x - y) = s_x.x + s_y.y - (s_x.y + x.s_y); for a same-set
-    # Gram the bracket is S X^T plus its transpose, so exactly symmetric.
     cross = sx @ y_arr.T
-    cross = cross + (cross.T if y_arr is x_arr else x_arr @ sy.T)
+    cross += x_arr @ sy.T
     out = (np.einsum("ij,ij->i", sx, x_arr)[:, None]
            + np.einsum("ij,ij->i", sy, y_arr)[None, :])
     out -= cross
@@ -255,11 +268,29 @@ def stein_kernel(x, y, score, kernel):
                                _scores(score, y_arr), kernel)[0, 0])
 
 
+def _stein_tile(x_arr, s, kernel):
+    """tile(rows, cols) for _row_tiles: a block of x_arr's Stein Gram."""
+    return lambda rows, cols: _stein_matrix(x_arr[rows], x_arr[cols], s[rows],
+                                            s[cols], kernel)
+
+
 def stein_gram(x_samples, score, kernel):
-    """Full m x m Stein-kernel Gram matrix; a non-finite score raises."""
+    """Full m x m Stein-kernel Gram matrix; a non-finite score raises.
+
+    Built from upper-triangle row tiles (_row_tiles), each pair once.  A
+    tile's part right of its diagonal block D is copied, transposed, to the
+    lower triangle, and D becomes triu(D) + triu(D, 1)^T: exactly symmetric.
+    """
     x_arr = _as_samples(x_samples)
-    scores = _scores(score, x_arr)
-    return _stein_matrix(x_arr, x_arr, scores, scores, kernel)
+    m = x_arr.shape[0]
+    out = np.empty((m, m))
+    for lo, hi, block in _row_tiles(m, _stein_tile(
+            x_arr, _scores(score, x_arr), kernel), symmetric=True):
+        diag, right = block[:, :hi - lo], block[:, hi - lo:]
+        out[lo:hi, lo:hi] = np.triu(diag) + np.triu(diag, 1).T
+        out[lo:hi, hi:] = right
+        out[hi:, lo:hi] = right.T
+    return out
 
 
 def ksd_u_statistic(x_samples, score, kernel, with_stderr=False):
@@ -269,17 +300,17 @@ def ksd_u_statistic(x_samples, score, kernel, with_stderr=False):
     with_stderr=True also returns the asymptotic standard error computed
     from the per-point conditional means (valid off the target, where the
     U-statistic is non-degenerate).  The scores are taken once, and a
-    non-finite one raises before any kernel entry is built; the Stein Gram
-    is then reduced in row tiles (_tile_sums), holding O(64 m) entries.
-    stein_gram gives the full matrix.
+    non-finite one raises before any kernel entry is built.  The Gram is
+    symmetric, so it is reduced in upper-triangle row tiles (_tile_sums):
+    each pair is built once, about m (m + 64) / 2 entries, and O(64 m) are
+    held.  stein_gram gives the full matrix.
     """
     x_arr = _as_samples(x_samples)
     m = x_arr.shape[0]
     if m < 2:
         raise DomainError("KSD U-statistic needs m >= 2")
     s = _scores(score, x_arr)
-    sums, diag = _tile_sums(m, lambda rows: _stein_matrix(
-        x_arr[rows], x_arr, s[rows], s, kernel))
+    sums, diag = _tile_sums(m, _stein_tile(x_arr, s, kernel), symmetric=True)
     h = sums - diag
     value = float(h.sum() / (m * (m - 1)))
     if not with_stderr:

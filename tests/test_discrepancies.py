@@ -23,10 +23,13 @@ from hamkit import (
     sm_ngd_fit,
     stein_kernel,
 )
+from hamkit import discrepancies
 from hamkit.discrepancies import (
     _TILE_ROWS,
     ScoreModel,
     TranslationGenerator,
+    _scores,
+    _stein_matrix,
     _tile_sums,
     stein_gram,
 )
@@ -310,9 +313,55 @@ class TestTiledReductions:
     @given(TILED_SIZES, TILED_SIZES, st.integers(0, 2 ** 32 - 1))
     def test_tile_sums_are_row_sums_and_diagonal(self, n, cols, seed):
         (mat,) = draw_points(seed, (n, cols))
-        sums, diag = _tile_sums(n, lambda rows: mat[rows])
+        sums, diag = _tile_sums(n, lambda rows, cols: mat[rows, cols])
         assert np.array_equal(sums, mat.sum(axis=1))
         assert np.array_equal(diag, np.diagonal(mat))
+
+    @settings(max_examples=30, deadline=None)
+    @given(TILED_SIZES, st.integers(0, 2 ** 32 - 1))
+    def test_symmetric_tile_sums_build_the_upper_triangle(self, n, seed):
+        (half,) = draw_points(seed, (n, n))
+        mat = half + half.T
+        built = np.zeros((n, n), bool)
+
+        def tile(rows, cols):
+            built[rows, cols] = True
+            return mat[rows, cols]
+
+        sums, diag = _tile_sums(n, tile, symmetric=True)
+        assert np.abs(sums - mat.sum(axis=1)).max() <= (
+            1e-13 * np.abs(mat).max() * n)
+        assert np.array_equal(diag, np.diagonal(mat))
+        # every pair at or above the diagonal, and below it only inside
+        # the diagonal blocks
+        assert built[np.triu_indices(n)].all()
+        rows, cols = np.nonzero(np.tril(built, -1))
+        assert np.array_equal(rows // _TILE_ROWS, cols // _TILE_ROWS)
+
+    def test_ksd_builds_each_pair_once(self, monkeypatch):
+        entries = []
+
+        def counted(x_arr, y_arr, sx, sy, kernel):
+            entries.append(x_arr.shape[0] * y_arr.shape[0])
+            return _stein_matrix(x_arr, y_arr, sx, sy, kernel)
+
+        monkeypatch.setattr(discrepancies, "_stein_matrix", counted)
+        m = 200
+        (x,) = draw_points(1, (m, 3))
+        ksd_u_statistic(x, shifted_score, KernelSpec.gaussian(1.0),
+                        with_stderr=True)
+        assert 0 < sum(entries) <= m * (m + _TILE_ROWS) // 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(TILED_SIZES, st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(KERNELS))
+    def test_stein_gram_matches_one_shot(self, m, d, seed, kernel):
+        (x,) = draw_points(seed, (m, d))
+        s = _scores(shifted_score, x)
+        want = _stein_matrix(x, x.copy(), s, s.copy(), kernel)
+        gram = stein_gram(x, shifted_score, kernel)
+        assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(gram, gram.T)
 
     @settings(max_examples=40, deadline=None)
     @given(TILED_SIZES, st.integers(1, 6), st.integers(0, 2 ** 32 - 1),

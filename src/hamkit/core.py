@@ -95,7 +95,8 @@ class KineticMetric:
     Caches the inverse and the Cholesky factor (g = L L^T); the factor is
     used for Gaussian momentum draws.  Positive-definiteness is certified at
     construction by the factorisation itself.  If g^{-1} and the factor are
-    exact multiples of I, their products are scalings (bit-identical on finite p).
+    exact multiples of I, their products are scalings (bit-identical on finite
+    p), and a scale of exactly 1.0 is skipped: x * 1.0 is x, bit for bit.
     """
 
     def __init__(self, g):
@@ -123,6 +124,7 @@ class KineticMetric:
         self.chol = chol
         scaled = all(np.array_equal(a, a[0, 0] * np.eye(len(a))) for a in (g_inv, chol))
         self._scale = float(g_inv[0, 0]) if scaled else None
+        self._chol_scale = float(chol[0, 0]) if scaled else None
         for a in (self.g, self.g_inv, self.chol):
             a.flags.writeable = False
 
@@ -141,18 +143,27 @@ class KineticMetric:
         return self.g.shape[0]
 
     def inv_mul(self, p):
-        """g^{-1} p."""
-        return self.g_inv @ p if self._scale is None else self._scale * p
+        """g^{-1} p.  For g = I this is p itself, not a copy: do not write
+        into the result."""
+        s = self._scale
+        if s is None:
+            return self.g_inv @ p
+        return p if s == 1.0 else s * p
 
     def quad_inv(self, p):
         """p^T g^{-1} p."""
         s = self._scale
-        return float(p @ self.g_inv @ p if s is None else (s * p) @ p)
+        if s is None:
+            return float(p @ self.g_inv @ p)
+        return float((p if s == 1.0 else s * p) @ p)
 
     def sample_momentum(self, rng):
         """Draw p ~ N(0, g), i.e. velocity g^{-1} p ~ N(0, g^{-1})."""
         z = rng.standard_normal(self.dim)
-        return self.chol @ z if self._scale is None else self.chol[0, 0] * z
+        c = self._chol_scale
+        if c is None:
+            return self.chol @ z
+        return z if c == 1.0 else c * z
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ factor of R_g and the residual that ended the Newton solve.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .core import PhasePoint, Problem
+from .core import PhasePoint, Problem, _all_finite
 from .errors import ConstraintSolveError, DomainError, GeometryError
 from .integrators import _conformal_step, _run_steps
 
@@ -68,7 +69,9 @@ class MatrixGroupState:
 
 def _group_defect(Q, P):
     """||Q^T Q - I||_F; GeometryError beyond ORTHO_TOL, or P not skew."""
-    defect = float(np.linalg.norm(Q.T @ Q - np.eye(Q.shape[0])))
+    qtq = Q.T @ Q
+    qtq.flat[::Q.shape[0] + 1] -= 1.0   # Q^T Q - I, without forming I
+    defect = float(np.linalg.norm(qtq))
     if defect > ORTHO_TOL:
         raise GeometryError(f"Q is not orthogonal: ||Q^T Q - I||_F = {defect:.3e}")
     skew_defect = np.linalg.norm(P + P.T)
@@ -145,6 +148,11 @@ class ConstraintSet:
         self._jacobian = jacobian
         self.newton_tol = float(newton_tol)
         self.newton_max_iter = int(newton_max_iter)
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise DomainError(f"newton_tol must be finite and > 0, got {newton_tol}")
+        if self.newton_max_iter < 0 or self.newton_max_iter != newton_max_iter:
+            raise DomainError(f"newton_max_iter must be an integer >= 0, "
+                              f"got {newton_max_iter}")
 
     def value(self, q):
         if self.m == 0:
@@ -167,7 +175,7 @@ class ConstraintSet:
 
 
 def _sup_norm(v):  # max |v_i|; 0.0 for the empty residual of no constraints
-    return float(np.max(np.abs(v), initial=0.0))
+    return float(np.abs(v).max(initial=0.0))
 
 
 def sphere_constraint(radius=1.0, **kwargs):
@@ -188,7 +196,7 @@ def _projector(q, g, cons):
     if cons.m == 0:
         return jac, None
     r_g = jac @ g.g_inv @ jac.T
-    if not np.isfinite(r_g).all():
+    if not _all_finite(r_g):
         raise GeometryError("R_g = J g^{-1} J^T is non-finite")
     factor, info = scipy.linalg.lapack.dpotrf(r_g, clean=0)
     if info != 0:
@@ -222,32 +230,36 @@ def _rattle_step(q, p, force, jac, factor, t_k, dt, g, sched, prob, cons):
     """`rattle_step` on raw arrays, given grad f, J and the factor of R_g at q
     (None to evaluate them).  Returns (q, p, grad f, J, factor) at the new
     position, the multipliers and the sup norm of psi(q_{k+1}) that ended the
-    Newton solve."""
+    Newton solve.  The Newton system is formed only when the unconstrained
+    drift leaves the constraint (psi beyond newton_tol); otherwise lambda = 0."""
     lam, residual, q_k = np.zeros(cons.m), 0.0, q
 
     def drift(q, p_half, h, decay):
         nonlocal lam, residual
-        base_q = q + h * g.inv_mul(p_half)
-        # q(lambda) = base_q - kick_mat @ lambda
-        kick_mat = h * (0.5 * dt * decay) * (g.g_inv @ jac.T)
-        newton_mat = jac @ kick_mat   # frozen-Jacobian (quasi-)Newton
-        q_new = base_q
-        for _ in range(cons.newton_max_iter):
-            res = cons.value(q_new)
-            residual = _sup_norm(res)
-            if residual <= cons.newton_tol:
-                return q_new, p_half - 0.5 * dt * decay * (jac.T @ lam)
-            try:
-                dlam = np.linalg.solve(newton_mat, res)
-            except np.linalg.LinAlgError as exc:
-                raise GeometryError("singular Newton system in RATTLE "
-                                    "constraint solve") from exc
-            lam = lam + dlam
-            q_new = base_q - kick_mat @ lam
-        raise ConstraintSolveError(
-            f"Newton iteration did not reach tol {cons.newton_tol} in "
-            f"{cons.newton_max_iter} iterations",
-            residual=_sup_norm(cons.value(q_new)))
+        base_q = q_new = q + h * g.inv_mul(p_half)
+        res = cons.value(q_new)
+        residual = _sup_norm(res)
+        if residual > cons.newton_tol:
+            # q(lambda) = base_q - kick_mat @ lambda
+            kick_mat = h * (0.5 * dt * decay) * (g.g_inv @ jac.T)
+            newton_mat = jac @ kick_mat   # frozen-Jacobian (quasi-)Newton
+            for _ in range(cons.newton_max_iter):
+                try:
+                    dlam = np.linalg.solve(newton_mat, res)
+                except np.linalg.LinAlgError as exc:
+                    raise GeometryError("singular Newton system in RATTLE "
+                                        "constraint solve") from exc
+                lam = lam + dlam
+                q_new = base_q - kick_mat @ lam
+                res = cons.value(q_new)
+                residual = _sup_norm(res)
+                if residual <= cons.newton_tol:
+                    break
+            else:
+                raise ConstraintSolveError(
+                    f"Newton iteration did not reach tol {cons.newton_tol} in "
+                    f"{cons.newton_max_iter} iterations", residual=residual)
+        return q_new, p_half - 0.5 * dt * decay * (jac.T @ lam)
 
     def project(q, p):   # called at q_k, then at the new position
         nonlocal jac, factor

@@ -50,7 +50,12 @@ class RngStream:
         return self._gen.standard_normal(size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
+        """Uniform draws on [low, high).  The unit interval draws through
+        Generator.random: Generator.uniform's low + (high - low) r is r there."""
         self.counter += 1
+        if (isinstance(low, float) and isinstance(high, float)
+                and low == 0.0 and high == 1.0):
+            return self._gen.random(size)
         return self._gen.uniform(low, high, size)
 
     def permutation(self, n):
@@ -113,14 +118,15 @@ def _leapfrog(q, p, grad, prob, g, dt, L):
     Returns (q_L, p_L, grad V(q_L)); raises DivergenceError at the first
     non-finite position or final momentum.
     """
+    inv_mul, grad_v = g.inv_mul, prob.grad
     p = p - 0.5 * dt * grad
     for i in range(L):
-        q = q + dt * g.inv_mul(p)
+        if i:
+            p = p - dt * grad
+        q = q + dt * inv_mul(p)
         if not _all_finite(q):
             raise DivergenceError("leapfrog position diverged", step=i)
-        grad = prob.grad(q)
-        if i < L - 1:
-            p = p - dt * grad
+        grad = grad_v(q)
     p = p - 0.5 * dt * grad
     if not _all_finite(p):
         raise DivergenceError("leapfrog momentum diverged", step=L - 1)

@@ -79,15 +79,35 @@ class TestKineticMetric:
            | st.floats(1e-4, 1e4), d=st.integers(1, 50), data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_scaled_identity_products_equal_dense(self, c, d, data):
-        # a multiple of I multiplies as a scalar, bit for bit the dense result
-        g = KineticMetric.scaled_identity(d, c)
-        assert g._scale is not None
+        # a multiple of I multiplies as a scalar, and I not at all, bit for bit
+        # the dense result; every example also checks g = I
         p = data.draw(hnp.arrays(np.float64, d, elements=st.floats(-1e6, 1e6)))
-        assert np.array_equal(g.inv_mul(p), g.g_inv @ p)
-        assert g.quad_inv(p) == float(p @ g.g_inv @ p)
         seed = data.draw(st.integers(0, 2**32 - 1))
-        assert np.array_equal(g.sample_momentum(np.random.default_rng(seed)),
-                              g.chol @ np.random.default_rng(seed).standard_normal(d))
+        for g in (KineticMetric.scaled_identity(d, c), KineticMetric.identity(d)):
+            assert g._scale is not None
+            assert np.array_equal(g.inv_mul(p), g.g_inv @ p)
+            assert g.quad_inv(p) == float(p @ g.g_inv @ p)
+            assert np.array_equal(g.sample_momentum(np.random.default_rng(seed)),
+                                  g.chol @ np.random.default_rng(seed).standard_normal(d))
+
+    @pytest.mark.parametrize("p", [[-0.0, 0.0, 1.5, -2.0], [np.inf, -np.inf, -0.0, 3.0],
+                                   [np.nan, -0.0, np.inf, 1.0], [-np.nan, 2.0]])
+    def test_unit_metric_products_are_one_times_p_bit_for_bit(self, p):
+        # g = I skips its products: x * 1.0 is x, bit for bit, also for -0,
+        # +-inf and NaN (where a dense product would not be); inv_mul
+        # returns p itself
+        p = np.array(p)
+        g = KineticMetric.identity(p.size)
+
+        def bits(a):
+            return np.asarray(a, float).view(np.uint64)
+
+        assert g.inv_mul(p) is p
+        assert np.array_equal(bits(g.inv_mul(p)), bits(1.0 * p))
+        assert bits(g.quad_inv(p)) == bits(float((1.0 * p) @ p))
+        z = np.random.default_rng(3).standard_normal(p.size)
+        assert np.array_equal(bits(g.sample_momentum(np.random.default_rng(3))),
+                              bits(1.0 * z))
 
     @staticmethod
     def cho_solve_inverse(g):

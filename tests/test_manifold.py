@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 
 from hamkit import (
     ConstraintSet,
+    ConstraintSolveError,
     DampingSchedule,
     GeometryError,
     KineticMetric,
@@ -309,6 +310,80 @@ class TestRattle:
         traj, _ = run_rattle_optimizer(PhasePoint(q0, p0), prob, 0.05, g,
                                        DampingSchedule.constant(0.5), cons, 200)
         assert np.max(traj.extra) <= 10 * cons.newton_tol
+
+    # q = e1 with velocity e2 drifts off the unit sphere; with no force and
+    # no damping, the 7th Newton solve is the first to bring |psi| (1.9e-11)
+    # within the default tolerance of 1e-10
+    NEWTON_CASE = (PhasePoint(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+                   0.0, 0.3, KineticMetric.identity(3), DampingSchedule.zero(),
+                   problems.constant(3))
+
+    def test_newton_accepts_its_last_iterate_within_tol(self):
+        x, *args = self.NEWTON_CASE
+        y, lam = rattle_step(x, *args, sphere_constraint(newton_max_iter=7))
+        y_ref, lam_ref = rattle_step(x, *args, sphere_constraint())
+        assert np.array_equal(y.q, y_ref.q) and np.array_equal(y.p, y_ref.p)
+        assert np.array_equal(lam, lam_ref)
+        assert abs(y.q @ y.q - 1.0) <= 1e-10
+        with pytest.raises(ConstraintSolveError) as exc:
+            rattle_step(x, *args, sphere_constraint(newton_max_iter=6))
+        assert exc.value.residual > 1e-10
+
+    def test_zero_newton_budget_takes_a_feasible_step(self):
+        x, *args = self.NEWTON_CASE
+        at_rest = PhasePoint(x.q, np.zeros(3))
+        y, lam = rattle_step(at_rest, *args, sphere_constraint(newton_max_iter=0))
+        assert np.array_equal(y.q, x.q) and np.array_equal(lam, [0.0])
+        with pytest.raises(ConstraintSolveError):
+            rattle_step(x, *args, sphere_constraint(newton_max_iter=0))
+
+    @pytest.mark.parametrize("kwargs", [{"newton_tol": 0.0}, {"newton_tol": -1e-10},
+                                        {"newton_tol": math.inf},
+                                        {"newton_tol": math.nan},
+                                        {"newton_max_iter": -1},
+                                        {"newton_max_iter": 2.5}])
+    def test_newton_settings_checked(self, kwargs):
+        with pytest.raises(DomainError, match="newton"):
+            sphere_constraint(**kwargs)
+
+    @given(hst.integers(0, 2**32 - 1), hst.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_undamped_sphere_geodesic_is_reversible(self, seed, newton):
+        # RATTLE at gamma = 0 is time-reversible when each Newton solve is
+        # exact.  Solved to |psi| <= tol instead, a step leaves lambda off by
+        # at most tol / (d psi / d lambda) = tol / (2 dt^2) (sphere, g = I),
+        # which moves q by dt^2 times that, tol / 2, and p by dt times it,
+        # tol / (2 dt), i.e. q by tol / 2 over the next step.  Free motion on
+        # the sphere amplifies position errors at most linearly, so 2N steps
+        # end within sum_k (tol / 2)(1 + (2N - k)) <= (2N)^2 tol / 2.  Rounding
+        # (about 10 u per entry and step) adds 2N * 10 u.
+        rng = np.random.default_rng(seed)
+        q0 = rng.standard_normal(3)
+        q0 /= np.linalg.norm(q0)
+        v = rng.standard_normal(3)
+        v -= (v @ q0) * q0
+        # a drift of dt |p| = 1e-6 leaves psi at about (dt |p|)^2 = 1e-12,
+        # inside tol: no Newton system is formed; dt |p| >= 1e-3 needs one
+        dt, speed = (0.05, rng.uniform(0.02, 1.0)) if newton else (1e-3, 1e-3)
+        g, sched, prob = (KineticMetric.identity(3), DampingSchedule.zero(),
+                          problems.constant(3))
+        cons = sphere_constraint()
+        p0 = speed * v / np.linalg.norm(v)
+        x, n, u = PhasePoint(q0, p0), 20, 2.0 ** -53
+        for leg in range(2):
+            for _ in range(n):
+                x, lam = rattle_step(x, 0.0, dt, g, sched, prob, cons)
+                assert np.any(lam != 0.0) == newton
+                # the projection leaves J g^{-1} p at rounding level: about
+                # d + 4 roundings on entries of size |J| |p|
+                jac = cons.jacobian(x.q)
+                bound = 8 * u * np.linalg.norm(jac) * np.linalg.norm(x.p)
+                assert np.max(np.abs(jac @ g.inv_mul(x.p))) <= bound
+            x = x.flip_momentum()
+        bound = (2 * n) ** 2 * cons.newton_tol / 2 + 2 * n * 10 * u
+        assert np.max(np.abs(x.q - q0)) <= bound
+        assert np.max(np.abs(x.p - p0)) <= bound / dt
+
 
 class TestManifoldCsv:
     def test_extra_column_names(self):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamkit import (
     ChainState,
@@ -26,6 +28,7 @@ from hamkit import (
 )
 from hamkit.core import Problem, _all_finite
 from hamkit.integrators import gradient_flow_step
+from hamkit.samplers import _leapfrog
 
 
 class TestRngStream:
@@ -54,6 +57,17 @@ class TestRngStream:
     def test_permutation_is_the_generator_call(self):
         ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
         assert np.array_equal(RngStream(5).permutation(50), ref.permutation(50))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_uniform_is_the_generator_call(self, seed):
+        # the unit interval draws through Generator.random: 0 + 1 r is r
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng = RngStream(seed)
+        assert [rng.uniform() for _ in range(1000)] == \
+            [ref.uniform(0.0, 1.0) for _ in range(1000)]
+        assert np.array_equal(rng.uniform(size=7), ref.uniform(0.0, 1.0, 7))
+        assert rng.uniform(2.0, 5.0) == ref.uniform(2.0, 5.0)
+        assert rng.counter == 1002
 
 
 class TestChainState:
@@ -137,6 +151,116 @@ class TestLeapfrog:
         x = np.asarray(x, float)
         with np.errstate(over="ignore", invalid="ignore"):
             assert _all_finite(x) == np.isfinite(x).all()
+
+
+_U = 2.0 ** -53   # unit roundoff
+
+
+def _banana_hessian(q, curvature=0.5, scale=2.0):
+    """Hessian of V for problems.banana() at its default parameters."""
+    x, c = q[0], curvature
+    shift = q[1] + c * (x * x - scale * scale)
+    return np.array([[1.0 / scale ** 2 + 4.0 * c * c * x * x + 2.0 * c * shift,
+                      2.0 * c * x],
+                     [2.0 * c * x, 1.0]])
+
+
+_FLIGHT_TARGETS = {   # name: (problem, Hessian of V)
+    "banana": (problems.banana(), _banana_hessian),
+    "gaussian": (problems.standard_gaussian(3), lambda q: np.eye(3)),
+}
+
+
+# dt and L where the flights' Lipschitz bound (see `rounding`) stays below
+# about 1e3, so that the rounding bounds stay far below the O(dt^2) errors
+# a wrong leapfrog makes
+_FLIGHTS = dict(target=st.sampled_from(sorted(_FLIGHT_TARGETS)), dense=st.booleans(),
+                seed=st.integers(0, 2**32 - 1), dt=st.floats(0.02, 0.1),
+                L=st.integers(1, 10))
+
+
+class TestLeapfrogGeometry:
+    """The leapfrog flight is reversible and preserves volume, up to rounding
+    and, for its Jacobian, the central-difference truncation."""
+
+    @staticmethod
+    def case(target, dense, seed):
+        prob, hess = _FLIGHT_TARGETS[target]
+        rng = np.random.default_rng(seed)
+        d = prob.dim
+        if dense:   # a random SPD metric with eigenvalues >= 0.5
+            a = rng.standard_normal((d, d))
+            g = KineticMetric(a @ a.T / d + 0.5 * np.eye(d))
+            assert g._scale is None
+        else:
+            g = KineticMetric.identity(d)
+        return prob, hess, g, rng.uniform(-1.5, 1.5, 2 * d)
+
+    @staticmethod
+    def flight(prob, g, dt, L, z):
+        d = z.size // 2
+        q, p, _ = _leapfrog(z[:d], z[d:], prob.grad(z[:d]), prob, g, dt, L)
+        return np.concatenate([q, p])
+
+    def rounding(self, prob, hess, g, dt, L, z):
+        """(bound on the 2-norm of the rounding error of the flight from z,
+        Lipschitz bound of the flight).  A step rounds an entry at most d + 8
+        times (d in g^{-1} p, two in the drift, four in the two half kicks,
+        two in a gradient of a few terms), each time by at most u M, with M
+        bounding |q|, |p_{k+1/2}| <= |p_k| + dt |grad V| and dt |g^{-1} p|
+        along the flight.  Later steps amplify an error at most by the product
+        of the steps' Lipschitz bounds, 1 + dt ||g^{-1}|| for a drift and
+        1 + (dt/2) ||H(q_k)|| for a half kick at q_k."""
+        d = z.size // 2
+        inv_norm = np.linalg.norm(g.g_inv, 2)
+        states = [z] + [self.flight(prob, g, dt, k, z) for k in range(1, L + 1)]
+        m = max((np.linalg.norm(w[:d]) + np.linalg.norm(w[d:])
+                 + dt * np.linalg.norm(prob.grad(w[:d]))) for w in states)
+        m *= 1.0 + dt * inv_norm
+        kicks = [1.0 + 0.5 * dt * np.linalg.norm(hess(w[:d]), 2) for w in states]
+        lip = (1.0 + dt * inv_norm) ** L * np.prod(kicks[:-1]) * np.prod(kicks[1:])
+        return L * math.sqrt(2 * d) * (d + 8) * _U * m * lip, lip
+
+    @given(**_FLIGHTS)
+    @settings(max_examples=40, deadline=None)
+    def test_reversible(self, target, dense, seed, dt, L):
+        prob, hess, g, z = self.case(target, dense, seed)
+        d = prob.dim
+        flip = np.concatenate([np.ones(d), -np.ones(d)])
+        back = flip * self.flight(prob, g, dt, L, flip * self.flight(prob, g, dt, L, z))
+        # each flight errs by at most eps, the first one's error amplified
+        # by the second flight's Lipschitz bound
+        eps, lip = self.rounding(prob, hess, g, dt, L, z)
+        assert np.linalg.norm(back - z) <= eps * (1.0 + lip)
+
+    @given(**_FLIGHTS)
+    @settings(max_examples=40, deadline=None)
+    def test_unit_jacobian(self, target, dense, seed, dt, L):
+        prob, hess, g, z = self.case(target, dense, seed)
+        n, h = z.size, 1e-5
+
+        def jacobian(h):   # central differences, one column per coordinate
+            return np.column_stack([
+                (self.flight(prob, g, dt, L, z + h * e)
+                 - self.flight(prob, g, dt, L, z - h * e)) / (2.0 * h)
+                for e in np.eye(n)])
+
+        jac, jac_half = jacobian(h), jacobian(0.5 * h)
+        # rounding: each flight errs by at most eps and z +- h e_j by u |z|,
+        # which the Jacobian carries into the flight, so a column of
+        # jac_half errs by (eps + u |z| ||J||) / (h / 2) (2-norm).
+        # Truncation: a central difference errs by c h^2 + O(h^4), so jac_half
+        # errs by about (jac - jac_half) / 3.
+        eps, _ = self.rounding(prob, hess, g, dt, L, z)
+        rounding = math.sqrt(n) * 2.0 * (eps + _U * np.abs(z).max()
+                                         * np.linalg.norm(jac_half, 2)) / h
+        err = rounding + np.linalg.norm(jac - jac_half) / 3.0
+        # det(J + E) = det(J) (1 + tr(J^{-1} E) + ...), |tr(J^{-1} E)| <=
+        # ||J^{-1}||_F ||E||_F; twice that covers the higher-order terms
+        # while ||J^{-1}||_F ||E||_F is small, which the first assert checks
+        first_order = np.linalg.norm(np.linalg.inv(jac_half)) * err
+        assert first_order < 0.01
+        assert abs(np.linalg.det(jac_half) - 1.0) <= 2.0 * first_order
 
 
 class TestHmc:

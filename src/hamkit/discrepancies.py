@@ -68,8 +68,9 @@ class KernelSpec:
     def inverse_multiquadric(cls, c=1.0, beta=0.5):
         return cls("inverse_multiquadric", c=c, beta=beta)
 
-    def _profile(self, r2):
-        """(phi, phi', phi'') with k(x, y) = phi(r2), r2 = ||x - y||^2.
+    def _profile(self, r2, derivatives=True):
+        """(phi, phi', phi'') with k(x, y) = phi(r2), r2 = ||x - y||^2, or
+        phi alone when derivatives is false.
 
         Derivatives are taken in r2, so grad_x k = 2 phi' (x - y) and
         d^2 k / (d x_i d y_j) = -2 phi' delta_ij - 4 phi'' (x - y)_i (x - y)_j.
@@ -77,16 +78,21 @@ class KernelSpec:
         if self.family == "gaussian":
             s2 = self.params["sigma"] ** 2
             phi = np.exp(r2 * (-0.5 / s2))
+            if not derivatives:
+                return phi
             return phi, (-0.5 / s2) * phi, (0.25 / s2 ** 2) * phi
         c, beta = self.params["c"], self.params["beta"]
         u = c * c + r2
         phi = u ** (-beta)
+        if not derivatives:
+            return phi
         return phi, -beta * phi / u, beta * (beta + 1.0) * phi / (u * u)
 
     # Gram helpers take X (n, d) and Y (m, d) and build every (n, m) matrix
     # from BLAS squared distances, in O(nm) memory.
     def gram(self, x_arr, y_arr):
-        return self._profile(_sq_dists(_as_samples(x_arr), _as_samples(y_arr)))[0]
+        return self._profile(_sq_dists(_as_samples(x_arr), _as_samples(y_arr)),
+                             derivatives=False)
 
     def grad_x_gram(self, x_arr, y_arr):
         """d k / d x, shape (n, m, d)."""
@@ -102,10 +108,10 @@ class KernelSpec:
         return -2.0 * x_arr.shape[1] * dphi - 4.0 * r2 * d2phi
 
     # Single-pair forms, from the direct difference x - y.
-    def _pair(self, x, y):
+    def _pair(self, x, y, derivatives=True):
         diff = (np.atleast_1d(np.asarray(x, float))
                 - np.atleast_1d(np.asarray(y, float)))
-        return diff, self._profile(float(diff @ diff))
+        return diff, self._profile(float(diff @ diff), derivatives)
 
     def mixed_hessian(self, x, y):
         """Full matrix d^2 k / (d x_i d y_j) at a single pair, shape (d, d)."""
@@ -113,7 +119,7 @@ class KernelSpec:
         return -2.0 * dphi * np.eye(diff.size) - 4.0 * d2phi * np.outer(diff, diff)
 
     def k(self, x, y):
-        return float(self._pair(x, y)[1][0])
+        return float(self._pair(x, y, derivatives=False)[1])
 
     def grad_x(self, x, y):
         return self.grad_x_gram(np.atleast_2d(x), np.atleast_2d(y))[0, 0]
@@ -157,8 +163,16 @@ def median_heuristic(samples):
     # Decided on the points: rounding leaves r2 of equal rows near, not at, 0.
     if np.all(x_arr == x_arr[0]):
         raise DegenerateSampleError("all points identical; bandwidth undefined")
-    upper = np.triu(np.ones((x_arr.shape[0],) * 2, bool), 1)
-    return float(np.median(_sq_dists(x_arr, x_arr)[upper]))
+    # the strict upper triangle of each upper row tile, gathered into one
+    # buffer that the median partitions in place: no n x n array is held
+    n = x_arr.shape[0]
+    upper, end = np.empty(n * (n - 1) // 2), 0
+    for lo, hi, block in _row_tiles(n, lambda rows, cols: _sq_dists(
+            x_arr[rows], x_arr[cols]), symmetric=True):
+        pairs = block[~np.tri(hi - lo, n - lo, dtype=bool)]
+        upper[end:end + pairs.size] = pairs
+        end += pairs.size
+    return float(np.median(upper, overwrite_input=True))
 
 
 _TILE_ROWS = 64   # Gram rows built at a time by _row_tiles
@@ -194,8 +208,12 @@ def mmd_squared(x_samples, y_samples, kernel, mode="v"):
 
     mode='v': biased V-statistic (includes diagonal terms, always >= 0).
     mode='u': unbiased U-statistic (diagonal excluded in same-set sums).
-    Each Gram is reduced in full-width row tiles (_tile_sums), holding
-    O(64 n) entries; KernelSpec.gram gives the full matrices.
+    Each Gram is reduced in row tiles (_tile_sums), holding O(64 n)
+    entries.  The U-statistic's symmetric same-set Grams take upper tiles,
+    each pair built once (about n (n + 64) / 2 entries); the cross Gram and
+    the V-statistic keep full-width tiles, which sum a copy's kxx and kxy
+    rows in one order, so its V-statistic is exactly 0.  KernelSpec.gram
+    gives the full matrices.
     """
     if mode not in ("v", "u"):
         raise DomainError(f"unknown MMD mode {mode!r}")
@@ -207,9 +225,10 @@ def mmd_squared(x_samples, y_samples, kernel, mode="v"):
         raise DomainError("U-statistic MMD needs >= 2 points per set")
 
     def mean(a, b, distinct=False):
-        """Mean of k(a_i, b_j) over all pairs, or over pairs with i != j."""
+        """Mean of k(a_i, b_j) over all pairs, or, for b = a, over pairs
+        with i != j from upper tiles, each pair built once."""
         sums, diag = _tile_sums(a.shape[0], lambda rows, cols: kernel.gram(
-            a[rows], b[cols]))
+            a[rows], b[cols]), symmetric=distinct)
         if distinct:
             return (sums - diag).sum() / (a.shape[0] * (a.shape[0] - 1))
         return sums.sum() / (a.shape[0] * b.shape[0])

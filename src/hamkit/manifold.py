@@ -157,7 +157,11 @@ class ConstraintSet:
     def value(self, q):
         if self.m == 0:
             return np.zeros(0)
-        return np.atleast_1d(np.asarray(self._value(q), float))
+        res = np.atleast_1d(np.asarray(self._value(q), float))
+        if res.shape != (self.m,):
+            raise DomainError(
+                f"constraint value must have shape ({self.m},), got {res.shape}")
+        return res
 
     def jacobian(self, q):
         if self.m == 0:

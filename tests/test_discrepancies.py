@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
@@ -29,6 +29,7 @@ from hamkit.discrepancies import (
     ScoreModel,
     TranslationGenerator,
     _scores,
+    _sq_dists,
     _stein_matrix,
     _tile_sums,
     stein_gram,
@@ -296,6 +297,13 @@ class TestKsd:
 TILED_SIZES = st.integers(2, 3 * _TILE_ROWS + 1)
 
 
+def full_matrix_median(x):
+    """median_heuristic's value from the full n x n squared-distance matrix:
+    the median of its strict upper triangle."""
+    upper = np.triu(np.ones((x.shape[0],) * 2, bool), 1)
+    return float(np.median(_sq_dists(x, x)[upper]))
+
+
 def draw_points(seed, *sizes):
     """Standard normal arrays of the given shapes, from one seed."""
     rng = np.random.default_rng(seed)
@@ -337,6 +345,32 @@ class TestTiledReductions:
         assert built[np.triu_indices(n)].all()
         rows, cols = np.nonzero(np.tril(built, -1))
         assert np.array_equal(rows // _TILE_ROWS, cols // _TILE_ROWS)
+
+    @settings(max_examples=30, deadline=None)
+    @given(TILED_SIZES, TILED_SIZES, st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from(KERNELS))
+    def test_gram_is_the_profile_value(self, n, m, d, seed, kernel):
+        # gram and k build phi alone, with the bits of the full profile's phi
+        x, y = draw_points(seed, (n, d), (m, d))
+        assert np.array_equal(kernel.gram(x, y),
+                              kernel._profile(_sq_dists(x, y))[0])
+        diff = x[-1] - y[0]
+        assert kernel.k(x[-1], y[0]) == kernel._profile(float(diff @ diff))[0]
+
+    def test_mmd_ustat_builds_each_same_set_pair_once(self, monkeypatch):
+        entries = []
+        gram = KernelSpec.gram
+
+        def counted(kernel, x_arr, y_arr):
+            entries.append(x_arr.shape[0] * y_arr.shape[0])
+            return gram(kernel, x_arr, y_arr)
+
+        monkeypatch.setattr(KernelSpec, "gram", counted)
+        n = 300
+        x, y = draw_points(2, (n, 3), (n, 3))
+        mmd_squared(x, y + 0.3, KernelSpec.gaussian(1.0), "u")
+        # two upper-tile same-set Grams and the full cross Gram
+        assert 0 < sum(entries) <= n * (n + _TILE_ROWS) + n * n
 
     def test_ksd_builds_each_pair_once(self, monkeypatch):
         entries = []
@@ -396,6 +430,28 @@ class TestTiledReductions:
         (x,) = draw_points(seed, (n, d))
         assert mmd_squared(x, x.copy(), kernel, "v") == 0.0
 
+    @settings(max_examples=30, deadline=None)
+    @given(TILED_SIZES, st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_median_heuristic_matches_full_matrix_bitwise(self, n, d, seed):
+        # coordinates k / 2^10 with |k| < 2^12: every product and sum in the
+        # squared distances is exact, so no BLAS kernel choice can round a
+        # tile's entry differently from the full matrix's
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2 ** 12, 2 ** 12, (n, d)) / 2 ** 10
+        assume(not np.all(x == x[0]))
+        assert median_heuristic(x) == full_matrix_median(x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(TILED_SIZES, st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_median_heuristic_matches_full_matrix(self, n, d, seed):
+        # on general floats BLAS may round a dot product in a tile 1 ulp
+        # apart from the full product; an order statistic moves by at most
+        # the largest entry's change, which is within the rounding of
+        # ||x_i||^2 + ||x_j||^2
+        (x,) = draw_points(seed, (n, d))
+        tol = 1e-13 * 2.0 * np.einsum("ij,ij->i", x, x).max()
+        assert abs(median_heuristic(x) - full_matrix_median(x)) <= tol
+
     @settings(max_examples=20, deadline=None)
     @given(TILED_SIZES, st.integers(1, 6), st.data())
     def test_nan_score_raises_before_any_tile(self, m, d, data):
@@ -410,17 +466,22 @@ class TestTiledReductions:
                 ksd_u_statistic(x, score, KernelSpec.gaussian(1.0))
 
 
-@pytest.mark.parametrize("estimator, n", [("ksd", 1200), ("mmd", 1000)])
+@pytest.mark.parametrize("estimator, n", [("ksd", 1200), ("mmd", 1000),
+                                          ("median", 2000)])
 def test_estimators_peak_below_one_full_gram(estimator, n):
     """Memory guard: the tiled estimators hold O(64 n) entries, so the
     traced peak of a call stays below one n x n float64 array (11.5 MB for
-    KSD at m = 1200, d = 10; 8 MB for MMD at n = m = 1000)."""
+    KSD at m = 1200, d = 10; 8 MB for MMD at n = m = 1000).  The median
+    heuristic holds the n (n - 1) / 2 distinct pairs once (32 MB bound at
+    n = 2000)."""
     x, y = draw_points(0, (n, 10), (n, 10))
     if estimator == "ksd":
         call = lambda: ksd_u_statistic(  # noqa: E731
             x, shifted_score, KernelSpec.gaussian(1.0), with_stderr=True)
-    else:
+    elif estimator == "mmd":
         call = lambda: mmd_squared(x, y, KernelSpec.gaussian(3.0), "u")  # noqa: E731
+    else:
+        call = lambda: median_heuristic(x)  # noqa: E731
     tracemalloc.start()
     try:
         call()

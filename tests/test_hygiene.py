@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used,
 finiteness checks use one idiom, config defaults live in one table, one
-driver builds every report, the package exports every public name, and
-only the manifold module imports scipy.
+driver builds every report, kernel values are built without their
+derivatives, the package exports every public name, and only the manifold
+module imports scipy.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -125,6 +126,24 @@ def test_estimators_have_no_pair_loops():
                  if isinstance(node, ast.FunctionDef)
                  and (lines := _nested_loop_lines(node))}
     assert not offending, f"discrepancies.py: nested loops at {offending}"
+
+
+def _is_profile_value(node):
+    """`node` is `[0]` taken of a call of some `._profile(...)`."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "_profile"
+            and isinstance(node.slice, ast.Constant) and node.slice.value == 0)
+
+
+def test_kernel_values_skip_the_derivatives():
+    # KernelSpec._profile(r2, derivatives=False) gives phi alone; [0] of the
+    # full profile would build phi' and phi'' for every entry and drop them
+    path = PACKAGE / "discrepancies.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = [node.lineno for node in ast.walk(tree) if _is_profile_value(node)]
+    assert not offending, (f"discrepancies.py: _profile(...)[0] at lines "
+                           f"{offending}; pass derivatives=False")
 
 
 def test_package_exports_every_public_name():

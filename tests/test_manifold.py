@@ -346,6 +346,14 @@ class TestRattle:
         with pytest.raises(DomainError, match="newton"):
             sphere_constraint(**kwargs)
 
+    def test_constraint_value_shape_checked(self):
+        # one constraint whose callable returns two values
+        x, *args = self.NEWTON_CASE
+        cons = ConstraintSet(1, value=lambda q: np.array([q @ q - 1.0, 0.0]),
+                             jacobian=lambda q: 2.0 * q[None, :])
+        with pytest.raises(DomainError, match=r"\(1,\).*\(2,\)"):
+            rattle_step(x, *args, cons)
+
     @given(hst.integers(0, 2**32 - 1), hst.booleans())
     @settings(max_examples=20, deadline=None)
     def test_undamped_sphere_geodesic_is_reversible(self, seed, newton):

@@ -27,6 +27,8 @@ from .discrepancies import (
 )
 from .errors import ConfigError, DivergenceError, FitDomainError
 from .integrators import _METHODS, OptimizerConfig, Trajectory, fit_rate, run_optimizer
+from .manifold import (_LIE_MODES, MatrixGroupState, _linalg, run_lie_optimizer,
+                       run_rattle_optimizer, sphere_constraint, trace_objective)
 from .problems import banana, gaussian_mixture_1d, quadratic, quartic, rosenbrock, standard_gaussian
 from .samplers import (
     RngStream,
@@ -48,7 +50,8 @@ __all__ = [
 
 # Every run draws from numpy.random and takes np.median, which loads numpy.ma.
 # numpy imports both on first use; load them with the harness, so that their
-# import counts as set-up (as a manifold config's scipy does), not as a run.
+# import counts as set-up, not as a run.  A manifold config loads
+# `manifold._linalg` for the same reason.
 importlib.import_module("numpy.random")
 importlib.import_module("numpy.ma")
 
@@ -61,7 +64,7 @@ class _Required:
     kind: object = None
 
 
-_REQUIRED, _INT, _NUM, _STR = map(_Required, (None, int, float, str))
+_REQUIRED, _INT, _NUM, _STR, _STEP = map(_Required, (None, int, float, str, "step"))
 
 
 class _Optional:
@@ -85,6 +88,7 @@ def _list_of(test, size=None):
 
 
 _INTEGER, _NUMBER = _of(numbers.Integral), _of(numbers.Real)
+_POSITIVE = lambda v: _NUMBER(v) and v > 0   # noqa: E731
 # The test a key's value must pass, and its name, by the key's kind: the type
 # of its _SCHEMA default or its _Required's or _Optional's kind.  Other
 # defaults (a None block, a () list of blocks) are checked where they are read.
@@ -92,6 +96,8 @@ _KINDS = {bool: (_of(bool), "a boolean"), int: (_INTEGER, "an integer"),
           float: (_NUMBER, "a number"), str: (_of(str), "a string"),
           "integers": (_list_of(_INTEGER), "a non-empty list of integers"),
           "numbers": (_list_of(_NUMBER), "a non-empty list of numbers"),
+          "step": (_POSITIVE, "a number > 0"),
+          "steps": (_list_of(_POSITIVE), "a non-empty list of numbers > 0"),
           "threshold": (lambda v: _NUMBER(v) or _list_of(_NUMBER, 2)(v),
                         "a number or a [lo, hi] pair of numbers")}
 
@@ -115,22 +121,22 @@ _SCHEMA = {
                        "t0": 1.0},
     "fit block": {"model": _REQUIRED, "burn_in": 0.2, "envelope": False,
                   "envelope_blocks": 30, "envelope_spacing": "linear"},
-    "manifold params": {"n": _INT, "step": _NUM, "gammas": _Required("numbers"),
+    "manifold params": {"n": _INT, "step": _STEP, "gammas": _Required("numbers"),
                         "max_steps": _INT, "target_gap": _NUM,
-                        "g_scalar": _Optional(float), "mode": "skew_projection",
+                        "g_scalar": _Optional("step"), "mode": "skew_projection",
                         "c_scale": 1.0, "rattle": None, "verdicts": ()},
-    "rattle block": {"dim": _INT, "step": _NUM, "num_steps": _INT,
+    "rattle block": {"dim": _INT, "step": _STEP, "num_steps": _INT,
                      "gamma": 1.0, "radius": 1.0},
     "sample params": {"target": _REQUIRED, "sampler": _REQUIRED,
                       "verdicts": ()},
     "target block": {"name": _REQUIRED, "dim": 1, "ksd_curve": None},
     "ksd_curve block": {"n_points": _Required("integers"), "sigma": 1.0},
-    "hmc sampler block": {"kind": _REQUIRED, "step": _NUM,
+    "hmc sampler block": {"kind": _REQUIRED, "step": _STEP,
                           "n_leapfrog": _INT, "n_draws": _INT,
                           "jitter": 0.0, "burn_in": 0,
-                          "step_grid": _Optional("numbers"),
+                          "step_grid": _Optional("steps"),
                           "grid_draws": 2000, "write_samples": False},
-    "em sampler block": {"kind": _REQUIRED, "dt_grid": _Required("numbers"),
+    "em sampler block": {"kind": _REQUIRED, "dt_grid": _Required("steps"),
                          "n_steps": _INT, "burn_in": _Optional(int), "beta": 1.0},
     "discrepancy params": {"tasks": _REQUIRED, "verdicts": ()},
     "sm_ngd task": {"kind": _REQUIRED, "n_samples": _INT,
@@ -215,7 +221,7 @@ class ExperimentConfig:
     def __post_init__(self):
         _choose(_COMMANDS, self.experiment, "experiment")
         if self.experiment == "manifold":
-            _bind_manifold()   # scipy loads with the config, not in the run
+            _linalg()   # loads with the config, not in the run
         _block(vars(self), "config")   # the types of seed, out_dir and reps
         self.seed = int(self.seed)
         if self.seed < 0:
@@ -510,9 +516,9 @@ def cmd_sample(cfg, p):
         if burn < 0:
             raise ConfigError("hmc sampler needs burn_in >= 0")
         grid = samp["step_grid"]
-        if grid and (samp["grid_draws"] < 1 or not all(d > 0 for d in grid)):
-            raise ConfigError(f"hmc step_grid needs steps > 0 and grid_draws >= 1, "
-                              f"got {grid} and {samp['grid_draws']}")
+        if grid and samp["grid_draws"] < 1:
+            raise ConfigError(f"hmc step_grid needs grid_draws >= 1, "
+                              f"got {samp['grid_draws']}")
     else:
         n_steps = int(samp["n_steps"])
         burn = n_steps // 10 if samp["burn_in"] is None else int(samp["burn_in"])
@@ -618,6 +624,9 @@ def cmd_discrepancy(cfg, p):
     tasks = _blocks(p, "tasks", "discrepancy task")
     pools = {}   # samples_file -> its rows, read once for every worker
     for task in tasks:
+        if task["kind"] == "mmd_ustat_zero" and task["n_outer"] < 2:
+            raise ConfigError(f"'n_outer' in mmd task must be >= 2, as mmd_z "
+                              f"needs a standard error, got {task['n_outer']}")
         path = task.get("samples_file")   # sm_ngd tasks have no such key
         if path is not None:
             if not os.path.exists(path):
@@ -670,26 +679,6 @@ def cmd_discrepancy(cfg, p):
         return metrics
 
     return worker, [], []
-
-
-# What cmd_manifold uses of hamkit.manifold, which imports scipy.linalg.  They
-# are bound into this module on first need, a manifold config or a read from
-# outside, and a name already bound (say, a tracer's wrapper) stays bound.
-_MANIFOLD = ("MatrixGroupState", "run_lie_optimizer", "run_rattle_optimizer",
-             "sphere_constraint", "trace_objective", "_LIE_MODES")
-
-
-def _bind_manifold():
-    from . import manifold
-    for name in _MANIFOLD:
-        globals().setdefault(name, getattr(manifold, name))
-
-
-def __getattr__(name):
-    if name not in _MANIFOLD:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_manifold()
-    return globals()[name]
 
 
 # The experiments by name: the CLI's subcommands and the only list of them.

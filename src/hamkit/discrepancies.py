@@ -122,7 +122,8 @@ class KernelSpec:
         return float(self._pair(x, y, derivatives=False)[1])
 
     def grad_x(self, x, y):
-        return self.grad_x_gram(np.atleast_2d(x), np.atleast_2d(y))[0, 0]
+        diff, (_, dphi, _) = self._pair(x, y)
+        return 2.0 * dphi * diff
 
     def grad_y(self, x, y):
         return -self.grad_x(x, y)
@@ -211,9 +212,9 @@ def mmd_squared(x_samples, y_samples, kernel, mode="v"):
     Each Gram is reduced in row tiles (_tile_sums), holding O(64 n)
     entries.  The U-statistic's symmetric same-set Grams take upper tiles,
     each pair built once (about n (n + 64) / 2 entries); the cross Gram and
-    the V-statistic keep full-width tiles, which sum a copy's kxx and kxy
-    rows in one order, so its V-statistic is exactly 0.  KernelSpec.gram
-    gives the full matrices.
+    the V-statistic keep full-width tiles against a copy of the second set,
+    so kxx and kxy of a copy are one product summed in one order, and its
+    V-statistic is exactly 0.  KernelSpec.gram gives the full matrices.
     """
     if mode not in ("v", "u"):
         raise DomainError(f"unknown MMD mode {mode!r}")
@@ -227,6 +228,8 @@ def mmd_squared(x_samples, y_samples, kernel, mode="v"):
     def mean(a, b, distinct=False):
         """Mean of k(a_i, b_j) over all pairs, or, for b = a, over pairs
         with i != j from upper tiles, each pair built once."""
+        if not distinct:   # A @ A.T of one buffer is syrk, rounding apart from gemm
+            b = b.copy()
         sums, diag = _tile_sums(a.shape[0], lambda rows, cols: kernel.gram(
             a[rows], b[cols]), symmetric=distinct)
         if distinct:

@@ -4,6 +4,9 @@ As in `integrators`, the run drivers step raw arrays and carry per-position
 terms across steps: the Lie force skew(Q^T grad f) and ||Q^T Q - I|| (formed
 once per step, to check the group and to record it); RATTLE's grad f, J, the
 factor of R_g and the residual that ended the Newton solve.
+
+Only this module uses scipy (expm, LAPACK's Cholesky), and `_linalg` imports
+it on first use, so that `import hamkit` and the flat code never load it.
 """
 from __future__ import annotations
 
@@ -11,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import PhasePoint, Problem, _all_finite
 from .errors import ConstraintSolveError, DomainError, GeometryError
@@ -34,6 +36,12 @@ __all__ = [
 ORTHO_TOL = 1e-8
 SKEW_TOL = 1e-10
 _LIE_MODES = ("skew_projection", "paper_literal")
+
+
+def _linalg():
+    """scipy.linalg, imported on first call; look its routines up at each use."""
+    import scipy.linalg
+    return scipy.linalg
 
 
 def skew_part(m):
@@ -123,7 +131,7 @@ def _lie_step(Q, P, force, t_k, dt, g_scalar, sched, prob, mode):
 
     return _conformal_step(
         Q, P, force, t_k, dt, sched, kick,
-        drift=lambda Q, P, h, decay: (Q @ scipy.linalg.expm((h / g_scalar) * P), P),
+        drift=lambda Q, P, h, decay: (Q @ _linalg().expm((h / g_scalar) * P), P),
         project=lambda Q, P: skew_part(P))
 
 
@@ -202,7 +210,7 @@ def _projector(q, g, cons):
     r_g = jac @ g.g_inv @ jac.T
     if not _all_finite(r_g):
         raise GeometryError("R_g = J g^{-1} J^T is non-finite")
-    factor, info = scipy.linalg.lapack.dpotrf(r_g, clean=0)
+    factor, info = _linalg().lapack.dpotrf(r_g, clean=0)
     if info != 0:
         raise GeometryError("constraint Jacobian is rank deficient "
                             f"(R_g not positive definite, potrf info {info})")
@@ -213,7 +221,7 @@ def _project(p, jac, factor, g):
     """L_g p from `_projector`'s (J, factor) at the same position."""
     if factor is None:
         return np.array(p, float)
-    lam, info = scipy.linalg.lapack.dpotrs(factor, jac @ g.inv_mul(p))
+    lam, info = _linalg().lapack.dpotrs(factor, jac @ g.inv_mul(p))
     if info != 0:
         raise GeometryError(f"R_g solve failed (potrs info {info})")
     return p - jac.T @ lam

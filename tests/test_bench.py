@@ -712,6 +712,7 @@ def test_schema_block_contract(tmp_path, where):
 WRONG_KINDS = {bool: [1, "true"], int: [True, 2.5, "2"], float: [True, "1"],
                str: [1, True], "integers": [3, [], [2.5], ["2"], [True]],
                "numbers": [1.0, [], ["1"], [True], "1"],
+               "step": [True, "1"], "steps": [1.0, [], ["1"], [True]],
                "threshold": ["1", True, [1.0], [1.0, 2.0, 3.0], [1.0, "2"]]}
 
 
@@ -817,6 +818,43 @@ def test_optional_values_are_checked_before_the_run(tmp_path, capsys, name,
     run_raw(raw)
     shutil.rmtree(tmp_path / "out")
     block[key] = value
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        run_raw(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert cli_main([raw["experiment"], "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err, err
+    assert not (tmp_path / "out").exists()
+
+
+# Steps and counts out of range are refused before the first rep, naming the
+# key.  They used to run: an hmc step of 0 reported acceptance 1.0, an em
+# dt_grid entry of 0 reported var_dt_0 = 0.0, n_outer 1 wrote a NaN
+# mmd_u_stderr into the report.  Or they failed inside rep 0: a negative em
+# step as an untyped math domain error, n_outer 0 as a ZeroDivisionError, a
+# negative manifold step as "g_scalar must be positive".
+@pytest.mark.parametrize("where, key, value, need", [
+    ("hmc sampler block", "step", 0.0, "a number > 0"),
+    ("hmc sampler block", "step", -0.2, "a number > 0"),
+    ("hmc sampler block", "step", math.nan, "a number > 0"),
+    ("em sampler block", "dt_grid", [0.5, 0.0], "a non-empty list of numbers > 0"),
+    ("em sampler block", "dt_grid", [-0.1], "a non-empty list of numbers > 0"),
+    ("manifold params", "step", -0.05, "a number > 0"),
+    ("manifold params", "g_scalar", 0.0, "a number > 0"),
+    ("rattle block", "step", 0.0, "a number > 0"),
+    ("mmd task", "n_outer", 1, ">= 2"),
+    ("mmd task", "n_outer", 0, ">= 2"),
+])
+def test_values_out_of_range_are_checked_before_the_reps(tmp_path, capsys, where,
+                                                         key, value, need):
+    name, path = SCHEMA_BLOCKS[where]
+    raw = schema_configs(tmp_path)[name]
+    block = raw
+    for part in path:
+        block = block[part]
+    block[key] = value
+    named = f"'{key}' in {where} must be {need}"
     with pytest.raises(ConfigError, match=re.escape(named)):
         run_raw(raw)
     config = tmp_path / "config.json"

@@ -1,15 +1,21 @@
 """Source hygiene: every module-level import in the package is used,
 finiteness checks use one idiom, config defaults live in one table, one
 driver builds every report, kernel values are built without their
-derivatives, the package exports every public name, and only the manifold
-module imports scipy.
+derivatives, the package exports every public name, only the manifold
+module imports scipy, and only on first use, and no module serves names
+through a module-level `__getattr__`.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
 """
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -160,8 +166,8 @@ def test_package_exports_every_public_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_only_manifold_imports_scipy(path):
     # scipy.linalg costs more than half of `import hamkit.cli`; only the
-    # Lie-group and RATTLE code needs it (expm, LAPACK Cholesky), and the
-    # package loads hamkit.manifold only when something asks for it
+    # Lie-group and RATTLE code needs it (expm, LAPACK Cholesky), and
+    # hamkit.manifold imports it inside the function that uses it
     tree = ast.parse(path.read_text(), filename=str(path))
     modules = [alias.name for node in tree.body if isinstance(node, ast.Import)
                for alias in node.names]
@@ -170,3 +176,40 @@ def test_only_manifold_imports_scipy(path):
     scipy = [m for m in modules if m.split(".")[0] == "scipy"]
     assert path.name == "manifold.py" or not scipy, (
         f"{path.name} imports {scipy} at module level")
+
+
+def test_manifold_loads_scipy_linalg_on_first_use():
+    # a fresh interpreter, so that no earlier test has loaded scipy
+    code = textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        import hamkit.manifold as manifold
+        from hamkit import DampingSchedule
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        seen = {"import": scipy_modules()}
+        manifold.lie_group_step(
+            manifold.MatrixGroupState(np.eye(3), np.zeros((3, 3))), 0.0, 0.1,
+            1.0, DampingSchedule.constant(1.0),
+            manifold.trace_objective(np.eye(3)))
+        seen["step"] = "scipy.linalg" in sys.modules
+        print(json.dumps(seen))
+        """)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"import": [], "step": True}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_level_getattr(path):
+    # a module __getattr__ serves names that no import statement shows, which
+    # hides from readers and tools where each name comes from
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = [node.lineno for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "__getattr__"]
+    assert not offending, f"{path.name}: module __getattr__ at lines {offending}"

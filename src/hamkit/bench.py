@@ -110,7 +110,7 @@ _SCHEMA = {
     "verdict entry": {"name": _Optional(str), "metric": _STR, "agg": "median",
                       "op": _REQUIRED, "threshold": _Required("threshold")},
     "optimize params": {"problem": _REQUIRED, "method": _REQUIRED,
-                        "schedule": _REQUIRED, "step": _NUM,
+                        "schedule": _REQUIRED, "step": _STEP,
                         "num_steps": _INT, "fit": _REQUIRED,
                         "record_every": 1, "x0_scale": 2.0,
                         "x0": _Optional("numbers"),
@@ -183,6 +183,12 @@ def _block(raw, where):
                               f"got {value!r}")
     return {**{k: None if isinstance(v, _Optional) else v
                for k, v in schema.items()}, **raw}
+
+
+def _check(block, key, where, ok, need):
+    """Refuse block[key] unless ok(block[key]), naming the key and `need`."""
+    if not ok(block[key]):
+        raise ConfigError(f"{key!r} in {where} must be {need}, got {block[key]!r}")
 
 
 def _blocks(parent, key, where):
@@ -356,18 +362,14 @@ def _envelope(traj, n_blocks, spacing="linear"):
     regression points evenly weighted across decades.
     """
     n = len(traj)
-    if n_blocks < 10:
-        raise ConfigError("envelope fit needs >= 10 blocks")
     if spacing == "linear":
         edges = np.linspace(0, n, n_blocks + 1).astype(int)
-    elif spacing == "log":
+    else:   # "log"
         t_lo = max(float(traj.times[0]), float(traj.times[-1]) * 1e-6)
         t_edges = np.geomspace(max(t_lo, np.finfo(float).tiny),
                                float(traj.times[-1]), n_blocks + 1)
         edges = np.searchsorted(traj.times, t_edges)
         edges[-1] = n
-    else:
-        raise ConfigError(f"unknown envelope spacing {spacing!r}")
     times, gaps = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi <= lo:
@@ -382,7 +384,13 @@ def _envelope(traj, n_blocks, spacing="linear"):
 
 def cmd_optimize(cfg, p):
     """Rate-table experiment: run an optimiser, fit the decay, check verdicts."""
+    for key in ("num_steps", "record_every"):
+        _check(p, key, "optimize params", lambda v: v >= 1, ">= 1")
     fit = _block(p["fit"], "fit block")
+    _check(fit, "burn_in", "fit block", lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+    _check(fit, "envelope_blocks", "fit block", lambda v: v >= 10, ">= 10")
+    _choose(dict.fromkeys(("linear", "log")), fit["envelope_spacing"],
+            "envelope spacing")
     problem = _block(p["problem"], "problem block")
     prob = _choose(_PROBLEMS, problem["name"], "problem")(problem)
     schedule = _block(p["schedule"], "schedule block")
@@ -510,15 +518,16 @@ def cmd_sample(cfg, p):
     samp = _block(p["sampler"], "sampler")
     kind = samp["kind"]
     if kind == "hmc":
-        if int(samp["n_draws"]) < 1:
-            raise ConfigError("hmc sampler needs n_draws >= 1")
+        where = "hmc sampler block"
+        _check(samp, "n_draws", where, lambda v: v >= 1, ">= 1")
+        _check(samp, "n_leapfrog", where, lambda v: v >= 1, ">= 1")
+        _check(samp, "burn_in", where, lambda v: v >= 0, ">= 0")
+        _check(samp, "jitter", where, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
         burn = int(samp["burn_in"])
-        if burn < 0:
-            raise ConfigError("hmc sampler needs burn_in >= 0")
         grid = samp["step_grid"]
-        if grid and samp["grid_draws"] < 1:
-            raise ConfigError(f"hmc step_grid needs grid_draws >= 1, "
-                              f"got {samp['grid_draws']}")
+        if grid:
+            _check(samp, "grid_draws", where, lambda v: v >= 1,
+                   ">= 1 with a step_grid")
     else:
         n_steps = int(samp["n_steps"])
         burn = n_steps // 10 if samp["burn_in"] is None else int(samp["burn_in"])
@@ -624,9 +633,9 @@ def cmd_discrepancy(cfg, p):
     tasks = _blocks(p, "tasks", "discrepancy task")
     pools = {}   # samples_file -> its rows, read once for every worker
     for task in tasks:
-        if task["kind"] == "mmd_ustat_zero" and task["n_outer"] < 2:
-            raise ConfigError(f"'n_outer' in mmd task must be >= 2, as mmd_z "
-                              f"needs a standard error, got {task['n_outer']}")
+        if task["kind"] == "mmd_ustat_zero":
+            _check(task, "n_outer", "mmd task", lambda v: v >= 2,
+                   ">= 2, as mmd_z needs a standard error")
         path = task.get("samples_file")   # sm_ngd tasks have no such key
         if path is not None:
             if not os.path.exists(path):

@@ -71,26 +71,22 @@ class RngStream:
 
 @dataclass(frozen=True)
 class ChainState:
-    """Current MCMC state plus acceptance and moment bookkeeping.
+    """Current MCMC state, its acceptance tally and what the next draw reads.
 
     `potential` and `grad` carry V(x.q) and grad V(x.q) from one HMC draw to
-    the next; they are None until the first draw has evaluated them.
+    the next; they are None until the first draw has evaluated them.  The
+    chain keeps no moments: estimates come from the draws (the samples of
+    `run_hmc_chain`, `mcmc_estimate`).
     """
 
     x: PhasePoint
     steps: int = 0
     accepted: int = 0
     incidents: int = 0          # non-finite energy differences seen
-    sum_q: np.ndarray = None
-    sum_q2: np.ndarray = None
     potential: float = None
     grad: np.ndarray = None
 
     def __post_init__(self):
-        if self.sum_q is None:
-            object.__setattr__(self, "sum_q", np.zeros(self.x.dim))
-        if self.sum_q2 is None:
-            object.__setattr__(self, "sum_q2", np.zeros(self.x.dim))
         if self.accepted > self.steps:
             raise DomainError("acceptance tally cannot exceed step count")
         if (self.potential is None) != (self.grad is None):
@@ -104,12 +100,6 @@ class ChainState:
     @property
     def acceptance_rate(self):
         return self.accepted / self.steps if self.steps else 0.0
-
-    def mean(self):
-        return self.sum_q / max(self.steps, 1)
-
-    def second_moment(self):
-        return self.sum_q2 / max(self.steps, 1)
 
 
 def _leapfrog(q, p, grad, prob, g, dt, L):
@@ -191,8 +181,7 @@ def hmc_draw(chain, prob, g, dt, L, rng, jitter=0.0):
     q, p, v, grad, accepted, incident = _hmc_transition(
         chain.x.q, chain.potential, chain.grad, prob, g, dt, L, rng, jitter)
     return ChainState(PhasePoint(q, p), chain.steps + 1, chain.accepted + accepted,
-                      chain.incidents + incident, chain.sum_q + q,
-                      chain.sum_q2 + q ** 2, v, grad)
+                      chain.incidents + incident, v, grad)
 
 
 def underdamped_step(x, prob, dt, gamma, beta, rng):
@@ -294,36 +283,37 @@ def mcmc_estimate(samples, f):
 def run_hmc_chain(prob, g, dt, L, n_draws, rng, q0=None, jitter=0.0,
                   keep_samples=True):
     """Drive a single HMC chain, draw for draw as chained `hmc_draw` calls;
-    returns (final ChainState, samples array)."""
+    returns (final ChainState, samples array).  Estimates come from the
+    samples, one row per draw (None unless keep_samples)."""
     if n_draws < 0:
         raise DomainError(f"n_draws must be >= 0, got {n_draws}")
     x = ChainState.start(np.zeros(prob.dim) if q0 is None else q0).x
     _check_hmc(x.q, prob, g, L, jitter)
     q, p, v, grad, accepted, incidents = x.q, x.p, None, None, 0, 0
-    sum_q, sum_q2 = np.zeros(q.size), np.zeros(q.size)
     samples = np.empty((n_draws, prob.dim)) if keep_samples else None
     for i in range(n_draws):
         q, p, v, grad, acc, inc = _hmc_transition(q, v, grad, prob, g, dt, L,
                                                   rng, jitter)
         accepted, incidents = accepted + acc, incidents + inc
-        sum_q += q
-        sum_q2 += q ** 2
         if keep_samples:
             samples[i] = q
-    return ChainState(PhasePoint(q, p), n_draws, accepted, incidents, sum_q,
-                      sum_q2, v, grad), samples
+    return ChainState(PhasePoint(q, p), n_draws, accepted, incidents, v,
+                      grad), samples
 
 
 def write_samples_csv(path_or_file, samples, accepted=None, chain_id=0,
                       momenta=None):
-    """CSV dump: chain,step,accepted,q_1..q_d (momenta appended on request)."""
+    """CSV dump: chain,step,q_1..q_d, with an accepted column after step when
+    acceptance flags are given and momenta appended on request."""
     samples = _as_samples(samples)
     n, d = samples.shape
-    cols = ["chain", "step", "accepted"] + [f"q_{i + 1}" for i in range(d)]
-    columns = [[chain_id] * n, range(n),
-               np.ones(n, int) if accepted is None else accepted, *samples.T]
+    flags = [] if accepted is None else [accepted]
+    cols = (["chain", "step"] + ["accepted"] * len(flags)
+            + [f"q_{i + 1}" for i in range(d)])
+    columns = [[chain_id] * n, range(n), *flags, *samples.T]
     if momenta is not None:
         cols += [f"p_{i + 1}" for i in range(d)]
         columns += list(np.asarray(momenta, float).T)
+    n_int = 2 + len(flags)
     return _write_csv(path_or_file, ",".join(cols),
-                      ["%d"] * 3 + ["%.17e"] * (len(cols) - 3), columns)
+                      ["%d"] * n_int + ["%.17e"] * (len(cols) - n_int), columns)

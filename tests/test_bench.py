@@ -13,6 +13,7 @@ from hamkit import bench
 from hamkit.bench import ExperimentConfig, Report, reevaluate, run_experiment
 from hamkit.cli import main as cli_main
 from hamkit.errors import ConfigError
+from hamkit.integrators import Trajectory
 from hamkit.samplers import write_samples_csv
 
 
@@ -569,7 +570,7 @@ class TestCli:
         (("params",), "num_steps", 2.7, "'num_steps' in optimize params must "
          "be an integer, got 2.7"),
         (("params",), "step", "abc", "'step' in optimize params must be a "
-         "number, got 'abc'"),
+         "number > 0, got 'abc'"),
         (("params", "verdicts", 1), "threshold", "1", "'threshold' in verdict "
          "entry must be a number or a [lo, hi] pair of numbers, got '1'"),
         (("params", "verdicts", 1), "threshold", [0.0, 1.0],
@@ -767,6 +768,8 @@ def test_unknown_name_lists_the_choices(tmp_path, name, path, what, choices):
      ["exponential", "power_law"]),
     ("manifold", ("params", "mode"), "lie step mode",
      ["paper_literal", "skew_projection"]),
+    ("optimize", ("params", "fit", "envelope_spacing"), "envelope spacing",
+     ["linear", "log"]),
 ])
 def test_library_names_are_checked_before_the_reps(tmp_path, name, path,
                                                    what, choices):
@@ -833,8 +836,24 @@ def test_optional_values_are_checked_before_the_run(tmp_path, capsys, name,
 # dt_grid entry of 0 reported var_dt_0 = 0.0, n_outer 1 wrote a NaN
 # mmd_u_stderr into the report.  Or they failed inside rep 0: a negative em
 # step as an untyped math domain error, n_outer 0 as a ZeroDivisionError, a
-# negative manifold step as "g_scalar must be positive".
+# negative manifold step as "g_scalar must be positive", an optimize
+# num_steps, record_every or step of 0 and an hmc n_leapfrog of 0 or jitter
+# of 1.5 as the library's DomainError; a fit burn_in of 1.5 or 5
+# envelope_blocks only after rep 0 had written its trajectory CSV.
 @pytest.mark.parametrize("where, key, value, need", [
+    ("optimize params", "num_steps", 0, ">= 1"),
+    ("optimize params", "record_every", 0, ">= 1"),
+    ("optimize params", "step", 0.0, "a number > 0"),
+    ("optimize params", "step", -0.05, "a number > 0"),
+    ("fit block", "burn_in", 1.5, "in [0, 1)"),
+    ("fit block", "burn_in", -0.1, "in [0, 1)"),
+    ("fit block", "envelope_blocks", 5, ">= 10"),
+    ("hmc sampler block", "n_leapfrog", 0, ">= 1"),
+    ("hmc sampler block", "jitter", 1.5, "in [0, 1]"),
+    ("hmc sampler block", "jitter", -0.1, "in [0, 1]"),
+    ("hmc sampler block", "n_draws", 0, ">= 1"),
+    ("hmc sampler block", "burn_in", -1, ">= 0"),
+    ("hmc sampler block", "grid_draws", 0, ">= 1 with a step_grid"),
     ("hmc sampler block", "step", 0.0, "a number > 0"),
     ("hmc sampler block", "step", -0.2, "a number > 0"),
     ("hmc sampler block", "step", math.nan, "a number > 0"),
@@ -863,3 +882,33 @@ def test_values_out_of_range_are_checked_before_the_reps(tmp_path, capsys, where
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_envelope_keeps_the_largest_gap_of_each_block(spacing):
+    # 25 records in 40 blocks: some blocks hold no record and are skipped
+    n, n_blocks = 25, 40
+    rng = np.random.default_rng(3)
+    times = np.sort(rng.uniform(0.01, 10.0, n))
+    gaps = rng.uniform(0.1, 1.0, n)
+    traj = Trajectory(steps=np.arange(n), times=times, values=gaps, gaps=gaps,
+                      extra=np.zeros(n))
+    want_times, want_gaps = [], []
+    for k in range(n_blocks):
+        if spacing == "linear":   # equal counts of records
+            members = [j for j in range(n)
+                       if int(k * n / n_blocks) <= j < int((k + 1) * n / n_blocks)]
+        else:   # equal ratios of time, from the first record's to the last's
+            lo, hi = (times[0] * (times[-1] / times[0]) ** (i / n_blocks)
+                      for i in (k, k + 1))
+            members = [j for j in range(n) if lo <= times[j]
+                       and (times[j] < hi or k == n_blocks - 1)]
+        if members:
+            j = max(members, key=lambda m: gaps[m])
+            want_times.append(times[j])
+            want_gaps.append(gaps[j])
+    env = bench._envelope(traj, n_blocks, spacing=spacing)
+    assert len(want_times) < n_blocks
+    assert env.times.tolist() == want_times
+    assert env.gaps.tolist() == env.values.tolist() == want_gaps
+    assert env.steps.tolist() == list(range(len(want_times)))

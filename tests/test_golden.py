@@ -13,6 +13,9 @@ A change that moves a digest on purpose says which one moved, how far the
 numbers moved and why, and rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each digest that differs from the file it replaced, one
+"changed: <workload>/seed<n> <output>" line each.
 """
 import contextlib
 import hashlib
@@ -95,6 +98,7 @@ def test_outputs_match_golden_digests(golden, workload, seed, tmp_path,
 
 
 if __name__ == "__main__":
+    before = json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}
     table = {}
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -105,3 +109,8 @@ if __name__ == "__main__":
     DIGESTS.write_text(json.dumps({"versions": _versions(), "digests": table},
                                   indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
+    for key in sorted(set(table) | set(before)):
+        old, new = before.get(key, {}), table.get(key, {})
+        for name in sorted(set(old) | set(new)):
+            if old.get(name) != new.get(name):
+                print(f"changed: {key} {name}")

@@ -445,6 +445,7 @@ def cmd_optimize(cfg, p):
 
 def cmd_manifold(cfg, p):
     """Damping-regime comparison on SO(n), plus an optional sphere RATTLE run."""
+    _check(p, "n", "manifold params", lambda v: v >= 1, ">= 1")
     n = int(p["n"])
     if n > 100:
         raise ConfigError("manifold experiments are desk scale: n <= 100")
@@ -454,6 +455,9 @@ def cmd_manifold(cfg, p):
     max_steps = int(p["max_steps"])
     target_gap = float(p["target_gap"])
     rattle = None if p["rattle"] is None else _block(p["rattle"], "rattle block")
+    if rattle is not None:
+        _check(rattle, "dim", "rattle block", lambda v: v >= 1, ">= 1")
+        _check(rattle, "radius", "rattle block", *_KINDS["step"])
     _choose(dict.fromkeys(_LIE_MODES), p["mode"], "lie step mode")
 
     def worker(i, rng):
@@ -485,7 +489,7 @@ def cmd_manifold(cfg, p):
             d = int(rattle["dim"])
             c_vec = rng.standard_normal(d)
             radius = float(rattle["radius"])
-            prob_lin = Problem(d, value=lambda q: float(c_vec @ q),
+            prob_lin = Problem(d, value=lambda q: float(c_vec.dot(q)),
                                grad=lambda q: c_vec,
                                f_star=-radius * float(np.linalg.norm(c_vec)))
             q0 = rng.standard_normal(d)
@@ -515,6 +519,10 @@ def cmd_sample(cfg, p):
     if ksd_curve is not None and not gaussian:
         raise ConfigError(f"ksd_curve scores N(0, I) draws; it needs the "
                           f"gaussian target, not {target['name']!r}")
+    if ksd_curve is not None:
+        _check(ksd_curve, "n_points", "ksd_curve block", lambda v: min(v) >= 2,
+               "a list of integers >= 2")
+        _check(ksd_curve, "sigma", "ksd_curve block", *_KINDS["step"])
     samp = _block(p["sampler"], "sampler")
     kind = samp["kind"]
     if kind == "hmc":
@@ -533,6 +541,7 @@ def cmd_sample(cfg, p):
         burn = n_steps // 10 if samp["burn_in"] is None else int(samp["burn_in"])
         if not 0 <= burn < n_steps:
             raise ConfigError("em sampler needs 0 <= burn_in < n_steps")
+        _check(samp, "beta", "em sampler block", *_KINDS["step"])
         if not gaussian:
             raise ConfigError(f"the em sampler's var_dt_* and bias_monotone "
                               f"measure the distance from N(0, I); it needs "
@@ -633,9 +642,16 @@ def cmd_discrepancy(cfg, p):
     tasks = _blocks(p, "tasks", "discrepancy task")
     pools = {}   # samples_file -> its rows, read once for every worker
     for task in tasks:
-        if task["kind"] == "mmd_ustat_zero":
-            _check(task, "n_outer", "mmd task", lambda v: v >= 2,
+        where = _VARIANTS["discrepancy task"][task["kind"]]
+        _check(task, "sigma", where, *_KINDS["step"])
+        if task["kind"] == "sm_ngd":
+            _check(task, "step", where, *_KINDS["step"])
+        elif task["kind"] == "mmd_ustat_zero":
+            _check(task, "n", where, lambda v: v >= 2, ">= 2")
+            _check(task, "n_outer", where, lambda v: v >= 2,
                    ">= 2, as mmd_z needs a standard error")
+        elif task["kind"] == "ksd_mismatch":
+            _check(task, "m", where, lambda v: v >= 2, ">= 2")
         path = task.get("samples_file")   # sm_ngd tasks have no such key
         if path is not None:
             if not os.path.exists(path):

@@ -5,9 +5,10 @@ kick / drift / half kick `_conformal_step`, in the numerically stable
 half-step form: the damping enters only through Delta_eta over half a step,
 so no large exponentials appear.  Every run is the record loop `_run_steps`.
 
-The run drivers step raw arrays and carry the end-of-step force into the
+The run drivers step raw arrays and carry the end-of-step half kick into the
 next step; a validated `PhasePoint` exists only at the edges, and the public
-one-step functions are thin wrappers over the same raw steps.
+one-step functions are thin wrappers over the same raw steps.  Per-step
+vector products call `ndarray.dot`: `@`'s BLAS routine at half the call cost.
 """
 from __future__ import annotations
 
@@ -108,7 +109,8 @@ class Trajectory:
                           [self.steps, self.times, self.values, gaps, self.extra])
 
 
-def _conformal_step(q, p, force, t_k, dt, sched, kick, drift, project=None):
+def _conformal_step(q, p, half_kick, t_k, dt, sched, kick, drift,
+                    project=lambda q, p: p):
     """One conformal-symplectic step from (q_k, p_k) at time t_k:
 
     p_{k+1/2} = exp(-De) L(q_k) (p_k - (dt/2) kick(q_k, p_k))
@@ -117,32 +119,38 @@ def _conformal_step(q, p, force, t_k, dt, sched, kick, drift, project=None):
 
     De is the exact damping integral over [t_k, t_k + dt/2] and L the momentum
     map `project(q, p)` (default: identity).  A drift may also correct
-    p_{k+1/2} (RATTLE's multiplier kick).  `force` is kick(q_k, p_k), or None
-    to evaluate it.  Returns (q_{k+1}, p_{k+1}, kick(q_{k+1}, p_{k+1/2})),
-    the last being the next step's force when the kick reads only q.
+    p_{k+1/2} (RATTLE's multiplier kick).  `half_kick` is (dt/2) kick(q_k, p_k),
+    or None to evaluate it.  Returns (q_{k+1}, p_{k+1}, the half kick
+    (dt/2) kick(q_{k+1}, p_{k+1/2})), the last being the next step's half kick
+    when the kick reads only q and dt stays the same.
     Non-finite results raise DivergenceError.
     """
-    project = project or (lambda q, p: p)
-    if force is None:
-        force = kick(q, p)
+    if half_kick is None:
+        half_kick = 0.5 * dt * kick(q, p)
     de = sched.delta_eta(t_k, t_k + 0.5 * dt)
     decay = math.exp(-de)
-    p_half = decay * project(q, p - 0.5 * dt * force)
+    p_half = decay * project(q, p - half_kick)
     q_new, p_half = drift(q, p_half, dt * math.cosh(de), decay)
-    force = kick(q_new, p_half)
-    p_new = project(q_new, decay * p_half - 0.5 * dt * force)
+    half_kick = 0.5 * dt * kick(q_new, p_half)
+    p_new = project(q_new, decay * p_half - half_kick)
     if not (_all_finite(q_new) and _all_finite(p_new)):
         raise DivergenceError(f"non-finite state after step at t={t_k}; "
                               "step size too large?")
-    return q_new, p_new, force
+    return q_new, p_new, half_kick
 
 
-def _leapfrog_step(q, p, force, t_k, cfg, prob):
-    """`dissipative_leapfrog_step` on raw arrays; see `_conformal_step`."""
-    return _conformal_step(
-        q, p, force, t_k, cfg.step, cfg.schedule,
-        kick=lambda q, p: prob.grad(q),
-        drift=lambda q, p, h, decay: (q + h * cfg.metric.inv_mul(p), p))
+def _leapfrog_step(cfg, prob):
+    """`dissipative_leapfrog_step` on raw arrays, built once per run: returns
+    step(x, t_k) for x = (q, p, half kick or None); see `_conformal_step`."""
+    dt, sched, inv_mul, grad = cfg.step, cfg.schedule, cfg.metric.inv_mul, prob.grad
+
+    def kick(q, p):
+        return grad(q)
+
+    def drift(q, p, h, decay):
+        return q + h * inv_mul(p), p
+
+    return lambda x, t_k: _conformal_step(*x, t_k, dt, sched, kick, drift)
 
 
 def dissipative_leapfrog_step(x, t_k, cfg, prob):
@@ -152,7 +160,7 @@ def dissipative_leapfrog_step(x, t_k, cfg, prob):
     q_{k+1} = q_k + dt cosh(De) g^{-1} p_{k+1/2}, whose plus sign makes the
     undamped limit the classical leapfrog.
     """
-    q, p, _ = _leapfrog_step(x.q, x.p, None, t_k, cfg, prob)
+    q, p, _ = _leapfrog_step(cfg, prob)((x.q, x.p, None), t_k)
     return PhasePoint(q, p)
 
 
@@ -217,9 +225,7 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
     g = cfg.metric
     _check_dims(cfg.x0.dim, g, prob)
 
-    def advance(x, t_k):  # x = (q, p, grad f(q) or None)
-        if leapfrog:
-            return _leapfrog_step(*x, t_k, cfg, prob)
+    def flow(x, t_k):
         return gradient_flow_step(x[0], cfg.step, prob), x[1], None
 
     def energy(x, f):
@@ -230,12 +236,14 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
         return h if math.isfinite(h) else evaluate_hamiltonian(
             PhasePoint(x[0], x[1]), g, prob)
 
+    # x = (q, p, (dt/2) grad f(q) or None); the gradient flow carries None
+    advance = _leapfrog_step(cfg, prob) if leapfrog else flow
     thr = cfg.divergence_threshold
     traj, _ = _run_steps(
         (cfg.x0.q, cfg.x0.p, None), advance, lambda x: prob.value(x[0]),
         energy, cfg.schedule.start_time(), cfg.step, cfg.num_steps,
         prob.f_star, record_every=cfg.record_every, target_gap=cfg.target_gap,
-        too_far=lambda x, f: abs(f) > thr or math.sqrt(x[0] @ x[0]) > thr)
+        too_far=lambda x, f: abs(f) > thr or math.sqrt(x[0].dot(x[0])) > thr)
     return traj
 
 

@@ -1,9 +1,9 @@
 """Optimisation beyond flat space: SO(n) group steps and constrained RATTLE.
 
 As in `integrators`, the run drivers step raw arrays and carry per-position
-terms across steps: the Lie force skew(Q^T grad f) and ||Q^T Q - I|| (formed
-once per step, to check the group and to record it); RATTLE's grad f, J, the
-factor of R_g and the residual that ended the Newton solve.
+terms across steps: the half kicks (dt/2) skew(Q^T grad f) and (dt/2) grad f,
+||Q^T Q - I|| (formed once per step, to check the group and to record it),
+and RATTLE's J, factor of R_g and residual that ended the Newton solve.
 
 Only this module uses scipy (expm, LAPACK's Cholesky), and `_linalg` imports
 it on first use, so that `import hamkit` and the flat code never load it.
@@ -114,7 +114,7 @@ def trace_objective(C):
                    f_star=f_star, q_star=q_star, name="trace_objective")
 
 
-def _lie_step(Q, P, force, t_k, dt, g_scalar, sched, prob, mode):
+def _lie_step(Q, P, half_kick, t_k, dt, g_scalar, sched, prob, mode):
     """`lie_group_step` on raw arrays; see `_conformal_step`."""
     if mode not in _LIE_MODES:
         raise DomainError(f"unknown lie step mode {mode!r}")
@@ -130,7 +130,7 @@ def _lie_step(Q, P, force, t_k, dt, g_scalar, sched, prob, mode):
             return float(np.trace(prob.grad(Q).T @ Q @ P)) * P_k
 
     return _conformal_step(
-        Q, P, force, t_k, dt, sched, kick,
+        Q, P, half_kick, t_k, dt, sched, kick,
         drift=lambda Q, P, h, decay: (Q @ _linalg().expm((h / g_scalar) * P), P),
         project=lambda Q, P: skew_part(P))
 
@@ -194,7 +194,7 @@ def sphere_constraint(radius=1.0, **kwargs):
     """psi(q) = ||q||^2 - radius^2."""
     return ConstraintSet(
         1,
-        value=lambda q: np.array([float(q @ q) - radius * radius]),
+        value=lambda q: np.array([float(q.dot(q)) - radius * radius]),
         jacobian=lambda q: 2.0 * q[None, :],
         **kwargs,
     )
@@ -207,7 +207,7 @@ def _projector(q, g, cons):
     jac = cons.jacobian(q)
     if cons.m == 0:
         return jac, None
-    r_g = jac @ g.g_inv @ jac.T
+    r_g = jac.dot(g.g_inv).dot(jac.T)
     if not _all_finite(r_g):
         raise GeometryError("R_g = J g^{-1} J^T is non-finite")
     factor, info = _linalg().lapack.dpotrf(r_g, clean=0)
@@ -221,10 +221,10 @@ def _project(p, jac, factor, g):
     """L_g p from `_projector`'s (J, factor) at the same position."""
     if factor is None:
         return np.array(p, float)
-    lam, info = _linalg().lapack.dpotrs(factor, jac @ g.inv_mul(p))
+    lam, info = _linalg().lapack.dpotrs(factor, jac.dot(g.inv_mul(p)))
     if info != 0:
         raise GeometryError(f"R_g solve failed (potrs info {info})")
-    return p - jac.T @ lam
+    return p - jac.T.dot(lam)
 
 
 def project_momentum(q, p, g, cons):
@@ -238,12 +238,13 @@ def project_momentum(q, p, g, cons):
     return _project(p, *_projector(q, g, cons), g)
 
 
-def _rattle_step(q, p, force, jac, factor, t_k, dt, g, sched, prob, cons):
-    """`rattle_step` on raw arrays, given grad f, J and the factor of R_g at q
-    (None to evaluate them).  Returns (q, p, grad f, J, factor) at the new
-    position, the multipliers and the sup norm of psi(q_{k+1}) that ended the
-    Newton solve.  The Newton system is formed only when the unconstrained
-    drift leaves the constraint (psi beyond newton_tol); otherwise lambda = 0."""
+def _rattle_step(q, p, half_kick, jac, factor, t_k, dt, g, sched, prob, cons):
+    """`rattle_step` on raw arrays, given the half kick (dt/2) grad f, J and
+    the factor of R_g at q (None to evaluate them).  Returns (q, p, half kick,
+    J, factor) at the new position, the multipliers and the sup norm of
+    psi(q_{k+1}) that ended the Newton solve.  The Newton system is formed
+    only when the unconstrained drift leaves the constraint (psi beyond
+    newton_tol); otherwise lambda = 0."""
     lam, residual, q_k = np.zeros(cons.m), 0.0, q
 
     def drift(q, p_half, h, decay):
@@ -253,8 +254,8 @@ def _rattle_step(q, p, force, jac, factor, t_k, dt, g, sched, prob, cons):
         residual = _sup_norm(res)
         if residual > cons.newton_tol:
             # q(lambda) = base_q - kick_mat @ lambda
-            kick_mat = h * (0.5 * dt * decay) * (g.g_inv @ jac.T)
-            newton_mat = jac @ kick_mat   # frozen-Jacobian (quasi-)Newton
+            kick_mat = h * (0.5 * dt * decay) * g.g_inv.dot(jac.T)
+            newton_mat = jac.dot(kick_mat)   # frozen-Jacobian (quasi-)Newton
             for _ in range(cons.newton_max_iter):
                 try:
                     dlam = np.linalg.solve(newton_mat, res)
@@ -262,7 +263,7 @@ def _rattle_step(q, p, force, jac, factor, t_k, dt, g, sched, prob, cons):
                     raise GeometryError("singular Newton system in RATTLE "
                                         "constraint solve") from exc
                 lam = lam + dlam
-                q_new = base_q - kick_mat @ lam
+                q_new = base_q - kick_mat.dot(lam)
                 res = cons.value(q_new)
                 residual = _sup_norm(res)
                 if residual <= cons.newton_tol:
@@ -271,7 +272,7 @@ def _rattle_step(q, p, force, jac, factor, t_k, dt, g, sched, prob, cons):
                 raise ConstraintSolveError(
                     f"Newton iteration did not reach tol {cons.newton_tol} in "
                     f"{cons.newton_max_iter} iterations", residual=residual)
-        return q_new, p_half - 0.5 * dt * decay * (jac.T @ lam)
+        return q_new, p_half - 0.5 * dt * decay * jac.T.dot(lam)
 
     def project(q, p):   # called at q_k, then at the new position
         nonlocal jac, factor
@@ -279,9 +280,9 @@ def _rattle_step(q, p, force, jac, factor, t_k, dt, g, sched, prob, cons):
             jac, factor = _projector(q, g, cons)
         return _project(p, jac, factor, g)
 
-    q, p, force = _conformal_step(q, p, force, t_k, dt, sched,
-                                  lambda q, p: prob.grad(q), drift, project)
-    return q, p, force, jac, factor, lam, residual
+    q, p, half_kick = _conformal_step(q, p, half_kick, t_k, dt, sched,
+                                      lambda q, p: prob.grad(q), drift, project)
+    return q, p, half_kick, jac, factor, lam, residual
 
 
 def rattle_step(x, t_k, dt, g, sched, prob, cons):
@@ -303,10 +304,10 @@ def run_lie_optimizer(st, prob, dt, g_scalar, sched, num_steps,
     """Iterate lie_group_step; reports the orthogonality defect per record."""
     carry = mode == "skew_projection"   # paper_literal's force reads P
 
-    def advance(x, t_k):  # x = (Q, P, force or None, ||Q^T Q - I||_F)
-        Q, P, force = _lie_step(x[0], x[1], x[2] if carry else None, t_k, dt,
-                                g_scalar, sched, prob, mode)
-        return Q, P, force, _group_defect(Q, P)
+    def advance(x, t_k):  # x = (Q, P, half kick or None, ||Q^T Q - I||_F)
+        Q, P, half_kick = _lie_step(x[0], x[1], x[2] if carry else None,
+                                    t_k, dt, g_scalar, sched, prob, mode)
+        return Q, P, half_kick, _group_defect(Q, P)
 
     traj, (Q, P, _, _) = _run_steps(
         (st.Q, st.P, None, st.orthogonality_defect()), advance,
@@ -323,7 +324,7 @@ def run_rattle_optimizer(x, prob, dt, g, sched, cons, num_steps,
     jac, factor = _projector(x.q, g, cons)
     x = PhasePoint(x.q, _project(x.p, jac, factor, g))
 
-    def advance(s, t_k):  # s = (q, p, grad f or None, J, factor, residual)
+    def advance(s, t_k):  # s = (q, p, half kick or None, J, factor, residual)
         *s, _, residual = _rattle_step(*s[:5], t_k, dt, g, sched, prob, cons)
         return *s, residual
 

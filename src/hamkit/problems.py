@@ -20,7 +20,7 @@ def quadratic(d, mu=1.0):
     """f(q) = (mu/2) ||q||^2, mu-strongly convex, minimiser 0."""
     return Problem(
         d,
-        value=lambda q: 0.5 * mu * float(q @ q),
+        value=lambda q: 0.5 * mu * float(q.dot(q)),
         grad=lambda q: mu * q,
         f_star=0.0,
         q_star=np.zeros(d),
@@ -32,8 +32,8 @@ def quartic(d):
     """f(q) = (1/4) ||q||^4, convex but not strongly convex."""
     return Problem(
         d,
-        value=lambda q: 0.25 * float(q @ q) ** 2,
-        grad=lambda q: float(q @ q) * q,
+        value=lambda q: 0.25 * float(q.dot(q)) ** 2,
+        grad=lambda q: float(q.dot(q)) * q,
         f_star=0.0,
         q_star=np.zeros(d),
         name="quartic",
@@ -67,7 +67,7 @@ def standard_gaussian(d):
     """V(q) = ||q||^2 / 2; the standard normal negative log-density."""
     return Problem(
         d,
-        value=lambda q: 0.5 * float(q @ q),
+        value=lambda q: 0.5 * float(q.dot(q)),
         grad=lambda q: q,
         f_star=0.0,
         q_star=np.zeros(d),

@@ -1,0 +1,66 @@
+"""Unit costs of one integrator step, through the public one-step functions.
+
+Not part of the test suite (the file does not match `test_*.py`); run it with
+
+    python -m pytest tests/bench_steps.py --benchmark-only
+
+Each benchmark times one call: a flat damped leapfrog step of the quartic at
+d = 2, one HMC draw (d = 10, L = 5) and one RATTLE step on the unit sphere.
+`test_flat_run_per_step` times a 1,000-step `run_optimizer` on the same
+quartic, the loop optimize_quartic runs; divide its time by 1,000 for the
+cost of one step inside a run, where no `PhasePoint` is validated.
+"""
+import numpy as np
+
+from hamkit import (
+    ChainState,
+    DampingSchedule,
+    KineticMetric,
+    OptimizerConfig,
+    PhasePoint,
+    Problem,
+    dissipative_leapfrog_step,
+    hmc_draw,
+    problems,
+    project_momentum,
+    rattle_step,
+    run_optimizer,
+    sphere_constraint,
+)
+
+
+def quartic_config(num_steps):
+    return OptimizerConfig(step=0.01, num_steps=num_steps,
+                           schedule=DampingSchedule.vanishing(r=3.0, t0=1.0),
+                           x0=PhasePoint([1.8, -0.4], [0.0, 0.0]))
+
+
+def test_flat_step(benchmark):
+    cfg, prob = quartic_config(1), problems.quartic(2)
+    x = benchmark(dissipative_leapfrog_step, cfg.x0, 1.0, cfg, prob)
+    assert np.isfinite(x.q).all()
+
+
+def test_flat_run_per_step(benchmark):
+    cfg, prob = quartic_config(1000), problems.quartic(2)
+    traj = benchmark(run_optimizer, cfg, prob)
+    assert traj.reason == "completed"
+
+
+def test_hmc_draw(benchmark):
+    d, prob = 10, problems.standard_gaussian(10)
+    g, rng = KineticMetric.identity(d), np.random.default_rng(0)
+    chain = hmc_draw(ChainState.start(np.full(d, 0.5)), prob, g, 0.2, 5, rng)
+    out = benchmark(hmc_draw, chain, prob, g, 0.2, 5, rng)
+    assert out.steps == 2
+
+
+def test_rattle_step(benchmark):
+    c = np.array([0.3, -1.2, 0.7])
+    prob = Problem(3, value=lambda q: float(c.dot(q)), grad=lambda q: c)
+    g, cons = KineticMetric.scaled_identity(3, 0.05), sphere_constraint()
+    q0 = np.array([1.0, 2.0, -2.0]) / 3.0
+    x = PhasePoint(q0, project_momentum(q0, np.array([0.05, 0.0, -0.02]), g, cons))
+    y, _ = benchmark(rattle_step, x, 1.0, 0.05, g,
+                     DampingSchedule.constant(2.0), prob, cons)
+    assert abs(y.q.dot(y.q) - 1.0) <= 1e-9

@@ -839,7 +839,12 @@ def test_optional_values_are_checked_before_the_run(tmp_path, capsys, name,
 # negative manifold step as "g_scalar must be positive", an optimize
 # num_steps, record_every or step of 0 and an hmc n_leapfrog of 0 or jitter
 # of 1.5 as the library's DomainError; a fit burn_in of 1.5 or 5
-# envelope_blocks only after rep 0 had written its trajectory CSV.
+# envelope_blocks only after rep 0 had written its trajectory CSV; an sm_ngd
+# sigma of 0 as a ZeroDivisionError; an sm_ngd step or kernel sigma of 0, an
+# mmd n or ksd m of 1, a ksd_curve point count of 0, an em beta of 0, a
+# manifold n or rattle dim of 0 and a rattle radius of 0 as the library's
+# errors.  A negative sm_ngd sigma or rattle radius ran: the first as its
+# absolute value, the second measuring the distance to the maximiser.
 @pytest.mark.parametrize("where, key, value, need", [
     ("optimize params", "num_steps", 0, ">= 1"),
     ("optimize params", "record_every", 0, ">= 1"),
@@ -864,6 +869,20 @@ def test_optional_values_are_checked_before_the_run(tmp_path, capsys, name,
     ("rattle block", "step", 0.0, "a number > 0"),
     ("mmd task", "n_outer", 1, ">= 2"),
     ("mmd task", "n_outer", 0, ">= 2"),
+    ("sm_ngd task", "sigma", 0.0, "a number > 0"),
+    ("sm_ngd task", "sigma", -1.0, "a number > 0"),
+    ("sm_ngd task", "step", 0.0, "a number > 0"),
+    ("mmd task", "sigma", 0.0, "a number > 0"),
+    ("ksd task", "sigma", 0.0, "a number > 0"),
+    ("mmd task", "n", 1, ">= 2"),
+    ("ksd task", "m", 1, ">= 2"),
+    ("ksd_curve block", "n_points", [20, 0], "a list of integers >= 2"),
+    ("ksd_curve block", "sigma", 0.0, "a number > 0"),
+    ("em sampler block", "beta", 0.0, "a number > 0"),
+    ("manifold params", "n", 0, ">= 1"),
+    ("rattle block", "dim", 0, ">= 1"),
+    ("rattle block", "radius", 0.0, "a number > 0"),
+    ("rattle block", "radius", -1.0, "a number > 0"),
 ])
 def test_values_out_of_range_are_checked_before_the_reps(tmp_path, capsys, where,
                                                          key, value, need):

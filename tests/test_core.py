@@ -147,6 +147,31 @@ class TestKineticMetric:
     def test_other_metrics_take_the_dense_products(self, g):
         assert KineticMetric(g)._scale is None
 
+    @given(d=st.integers(2, 40), diagonal=st.booleans(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_dense_products_equal_matmul_bit_for_bit(self, d, diagonal, data):
+        # the dense products call ndarray.dot, the cheaper call to the BLAS
+        # routine `@` reaches; a 1-ulp change would move every step of a run
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        if diagonal:
+            g = np.diag(np.exp(rng.uniform(-5.0, 5.0, d)))
+        else:
+            a = rng.standard_normal((d, d))
+            g = a @ a.T / d + rng.uniform(0.05, 1.0) * np.eye(d)
+        g = KineticMetric(g)
+        assert g._scale is None
+        p = data.draw(hnp.arrays(np.float64, d, elements=st.floats(-1e6, 1e6)))
+
+        def bits(a):
+            return np.asarray(a, float).view(np.uint64)
+
+        assert np.array_equal(bits(g.inv_mul(p)), bits(g.g_inv @ p))
+        assert bits(g.quad_inv(p)) == bits(float(p @ g.g_inv @ p))
+        z = np.random.default_rng(seed).standard_normal(d)
+        assert np.array_equal(bits(g.sample_momentum(np.random.default_rng(seed))),
+                              bits(g.chol @ z))
+
     def test_momentum_sampling_covariance(self):
         rng = np.random.default_rng(0)
         g = KineticMetric([[2.0, 0.3], [0.3, 1.0]])

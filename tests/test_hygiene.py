@@ -2,8 +2,9 @@
 finiteness checks use one idiom, config defaults live in one table, one
 driver builds every report, kernel values are built without their
 derivatives, the package exports every public name, only the manifold
-module imports scipy, and only on first use, and no module serves names
-through a module-level `__getattr__`.
+module imports scipy, and only on first use, no module serves names
+through a module-level `__getattr__`, and the per-step functions multiply
+with ndarray.dot, not `@`.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -213,3 +214,36 @@ def test_no_module_level_getattr(path):
                  if isinstance(node, ast.FunctionDef)
                  and node.name == "__getattr__"]
     assert not offending, f"{path.name}: module __getattr__ at lines {offending}"
+
+
+# The functions every integrator step or HMC draw calls, by module.  On 2- to
+# 10-vectors numpy's fixed cost per call is the time: ndarray.dot reaches the
+# BLAS routine `@` does, with the same bits, at about half the call cost.
+_PER_STEP = {
+    "core.py": ["_all_finite", "inv_mul", "quad_inv", "sample_momentum"],
+    "integrators.py": ["_conformal_step", "_leapfrog_step", "run_optimizer"],
+    "samplers.py": ["_leapfrog", "_hmc_transition"],
+    "manifold.py": ["_projector", "_project", "_rattle_step",
+                    "sphere_constraint"],
+    "problems.py": None,   # every built-in objective
+}
+
+
+@pytest.mark.parametrize("module", sorted(_PER_STEP))
+def test_per_step_products_call_dot(module):
+    path = PACKAGE / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    names = _PER_STEP[module]
+    if names is None:
+        names = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    offending = {}
+    for name in names:
+        (func,) = [node for node in funcs if node.name == name]
+        lines = [node.lineno for node in ast.walk(func)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.MatMult)]
+        if lines:
+            offending[name] = lines
+    assert not offending, (f"{module}: `@` in per-step functions at "
+                           f"{offending}; use ndarray.dot")

@@ -56,24 +56,33 @@ importlib.import_module("numpy.random")
 importlib.import_module("numpy.ma")
 
 
-@dataclass(frozen=True)
-class _Required:
-    """The _SCHEMA entry of a key its block must give.  Its `kind` keys _KINDS;
-    None marks a block, a list of blocks or a name, each checked where read."""
+class _Key:
+    """A _SCHEMA entry other than a plain default: the key's `kind` and
+    `domain`, _RULES its value must pass in turn (a block, a list of blocks
+    or a name has neither; each is checked where read), and its `default`.
+    A plain class: a dataclass adds about 0.6 ms to import (2-vCPU x86 host)."""
 
-    kind: object = None
+    def __init__(self, kind=None, domain=None, default=None):
+        self.kind, self.domain, self.default = kind, domain, default
 
 
-_REQUIRED, _INT, _NUM, _STR, _STEP = map(_Required, (None, int, float, str, "step"))
+class _Required(_Key):
+    """The entry of a key its block must give."""
 
 
-class _Optional:
-    """The _SCHEMA entry of a key its block may leave out (or give as null):
-    it is then None, and otherwise of `kind`, a key of _KINDS.  A plain class,
-    as a dataclass adds about 0.6 ms to import (2-vCPU x86 host)."""
+class _Optional(_Key):
+    """The entry of a key its block may leave out or give as null: None."""
 
-    def __init__(self, kind):
-        self.kind = kind
+
+class _Default(_Key):
+    """The entry of a key that defaults to `default`, of the key's kind."""
+
+    def __init__(self, default, domain):
+        super().__init__(type(default), domain, default)
+
+
+_REQUIRED, _STR, _STEP = _Required(), _Required(str), _Required("positive")
+_COUNT = _Required(int, ">= 1")
 
 
 def _of(kind):
@@ -87,64 +96,88 @@ def _list_of(test, size=None):
                       and (len(v) == size if size else len(v) > 0))
 
 
-_INTEGER, _NUMBER = _of(numbers.Integral), _of(numbers.Real)
+_INTEGER, _REAL = _of(numbers.Integral), _of(numbers.Real)
+_NUMBER = lambda v: _REAL(v) and -math.inf < v < math.inf   # noqa: E731
 _POSITIVE = lambda v: _NUMBER(v) and v > 0   # noqa: E731
-# The test a key's value must pass, and its name, by the key's kind: the type
-# of its _SCHEMA default or its _Required's or _Optional's kind.  Other
-# defaults (a None block, a () list of blocks) are checked where they are read.
-_KINDS = {bool: (_of(bool), "a boolean"), int: (_INTEGER, "an integer"),
+# The test a key's value must pass, and its error's text, by rule: a kind (the
+# type of a plain _SCHEMA default, or a _Key's kind), then a _Key's domain,
+# tested only on a value of its kind.  A number is finite: json.loads takes NaN
+# and Infinity.  Other defaults (a None block, a () list) are checked where read.
+_RULES = {bool: (_of(bool), "a boolean"), int: (_INTEGER, "an integer"),
           float: (_NUMBER, "a number"), str: (_of(str), "a string"),
           "integers": (_list_of(_INTEGER), "a non-empty list of integers"),
           "numbers": (_list_of(_NUMBER), "a non-empty list of numbers"),
-          "step": (_POSITIVE, "a number > 0"),
-          "steps": (_list_of(_POSITIVE), "a non-empty list of numbers > 0"),
+          "positive": (_POSITIVE, "a number > 0"),
+          "positives": (_list_of(_POSITIVE), "a non-empty list of numbers > 0"),
           "threshold": (lambda v: _NUMBER(v) or _list_of(_NUMBER, 2)(v),
                         "a number or a [lo, hi] pair of numbers")}
+_RULES.update({need: (test, need) for need, test in {   # domains, by their text
+    ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
+    ">= 10": lambda v: v >= 10, "in [0, 1)": lambda v: 0 <= v < 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "a list of integers >= 2": lambda v: min(v) >= 2}.items()})
 
 # Every config block, by the name its errors use: each allowed key with its
-# default, a _Required or an _Optional.  _block() checks a block against its
-# entry and fills it in.
+# plain default (whose type is its kind) or its _Key.  _block() checks a block
+# against its entry and fills it in.  Each numeric key has a domain or is one
+# of the _UNBOUNDED.
 _SCHEMA = {
-    "config": {"experiment": _REQUIRED, "params": _REQUIRED, "seed": 0,
-               "out_dir": ".", "reps": 1},
+    "config": {"experiment": _REQUIRED, "params": _REQUIRED,
+               "seed": _Default(0, ">= 0"), "out_dir": ".",
+               "reps": _Default(1, ">= 1")},
     "verdict entry": {"name": _Optional(str), "metric": _STR, "agg": "median",
                       "op": _REQUIRED, "threshold": _Required("threshold")},
     "optimize params": {"problem": _REQUIRED, "method": _REQUIRED,
-                        "schedule": _REQUIRED, "step": _STEP,
-                        "num_steps": _INT, "fit": _REQUIRED,
-                        "record_every": 1, "x0_scale": 2.0,
+                        "schedule": _REQUIRED, "step": _STEP, "num_steps": _COUNT,
+                        "fit": _REQUIRED, "record_every": _Default(1, ">= 1"),
+                        "x0_scale": _Default(2.0, "positive"),
                         "x0": _Optional("numbers"),
-                        "target_gap": _Optional(float), "verdicts": ()},
-    "problem block": {"name": _REQUIRED, "dim": 2, "mu": 1.0, "a": 1.0,
-                      "b": 100.0},
-    "schedule block": {"kind": _REQUIRED, "gamma": _Optional(float), "r": 3.0,
-                       "t0": 1.0},
-    "fit block": {"model": _REQUIRED, "burn_in": 0.2, "envelope": False,
-                  "envelope_blocks": 30, "envelope_spacing": "linear"},
-    "manifold params": {"n": _INT, "step": _STEP, "gammas": _Required("numbers"),
-                        "max_steps": _INT, "target_gap": _NUM,
-                        "g_scalar": _Optional("step"), "mode": "skew_projection",
+                        "target_gap": _Optional("positive"), "verdicts": ()},
+    "problem block": {"name": _REQUIRED, "dim": _Default(2, ">= 1"),
+                      "mu": _Default(1.0, "positive"), "a": 1.0,
+                      "b": _Default(100.0, "positive")},
+    "schedule block": {"kind": _REQUIRED, "gamma": _Optional("positive"),
+                       "r": _Default(3.0, "positive"), "t0": _Default(1.0, "positive")},
+    "fit block": {"model": _REQUIRED, "burn_in": _Default(0.2, "in [0, 1)"),
+                  "envelope": False, "envelope_blocks": _Default(30, ">= 10"),
+                  "envelope_spacing": "linear"},
+    "manifold params": {"n": _COUNT, "step": _STEP, "gammas": _Required("positives"),
+                        "max_steps": _COUNT, "target_gap": _Required("positive"),
+                        "g_scalar": _Optional("positive"), "mode": "skew_projection",
                         "c_scale": 1.0, "rattle": None, "verdicts": ()},
-    "rattle block": {"dim": _INT, "step": _STEP, "num_steps": _INT,
-                     "gamma": 1.0, "radius": 1.0},
-    "sample params": {"target": _REQUIRED, "sampler": _REQUIRED,
-                      "verdicts": ()},
-    "target block": {"name": _REQUIRED, "dim": 1, "ksd_curve": None},
-    "ksd_curve block": {"n_points": _Required("integers"), "sigma": 1.0},
-    "hmc sampler block": {"kind": _REQUIRED, "step": _STEP,
-                          "n_leapfrog": _INT, "n_draws": _INT,
-                          "jitter": 0.0, "burn_in": 0,
-                          "step_grid": _Optional("steps"),
+    "rattle block": {"dim": _COUNT, "step": _STEP, "num_steps": _COUNT,
+                     "gamma": _Default(1.0, "positive"),
+                     "radius": _Default(1.0, "positive")},
+    "sample params": {"target": _REQUIRED, "sampler": _REQUIRED, "verdicts": ()},
+    "target block": {"name": _REQUIRED, "dim": _Default(1, ">= 1"), "ksd_curve": None},
+    "ksd_curve block": {"n_points": _Required("integers", "a list of integers >= 2"),
+                        "sigma": _Default(1.0, "positive")},
+    "hmc sampler block": {"kind": _REQUIRED, "step": _STEP, "n_leapfrog": _COUNT,
+                          "n_draws": _COUNT, "jitter": _Default(0.0, "in [0, 1]"),
+                          "burn_in": _Default(0, ">= 0"),
+                          "step_grid": _Optional("positives"),
                           "grid_draws": 2000, "write_samples": False},
-    "em sampler block": {"kind": _REQUIRED, "dt_grid": _Required("steps"),
-                         "n_steps": _INT, "burn_in": _Optional(int), "beta": 1.0},
+    "em sampler block": {"kind": _REQUIRED, "dt_grid": _Required("positives"),
+                         "n_steps": _COUNT, "burn_in": _Optional(int, ">= 0"),
+                         "beta": _Default(1.0, "positive")},
     "discrepancy params": {"tasks": _REQUIRED, "verdicts": ()},
-    "sm_ngd task": {"kind": _REQUIRED, "n_samples": _INT,
-                    "dim": _INT, "step": 1.0, "n_iter": 50, "sigma": 1.0},
-    "mmd task": {"kind": _REQUIRED, "n": _INT, "dim": _Optional(int),
-                 "sigma": 1.0, "n_outer": 10, "samples_file": _Optional(str)},
-    "ksd task": {"kind": _REQUIRED, "m": _INT, "dim": _Optional(int),
-                 "sigma": 1.0, "shift": 1.0, "samples_file": _Optional(str)},
+    "sm_ngd task": {"kind": _REQUIRED, "n_samples": _COUNT, "dim": _COUNT,
+                    "step": _Default(1.0, "positive"), "n_iter": _Default(50, ">= 1"),
+                    "sigma": _Default(1.0, "positive")},
+    "mmd task": {"kind": _REQUIRED, "n": _Required(int, ">= 2"),
+                 "dim": _Optional(int, ">= 1"), "sigma": _Default(1.0, "positive"),
+                 "n_outer": _Default(10, ">= 2"), "samples_file": _Optional(str)},
+    "ksd task": {"kind": _REQUIRED, "m": _Required(int, ">= 2"),
+                 "dim": _Optional(int, ">= 1"), "sigma": _Default(1.0, "positive"),
+                 "shift": 1.0, "samples_file": _Optional(str)},
+}
+_UNBOUNDED = {   # the numeric keys that take any value of their kind, and why
+    ("verdict entry", "threshold"): "a metric may be held to any number",
+    ("optimize params", "x0"): "a start may be any point",
+    ("problem block", "a"): "the Rosenbrock minimiser (a, a^2) may be anywhere",
+    ("manifold params", "c_scale"): "any multiple of a cost matrix is one",
+    ("hmc sampler block", "grid_draws"): "cmd_sample checks it with a step_grid",
+    ("ksd task", "shift"): "the mismatched score's mean may be any number",
 }
 _VARIANTS = {   # blocks in variants: their "kind" names the _SCHEMA entry
     "sampler": {"hmc": "hmc sampler block", "em": "em sampler block"},
@@ -161,7 +194,8 @@ def _choose(table, name, what):
 
 def _block(raw, where):
     """A copy of config block `raw` with its defaults filled in, after
-    checking its keys against _SCHEMA[where] and its values against _KINDS."""
+    checking its keys against _SCHEMA[where] and its values against their
+    kinds and domains in _RULES."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
     if where in _VARIANTS:
@@ -174,21 +208,17 @@ def _block(raw, where):
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
     for key, value in raw.items():
-        default = schema[key]
-        if isinstance(default, _Optional) and value is None:
+        entry = schema[key]
+        if isinstance(entry, _Optional) and value is None:
             continue
-        kind = getattr(default, "kind", type(default))   # _Required, _Optional
-        if kind in _KINDS and not _KINDS[kind][0](value):
-            raise ConfigError(f"{key!r} in {where} must be {_KINDS[kind][1]}, "
-                              f"got {value!r}")
-    return {**{k: None if isinstance(v, _Optional) else v
+        rules = ((entry.kind, entry.domain) if isinstance(entry, _Key)
+                 else (type(entry),))
+        for rule in rules:
+            if rule in _RULES and not _RULES[rule][0](value):
+                raise ConfigError(f"{key!r} in {where} must be "
+                                  f"{_RULES[rule][1]}, got {value!r}")
+    return {**{k: v.default if isinstance(v, _Key) else v
                for k, v in schema.items()}, **raw}
-
-
-def _check(block, key, where, ok, need):
-    """Refuse block[key] unless ok(block[key]), naming the key and `need`."""
-    if not ok(block[key]):
-        raise ConfigError(f"{key!r} in {where} must be {need}, got {block[key]!r}")
 
 
 def _blocks(parent, key, where):
@@ -220,21 +250,16 @@ class ExperimentConfig:
 
     experiment: str
     params: dict
-    seed: int = _SCHEMA["config"]["seed"]
+    seed: int = _SCHEMA["config"]["seed"].default
     out_dir: str = _SCHEMA["config"]["out_dir"]
-    reps: int = _SCHEMA["config"]["reps"]
+    reps: int = _SCHEMA["config"]["reps"].default
 
     def __post_init__(self):
         _choose(_COMMANDS, self.experiment, "experiment")
         if self.experiment == "manifold":
             _linalg()   # loads with the config, not in the run
-        _block(vars(self), "config")   # the types of seed, out_dir and reps
-        self.seed = int(self.seed)
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        self.reps = int(self.reps)
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
+        _block(vars(self), "config")   # seed, out_dir and reps
+        self.seed, self.reps = int(self.seed), int(self.reps)
         params = _block(self.params, f"{self.experiment} params")
         for v in _blocks(params, "verdicts", "verdict entry"):
             _check_verdict(v)
@@ -263,6 +288,8 @@ def _check_verdict(v):
     if (v["op"] == "in") != isinstance(v["threshold"], (list, tuple)):
         need = "a [lo, hi]" if v["op"] == "in" else "a number"
         raise ConfigError(f"{v['op']!r} verdicts need {need} threshold")
+    if v["op"] == "in" and v["threshold"][0] > v["threshold"][1]:
+        raise ConfigError(f"'in' verdicts need lo <= hi, got {v['threshold']!r}")
     return v
 
 
@@ -384,11 +411,7 @@ def _envelope(traj, n_blocks, spacing="linear"):
 
 def cmd_optimize(cfg, p):
     """Rate-table experiment: run an optimiser, fit the decay, check verdicts."""
-    for key in ("num_steps", "record_every"):
-        _check(p, key, "optimize params", lambda v: v >= 1, ">= 1")
     fit = _block(p["fit"], "fit block")
-    _check(fit, "burn_in", "fit block", lambda v: 0.0 <= v < 1.0, "in [0, 1)")
-    _check(fit, "envelope_blocks", "fit block", lambda v: v >= 10, ">= 10")
     _choose(dict.fromkeys(("linear", "log")), fit["envelope_spacing"],
             "envelope spacing")
     problem = _block(p["problem"], "problem block")
@@ -445,7 +468,6 @@ def cmd_optimize(cfg, p):
 
 def cmd_manifold(cfg, p):
     """Damping-regime comparison on SO(n), plus an optional sphere RATTLE run."""
-    _check(p, "n", "manifold params", lambda v: v >= 1, ">= 1")
     n = int(p["n"])
     if n > 100:
         raise ConfigError("manifold experiments are desk scale: n <= 100")
@@ -455,9 +477,6 @@ def cmd_manifold(cfg, p):
     max_steps = int(p["max_steps"])
     target_gap = float(p["target_gap"])
     rattle = None if p["rattle"] is None else _block(p["rattle"], "rattle block")
-    if rattle is not None:
-        _check(rattle, "dim", "rattle block", lambda v: v >= 1, ">= 1")
-        _check(rattle, "radius", "rattle block", *_KINDS["step"])
     _choose(dict.fromkeys(_LIE_MODES), p["mode"], "lie step mode")
 
     def worker(i, rng):
@@ -519,29 +538,19 @@ def cmd_sample(cfg, p):
     if ksd_curve is not None and not gaussian:
         raise ConfigError(f"ksd_curve scores N(0, I) draws; it needs the "
                           f"gaussian target, not {target['name']!r}")
-    if ksd_curve is not None:
-        _check(ksd_curve, "n_points", "ksd_curve block", lambda v: min(v) >= 2,
-               "a list of integers >= 2")
-        _check(ksd_curve, "sigma", "ksd_curve block", *_KINDS["step"])
     samp = _block(p["sampler"], "sampler")
     kind = samp["kind"]
     if kind == "hmc":
-        where = "hmc sampler block"
-        _check(samp, "n_draws", where, lambda v: v >= 1, ">= 1")
-        _check(samp, "n_leapfrog", where, lambda v: v >= 1, ">= 1")
-        _check(samp, "burn_in", where, lambda v: v >= 0, ">= 0")
-        _check(samp, "jitter", where, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
         burn = int(samp["burn_in"])
         grid = samp["step_grid"]
-        if grid:
-            _check(samp, "grid_draws", where, lambda v: v >= 1,
-                   ">= 1 with a step_grid")
+        if grid and samp["grid_draws"] < 1:
+            raise ConfigError(f"'grid_draws' in hmc sampler block must be >= 1 "
+                              f"with a step_grid, got {samp['grid_draws']!r}")
     else:
         n_steps = int(samp["n_steps"])
         burn = n_steps // 10 if samp["burn_in"] is None else int(samp["burn_in"])
-        if not 0 <= burn < n_steps:
-            raise ConfigError("em sampler needs 0 <= burn_in < n_steps")
-        _check(samp, "beta", "em sampler block", *_KINDS["step"])
+        if burn >= n_steps:
+            raise ConfigError(f"em sampler needs burn_in < n_steps, got {burn}")
         if not gaussian:
             raise ConfigError(f"the em sampler's var_dt_* and bias_monotone "
                               f"measure the distance from N(0, I); it needs "
@@ -642,16 +651,6 @@ def cmd_discrepancy(cfg, p):
     tasks = _blocks(p, "tasks", "discrepancy task")
     pools = {}   # samples_file -> its rows, read once for every worker
     for task in tasks:
-        where = _VARIANTS["discrepancy task"][task["kind"]]
-        _check(task, "sigma", where, *_KINDS["step"])
-        if task["kind"] == "sm_ngd":
-            _check(task, "step", where, *_KINDS["step"])
-        elif task["kind"] == "mmd_ustat_zero":
-            _check(task, "n", where, lambda v: v >= 2, ">= 2")
-            _check(task, "n_outer", where, lambda v: v >= 2,
-                   ">= 2, as mmd_z needs a standard error")
-        elif task["kind"] == "ksd_mismatch":
-            _check(task, "m", where, lambda v: v >= 2, ">= 2")
         path = task.get("samples_file")   # sm_ngd tasks have no such key
         if path is not None:
             if not os.path.exists(path):

@@ -106,6 +106,12 @@ class TestExperimentConfig:
         ({"metric": "x", "agg": "mode", "op": "<=", "threshold": 1},
          "unknown verdict aggregate 'mode'"),
         ({"metric": "x", "op": "in", "threshold": 1}, "[lo, hi] threshold"),
+        # each of these loaded and gave a verdict that could never pass
+        ({"metric": "x", "op": "in", "threshold": [1.0, 0.0]},
+         "'in' verdicts need lo <= hi, got [1.0, 0.0]"),
+        ({"metric": "x", "op": "<=", "threshold": math.nan},
+         "'threshold' in verdict entry must be a number or a [lo, hi] pair of "
+         "numbers, got nan"),
     ])
     def test_reevaluate_rejects_a_bad_verdict(self, spec, named):
         stored = {"per_rep": [{"rep": 0, "x": 0.5}]}
@@ -213,6 +219,16 @@ class TestOptimizeExperiment:
         with pytest.raises(ConfigError, match="gamma"):
             run_experiment(ExperimentConfig("optimize", params,
                                             out_dir=str(tmp_path)))
+
+    def test_constant_schedule_gamma_checked_before_the_reps(self, tmp_path):
+        # a negative gamma used to raise the library's DomainError
+        params = base_optimize_params()
+        params["schedule"] = {"kind": "constant", "gamma": -1.0}
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=re.escape(
+                "'gamma' in schedule block must be a number > 0, got -1.0")):
+            run_experiment(ExperimentConfig("optimize", params, out_dir=str(out)))
+        assert not out.exists()
 
 
 class TestManifoldExperiment:
@@ -575,6 +591,10 @@ class TestCli:
          "entry must be a number or a [lo, hi] pair of numbers, got '1'"),
         (("params", "verdicts", 1), "threshold", [0.0, 1.0],
          "'>=' verdicts need a number threshold"),
+        (("params", "verdicts", 0), "threshold", [2.2, 1.8],
+         "'in' verdicts need lo <= hi, got [2.2, 1.8]"),
+        (("params", "verdicts", 1), "threshold", math.nan, "'threshold' in "
+         "verdict entry must be a number or a [lo, hi] pair of numbers, got nan"),
     ])
     def test_required_values_are_checked_at_load(self, tmp_path, capsys, path,
                                                  key, value, named):
@@ -707,18 +727,18 @@ def test_schema_block_contract(tmp_path, where):
     assert report.per_rep
 
 
-# A wrong kind of value for each kind of _SCHEMA entry (the type of a default,
-# or a required key's declared kind); a float also takes an integer, and no
+# A wrong kind of value for each kind of _SCHEMA entry (the type of a plain
+# default, or a _Key's declared kind); a float also takes an integer, and no
 # number takes a bool.
 WRONG_KINDS = {bool: [1, "true"], int: [True, 2.5, "2"], float: [True, "1"],
                str: [1, True], "integers": [3, [], [2.5], ["2"], [True]],
                "numbers": [1.0, [], ["1"], [True], "1"],
-               "step": [True, "1"], "steps": [1.0, [], ["1"], [True]],
+               "positive": [True, "1"], "positives": [1.0, [], ["1"], [True], "1"],
                "threshold": ["1", True, [1.0], [1.0, 2.0, 3.0], [1.0, "2"]]}
 
 
 def kind(entry):
-    return getattr(entry, "kind", type(entry))   # _Required, _Optional
+    return getattr(entry, "kind", type(entry))   # a _Key, or a plain default
 
 
 def typed_keys(where):
@@ -845,6 +865,17 @@ def test_optional_values_are_checked_before_the_run(tmp_path, capsys, name,
 # manifold n or rattle dim of 0 and a rattle radius of 0 as the library's
 # errors.  A negative sm_ngd sigma or rattle radius ran: the first as its
 # absolute value, the second measuring the distance to the maximiser.
+# Each key's range is now its _SCHEMA domain.  Of the rows from "sm_ngd task
+# n_samples" on: an sm_ngd n_samples of 0, a negative manifold gamma, rattle
+# gamma or constant-schedule gamma, and a NaN x0_scale, c_scale, shift or mu
+# failed inside rep 0, after out_dir existed; an sm_ngd dim of 0 and a problem
+# dim of -1 as untyped numpy errors; a problem or target dim of 0 as the
+# library's DomainError; an sm_ngd n_iter, manifold max_steps or rattle
+# num_steps of 0, a NaN target_gap and an mmd or ksd dim of 0 ran to a report.
+# A schedule r of 0 or t0 of -1 raised the library's DomainError; a mu or
+# x0_scale of 0 and a negative b ran; seed, reps and the em rows were refused
+# already, with other messages.  JSON's NaN and Infinity are no numbers: an
+# infinite target_gap or hmc step ran to a report, the others failed in rep 0.
 @pytest.mark.parametrize("where, key, value, need", [
     ("optimize params", "num_steps", 0, ">= 1"),
     ("optimize params", "record_every", 0, ">= 1"),
@@ -883,6 +914,39 @@ def test_optional_values_are_checked_before_the_run(tmp_path, capsys, name,
     ("rattle block", "dim", 0, ">= 1"),
     ("rattle block", "radius", 0.0, "a number > 0"),
     ("rattle block", "radius", -1.0, "a number > 0"),
+    ("sm_ngd task", "n_samples", 0, ">= 1"),
+    ("sm_ngd task", "dim", 0, ">= 1"),
+    ("sm_ngd task", "n_iter", 0, ">= 1"),
+    ("mmd task", "dim", 0, ">= 1"),
+    ("ksd task", "dim", 0, ">= 1"),
+    ("manifold params", "max_steps", 0, ">= 1"),
+    ("manifold params", "gammas", [1.0, -1.0], "a non-empty list of numbers > 0"),
+    ("rattle block", "num_steps", 0, ">= 1"),
+    ("rattle block", "gamma", -1.0, "a number > 0"),
+    ("problem block", "dim", -1, ">= 1"),
+    ("target block", "dim", 0, ">= 1"),
+    ("schedule block", "gamma", -1.0, "a number > 0"),
+    ("optimize params", "target_gap", math.nan, "a number > 0"),
+    ("manifold params", "target_gap", math.nan, "a number > 0"),
+    ("ksd task", "shift", math.nan, "a number"),
+    ("manifold params", "c_scale", math.nan, "a number"),
+    ("optimize params", "x0_scale", math.nan, "a number"),
+    ("problem block", "mu", math.nan, "a number"),
+    ("config", "seed", -1, ">= 0"),
+    ("config", "reps", 0, ">= 1"),
+    ("em sampler block", "burn_in", -1, ">= 0"),
+    ("em sampler block", "n_steps", 0, ">= 1"),
+    ("schedule block", "r", 0.0, "a number > 0"),
+    ("schedule block", "t0", -1.0, "a number > 0"),
+    ("problem block", "mu", 0.0, "a number > 0"),
+    ("problem block", "b", -1.0, "a number > 0"),
+    ("optimize params", "x0_scale", 0.0, "a number > 0"),
+    ("optimize params", "x0", [1.0, math.nan], "a non-empty list of numbers"),
+    ("optimize params", "target_gap", math.inf, "a number > 0"),
+    ("optimize params", "step", math.inf, "a number > 0"),
+    ("hmc sampler block", "step", math.inf, "a number > 0"),
+    ("manifold params", "c_scale", -math.inf, "a number"),
+    ("sm_ngd task", "sigma", math.inf, "a number"),
 ])
 def test_values_out_of_range_are_checked_before_the_reps(tmp_path, capsys, where,
                                                          key, value, need):
@@ -901,6 +965,53 @@ def test_values_out_of_range_are_checked_before_the_reps(tmp_path, capsys, where
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task", [1, 2])
+def test_dim_without_samples_file_is_checked_before_the_reps(tmp_path, capsys,
+                                                             task):
+    # the task then draws N(0, I) rows of `dim` coordinates: dim 0 ran to a
+    # report whose mmd_z or ksd_z was inf
+    raw = schema_configs(tmp_path)["discrepancy"]
+    block = raw["params"]["tasks"][task]
+    block.update(samples_file=None, dim=0)
+    where = "mmd task" if task == 1 else "ksd task"
+    named = f"'dim' in {where} must be >= 1, got 0"
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        run_raw(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert cli_main(["discrepancy", "--config", str(config)]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# The kinds whose values are numbers, and those of them that bound their values.
+NUMERIC_KINDS = {int, float, "integers", "numbers", "positive", "positives",
+                 "threshold"}
+BOUNDED_KINDS = {"positive", "positives"}
+
+
+def test_every_numeric_key_has_a_domain_or_a_reason():
+    # a new numeric key states its range in _SCHEMA, or why it has none in
+    # _UNBOUNDED, so no key arrives that is checked only inside a rep
+    entries = {(where, key): entry for where, block in bench._SCHEMA.items()
+               for key, entry in block.items()}
+    assert set(bench._UNBOUNDED) <= set(entries), "stale _UNBOUNDED keys"
+    for (where, key), entry in entries.items():
+        rules = ((entry.kind, entry.domain) if isinstance(entry, bench._Key)
+                 else ())
+        assert all(r is None or r in bench._RULES for r in rules), (where, key)
+        if kind(entry) not in NUMERIC_KINDS:
+            assert (where, key) not in bench._UNBOUNDED, (where, key)
+            continue
+        bounded = (kind(entry) in BOUNDED_KINDS
+                   or getattr(entry, "domain", None) is not None)
+        reason = bench._UNBOUNDED.get((where, key))
+        assert bounded != bool(reason), (
+            f"{key!r} in {where} needs a domain or a reason in _UNBOUNDED, "
+            f"and not both")
+        assert reason is None or isinstance(reason, str)
 
 
 @pytest.mark.parametrize("spacing", ["linear", "log"])

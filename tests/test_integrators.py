@@ -76,6 +76,88 @@ class TestStepExamples:
         assert np.array_equal(y.p, p_new)
 
 
+_U = 2.0 ** -53   # unit roundoff
+_SCHEDULES = st.one_of(
+    st.tuples(st.just("constant"), st.floats(0.1, 3.0)).map(
+        lambda c: (DampingSchedule.constant(c[1]), 0.0)),
+    st.tuples(st.floats(1.0, 4.0), st.floats(0.5, 2.0), st.floats(0.0, 5.0)).map(
+        lambda v: (DampingSchedule.vanishing(r=v[0], t0=v[1]), v[1] + v[2])))
+
+
+class TestDampedStepGeometry:
+    """One damped step is conformally symplectic: its Jacobian J satisfies
+    J^T Omega J = e^{-2 De} Omega and det J = e^{-2 d De}, with De the damping
+    integral over the first half step, up to the central-difference error."""
+
+    D = 3
+
+    @staticmethod
+    def step(cfg, prob, t_k, z):
+        d = z.size // 2
+        y = dissipative_leapfrog_step(PhasePoint(z[:d], z[d:]), t_k, cfg, prob)
+        return np.concatenate([y.q, y.p])
+
+    def rounding(self, cfg, prob, t_k, de, z):
+        """Bound on the 2-norm of the rounding error of the step from z.  The
+        step rounds an entry at most 3d + 16 times: d in g^{-1} p, 2 in the
+        drift, 2 in dt cosh(De), 6 in the two half kicks, 4 in the two decays
+        and their exp, and d + 1 in each of the two quartic gradients
+        (q.q) q.  Each time it errs by at most u M, with M bounding |q|,
+        |p_{k+1/2}| <= |p_k| + dt |grad f| and h |g^{-1} p|, h = dt cosh(De),
+        at both ends.  The sub-steps after a rounding amplify it at most by
+        the product of their Lipschitz bounds: 1 + h ||g^{-1}|| for the drift
+        and 1 + (dt/2) ||H(q)|| for a half kick at q, H(q) = |q|^2 I + 2 q q^T
+        the quartic's Hessian; a decay e^{-De} <= 1 does not amplify."""
+        d, dt = self.D, cfg.step
+        h_inv = dt * math.cosh(de) * np.linalg.norm(cfg.metric.g_inv, 2)
+        ends = [z, self.step(cfg, prob, t_k, z)]
+        m = max(np.linalg.norm(w[:d]) + np.linalg.norm(w[d:])
+                + dt * np.linalg.norm(prob.grad(w[:d])) for w in ends)
+        m *= 1.0 + h_inv
+        kicks = [1.0 + 0.5 * dt * 3.0 * float(w[:d] @ w[:d]) for w in ends]
+        lip = kicks[0] * (1.0 + h_inv) * kicks[1]
+        return math.sqrt(2 * d) * (3 * d + 16) * _U * m * lip
+
+    @given(sched=_SCHEDULES, seed=st.integers(0, 2**32 - 1),
+           dt=st.floats(0.02, 0.2))
+    @settings(max_examples=40, deadline=None)
+    def test_conformally_symplectic(self, sched, seed, dt):
+        sched, t_k = sched
+        d, n, h = self.D, 2 * self.D, 1e-5
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d))   # a dense SPD metric, eigenvalues >= 0.5
+        g = KineticMetric(a @ a.T / d + 0.5 * np.eye(d))
+        z = rng.uniform(-1.5, 1.5, n)
+        prob = problems.quartic(d)
+        cfg = make_cfg(prob, dt, 1, sched, z[:d], z[d:], metric=g)
+        de = sched.delta_eta(t_k, t_k + 0.5 * dt)
+
+        def jacobian(h):   # central differences, one column per coordinate
+            return np.column_stack([
+                (self.step(cfg, prob, t_k, z + h * e)
+                 - self.step(cfg, prob, t_k, z - h * e)) / (2.0 * h)
+                for e in np.eye(n)])
+
+        jac, jac_half = jacobian(h), jacobian(0.5 * h)
+        # E = jac_half - J: rounding as in TestLeapfrogGeometry (each step
+        # errs by eps, z +- h e_j by u |z|), truncation about (jac - jac_half) / 3
+        eps = self.rounding(cfg, prob, t_k, de, z)
+        rounding = math.sqrt(n) * 2.0 * (eps + _U * np.abs(z).max()
+                                         * np.linalg.norm(jac_half, 2)) / h
+        err = rounding + np.linalg.norm(jac - jac_half) / 3.0
+        omega = np.block([[np.zeros((d, d)), np.eye(d)],
+                          [-np.eye(d), np.zeros((d, d))]])
+        # (J + E)^T Omega (J + E) - J^T Omega J = E^T Omega (J + E)
+        # + (J + E)^T Omega E - E^T Omega E, and ||Omega|| = 1
+        defect = jac_half.T @ omega @ jac_half - math.exp(-2.0 * de) * omega
+        assert np.abs(defect).max() <= 2.0 * err * np.linalg.norm(jac_half, 2) + err**2
+        # det as in TestLeapfrogGeometry.test_unit_jacobian, relative to e^{-2 d De}
+        first_order = np.linalg.norm(np.linalg.inv(jac_half)) * err
+        assert first_order < 0.01
+        det = math.exp(-2.0 * d * de)
+        assert abs(np.linalg.det(jac_half) - det) <= 2.0 * det * first_order
+
+
 class TestGradientFlow:
     def test_single_step(self):
         prob = problems.quadratic(1)

@@ -138,6 +138,45 @@ class TestLieGroupStep:
         assert np.linalg.norm(st.Q - st0.Q) < 1e-9
         assert np.linalg.norm(st.P - st0.P) < 1e-9
 
+    @given(hst.integers(0, 2**32 - 1), hst.floats(0.01, 0.1))
+    @settings(max_examples=30, deadline=None)
+    def test_reversibility_with_force(self, seed, dt):
+        n, steps, u = 6, 10, 2.0 ** -53
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((n, n))
+        c /= np.linalg.norm(c, 2)   # ||C||_2 = 1
+        prob = trace_objective(c)
+        st0 = MatrixGroupState(scipy.linalg.expm(random_skew(n, rng)),
+                               random_skew(n, rng))
+        flights = [st0]
+        st = st0
+        for k in range(2 * steps):
+            if k == steps:
+                st = st.flip_momentum()
+            st = lie_group_step(st, 0.0, dt, 1.0, DampingSchedule.zero(), prob)
+            flights.append(st)
+        st = st.flip_momentum()
+        # Rounding only: with zero damping the step is reversible.  A step
+        # rounds an entry at most 17n + 16 times: n in each of the two
+        # products Q^T C^T, 2 in each of the four skew parts, 4 in each half
+        # kick, and for the drift Q expm(dt P) a Pade expm of fewer than 12
+        # products of n x n matrices (12n) and one LU solve (2n), then n in
+        # the product by Q.  Each time it errs by at most u M, M bounding an
+        # entry of Q (orthogonal, so <= 1), of P and of (dt/2) skew(Q^T C^T)
+        # (<= dt/2); over the n^2 entries a step errs by n (17n + 16) u M
+        # (Frobenius norm).  A later step amplifies an error at most by
+        # (1 + (dt/2) ||C||_2)^2 (1 + dt): a half kick is (dt/2) ||C||_2-
+        # Lipschitz in Q, the drift dt-Lipschitz in P (the derivative of expm
+        # at a skew matrix has norm <= 1) and 1-Lipschitz in Q, and skew_part
+        # is a projection.  The flip is an isometry, so the round trip errs by
+        # at most 2 * steps such errors, each amplified 2 * steps times.
+        m = max(1.0 + np.abs(s.P).max() + 0.5 * dt for s in flights)
+        eps = n * (17 * n + 16) * u * m
+        lip = (1.0 + 0.5 * dt) ** 2 * (1.0 + dt)
+        bound = 2 * steps * eps * lip ** (2 * steps)
+        assert np.linalg.norm(st.Q - st0.Q) <= bound
+        assert np.linalg.norm(st.P - st0.P) <= bound
+
     def test_paper_literal_mode_stays_on_group(self):
         rng = np.random.default_rng(8)
         c = rng.standard_normal((3, 3))

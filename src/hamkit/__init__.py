@@ -12,8 +12,6 @@ from .core import (
     KineticMetric,
     PhasePoint,
     Problem,
-    conformal_vector_field,
-    dissipation_rate,
     evaluate_hamiltonian,
 )
 from .errors import (
@@ -22,7 +20,6 @@ from .errors import (
     ConditioningWarning,
     ConfigError,
     ConstraintSolveError,
-    DegenerateSampleError,
     DivergenceError,
     DomainError,
     FitDomainError,
@@ -48,20 +45,16 @@ from .samplers import (
     mcmc_estimate,
     overdamped_em_step,
     run_hmc_chain,
-    underdamped_step,
     write_samples_csv,
 )
 from .discrepancies import (
     GaussianLocationModel,
     KernelSpec,
     ScoreModel,
-    TranslationGenerator,
     information_tensor,
     ksd_u_statistic,
-    median_heuristic,
     mmd_squared,
     natural_gradient_step,
-    sm_estimate,
     sm_ngd_fit,
     stein_gram,
     stein_kernel,

@@ -416,6 +416,9 @@ def cmd_optimize(cfg, p):
             "envelope spacing")
     problem = _block(p["problem"], "problem block")
     prob = _choose(_PROBLEMS, problem["name"], "problem")(problem)
+    if p["x0"] is not None and len(p["x0"]) != prob.dim:
+        raise ConfigError(f"'x0' in optimize params must be a list of {prob.dim} "
+                          f"numbers, the problem's dim, got {p['x0']!r}")
     schedule = _block(p["schedule"], "schedule block")
     if schedule["kind"] == "constant" and schedule["gamma"] is None:
         raise ConfigError("constant schedule needs 'gamma'")

@@ -18,8 +18,6 @@ __all__ = [
     "DampingSchedule",
     "Problem",
     "evaluate_hamiltonian",
-    "conformal_vector_field",
-    "dissipation_rate",
 ]
 
 
@@ -208,15 +206,6 @@ class DampingSchedule:
         """Earliest admissible time for this schedule."""
         return self.t0 if self.kind == "vanishing" else 0.0
 
-    def gamma_at(self, t):
-        if self.kind == "constant":
-            return self.gamma
-        if self.kind == "zero":
-            return 0.0
-        if t < self.t0:
-            raise DomainError(f"vanishing schedule undefined at t={t} < t0={self.t0}")
-        return self.r / t
-
     def delta_eta(self, t_a, t_b):
         """Exact integral of gamma over [t_a, t_b]."""
         if t_a > t_b:
@@ -290,16 +279,3 @@ def evaluate_hamiltonian(x, g, prob):
     if not math.isfinite(potential):
         raise NumericOverflowError("potential term f(q) is non-finite")
     return kinetic + potential
-
-
-def conformal_vector_field(x, t, g, prob, sched):
-    """Damped Hamiltonian field: dq = g^{-1} p, dp = -grad f(q) - gamma(t) p."""
-    gamma = sched.gamma_at(t)
-    dq = g.inv_mul(x.p)
-    dp = -prob.grad(x.q) - gamma * x.p
-    return dq, dp
-
-
-def dissipation_rate(x, t, g, sched):
-    """dH/dt along the damped flow: -gamma(t) p^T g^{-1} p, always <= 0."""
-    return -sched.gamma_at(t) * g.quad_inv(x.p)

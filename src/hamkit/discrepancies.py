@@ -1,4 +1,5 @@
-"""Kernel discrepancies (MMD, KSD), score matching, and natural-gradient fits."""
+"""Kernel discrepancies (MMD, KSD), and score-matching fits by natural gradient
+with the score-matching information tensor."""
 from __future__ import annotations
 
 import copy
@@ -7,12 +8,11 @@ import warnings
 
 import numpy as np
 
-from .core import _as_samples, _central_diffs, _rows
+from .core import _as_samples, _rows
 from .errors import (
     CapabilityError,
     ConditioningError,
     ConditioningWarning,
-    DegenerateSampleError,
     DomainError,
 )
 
@@ -20,13 +20,10 @@ __all__ = [
     "KernelSpec",
     "ScoreModel",
     "GaussianLocationModel",
-    "TranslationGenerator",
-    "median_heuristic",
     "mmd_squared",
     "stein_kernel",
     "stein_gram",
     "ksd_u_statistic",
-    "sm_estimate",
     "information_tensor",
     "natural_gradient_step",
     "sm_ngd_fit",
@@ -41,14 +38,19 @@ class KernelSpec:
     """
 
     def __init__(self, family, **params):
+        def need(key):
+            if key not in params:
+                raise DomainError(f"{family} kernel needs parameter {key!r}")
+            return float(params.pop(key))
+
         if family == "gaussian":
-            sigma = float(params.pop("sigma"))
+            sigma = need("sigma")
             if not sigma > 0:
                 raise DomainError("gaussian kernel needs sigma > 0")
             self.params = {"sigma": sigma}
         elif family == "inverse_multiquadric":
-            c = float(params.pop("c"))
-            beta = float(params.pop("beta"))
+            c = need("c")
+            beta = need("beta")
             if not c > 0:
                 raise DomainError("inverse multiquadric needs c > 0")
             if not 0.0 < beta < 1.0:
@@ -107,31 +109,6 @@ class KernelSpec:
         _, dphi, d2phi = self._profile(r2)
         return -2.0 * x_arr.shape[1] * dphi - 4.0 * r2 * d2phi
 
-    # Single-pair forms, from the direct difference x - y.
-    def _pair(self, x, y, derivatives=True):
-        diff = (np.atleast_1d(np.asarray(x, float))
-                - np.atleast_1d(np.asarray(y, float)))
-        return diff, self._profile(float(diff @ diff), derivatives)
-
-    def mixed_hessian(self, x, y):
-        """Full matrix d^2 k / (d x_i d y_j) at a single pair, shape (d, d)."""
-        diff, (_, dphi, d2phi) = self._pair(x, y)
-        return -2.0 * dphi * np.eye(diff.size) - 4.0 * d2phi * np.outer(diff, diff)
-
-    def k(self, x, y):
-        return float(self._pair(x, y, derivatives=False)[1])
-
-    def grad_x(self, x, y):
-        diff, (_, dphi, _) = self._pair(x, y)
-        return 2.0 * dphi * diff
-
-    def grad_y(self, x, y):
-        return -self.grad_x(x, y)
-
-    def mixed_trace(self, x, y):
-        diff, (_, dphi, d2phi) = self._pair(x, y)
-        return float(-2.0 * diff.size * dphi - 4.0 * (diff @ diff) * d2phi)
-
 
 def _sq_dists(x_arr, y_arr):
     """||x_i - y_j||^2 as ||x_i||^2 + ||y_j||^2 - 2 x_i.y_j, clamped at 0.
@@ -143,37 +120,6 @@ def _sq_dists(x_arr, y_arr):
     r2 += (np.einsum("ij,ij->i", x_arr, x_arr)[:, None]
            + np.einsum("ij,ij->i", y_arr, y_arr)[None, :])
     return np.maximum(r2, 0.0, out=r2)
-
-
-_MEDIAN_SUBSAMPLE = 2000
-
-
-def median_heuristic(samples):
-    """Median of squared pairwise distances over distinct pairs.
-
-    Exact for n <= 2000; above that a fixed-seed subsample of 2000 points is
-    used.  Returns sigma^2 (the squared bandwidth).
-    """
-    x_arr = _as_samples(samples)
-    if x_arr.shape[0] < 2:
-        raise DomainError("median heuristic needs at least 2 points")
-    if x_arr.shape[0] > _MEDIAN_SUBSAMPLE:
-        idx = np.random.Generator(np.random.PCG64(0)).choice(
-            x_arr.shape[0], size=_MEDIAN_SUBSAMPLE, replace=False)
-        x_arr = x_arr[np.sort(idx)]
-    # Decided on the points: rounding leaves r2 of equal rows near, not at, 0.
-    if np.all(x_arr == x_arr[0]):
-        raise DegenerateSampleError("all points identical; bandwidth undefined")
-    # the strict upper triangle of each upper row tile, gathered into one
-    # buffer that the median partitions in place: no n x n array is held
-    n = x_arr.shape[0]
-    upper, end = np.empty(n * (n - 1) // 2), 0
-    for lo, hi, block in _row_tiles(n, lambda rows, cols: _sq_dists(
-            x_arr[rows], x_arr[cols]), symmetric=True):
-        pairs = block[~np.tri(hi - lo, n - lo, dtype=bool)]
-        upper[end:end + pairs.size] = pairs
-        end += pairs.size
-    return float(np.median(upper, overwrite_input=True))
 
 
 _TILE_ROWS = 64   # Gram rows built at a time by _row_tiles
@@ -346,18 +292,14 @@ class ScoreModel:
     derivatives, with an optional matrix field B (default identity)."""
 
     def __init__(self, theta, dim, score, dscore_dtheta, b_field=None,
-                 score_div_b=None, sample=None, log_density=None,
-                 sm_theta_grad=None, fd_fallback=False, name=""):
+                 sample=None, sm_theta_grad=None, name=""):
         self.theta = np.atleast_1d(np.asarray(theta, float))
         self.dim = int(dim)
         self._score = score
         self._dscore_dtheta = dscore_dtheta
         self._b_field = b_field
-        self._score_div_b = score_div_b
         self._sample = sample
-        self._log_density = log_density
         self._sm_theta_grad = sm_theta_grad
-        self.fd_fallback = bool(fd_fallback)
         self.name = name
 
     @property
@@ -377,34 +319,14 @@ class ScoreModel:
         out = np.asarray(self._dscore_dtheta(x, self.theta), float)
         return out.reshape(self.dim, self.n_params)
 
-    def score_div_b(self, x):
-        """d_x . (B B^T d_x log q_theta)(x)."""
-        if self._score_div_b is not None:
-            return float(self._score_div_b(x, self.theta))
-        if not self.fd_fallback:
-            raise CapabilityError(
-                f"model {self.name!r} lacks an analytic score divergence; "
-                "enable fd_fallback to use finite differences")
-
-        def flux(y):
-            b_mat = self.b(y)
-            return b_mat @ b_mat.T @ self.score(y)
-
-        x = np.atleast_1d(np.asarray(x, float))
-        return float(np.trace(_central_diffs(flux, x, 1e-5)))
-
     def sample(self, n, rng):
         if self._sample is None:
             raise CapabilityError(f"model {self.name!r} cannot sample")
         return _as_samples(self._sample(n, self.theta, rng))
 
-    def log_density(self, x):
-        if self._log_density is None:
-            raise CapabilityError(f"model {self.name!r} has no log-density")
-        return float(self._log_density(x, self.theta))
-
     def sm_theta_grad(self, x_samples):
-        """d/dtheta of the printed score-matching estimator over samples."""
+        """d/dtheta of the score-matching estimator, the mean over samples of
+        ||B^T s||^2 + 2 d_x.(B B^T s) with s = d_x log q_theta."""
         if self._sm_theta_grad is not None:
             return np.asarray(self._sm_theta_grad(_as_samples(x_samples),
                                                   self.theta), float)
@@ -432,15 +354,8 @@ def GaussianLocationModel(theta, sigma=1.0, b_matrix=None):
     def dscore(x, th):
         return np.eye(d) / s2
 
-    def div_b(x, th):
-        return -np.trace(bbt) / s2
-
     def sample(n, th, rng):
         return th + sigma * rng.standard_normal((n, d))
-
-    def log_density(x, th):
-        r = np.atleast_1d(x) - th
-        return -0.5 * float(r @ r) / s2 - 0.5 * d * math.log(2 * math.pi * s2)
 
     def sm_grad(x_arr, th):
         # d/dtheta mean(||B^T s||^2 + 2 div) = mean 2 (ds/dth)^T B B^T s.
@@ -448,36 +363,8 @@ def GaussianLocationModel(theta, sigma=1.0, b_matrix=None):
         return (2.0 / s2) * (bbt @ scores.mean(axis=0))
 
     return ScoreModel(theta, d, score, dscore, b_field=lambda x: b_mat,
-                      score_div_b=div_b, sample=sample, log_density=log_density,
-                      sm_theta_grad=sm_grad, name=f"gaussian_location(d={d})")
-
-
-class TranslationGenerator:
-    """Generative model T_theta(u) = u + theta over a base sampler."""
-
-    def __init__(self, theta, base_sampler=None):
-        self.theta = np.atleast_1d(np.asarray(theta, float))
-        self.dim = self.theta.size
-        self._base = base_sampler or (
-            lambda n, rng: rng.standard_normal((n, self.dim)))
-
-    def sample_base(self, n, rng):
-        return _as_samples(self._base(n, rng))
-
-    def push(self, u):
-        return np.asarray(u, float) + self.theta
-
-    def dpush_dtheta(self, u):
-        return np.eye(self.dim)
-
-
-def sm_estimate(x_samples, model):
-    """Score-matching estimator:
-    mean over samples of ||B^T d_x log q||^2 + 2 d_x.(B B^T d_x log q)."""
-    x_arr = _as_samples(x_samples)
-    bts = np.einsum("adk,ad->ak", _rows(model.b, x_arr), _rows(model.score, x_arr))
-    terms = np.einsum("ak,ak->a", bts, bts) + 2.0 * _rows(model.score_div_b, x_arr)
-    return float(terms.mean())
+                      sample=sample, sm_theta_grad=sm_grad,
+                      name=f"gaussian_location(d={d})")
 
 
 def _warn_if_indefinite(g):
@@ -489,44 +376,21 @@ def _warn_if_indefinite(g):
             ConditioningWarning, stacklevel=3)
 
 
-def information_tensor(kind, model, n_mc, rng, kernel=None):
-    """Monte Carlo estimate of the information tensor for SM, KSD or MMD.
+def information_tensor(kind, model, n_mc, rng):
+    """Monte Carlo estimate of the score-matching information tensor
+    E[W^T W], W = B(x)^T d/dtheta s(x), from n_mc draws of the model.
 
-    SM/KSD sample the model; MMD pushes base-measure samples through the
-    generator and sums over all n_mc^2 pairs at once, so it holds
-    O(n_mc^2 (d + 2p)) floats for d-dimensional samples and p parameters.
-    The output is symmetrised.
+    kind must be 'sm', the one tensor implemented.  The output is
+    symmetrised.
     """
-    if kind not in ("sm", "ksd", "mmd"):
+    if kind != "sm":
         raise DomainError(f"unknown information tensor kind {kind!r}")
-    if kind != "sm" and kernel is None:
-        raise DomainError(f"{kind.upper()} information tensor needs a kernel")
     if n_mc < 100:
         raise DomainError("information tensor needs MC size >= 100")
-    if kind == "mmd":
-        u_arr = model.sample_base(n_mc, rng)
-        v_arr = model.sample_base(n_mc, rng)
-        diff = _rows(model.push, u_arr)[:, None, :] - _rows(model.push, v_arr)
-        _, dphi, d2phi = kernel._profile(np.einsum("abk,abk->ab", diff, diff))
-        ju = _rows(model.dpush_dtheta, u_arr)                   # (n, d, p)
-        jv = _rows(model.dpush_dtheta, v_arr)
-        # sum_ab J(u_a)^T (-2 phi' I - 4 phi'' diff diff^T) J(v_b), the mixed
-        # Hessian of k at each pair (KernelSpec.mixed_hessian)
-        g = (-2.0 * np.einsum("ab,adi,bdj->ij", dphi, ju, jv)
-             - 4.0 * np.einsum("ab,abi,abj->ij", d2phi,
-                               np.einsum("abk,aki->abi", diff, ju),
-                               np.einsum("abk,bkj->abj", diff, jv)))
-        g /= n_mc * n_mc
-    else:
-        x_arr = model.sample(n_mc, rng)
-        # w[a] = B(x_a)^T d/dtheta s(x_a), shape (n, d, p)
-        w = _rows(lambda x: model.b(x).T @ model.dscore_dtheta(x), x_arr)
-        if kind == "sm":
-            g = np.einsum("adi,adj->ij", w, w) / n_mc
-        else:
-            # G_ij = E_x E_y [ k(x,y) w_j(x) . w_i(y) ]  (V-statistic over pairs)
-            k = kernel.gram(x_arr, x_arr)
-            g = np.einsum("ab,adi,bdj->ij", k, w, w) / (n_mc * n_mc)
+    x_arr = model.sample(n_mc, rng)
+    # w[a] = B(x_a)^T d/dtheta s(x_a), shape (n, d, p)
+    w = _rows(lambda x: model.b(x).T @ model.dscore_dtheta(x), x_arr)
+    g = np.einsum("adi,adj->ij", w, w) / n_mc
     g = 0.5 * (g + g.T)
     _warn_if_indefinite(g)
     return g
@@ -563,16 +427,17 @@ def sm_ngd_fit(x_samples, model, rng, n_iter=50, step=1.0, tol=1e-10, n_mc=200,
                ridge=None):
     """Fit a score model by natural-gradient descent on the SM objective.
 
-    The loss is half the printed estimator, so its information tensor is its
-    Hessian at the optimum and a unit step is exact Newton for quadratic
-    families.  Each iteration estimates that tensor from n_mc model draws
-    taken from `rng`.  Returns (theta, per-iteration theta history).
+    The loss is half the score-matching estimator, so its information
+    tensor is its Hessian at the optimum and a unit step is exact Newton for
+    quadratic families.  Each iteration estimates that tensor from n_mc
+    model draws taken from `rng`.  Returns (theta, per-iteration theta
+    history).
     """
     x_arr = _as_samples(x_samples)
     history = [model.theta.copy()]
     for _ in range(n_iter):
         grad = 0.5 * model.sm_theta_grad(x_arr)
-        g = information_tensor("sm", model, max(n_mc, 100), rng)
+        g = information_tensor("sm", model, n_mc, rng)
         theta_new = natural_gradient_step(model.theta, grad, g, step,
                                           ridge=ridge)
         model = model.with_theta(theta_new)

@@ -49,10 +49,6 @@ class FitDomainError(HamkitError, ValueError):
     """Rate fitting saw non-positive gaps inside the fitting window."""
 
 
-class DegenerateSampleError(HamkitError, ValueError):
-    """A sample set has no usable variation (e.g. all points identical)."""
-
-
 class CapabilityError(HamkitError):
     """A model lacks a required capability and no fallback was enabled."""
 

@@ -1,4 +1,5 @@
-"""Samplers: HMC with Metropolis correction, Langevin steppers, recipe drift.
+"""Samplers: HMC with Metropolis correction, the overdamped Langevin
+(Euler-Maruyama) step, recipe drift.
 
 An HMC chain steps raw arrays (`_hmc_transition`); validated `PhasePoint` and
 `ChainState` objects exist only at its edges, and `hmc_draw` wraps the same step.
@@ -21,7 +22,6 @@ __all__ = [
     "DiffusionSpec",
     "hmc_draw",
     "leapfrog_trajectory",
-    "underdamped_step",
     "overdamped_em_step",
     "complete_recipe_drift",
     "mcmc_estimate",
@@ -182,30 +182,6 @@ def hmc_draw(chain, prob, g, dt, L, rng, jitter=0.0):
         chain.x.q, chain.potential, chain.grad, prob, g, dt, L, rng, jitter)
     return ChainState(PhasePoint(q, p), chain.steps + 1, chain.accepted + accepted,
                       chain.incidents + incident, v, grad)
-
-
-def underdamped_step(x, prob, dt, gamma, beta, rng):
-    """Palindromic splitting of underdamped Langevin: half OU, leapfrog, half OU.
-
-    The OU half-map is exact: p <- exp(-gamma dt/2) p + sqrt((1 -
-    exp(-gamma dt)) / beta) xi.  With gamma = 0 this is exactly one
-    (noise-free) leapfrog step; beta = inf disables the noise.
-    """
-    if gamma < 0:
-        raise DomainError("friction gamma must be >= 0")
-    if not beta > 0:
-        raise DomainError("inverse temperature beta must be positive")
-    decay = math.exp(-0.5 * gamma * dt)
-    noise = 0.0 if math.isinf(beta) else math.sqrt((1.0 - math.exp(-gamma * dt)) / beta)
-    d = x.dim
-    p = decay * x.p + noise * rng.standard_normal(d)
-    p = p - 0.5 * dt * prob.grad(x.q)
-    q = x.q + dt * p
-    p = p - 0.5 * dt * prob.grad(q)
-    p = decay * p + noise * rng.standard_normal(d)
-    if not (np.isfinite(q).all() and np.isfinite(p).all()):
-        raise DivergenceError("underdamped Langevin step diverged")
-    return PhasePoint(q, p)
 
 
 def overdamped_em_step(q, prob, dt, beta, rng):

@@ -942,6 +942,7 @@ def test_optional_values_are_checked_before_the_run(tmp_path, capsys, name,
     ("problem block", "b", -1.0, "a number > 0"),
     ("optimize params", "x0_scale", 0.0, "a number > 0"),
     ("optimize params", "x0", [1.0, math.nan], "a non-empty list of numbers"),
+    ("optimize params", "x0", [1.0, 2.0, 3.0], "a list of 2 numbers"),
     ("optimize params", "target_gap", math.inf, "a number > 0"),
     ("optimize params", "step", math.inf, "a number > 0"),
     ("hmc sampler block", "step", math.inf, "a number > 0"),

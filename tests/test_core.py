@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.integrate import solve_ivp
 from scipy.linalg import cho_solve
 
 from hamkit import (
@@ -19,8 +18,6 @@ from hamkit import (
     PhasePoint,
     Problem,
     RngStream,
-    conformal_vector_field,
-    dissipation_rate,
     evaluate_hamiltonian,
     hmc_draw,
     leapfrog_trajectory,
@@ -192,12 +189,9 @@ class TestDampingSchedule:
     def test_delta_eta_zero(self):
         s = DampingSchedule.zero()
         assert s.delta_eta(0.0, 123.0) == 0.0
-        assert s.gamma_at(5.0) == 0.0
 
     def test_vanishing_domain(self):
         s = DampingSchedule.vanishing(r=3.0, t0=1.0)
-        with pytest.raises(DomainError):
-            s.gamma_at(0.5)
         with pytest.raises(DomainError):
             s.delta_eta(0.5, 2.0)
 
@@ -272,92 +266,6 @@ class TestEvaluateHamiltonian:
         with pytest.raises(DomainError, match=re.escape(
                 "dimension mismatch: state 1, metric 1, problem 2")):
             calls[entry]()
-
-
-class TestConformalField:
-    def test_rest_point(self):
-        prob = problems.quadratic(1)
-        dq, dp = conformal_vector_field(
-            PhasePoint([1.0], [0.0]), 1.0, KineticMetric.identity(1), prob,
-            DampingSchedule.constant(1.0))
-        assert dq == pytest.approx(0.0)
-        assert dp == pytest.approx(-1.0)
-
-    def test_moving_point(self):
-        prob = problems.quadratic(1)
-        dq, dp = conformal_vector_field(
-            PhasePoint([0.0], [1.0]), 1.0, KineticMetric.identity(1), prob,
-            DampingSchedule.constant(2.0))
-        assert dq == pytest.approx(1.0)
-        assert dp == pytest.approx(-2.0)
-
-    def test_zero_damping_is_conservative(self):
-        prob = problems.quadratic(2)
-        g = KineticMetric.identity(2)
-        x = PhasePoint([0.3, -0.7], [1.1, 0.2])
-        dq, dp = conformal_vector_field(x, 1.0, g, prob, DampingSchedule.zero())
-        assert np.array_equal(dq, g.inv_mul(x.p))
-        assert np.array_equal(dp, -prob.grad(x.q))
-
-    def test_conservative_energy_oracle(self):
-        # reference integration with zero damping keeps H constant to 1e-8
-        prob = problems.quadratic(2, mu=1.7)
-        g = KineticMetric([[1.5, 0.2], [0.2, 1.0]])
-        sched = DampingSchedule.zero()
-
-        def rhs(t, z):
-            x = PhasePoint(z[:2], z[2:])
-            dq, dp = conformal_vector_field(x, t, g, prob, sched)
-            return np.concatenate([dq, dp])
-
-        z0 = np.array([1.0, -0.5, 0.3, 0.8])
-        sol = solve_ivp(rhs, [0.0, 1.0], z0, rtol=1e-11, atol=1e-12)
-        h0 = evaluate_hamiltonian(PhasePoint(z0[:2], z0[2:]), g, prob)
-        h1 = evaluate_hamiltonian(PhasePoint(sol.y[:2, -1], sol.y[2:, -1]), g, prob)
-        assert abs(h1 - h0) < 1e-8
-
-    def test_conservative_field_orthogonal_to_energy_gradient(self):
-        prob = problems.quadratic(3, mu=0.9)
-        g = KineticMetric.identity(3)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = PhasePoint(rng.standard_normal(3), rng.standard_normal(3))
-            dq, dp = conformal_vector_field(x, 1.0, g, prob,
-                                            DampingSchedule.zero())
-            deriv = prob.grad(x.q) @ dq + g.inv_mul(x.p) @ dp
-            assert abs(deriv) < 1e-12
-
-
-class TestDissipationRate:
-    def test_values(self):
-        g = KineticMetric.identity(2)
-        x = PhasePoint([0.0, 0.0], [1.0, 1.0])
-        assert dissipation_rate(x, 1.0, g, DampingSchedule.constant(0.5)) == pytest.approx(-1.0)
-        x0 = PhasePoint([1.0, 1.0], [0.0, 0.0])
-        assert dissipation_rate(x0, 1.0, g, DampingSchedule.constant(3.0)) == 0.0
-        assert dissipation_rate(x, 1.0, g, DampingSchedule.zero()) == 0.0
-
-    def test_matches_energy_derivative_along_flow(self):
-        prob = problems.quadratic(1)
-        g = KineticMetric.identity(1)
-        sched = DampingSchedule.constant(0.8)
-
-        def rhs(t, z):
-            x = PhasePoint(z[:1], z[1:])
-            dq, dp = conformal_vector_field(x, t, g, prob, sched)
-            return np.concatenate([dq, dp])
-
-        z0 = np.array([1.0, 0.5])
-        h = 1e-4
-        sol = solve_ivp(rhs, [1.0, 1.0 + 2 * h], z0, rtol=1e-12, atol=1e-13,
-                        dense_output=True)
-        energy = lambda t: evaluate_hamiltonian(
-            PhasePoint(sol.sol(t)[:1], sol.sol(t)[1:]), g, prob)
-        fd = (energy(1.0 + 2 * h) - energy(1.0)) / (2 * h)
-        rate = dissipation_rate(PhasePoint(sol.sol(1.0 + h)[:1],
-                                           sol.sol(1.0 + h)[1:]),
-                                1.0 + h, g, sched)
-        assert fd == pytest.approx(rate, abs=1e-6)
 
 
 class TestProblems:

@@ -3,23 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
 
 from hamkit import (
-    DegenerateSampleError,
     DomainError,
     GaussianLocationModel,
     KernelSpec,
     RngStream,
     information_tensor,
     ksd_u_statistic,
-    median_heuristic,
     mmd_squared,
     natural_gradient_step,
-    sm_estimate,
     sm_ngd_fit,
     stein_kernel,
 )
@@ -27,14 +24,13 @@ from hamkit import discrepancies
 from hamkit.discrepancies import (
     _TILE_ROWS,
     ScoreModel,
-    TranslationGenerator,
     _scores,
     _sq_dists,
     _stein_matrix,
     _tile_sums,
     stein_gram,
 )
-from hamkit.errors import CapabilityError, ConditioningError, DomainError
+from hamkit.errors import ConditioningError
 
 
 class TestKernelSpec:
@@ -45,16 +41,20 @@ class TestKernelSpec:
             KernelSpec.inverse_multiquadric(c=1.0, beta=1.5)
         with pytest.raises(DomainError):
             KernelSpec("triangle", width=1.0)
+        with pytest.raises(DomainError, match="'sigma'"):
+            KernelSpec("gaussian")
+        with pytest.raises(DomainError, match="'beta'"):
+            KernelSpec("inverse_multiquadric", c=1.0)
 
     @pytest.mark.parametrize("kernel", [
         KernelSpec.gaussian(0.8),
         KernelSpec.inverse_multiquadric(c=1.3, beta=0.5),
     ], ids=["gaussian", "imq"])
     def test_symmetry(self, kernel):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x, y = rng.standard_normal(3), rng.standard_normal(3)
-            assert abs(kernel.k(x, y) - kernel.k(y, x)) < 1e-14
+        x, y = draw_points(0, (20, 3), (20, 3))
+        assert np.max(np.abs(kernel.gram(x, y) - kernel.gram(y, x).T)) < 1e-14
+        gram = kernel.gram(x, x)
+        assert np.array_equal(gram, gram.T)
 
     @pytest.mark.parametrize("kernel", [
         KernelSpec.gaussian(0.8),
@@ -72,52 +72,18 @@ class TestKernelSpec:
         KernelSpec.inverse_multiquadric(c=0.9, beta=0.4),
     ], ids=["gaussian", "imq"])
     def test_derivatives_match_finite_differences(self, kernel):
-        rng = np.random.default_rng(2)
-        h = 1e-5
-        for _ in range(5):
-            x, y = rng.standard_normal(2), rng.standard_normal(2)
-            # gradient in x
-            fd = np.array([
-                (kernel.k(x + h * e, y) - kernel.k(x - h * e, y)) / (2 * h)
-                for e in np.eye(2)])
-            assert np.max(np.abs(kernel.grad_x(x, y) - fd)) < 1e-8
-            # trace of mixed second derivative
-            fd_trace = 0.0
-            for e in np.eye(2):
-                fd_trace += (kernel.grad_x(x, y + h * e)
-                             - kernel.grad_x(x, y - h * e)) @ e / (2 * h)
-            assert abs(kernel.mixed_trace(x, y) - fd_trace) < 1e-7
-            # full mixed Hessian
-            fd_hess = np.empty((2, 2))
-            for j, e in enumerate(np.eye(2)):
-                fd_hess[:, j] = (kernel.grad_x(x, y + h * e)
-                                 - kernel.grad_x(x, y - h * e)) / (2 * h)
-            assert np.max(np.abs(kernel.mixed_hessian(x, y) - fd_hess)) < 1e-7
-
-
-class TestMedianHeuristic:
-    def test_single_pair(self):
-        assert median_heuristic(np.array([0.0, 2.0])) == pytest.approx(4.0)
-
-    def test_three_points(self):
-        assert median_heuristic(np.array([0.0, 1.0, 2.0])) == pytest.approx(1.0)
-
-    def test_subsample_close_to_exact(self):
-        draws = np.random.default_rng(3).standard_normal(3000)
-        sub = median_heuristic(draws)
-        diff = draws[:, None] - draws[None, :]
-        iu = np.triu_indices(3000, k=1)
-        exact = float(np.median((diff ** 2)[iu]))
-        assert abs(sub - exact) / exact < 0.05
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateSampleError):
-            median_heuristic(np.ones(10))
-        row = np.random.default_rng(3).standard_normal(3)
-        with pytest.raises(DegenerateSampleError):
-            median_heuristic(np.tile(row, (10, 1)))
-        with pytest.raises(DomainError):
-            median_heuristic(np.array([1.0]))
+        x, y = draw_points(2, (5, 2), (4, 2))
+        steps = 1e-5 * np.eye(2)
+        # gradient in x, from differences of gram
+        fd = np.stack([(kernel.gram(x + e, y) - kernel.gram(x - e, y)) / (2e-5)
+                       for e in steps], axis=2)
+        assert np.max(np.abs(kernel.grad_x_gram(x, y) - fd)) < 1e-8
+        # trace of the mixed second derivative, from differences of that
+        # gradient in y
+        fd_trace = sum((kernel.grad_x_gram(x, y + e)[:, :, j]
+                        - kernel.grad_x_gram(x, y - e)[:, :, j]) / (2e-5)
+                       for j, e in enumerate(steps))
+        assert np.max(np.abs(kernel.mixed_trace_gram(x, y) - fd_trace)) < 1e-7
 
 
 class TestMmd:
@@ -128,7 +94,8 @@ class TestMmd:
     def test_singletons(self):
         k = KernelSpec.gaussian(1.0)
         x, y = np.array([[0.3]]), np.array([[1.1]])
-        expected = k.k(x[0], x[0]) + k.k(y[0], y[0]) - 2 * k.k(x[0], y[0])
+        expected = (pair_forms(k, x[0], x[0])[0] + pair_forms(k, y[0], y[0])[0]
+                    - 2 * pair_forms(k, x[0], y[0])[0])
         assert mmd_squared(x, y, k, mode="v") == pytest.approx(expected)
 
     def test_vstat_nonnegative(self):
@@ -178,11 +145,23 @@ def shifted_score(z):
     return -(np.asarray(z) - 0.5)
 
 
+def pair_forms(kernel, x, y):
+    """k, d k / d x and sum_i d^2 k / (d x_i d y_i) at one pair, from the
+    direct difference x - y and KernelSpec._profile: an oracle apart from
+    the BLAS squared distances (_sq_dists) that the Gram forms build on."""
+    diff = (np.atleast_1d(np.asarray(x, float))
+            - np.atleast_1d(np.asarray(y, float)))
+    r2 = float(diff @ diff)
+    phi, dphi, d2phi = kernel._profile(r2)
+    return phi, 2.0 * dphi * diff, -2.0 * diff.size * dphi - 4.0 * r2 * d2phi
+
+
 def stein_reference(x, y, score, kernel):
-    """Expanded Stein kernel from the scalar, direct-difference kernel forms."""
+    """Expanded Stein kernel from the single-pair kernel forms; d k / d y is
+    -d k / d x."""
     sx, sy = score(x), score(y)
-    return (kernel.mixed_trace(x, y) + sx @ kernel.grad_y(x, y)
-            + sy @ kernel.grad_x(x, y) + kernel.k(x, y) * (sx @ sy))
+    k, grad_x, mixed_trace = pair_forms(kernel, x, y)
+    return mixed_trace - sx @ grad_x + sy @ grad_x + k * (sx @ sy)
 
 
 def assert_matches_reference(pts, kernel):
@@ -297,13 +276,6 @@ class TestKsd:
 TILED_SIZES = st.integers(2, 3 * _TILE_ROWS + 1)
 
 
-def full_matrix_median(x):
-    """median_heuristic's value from the full n x n squared-distance matrix:
-    the median of its strict upper triangle."""
-    upper = np.triu(np.ones((x.shape[0],) * 2, bool), 1)
-    return float(np.median(_sq_dists(x, x)[upper]))
-
-
 def draw_points(seed, *sizes):
     """Standard normal arrays of the given shapes, from one seed."""
     rng = np.random.default_rng(seed)
@@ -350,12 +322,13 @@ class TestTiledReductions:
     @given(TILED_SIZES, TILED_SIZES, st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.sampled_from(KERNELS))
     def test_gram_is_the_profile_value(self, n, m, d, seed, kernel):
-        # gram and k build phi alone, with the bits of the full profile's phi
+        # gram builds phi alone, with the bits of the full profile's phi, on
+        # arrays and on a single squared distance
         x, y = draw_points(seed, (n, d), (m, d))
         assert np.array_equal(kernel.gram(x, y),
                               kernel._profile(_sq_dists(x, y))[0])
-        diff = x[-1] - y[0]
-        assert kernel.k(x[-1], y[0]) == kernel._profile(float(diff @ diff))[0]
+        r2 = float(np.sum((x[-1] - y[0]) ** 2))
+        assert kernel._profile(r2, derivatives=False) == kernel._profile(r2)[0]
 
     def test_mmd_ustat_builds_each_same_set_pair_once(self, monkeypatch):
         entries = []
@@ -432,28 +405,6 @@ class TestTiledReductions:
         (x,) = draw_points(seed, (n, d))
         assert mmd_squared(x, x.copy(), kernel, "v") == 0.0
 
-    @settings(max_examples=30, deadline=None)
-    @given(TILED_SIZES, st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
-    def test_median_heuristic_matches_full_matrix_bitwise(self, n, d, seed):
-        # coordinates k / 2^10 with |k| < 2^12: every product and sum in the
-        # squared distances is exact, so no BLAS kernel choice can round a
-        # tile's entry differently from the full matrix's
-        rng = np.random.default_rng(seed)
-        x = rng.integers(-2 ** 12, 2 ** 12, (n, d)) / 2 ** 10
-        assume(not np.all(x == x[0]))
-        assert median_heuristic(x) == full_matrix_median(x)
-
-    @settings(max_examples=30, deadline=None)
-    @given(TILED_SIZES, st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
-    def test_median_heuristic_matches_full_matrix(self, n, d, seed):
-        # on general floats BLAS may round a dot product in a tile 1 ulp
-        # apart from the full product; an order statistic moves by at most
-        # the largest entry's change, which is within the rounding of
-        # ||x_i||^2 + ||x_j||^2
-        (x,) = draw_points(seed, (n, d))
-        tol = 1e-13 * 2.0 * np.einsum("ij,ij->i", x, x).max()
-        assert abs(median_heuristic(x) - full_matrix_median(x)) <= tol
-
     @settings(max_examples=20, deadline=None)
     @given(TILED_SIZES, st.integers(1, 6), st.data())
     def test_nan_score_raises_before_any_tile(self, m, d, data):
@@ -468,22 +419,17 @@ class TestTiledReductions:
                 ksd_u_statistic(x, score, KernelSpec.gaussian(1.0))
 
 
-@pytest.mark.parametrize("estimator, n", [("ksd", 1200), ("mmd", 1000),
-                                          ("median", 2000)])
+@pytest.mark.parametrize("estimator, n", [("ksd", 1200), ("mmd", 1000)])
 def test_estimators_peak_below_one_full_gram(estimator, n):
     """Memory guard: the tiled estimators hold O(64 n) entries, so the
     traced peak of a call stays below one n x n float64 array (11.5 MB for
-    KSD at m = 1200, d = 10; 8 MB for MMD at n = m = 1000).  The median
-    heuristic holds the n (n - 1) / 2 distinct pairs once (32 MB bound at
-    n = 2000)."""
+    KSD at m = 1200, d = 10; 8 MB for MMD at n = m = 1000)."""
     x, y = draw_points(0, (n, 10), (n, 10))
     if estimator == "ksd":
         call = lambda: ksd_u_statistic(  # noqa: E731
             x, shifted_score, KernelSpec.gaussian(1.0), with_stderr=True)
-    elif estimator == "mmd":
-        call = lambda: mmd_squared(x, y, KernelSpec.gaussian(3.0), "u")  # noqa: E731
     else:
-        call = lambda: median_heuristic(x)  # noqa: E731
+        call = lambda: mmd_squared(x, y, KernelSpec.gaussian(3.0), "u")  # noqa: E731
     tracemalloc.start()
     try:
         call()
@@ -494,54 +440,8 @@ def test_estimators_peak_below_one_full_gram(estimator, n):
 
 
 class TestSmEstimate:
-    def test_single_sample_at_parameter(self):
-        model = GaussianLocationModel(np.array([0.7]))
-        assert sm_estimate(np.array([[0.7]]), model) == pytest.approx(-2.0)
-
-    def test_argmin_is_sample_mean(self):
-        rng = RngStream(12)
-        data = rng.standard_normal((50, 1)) + 2.0
-        res = minimize_scalar(
-            lambda th: sm_estimate(data, GaussianLocationModel(np.array([th]))),
-            bounds=(-5.0, 8.0), method="bounded")
-        assert res.x == pytest.approx(data.mean(), abs=1e-5)
-
-    def test_matrix_field_hand_expansion(self):
-        # B = diag(2, 1): ||B^T s||^2 = 4 s1^2 + s2^2, divergence term -2*5
-        b = np.diag([2.0, 1.0])
-        model = GaussianLocationModel(np.zeros(2), b_matrix=b)
-        data = np.array([[0.5, -1.0], [1.5, 0.25]])
-        s = -data
-        expected = np.mean(4 * s[:, 0] ** 2 + s[:, 1] ** 2) - 2.0 * 5.0
-        assert sm_estimate(data, model) == pytest.approx(expected, abs=1e-12)
-
-    def test_capability_error_without_divergence(self):
-        model = ScoreModel(np.zeros(1), 1,
-                           score=lambda x, th: -(x - th),
-                           dscore_dtheta=lambda x, th: np.eye(1))
-        with pytest.raises(CapabilityError):
-            sm_estimate(np.array([[1.0]]), model)
-
-    def test_fd_divergence_fallback(self):
-        model = ScoreModel(np.zeros(1), 1,
-                           score=lambda x, th: -(x - th),
-                           dscore_dtheta=lambda x, th: np.eye(1),
-                           fd_fallback=True)
-        exact = GaussianLocationModel(np.zeros(1))
-        data = np.array([[0.3], [-1.2]])
-        assert sm_estimate(data, model) == pytest.approx(
-            sm_estimate(data, exact), abs=1e-6)
-
-    def test_score_matches_log_density_gradient(self):
-        model = GaussianLocationModel(np.array([0.4, -1.0]), sigma=1.3)
-        rng = np.random.default_rng(13)
-        h = 1e-6
-        for _ in range(5):
-            x = rng.standard_normal(2)
-            fd = np.array([
-                (model.log_density(x + h * e) - model.log_density(x - h * e))
-                / (2 * h) for e in np.eye(2)])
-            assert np.max(np.abs(model.score(x) - fd)) < 1e-6
+    """ScoreModel.with_theta, which moves the model from one score-matching
+    estimate to the next in sm_ngd_fit."""
 
     @pytest.mark.parametrize("theta", [[1.0, -2.0], [3, 4]])
     def test_with_theta_changes_only_theta(self, theta):
@@ -563,30 +463,16 @@ class TestInformationTensor:
         g = information_tensor("sm", model, 200, RngStream(14))
         assert g == pytest.approx(np.ones((1, 1)), abs=1e-12)
 
-    def test_ksd_wide_kernel_limit(self):
-        model = GaussianLocationModel(np.array([0.0]))
-        g = information_tensor("ksd", model, 300, RngStream(15),
-                               kernel=KernelSpec.gaussian(1e3))
-        # k -> 1 so G -> (E[d_x d_theta log q])^2 = 1
-        assert g[0, 0] == pytest.approx(1.0, abs=1e-3)
-
-    def test_mmd_translation_family(self):
-        gen = TranslationGenerator(np.zeros(1))
-        g = information_tensor("mmd", gen, 150, RngStream(16),
-                               kernel=KernelSpec.gaussian(1.0))
-        assert g[0, 0] == pytest.approx(1.0 / (3.0 * math.sqrt(3.0)), abs=0.02)
-
     def test_validation(self):
         model = GaussianLocationModel(np.zeros(1))
         with pytest.raises(DomainError):
             information_tensor("sm", model, 50, RngStream(0))
-        with pytest.raises(DomainError):
-            information_tensor("fisher", model, 200, RngStream(0))
-        with pytest.raises(DomainError):
-            information_tensor("ksd", model, 200, RngStream(0))
+        for kind in ("fisher", "ksd", "mmd"):
+            with pytest.raises(DomainError, match="kind"):
+                information_tensor(kind, model, 200, RngStream(0))
 
 
-def curved_model(d, p, fd_fallback=False):
+def curved_model(d, p):
     """A score model whose B field, score and theta-Jacobian all vary with x."""
     rng = np.random.default_rng(10 * d + p)
     m_mat = rng.standard_normal((d, p))
@@ -602,24 +488,7 @@ def curved_model(d, p, fd_fallback=False):
         b_field=lambda x: (np.eye(d) + np.diag(0.3 * np.tanh(x))
                            + c_mat * np.cos(x).sum()),
         sample=lambda n, th, r: r.standard_normal((n, d)) + m_mat @ th,
-        fd_fallback=fd_fallback, name="curved")
-
-
-class ScaledGenerator:
-    """push(u) = theta * u, whose theta-Jacobian diag(u) differs per sample."""
-
-    def __init__(self, theta):
-        self.theta = np.asarray(theta, float)
-        self.dim = self.theta.size
-
-    def sample_base(self, n, rng):
-        return rng.standard_normal((n, self.dim))
-
-    def push(self, u):
-        return self.theta * u
-
-    def dpush_dtheta(self, u):
-        return np.diag(u)
+        name="curved")
 
 
 def assert_close(a, b):
@@ -628,8 +497,8 @@ def assert_close(a, b):
 
 
 class TestEstimatorsMatchLoops:
-    """The array forms of the estimators against the per-row and per-pair
-    loops they replaced, and the work they do."""
+    """The array form of the SM information tensor against the per-row loop
+    it replaced, and the work it does."""
 
     @pytest.mark.parametrize("d, p", [(1, 1), (2, 3), (3, 2)])
     def test_sm_tensor(self, d, p):
@@ -640,65 +509,6 @@ class TestEstimatorsMatchLoops:
             w = model.b(x).T @ model.dscore_dtheta(x)
             ref += w.T @ w
         assert_close(g, (ref + ref.T) / (2 * 120))
-
-    @pytest.mark.parametrize("d, p", [(1, 1), (2, 3), (3, 2)])
-    def test_ksd_tensor(self, d, p):
-        model = curved_model(d, p)
-        kernel = KernelSpec.gaussian(1.3)
-        g = information_tensor("ksd", model, 100, RngStream(21), kernel=kernel)
-        x_arr = model.sample(100, RngStream(21))
-        w = [model.b(x).T @ model.dscore_dtheta(x) for x in x_arr]
-        ref = np.zeros((p, p))
-        for a in range(100):
-            for b in range(100):
-                ref += kernel.k(x_arr[a], x_arr[b]) * w[a].T @ w[b]
-        assert_close(g, (ref + ref.T) / (2 * 100 ** 2))
-
-    @pytest.mark.parametrize("kernel", [
-        KernelSpec.gaussian(1.1),
-        KernelSpec.inverse_multiquadric(c=1.2, beta=0.6),
-    ], ids=["gaussian", "imq"])
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_mmd_tensor(self, kernel, d):
-        gen = ScaledGenerator(np.linspace(0.5, 1.5, d))
-        g = information_tensor("mmd", gen, 100, RngStream(22), kernel=kernel)
-        rng = RngStream(22)
-        u_arr, v_arr = gen.sample_base(100, rng), gen.sample_base(100, rng)
-        ref = np.zeros((d, d))
-        for u in u_arr:
-            for v in v_arr:
-                ref += (gen.dpush_dtheta(u).T
-                        @ kernel.mixed_hessian(gen.push(u), gen.push(v))
-                        @ gen.dpush_dtheta(v))
-        assert_close(g, (ref + ref.T) / (2 * 100 ** 2))
-
-    @pytest.mark.parametrize("d, p", [(1, 1), (3, 2)])
-    def test_sm_estimate_fd_fallback(self, d, p):
-        model = curved_model(d, p, fd_fallback=True)
-        x_arr = model.sample(50, RngStream(23))
-        h = 1e-5
-        total = 0.0
-        for x in x_arr:
-            b, s = model.b(x), model.score(x)
-            div = 0.0
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = h
-                hi = model.b(x + e) @ model.b(x + e).T @ model.score(x + e)
-                lo = model.b(x - e) @ model.b(x - e).T @ model.score(x - e)
-                div += (hi[j] - lo[j]) / (2.0 * h)
-            total += float(s @ b @ b.T @ s) + 2.0 * div
-        assert sm_estimate(x_arr, model) == pytest.approx(total / 50, rel=1e-12)
-
-    def test_mmd_tensor_work(self, count_calls):
-        # one push and one Jacobian per sample, and no per-pair Hessian; the
-        # pair loop made n_mc^2 Hessian and n_mc + n_mc^2 Jacobian calls
-        hessians = count_calls(KernelSpec, "mixed_hessian")
-        jacobians = count_calls(ScaledGenerator, "dpush_dtheta")
-        pushes = count_calls(ScaledGenerator, "push")
-        information_tensor("mmd", ScaledGenerator(np.ones(2)), 100,
-                           RngStream(24), kernel=KernelSpec.gaussian(1.0))
-        assert (len(hessians), len(jacobians), len(pushes)) == (0, 200, 200)
 
     def test_sm_tensor_work(self, count_calls):
         b_calls = count_calls(ScoreModel, "b")
@@ -783,6 +593,14 @@ class TestNaturalGradient:
         data = RngStream(17).standard_normal((20, 2))
         with pytest.raises(TypeError, match="rng"):
             sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)), n_iter=5)
+
+    def test_sm_ngd_refuses_a_small_mc_size(self):
+        # n_mc reaches the information tensor as given, which refuses fewer
+        # than 100 draws
+        data = RngStream(17).standard_normal((20, 2))
+        with pytest.raises(DomainError, match="MC size >= 100"):
+            sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)), RngStream(0),
+                       n_mc=99)
 
 
 class TestConsistency:

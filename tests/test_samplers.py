@@ -24,7 +24,6 @@ from hamkit import (
     overdamped_em_step,
     problems,
     run_hmc_chain,
-    underdamped_step,
     write_samples_csv,
 )
 from hamkit.core import Problem, _all_finite
@@ -567,34 +566,6 @@ class TestHmcTransition:
 
 
 class TestLangevin:
-    def test_zero_friction_is_leapfrog(self):
-        prob = problems.quadratic(2, 1.4)
-        x = PhasePoint(np.array([1.0, -0.5]), np.array([0.3, 0.2]))
-        y = underdamped_step(x, prob, 0.1, 0.0, math.inf, RngStream(0))
-        g = KineticMetric.identity(2)
-        z = leapfrog_trajectory(x, prob, g, 0.1, 1)
-        assert np.allclose(y.q, z.q, atol=1e-15)
-        assert np.allclose(y.p, z.p, atol=1e-15)
-
-    def test_momentum_stationary_variance(self):
-        prob = problems.constant(500)
-        rng = RngStream(1)
-        x = PhasePoint(np.zeros(500), np.zeros(500))
-        acc, count = 0.0, 0
-        for k in range(400):
-            x = underdamped_step(x, prob, 0.1, 1.0, 2.0, rng)  # beta = 2
-            if k >= 100:
-                acc += float(x.p @ x.p) / 500
-                count += 1
-        assert acc / count == pytest.approx(0.5, abs=0.02)
-
-    def test_noise_free_converges(self):
-        prob = problems.quadratic(2)
-        x = PhasePoint(np.array([2.0, -1.0]), np.zeros(2))
-        for _ in range(500):
-            x = underdamped_step(x, prob, 0.1, 1.0, math.inf, RngStream(0))
-        assert np.max(np.abs(x.q)) < 1e-6
-
     def test_em_noise_free_is_gradient_flow(self):
         prob = problems.quadratic(3)
         q = np.array([1.0, 2.0, -3.0])

@@ -27,7 +27,7 @@ from .discrepancies import (
 )
 from .errors import ConfigError, DivergenceError, FitDomainError
 from .integrators import _METHODS, OptimizerConfig, Trajectory, fit_rate, run_optimizer
-from .manifold import (_LIE_MODES, MatrixGroupState, _linalg, run_lie_optimizer,
+from .manifold import (MatrixGroupState, _linalg, run_lie_optimizer,
                        run_rattle_optimizer, sphere_constraint, trace_objective)
 from .problems import banana, gaussian_mixture_1d, quadratic, quartic, rosenbrock, standard_gaussian
 from .samplers import (
@@ -99,6 +99,9 @@ def _list_of(test, size=None):
 _INTEGER, _REAL = _of(numbers.Integral), _of(numbers.Real)
 _NUMBER = lambda v: _REAL(v) and -math.inf < v < math.inf   # noqa: E731
 _POSITIVE = lambda v: _NUMBER(v) and v > 0   # noqa: E731
+# The domain of a list whose values each tag their metrics' names, f"{v:g}":
+# two values of one tag would overwrite each other's metrics.
+_TAGGED = "a list whose values differ in their first 6 significant digits"
 # The test a key's value must pass, and its error's text, by rule: a kind (the
 # type of a plain _SCHEMA default, or a _Key's kind), then a _Key's domain,
 # tested only on a value of its kind.  A number is finite: json.loads takes NaN
@@ -115,7 +118,9 @@ _RULES.update({need: (test, need) for need, test in {   # domains, by their text
     ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
     ">= 10": lambda v: v >= 10, "in [0, 1)": lambda v: 0 <= v < 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
-    "a list of integers >= 2": lambda v: min(v) >= 2}.items()})
+    "a list of integers >= 2, each once":   # each tags metrics, as in _TAGGED
+        lambda v: min(v) >= 2 and len(set(v)) == len(v),
+    _TAGGED: lambda v: len({f"{x:g}" for x in v}) == len(v)}.items()})
 
 # Every config block, by the name its errors use: each allowed key with its
 # plain default (whose type is its kind) or its _Key.  _block() checks a block
@@ -141,23 +146,25 @@ _SCHEMA = {
     "fit block": {"model": _REQUIRED, "burn_in": _Default(0.2, "in [0, 1)"),
                   "envelope": False, "envelope_blocks": _Default(30, ">= 10"),
                   "envelope_spacing": "linear"},
-    "manifold params": {"n": _COUNT, "step": _STEP, "gammas": _Required("positives"),
+    "manifold params": {"n": _COUNT, "step": _STEP,
+                        "gammas": _Required("positives", _TAGGED),
                         "max_steps": _COUNT, "target_gap": _Required("positive"),
-                        "g_scalar": _Optional("positive"), "mode": "skew_projection",
-                        "c_scale": 1.0, "rattle": None, "verdicts": ()},
+                        "g_scalar": _Optional("positive"), "c_scale": 1.0,
+                        "rattle": None, "verdicts": ()},
     "rattle block": {"dim": _COUNT, "step": _STEP, "num_steps": _COUNT,
                      "gamma": _Default(1.0, "positive"),
                      "radius": _Default(1.0, "positive")},
     "sample params": {"target": _REQUIRED, "sampler": _REQUIRED, "verdicts": ()},
     "target block": {"name": _REQUIRED, "dim": _Default(1, ">= 1"), "ksd_curve": None},
-    "ksd_curve block": {"n_points": _Required("integers", "a list of integers >= 2"),
+    "ksd_curve block": {"n_points": _Required("integers",
+                                              "a list of integers >= 2, each once"),
                         "sigma": _Default(1.0, "positive")},
     "hmc sampler block": {"kind": _REQUIRED, "step": _STEP, "n_leapfrog": _COUNT,
                           "n_draws": _COUNT, "jitter": _Default(0.0, "in [0, 1]"),
                           "burn_in": _Default(0, ">= 0"),
-                          "step_grid": _Optional("positives"),
+                          "step_grid": _Optional("positives", _TAGGED),
                           "grid_draws": 2000, "write_samples": False},
-    "em sampler block": {"kind": _REQUIRED, "dt_grid": _Required("positives"),
+    "em sampler block": {"kind": _REQUIRED, "dt_grid": _Required("positives", _TAGGED),
                          "n_steps": _COUNT, "burn_in": _Optional(int, ">= 0"),
                          "beta": _Default(1.0, "positive")},
     "discrepancy params": {"tasks": _REQUIRED, "verdicts": ()},
@@ -480,7 +487,6 @@ def cmd_manifold(cfg, p):
     max_steps = int(p["max_steps"])
     target_gap = float(p["target_gap"])
     rattle = None if p["rattle"] is None else _block(p["rattle"], "rattle block")
-    _choose(dict.fromkeys(_LIE_MODES), p["mode"], "lie step mode")
 
     def worker(i, rng):
         c_mat = float(p["c_scale"]) * rng.standard_normal((n, n))
@@ -491,8 +497,7 @@ def cmd_manifold(cfg, p):
         for gamma in gammas:
             traj, _ = run_lie_optimizer(
                 st0, prob, dt, g_scalar, DampingSchedule.constant(gamma),
-                max_steps, mode=p["mode"], record_every=1,
-                target_gap=target_gap)
+                max_steps, record_every=1, target_gap=target_gap)
             # Unreached targets count as max_steps + 1 (a censored step count).
             reached = traj.reason == "target_reached"
             steps = int(traj.steps[-1]) if reached else max_steps + 1

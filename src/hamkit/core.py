@@ -1,7 +1,7 @@
 """Phase-space primitives: states, kinetic metrics, damping schedules, objectives.
 
-Everything here is immutable after construction and safe to share between
-parallel workers; the operations at the bottom are pure functions.
+Everything here is immutable after construction; the operations at the
+bottom are pure functions.
 """
 from __future__ import annotations
 
@@ -60,10 +60,9 @@ def _central_diffs(f, x, h):
 
 def _all_finite(x):
     """np.isfinite(x).all(), scanning x only when its sum of squares (finite iff
-    every entry is, or it overflowed) reads non-finite; x.dot(x) is the
-    cheaper call to np.vdot's BLAS ddot for a vector."""
-    sq = x.dot(x) if x.ndim == 1 else np.vdot(x, x)
-    return math.isfinite(sq) or bool(np.isfinite(x).all())
+    every entry is, or it overflowed) reads non-finite.  np.vdot forms that
+    sum silently; x.dot(x) warns when it overflows."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 @dataclass(frozen=True)
@@ -219,18 +218,11 @@ class DampingSchedule:
         return self.r * math.log(t_b / t_a)
 
 
-_FD_STEP = float(np.cbrt(np.finfo(float).eps))
-
-
 class Problem:
-    """Differentiable objective f (doubling as negative log-density V).
+    """Differentiable objective f (doubling as negative log-density V) with its
+    user-supplied gradient and, when known, its minimum f_star at q_star."""
 
-    Gradients are user-supplied; ``with_fd_gradient`` builds a central
-    finite-difference fallback for testing only and flags it as such.
-    """
-
-    def __init__(self, dim, value, grad, f_star=None, q_star=None, name="",
-                 grad_is_fd=False):
+    def __init__(self, dim, value, grad, f_star=None, q_star=None, name=""):
         if dim < 1:
             raise DomainError("problem dimension must be >= 1")
         self.dim = int(dim)
@@ -239,15 +231,6 @@ class Problem:
         self.f_star = None if f_star is None else float(f_star)
         self.q_star = None if q_star is None else np.asarray(q_star, float)
         self.name = name
-        self.grad_is_fd = bool(grad_is_fd)
-
-    @classmethod
-    def with_fd_gradient(cls, dim, value, **kwargs):
-        def fd_grad(q):
-            q = np.asarray(q, float)
-            return _central_diffs(value, q, _FD_STEP * np.maximum(1.0, np.abs(q)))
-
-        return cls(dim, value, fd_grad, grad_is_fd=True, **kwargs)
 
     def value(self, q):
         return float(self._value(np.asarray(q, float)))

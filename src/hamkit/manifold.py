@@ -35,7 +35,6 @@ __all__ = [
 
 ORTHO_TOL = 1e-8
 SKEW_TOL = 1e-10
-_LIE_MODES = ("skew_projection", "paper_literal")
 
 
 def _linalg():
@@ -114,36 +113,30 @@ def trace_objective(C):
                    f_star=f_star, q_star=q_star, name="trace_objective")
 
 
-def _lie_step(Q, P, half_kick, t_k, dt, g_scalar, sched, prob, mode):
-    """`lie_group_step` on raw arrays; see `_conformal_step`."""
-    if mode not in _LIE_MODES:
-        raise DomainError(f"unknown lie step mode {mode!r}")
+def _lie_stepper(dt, g_scalar, sched, prob):
+    """`lie_group_step` on raw arrays, built once per run: returns
+    step(Q, P, half kick or None, t_k); see `_conformal_step`."""
     if not g_scalar > 0:
         raise DomainError("g_scalar must be positive")
-    if mode == "skew_projection":
-        def kick(Q, P):
-            return skew_part(Q.T @ prob.grad(Q))
-    else:  # printed force Tr[d_Q f(Q) . Q . P] P_k, (d_Q f)_ij = df/dQ_ji
-        P_k = P
 
-        def kick(Q, P):
-            return float(np.trace(prob.grad(Q).T @ Q @ P)) * P_k
+    def kick(Q, P):   # the trivialised gradient skew(Q^T df/dQ)
+        return skew_part(Q.T @ prob.grad(Q))
 
-    return _conformal_step(
-        Q, P, half_kick, t_k, dt, sched, kick,
-        drift=lambda Q, P, h, decay: (Q @ _linalg().expm((h / g_scalar) * P), P),
-        project=lambda Q, P: skew_part(P))
+    def drift(Q, P, h, decay):
+        return Q @ _linalg().expm((h / g_scalar) * P), P
+
+    return lambda Q, P, half_kick, t_k: _conformal_step(
+        Q, P, half_kick, t_k, dt, sched, kick, drift, lambda Q, P: skew_part(P))
 
 
-def lie_group_step(st, t_k, dt, g_scalar, sched, prob, mode="skew_projection"):
+def lie_group_step(st, t_k, dt, g_scalar, sched, prob):
     """One damped leapfrog step on SO(n) with exact exponential update.
 
-    The drift is Q exp((dt cosh(De) / g_scalar) P_{k+1/2}) and the momentum
-    map is skew_part.  skew_projection (default) uses the trivialised
-    gradient skew(Q^T df/dQ); paper_literal applies the printed
-    trace-weighted force verbatim (kept for fidelity testing only).
+    The kick is the trivialised gradient skew(Q^T df/dQ), the drift is
+    Q exp((dt cosh(De) / g_scalar) P_{k+1/2}) and the momentum map is
+    skew_part.
     """
-    Q, P, _ = _lie_step(st.Q, st.P, None, t_k, dt, g_scalar, sched, prob, mode)
+    Q, P, _ = _lie_stepper(dt, g_scalar, sched, prob)(st.Q, st.P, None, t_k)
     return MatrixGroupState(Q, P)
 
 
@@ -299,14 +292,12 @@ def rattle_step(x, t_k, dt, g, sched, prob, cons):
 
 
 def run_lie_optimizer(st, prob, dt, g_scalar, sched, num_steps,
-                      mode="skew_projection", record_every=1,
-                      target_gap=None):
+                      record_every=1, target_gap=None):
     """Iterate lie_group_step; reports the orthogonality defect per record."""
-    carry = mode == "skew_projection"   # paper_literal's force reads P
+    step = _lie_stepper(dt, g_scalar, sched, prob)
 
     def advance(x, t_k):  # x = (Q, P, half kick or None, ||Q^T Q - I||_F)
-        Q, P, half_kick = _lie_step(x[0], x[1], x[2] if carry else None,
-                                    t_k, dt, g_scalar, sched, prob, mode)
+        Q, P, half_kick = step(*x[:3], t_k)
         return Q, P, half_kick, _group_defect(Q, P)
 
     traj, (Q, P, _, _) = _run_steps(

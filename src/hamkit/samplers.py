@@ -40,19 +40,16 @@ class RngStream:
         self.seed = int(seed)
         self._seq = _seq if _seq is not None else np.random.SeedSequence(self.seed)
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
-        self.counter = 0
 
     def split(self, n):
         return [RngStream(self.seed, _seq=child) for child in self._seq.spawn(n)]
 
     def standard_normal(self, size=None):
-        self.counter += 1
         return self._gen.standard_normal(size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         """Uniform draws on [low, high).  The unit interval draws through
         Generator.random: Generator.uniform's low + (high - low) r is r there."""
-        self.counter += 1
         if (isinstance(low, float) and isinstance(high, float)
                 and low == 0.0 and high == 1.0):
             return self._gen.random(size)
@@ -60,12 +57,10 @@ class RngStream:
 
     def permutation(self, n):
         """A random ordering of range(n)."""
-        self.counter += 1
         return self._gen.permutation(n)
 
     def integers(self, low, high):
         """Uniform integer in the closed range [low, high]."""
-        self.counter += 1
         return int(self._gen.integers(low, high + 1))
 
 
@@ -197,6 +192,9 @@ def overdamped_em_step(q, prob, dt, beta, rng):
     return q_new
 
 
+_FD_STEP = 1e-5   # DiffusionSpec's central-difference step, without a divergence
+
+
 @dataclass
 class DiffusionSpec:
     """Matrix fields S (symmetric PSD) and A (antisymmetric) of a
@@ -205,7 +203,6 @@ class DiffusionSpec:
     s_field: callable
     a_field: callable
     divergence: callable = None   # analytic x -> vector div(A + S), row-wise
-    fd_step: float = 1e-5
 
     def validate_at(self, x):
         s = np.asarray(self.s_field(x), float)
@@ -225,7 +222,7 @@ class DiffusionSpec:
         """(div M)_i = sum_j dM_ij/dx_j for M = A + S."""
         if self.divergence is not None:
             return np.asarray(self.divergence(x), float)
-        dm = _central_diffs(self.total, np.asarray(x, float), self.fd_step)
+        dm = _central_diffs(self.total, np.asarray(x, float), _FD_STEP)
         return np.trace(dm, axis1=0, axis2=2)   # dm[j] = dM/dx_j
 
 
@@ -277,19 +274,11 @@ def run_hmc_chain(prob, g, dt, L, n_draws, rng, q0=None, jitter=0.0,
                       grad), samples
 
 
-def write_samples_csv(path_or_file, samples, accepted=None, chain_id=0,
-                      momenta=None):
-    """CSV dump: chain,step,q_1..q_d, with an accepted column after step when
-    acceptance flags are given and momenta appended on request."""
+def write_samples_csv(path_or_file, samples, chain_id=0):
+    """CSV dump: chain,step,q_1..q_d, one row per sample."""
     samples = _as_samples(samples)
     n, d = samples.shape
-    flags = [] if accepted is None else [accepted]
-    cols = (["chain", "step"] + ["accepted"] * len(flags)
-            + [f"q_{i + 1}" for i in range(d)])
-    columns = [[chain_id] * n, range(n), *flags, *samples.T]
-    if momenta is not None:
-        cols += [f"p_{i + 1}" for i in range(d)]
-        columns += list(np.asarray(momenta, float).T)
-    n_int = 2 + len(flags)
-    return _write_csv(path_or_file, ",".join(cols),
-                      ["%d"] * n_int + ["%.17e"] * (len(cols) - n_int), columns)
+    return _write_csv(path_or_file,
+                      ",".join(["chain", "step"] + [f"q_{i + 1}" for i in range(d)]),
+                      ["%d"] * 2 + ["%.17e"] * d,
+                      [[chain_id] * n, range(n), *samples.T])

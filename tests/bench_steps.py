@@ -5,7 +5,8 @@ Not part of the test suite (the file does not match `test_*.py`); run it with
     python -m pytest tests/bench_steps.py --benchmark-only
 
 Each benchmark times one call: a flat damped leapfrog step of the quartic at
-d = 2, one HMC draw (d = 10, L = 5) and one RATTLE step on the unit sphere.
+d = 2, one HMC draw (d = 10, L = 5), one SO(50) step of a trace objective
+(the shape manifold_so_rattle runs) and one RATTLE step on the unit sphere.
 `test_flat_run_per_step` times a 1,000-step `run_optimizer` on the same
 quartic, the loop optimize_quartic runs; divide its time by 1,000 for the
 cost of one step inside a run, where no `PhasePoint` is validated.
@@ -16,16 +17,20 @@ from hamkit import (
     ChainState,
     DampingSchedule,
     KineticMetric,
+    MatrixGroupState,
     OptimizerConfig,
     PhasePoint,
     Problem,
     dissipative_leapfrog_step,
     hmc_draw,
+    lie_group_step,
     problems,
     project_momentum,
     rattle_step,
     run_optimizer,
+    skew_part,
     sphere_constraint,
+    trace_objective,
 )
 
 
@@ -53,6 +58,16 @@ def test_hmc_draw(benchmark):
     chain = hmc_draw(ChainState.start(np.full(d, 0.5)), prob, g, 0.2, 5, rng)
     out = benchmark(hmc_draw, chain, prob, g, 0.2, 5, rng)
     assert out.steps == 2
+
+
+def test_lie_step(benchmark):
+    rng = np.random.default_rng(0)
+    prob = trace_objective(rng.standard_normal((50, 50)))
+    st = MatrixGroupState(np.eye(50), 0.05 * skew_part(rng.standard_normal((50, 50))))
+    sched = DampingSchedule.constant(2.0)
+    lie_group_step(st, 0.0, 0.05, 0.05, sched, prob)   # loads scipy.linalg
+    out = benchmark(lie_group_step, st, 0.0, 0.05, 0.05, sched, prob)
+    assert out.orthogonality_defect() <= 1e-8
 
 
 def test_rattle_step(benchmark):

@@ -786,8 +786,6 @@ def test_unknown_name_lists_the_choices(tmp_path, name, path, what, choices):
      ["dissipative_leapfrog", "gradient_flow"]),
     ("optimize", ("params", "fit", "model"), "fit model",
      ["exponential", "power_law"]),
-    ("manifold", ("params", "mode"), "lie step mode",
-     ["paper_literal", "skew_projection"]),
     ("optimize", ("params", "fit", "envelope_spacing"), "envelope spacing",
      ["linear", "log"]),
 ])
@@ -983,6 +981,39 @@ def test_dim_without_samples_file_is_checked_before_the_reps(tmp_path, capsys,
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     assert cli_main(["discrepancy", "--config", str(config)]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Each value of these lists tags its metrics' names (f"{v:g}", or the
+# integer): two values of one tag wrote the same metric names, and the later
+# run's figures replaced the earlier's without a word.
+TAGGED = "a list whose values differ in their first 6 significant digits"
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("manifold params", "gammas", [1.0, 1.0000001, 100.0]),
+    ("manifold params", "gammas", [2.0, 2.0]),
+    ("hmc sampler block", "step_grid", [0.2, 0.2000001]),
+    ("em sampler block", "dt_grid", [0.1, 0.1000001]),
+    ("ksd_curve block", "n_points", [20, 40, 20]),
+])
+def test_values_sharing_a_metric_tag_are_refused_before_the_reps(
+        tmp_path, capsys, where, key, value):
+    need = ("a list of integers >= 2, each once" if key == "n_points"
+            else TAGGED)
+    name, path = SCHEMA_BLOCKS[where]
+    raw = schema_configs(tmp_path)[name]
+    block = raw
+    for part in path:
+        block = block[part]
+    block[key] = value
+    named = f"'{key}' in {where} must be {need}, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        run_raw(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert cli_main([raw["experiment"], "--config", str(config)]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

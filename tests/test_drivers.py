@@ -126,23 +126,20 @@ def test_flat_driver_matches_step_loop(problem, metric, threshold, seed, kind,
         assert_same_run(run_optimizer(cfg, prob), ref, prob.f_star)
 
 
-@given(mode=hst.sampled_from(["skew_projection", "paper_literal"]),
-       **run_settings)
+@given(**run_settings)
 @settings(max_examples=40, deadline=None)
-def test_lie_driver_matches_step_loop(mode, seed, kind, record_every,
-                                      target_gap):
+def test_lie_driver_matches_step_loop(seed, kind, record_every, target_gap):
     rng = np.random.default_rng(seed)
     prob = trace_objective(rng.standard_normal((4, 4)))
     sched = SCHEDULES[kind]
     st0 = MatrixGroupState(np.eye(4), skew_part(rng.standard_normal((4, 4))))
     dt, g_scalar, n = 0.05, 0.05, 60
     ref = step_loop(
-        st0, lambda st, t: lie_group_step(st, t, dt, g_scalar, sched, prob,
-                                          mode),
+        st0, lambda st, t: lie_group_step(st, t, dt, g_scalar, sched, prob),
         lambda st: prob.value(st.Q), lambda st, f: st.orthogonality_defect(),
         sched.start_time(), dt, n, prob.f_star, record_every, target_gap)
     traj, st_end = run_lie_optimizer(st0, prob, dt, g_scalar, sched, n,
-                                     mode=mode, record_every=record_every,
+                                     record_every=record_every,
                                      target_gap=target_gap)
     assert_same_run(traj, ref, prob.f_star)
     assert np.array_equal(st_end.Q, ref[-1].Q)

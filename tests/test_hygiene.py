@@ -1,10 +1,10 @@
 """Source hygiene: every module-level import in the package is used,
-finiteness checks use one idiom, config defaults live in one table, one
-driver builds every report, kernel values are built without their
-derivatives, the package exports every public name, only the manifold
-module imports scipy, and only on first use, no module serves names
-through a module-level `__getattr__`, and the per-step functions multiply
-with ndarray.dot, not `@`.
+finiteness checks use one idiom, config defaults live in one table and
+every config key is read, one driver builds every report, kernel values
+are built without their derivatives, the package exports every public
+name, only the manifold module imports scipy, and only on first use, no
+module serves names through a module-level `__getattr__`, and the per-step
+functions multiply with ndarray.dot, not `@`.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -21,6 +21,7 @@ import textwrap
 import pytest
 
 import hamkit
+from hamkit import bench
 
 PACKAGE = pathlib.Path(hamkit.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -83,6 +84,37 @@ def test_bench_defaults_live_in_the_schema():
                  and len(node.args) + len(node.keywords) >= 2]
     assert not offending, (f"bench.py: .get(key, default) at lines "
                            f"{offending}; declare the default in _SCHEMA")
+
+
+def _read_keys(tree):
+    """Strings bench.py reads a config value by: subscripts `block["key"]`
+    (not of `_SCHEMA`), `.get("key")`, `_blocks(block, "key", ...)` and
+    attributes (`cfg.seed`)."""
+    keys = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and not ast.unparse(node.value).startswith("_SCHEMA")):
+            keys.add(node.slice.value)
+        elif isinstance(node, ast.Call) and node.args:
+            func = ast.unparse(node.func)
+            if func.endswith(".get") and isinstance(node.args[0], ast.Constant):
+                keys.add(node.args[0].value)
+            if (func == "_blocks" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)):
+                keys.add(node.args[1].value)
+        elif isinstance(node, ast.Attribute):
+            keys.add(node.attr)
+    return keys
+
+
+def test_every_schema_key_is_read():
+    # a _SCHEMA key that bench.py never reads is accepted, checked and then
+    # ignored; it would outlive the option it fed
+    path = PACKAGE / "bench.py"
+    read = _read_keys(ast.parse(path.read_text(), filename=str(path)))
+    unread = sorted(f"{where}: {key}" for where, block in bench._SCHEMA.items()
+                    for key in block if key not in read)
+    assert not unread, f"bench.py: _SCHEMA keys no code reads: {unread}"
 
 
 def _report_calls(tree):

@@ -177,22 +177,6 @@ class TestLieGroupStep:
         assert np.linalg.norm(st.Q - st0.Q) <= bound
         assert np.linalg.norm(st.P - st0.P) <= bound
 
-    def test_paper_literal_mode_stays_on_group(self):
-        rng = np.random.default_rng(8)
-        c = rng.standard_normal((3, 3))
-        st = MatrixGroupState(np.eye(3), random_skew(3, rng))
-        for k in range(100):
-            st = lie_group_step(st, k * 0.05, 0.05, 0.05,
-                                DampingSchedule.constant(1.0),
-                                trace_objective(c), mode="paper_literal")
-        assert st.orthogonality_defect() < 1e-10
-
-    def test_unknown_mode(self):
-        st = MatrixGroupState(np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(DomainError):
-            lie_group_step(st, 0.0, 0.1, 1.0, DampingSchedule.zero(),
-                           trace_objective(np.eye(2)), mode="cayley")
-
     def test_underdamped_beats_overdamped(self):
         rng = np.random.default_rng(9)
         c = rng.standard_normal((10, 10))

@@ -618,7 +618,7 @@ def cmd_sample(cfg, p):
             vals = []
             for n_pts in ksd_curve["n_points"]:
                 draws = rng.standard_normal((int(n_pts), prob.dim))
-                vals.append(ksd_u_statistic(draws, lambda x: -prob.grad(x), kernel))
+                vals.append(ksd_u_statistic(draws, -prob.grad_rows(draws), kernel))
                 metrics[f"ksd_n_{int(n_pts)}"] = vals[-1]
             metrics["ksd_decreasing"] = float(abs(vals[-1]) < abs(vals[0]))
         return metrics
@@ -703,8 +703,8 @@ def cmd_discrepancy(cfg, p):
                     draws = pools[task["samples_file"]][:m]
                 else:
                     draws = rng.standard_normal((m, d))
-                score = lambda x, s=float(task["shift"]): -(x - s)  # noqa: E731
-                val, se = ksd_u_statistic(draws, score, kernel, with_stderr=True)
+                val, se = ksd_u_statistic(draws, -(draws - float(task["shift"])),
+                                          kernel, with_stderr=True)
                 metrics["ksd_value"] = val
                 metrics["ksd_stderr"] = se
                 metrics["ksd_z"] = val / se if se > 0 else math.inf

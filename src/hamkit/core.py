@@ -44,8 +44,9 @@ def _as_samples(x):
 
 
 def _rows(f, x_arr):
-    """f at each row of x_arr, stacked along a new first axis.  User callables
-    take one point, so this is the one loop over the points of a batch."""
+    """f at each row of x_arr, stacked along a new first axis: the one loop
+    over the points of a batch, which adapts a per-point callable where no
+    row-wise form is given."""
     return np.asarray([f(row) for row in x_arr], float)
 
 
@@ -220,14 +221,27 @@ class DampingSchedule:
 
 class Problem:
     """Differentiable objective f (doubling as negative log-density V) with its
-    user-supplied gradient and, when known, its minimum f_star at q_star."""
+    user-supplied gradient and, when known, its minimum f_star at q_star.
 
-    def __init__(self, dim, value, grad, f_star=None, q_star=None, name=""):
+    Two forms are optional, for callers that hold several evaluations at
+    once: `value_and_grad(q)` returns (f(q), grad f(q)) from one call, for the
+    optimiser's kick and the end of an HMC flight, which need both at one
+    point; `grad_rows(Q)` returns grad f at each row of an (n, d) array.  A
+    problem that supplies them writes them with the expressions of `value`
+    and `grad`, so that they return the same bits.  Without them the methods
+    adapt: `value_and_grad` makes the two separate calls and `grad_rows` calls
+    `grad` once per row through `_rows`.
+    """
+
+    def __init__(self, dim, value, grad, f_star=None, q_star=None, name="",
+                 value_and_grad=None, grad_rows=None):
         if dim < 1:
             raise DomainError("problem dimension must be >= 1")
         self.dim = int(dim)
         self._value = value
         self._grad = grad
+        self._value_and_grad = value_and_grad
+        self._grad_rows = grad_rows
         self.f_star = None if f_star is None else float(f_star)
         self.q_star = None if q_star is None else np.asarray(q_star, float)
         self.name = name
@@ -237,6 +251,20 @@ class Problem:
 
     def grad(self, q):
         return np.asarray(self._grad(np.asarray(q, float)), float)
+
+    def value_and_grad(self, q):
+        """(f(q), grad f(q)), as `value` and `grad` return them."""
+        if self._value_and_grad is None:
+            return self.value(q), self.grad(q)
+        f, g = self._value_and_grad(np.asarray(q, float))
+        return float(f), np.asarray(g, float)
+
+    def grad_rows(self, q_rows):
+        """grad f at each row of the (n, d) array q_rows, shape (n, d)."""
+        q_rows = np.asarray(q_rows, float)
+        if self._grad_rows is None:
+            return _rows(self.grad, q_rows)
+        return np.asarray(self._grad_rows(q_rows), float)
 
     def gap(self, q):
         """f(q) - f_star; requires a known minimum."""

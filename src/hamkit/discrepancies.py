@@ -215,10 +215,20 @@ def _stein_matrix(x_arr, y_arr, sx, sy, kernel):
 
 
 def _scores(score, points):
-    """score at each row of `points`, shape (n, d); non-finite is an error."""
-    out = _rows(score, points).reshape(points.shape)
+    """The scores at the rows of `points`, shape (n, d): `score` is either a
+    per-point callable, called once per row through `_rows`, or the array of
+    those scores.  A wrong shape or a non-finite score is an error."""
+    if callable(score):
+        score = _rows(score, points).reshape(points.shape)
+    out = np.asarray(score, float)
+    if out.ndim == 1 and points.shape[1] == 1:   # n scalars, as x may be
+        out = out[:, None]
+    if out.shape != points.shape:
+        raise DomainError(f"score array has shape {np.shape(score)}; the "
+                          f"samples need {points.shape}")
     if not np.isfinite(out).all():
-        raise DomainError("score is non-finite at an evaluation point")
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise DomainError(f"score is non-finite at row {i}, column {j}")
     return out
 
 
@@ -243,7 +253,8 @@ def _stein_tile(x_arr, s, kernel):
 
 
 def stein_gram(x_samples, score, kernel):
-    """Full m x m Stein-kernel Gram matrix; a non-finite score raises.
+    """Full m x m Stein-kernel Gram matrix; a non-finite score raises.  The
+    score is given as in `ksd_u_statistic`.
 
     Built from upper-triangle row tiles (_row_tiles), each pair once.  A
     tile's part right of its diagonal block D is copied, transposed, to the
@@ -267,11 +278,15 @@ def ksd_u_statistic(x_samples, score, kernel, with_stderr=False):
     May be negative (it is unbiased for zero at the target).  With
     with_stderr=True also returns the asymptotic standard error computed
     from the per-point conditional means (valid off the target, where the
-    U-statistic is non-degenerate).  The scores are taken once, and a
-    non-finite one raises before any kernel entry is built.  The Gram is
-    symmetric, so it is reduced in upper-triangle row tiles (_tile_sums):
-    each pair is built once, about m (m + 64) / 2 entries, and O(64 m) are
-    held.  stein_gram gives the full matrix.
+    U-statistic is non-degenerate).
+
+    `score` is the (m, d) array of the scores at the rows of x_samples, or
+    a per-point callable x -> s(x), which `_rows` calls once per row; both
+    give the same bits.  A wrong-shaped array, or a non-finite score,
+    raises before any kernel entry is built.  The Gram is symmetric, so it
+    is reduced in upper-triangle row tiles (_tile_sums): each pair is built
+    once, about m (m + 64) / 2 entries, and O(64 m) are held.  stein_gram
+    gives the full matrix.
     """
     x_arr = _as_samples(x_samples)
     m = x_arr.shape[0]
@@ -289,10 +304,20 @@ def ksd_u_statistic(x_samples, score, kernel, with_stderr=False):
 
 class ScoreModel:
     """Parametric score model: x -> d_x log q_theta(x) plus its theta
-    derivatives, with an optional matrix field B (default identity)."""
+    derivatives, with an optional matrix field B (default identity).
+
+    Two row-wise forms are optional, each a callable (x_arr, theta) on an
+    (n, d) array of points: `score_rows`, the scores, shape (n, d), and
+    `info_term_rows`, the information tensor's term B(x)^T d/dtheta s(x),
+    shape (n, d, n_params).  A model that supplies them writes them with the
+    expressions of its per-point forms, so that they return the same bits.
+    Without them the methods of the same names call the per-point forms once
+    per row through `_rows`.
+    """
 
     def __init__(self, theta, dim, score, dscore_dtheta, b_field=None,
-                 sample=None, sm_theta_grad=None, name=""):
+                 sample=None, sm_theta_grad=None, name="", score_rows=None,
+                 info_term_rows=None):
         self.theta = np.atleast_1d(np.asarray(theta, float))
         self.dim = int(dim)
         self._score = score
@@ -300,6 +325,8 @@ class ScoreModel:
         self._b_field = b_field
         self._sample = sample
         self._sm_theta_grad = sm_theta_grad
+        self._score_rows = score_rows
+        self._info_term_rows = info_term_rows
         self.name = name
 
     @property
@@ -318,6 +345,18 @@ class ScoreModel:
         """d/dtheta of the score, shape (dim, n_params)."""
         out = np.asarray(self._dscore_dtheta(x, self.theta), float)
         return out.reshape(self.dim, self.n_params)
+
+    def score_rows(self, x_arr):
+        """The score at each row of the (n, dim) array x_arr, shape (n, dim)."""
+        if self._score_rows is None:
+            return _rows(self.score, x_arr).reshape(x_arr.shape)
+        return np.asarray(self._score_rows(x_arr, self.theta), float)
+
+    def info_term_rows(self, x_arr):
+        """B(x)^T d/dtheta s(x) at each row of x_arr, shape (n, dim, n_params)."""
+        if self._info_term_rows is None:
+            return _rows(lambda x: self.b(x).T @ self.dscore_dtheta(x), x_arr)
+        return np.asarray(self._info_term_rows(x_arr, self.theta), float)
 
     def sample(self, n, rng):
         if self._sample is None:
@@ -351,20 +390,27 @@ def GaussianLocationModel(theta, sigma=1.0, b_matrix=None):
     def score(x, th):
         return -(np.atleast_1d(x) - th) / s2
 
+    def score_rows(x_arr, th):
+        return -(x_arr - th) / s2
+
     def dscore(x, th):
         return np.eye(d) / s2
+
+    def info_term_rows(x_arr, th):
+        # the per-point b^T ds/dtheta of every row, as one batched matmul
+        return b_mat.T @ np.broadcast_to(dscore(None, th), (len(x_arr), d, d))
 
     def sample(n, th, rng):
         return th + sigma * rng.standard_normal((n, d))
 
     def sm_grad(x_arr, th):
         # d/dtheta mean(||B^T s||^2 + 2 div) = mean 2 (ds/dth)^T B B^T s.
-        scores = -(x_arr - th) / s2
-        return (2.0 / s2) * (bbt @ scores.mean(axis=0))
+        return (2.0 / s2) * (bbt @ score_rows(x_arr, th).mean(axis=0))
 
     return ScoreModel(theta, d, score, dscore, b_field=lambda x: b_mat,
                       sample=sample, sm_theta_grad=sm_grad,
-                      name=f"gaussian_location(d={d})")
+                      name=f"gaussian_location(d={d})", score_rows=score_rows,
+                      info_term_rows=info_term_rows)
 
 
 def _warn_if_indefinite(g):
@@ -378,7 +424,8 @@ def _warn_if_indefinite(g):
 
 def information_tensor(kind, model, n_mc, rng):
     """Monte Carlo estimate of the score-matching information tensor
-    E[W^T W], W = B(x)^T d/dtheta s(x), from n_mc draws of the model.
+    E[W^T W], W = B(x)^T d/dtheta s(x), from n_mc draws of the model.  The
+    W of all draws come from one `model.info_term_rows` call.
 
     kind must be 'sm', the one tensor implemented.  The output is
     symmetrised.
@@ -388,8 +435,7 @@ def information_tensor(kind, model, n_mc, rng):
     if n_mc < 100:
         raise DomainError("information tensor needs MC size >= 100")
     x_arr = model.sample(n_mc, rng)
-    # w[a] = B(x_a)^T d/dtheta s(x_a), shape (n, d, p)
-    w = _rows(lambda x: model.b(x).T @ model.dscore_dtheta(x), x_arr)
+    w = model.info_term_rows(x_arr)   # w[a] = B(x_a)^T d/dtheta s(x_a)
     g = np.einsum("adi,adj->ij", w, w) / n_mc
     g = 0.5 * (g + g.T)
     _warn_if_indefinite(g)

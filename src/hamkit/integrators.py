@@ -6,14 +6,17 @@ half-step form: the damping enters only through Delta_eta over half a step,
 so no large exponentials appear.  Every run is the record loop `_run_steps`.
 
 The run drivers step raw arrays and carry the end-of-step half kick into the
-next step; a validated `PhasePoint` exists only at the edges, and the public
-one-step functions are thin wrappers over the same raw steps.  Per-step
+next step; the flat run also carries f(q_{k+1}), which the kick's fused
+`Problem.value_and_grad` call returns with the gradient.  A validated
+`PhasePoint` exists only at the edges, and the public one-step functions
+are thin wrappers over the same raw steps.  Per-step
 vector products call `ndarray.dot`: `@`'s BLAS routine at half the call cost.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -141,16 +144,26 @@ def _conformal_step(q, p, half_kick, t_k, dt, sched, kick, drift,
 
 def _leapfrog_step(cfg, prob):
     """`dissipative_leapfrog_step` on raw arrays, built once per run: returns
-    step(x, t_k) for x = (q, p, half kick or None); see `_conformal_step`."""
-    dt, sched, inv_mul, grad = cfg.step, cfg.schedule, cfg.metric.inv_mul, prob.grad
+    step(x, t_k) for x = (q, p, half kick or None, f(q) or None); see
+    `_conformal_step`.  The kick takes f and grad f from one
+    `prob.value_and_grad` call, and the step returns f(q_{k+1}) with the
+    state, so a run evaluates each point once."""
+    dt, sched, inv_mul = cfg.step, cfg.schedule, cfg.metric.inv_mul
+    value_and_grad, f_new = prob.value_and_grad, [None]
 
     def kick(q, p):
-        return grad(q)
+        f_new[0], grad = value_and_grad(q)
+        return grad
 
     def drift(q, p, h, decay):
         return q + h * inv_mul(p), p
 
-    return lambda x, t_k: _conformal_step(*x, t_k, dt, sched, kick, drift)
+    def step(x, t_k):
+        q, p, half_kick = _conformal_step(x[0], x[1], x[2], t_k, dt, sched,
+                                          kick, drift)
+        return q, p, half_kick, f_new[0]
+
+    return step
 
 
 def dissipative_leapfrog_step(x, t_k, cfg, prob):
@@ -160,7 +173,7 @@ def dissipative_leapfrog_step(x, t_k, cfg, prob):
     q_{k+1} = q_k + dt cosh(De) g^{-1} p_{k+1/2}, whose plus sign makes the
     undamped limit the classical leapfrog.
     """
-    q, p, _ = _leapfrog_step(cfg, prob)((x.q, x.p, None), t_k)
+    q, p, _, _ = _leapfrog_step(cfg, prob)((x.q, x.p, None, None), t_k)
     return PhasePoint(q, p)
 
 
@@ -226,7 +239,7 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
     _check_dims(cfg.x0.dim, g, prob)
 
     def flow(x, t_k):
-        return gradient_flow_step(x[0], cfg.step, prob), x[1], None
+        return gradient_flow_step(x[0], cfg.step, prob), x[1]
 
     def energy(x, f):
         if not leapfrog:
@@ -236,13 +249,19 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
         return h if math.isfinite(h) else evaluate_hamiltonian(
             PhasePoint(x[0], x[1]), g, prob)
 
-    # x = (q, p, (dt/2) grad f(q) or None); the gradient flow carries None
-    advance = _leapfrog_step(cfg, prob) if leapfrog else flow
+    q0, p0 = cfg.x0.q, cfg.x0.p
+    if leapfrog:
+        # x = (q, p, (dt/2) grad f(q), f(q)), from one evaluation per point
+        f0, grad0 = prob.value_and_grad(q0)
+        x0 = (q0, p0, 0.5 * cfg.step * grad0, f0)
+        advance, value = _leapfrog_step(cfg, prob), itemgetter(3)
+    else:
+        x0, advance, value = (q0, p0), flow, lambda x: prob.value(x[0])
     thr = cfg.divergence_threshold
     traj, _ = _run_steps(
-        (cfg.x0.q, cfg.x0.p, None), advance, lambda x: prob.value(x[0]),
-        energy, cfg.schedule.start_time(), cfg.step, cfg.num_steps,
-        prob.f_star, record_every=cfg.record_every, target_gap=cfg.target_gap,
+        x0, advance, value, energy, cfg.schedule.start_time(), cfg.step,
+        cfg.num_steps, prob.f_star, record_every=cfg.record_every,
+        target_gap=cfg.target_gap,
         too_far=lambda x, f: abs(f) > thr or math.sqrt(x[0].dot(x[0])) > thr)
     return traj
 

@@ -22,6 +22,7 @@ def quadratic(d, mu=1.0):
         d,
         value=lambda q: 0.5 * mu * float(q.dot(q)),
         grad=lambda q: mu * q,
+        value_and_grad=lambda q: (0.5 * mu * float(q.dot(q)), mu * q),
         f_star=0.0,
         q_star=np.zeros(d),
         name=f"quadratic(mu={mu})",
@@ -30,10 +31,16 @@ def quadratic(d, mu=1.0):
 
 def quartic(d):
     """f(q) = (1/4) ||q||^4, convex but not strongly convex."""
+
+    def value_and_grad(q):
+        r2 = float(q.dot(q))   # formed once for both
+        return 0.25 * r2 ** 2, r2 * q
+
     return Problem(
         d,
         value=lambda q: 0.25 * float(q.dot(q)) ** 2,
         grad=lambda q: float(q.dot(q)) * q,
+        value_and_grad=value_and_grad,
         f_star=0.0,
         q_star=np.zeros(d),
         name="quartic",
@@ -69,6 +76,8 @@ def standard_gaussian(d):
         d,
         value=lambda q: 0.5 * float(q.dot(q)),
         grad=lambda q: q,
+        value_and_grad=lambda q: (0.5 * float(q.dot(q)), q),
+        grad_rows=lambda q_rows: q_rows,
         f_star=0.0,
         q_star=np.zeros(d),
         name=f"standard_gaussian({d})",

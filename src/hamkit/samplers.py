@@ -97,32 +97,36 @@ class ChainState:
         return self.accepted / self.steps if self.steps else 0.0
 
 
-def _leapfrog(q, p, grad, prob, g, dt, L):
+def _leapfrog(q, p, grad, prob, g, dt, L, at_end):
     """L leapfrog steps from (q, p) given grad = grad V(q).
 
-    Returns (q_L, p_L, grad V(q_L)); raises DivergenceError at the first
-    non-finite position or final momentum.
+    The gradient at q_L comes from `at_end(q_L)`, which returns (V(q_L) or
+    None, grad V(q_L)).  Returns (q_L, p_L, V(q_L) or None, grad V(q_L));
+    raises DivergenceError at the first non-finite position, before any
+    evaluation there, or at a non-finite final momentum.
     """
     inv_mul, grad_v = g.inv_mul, prob.grad
     p = p - 0.5 * dt * grad
     for i in range(L):
         if i:
+            grad = grad_v(q)
             p = p - dt * grad
         q = q + dt * inv_mul(p)
         if not _all_finite(q):
             raise DivergenceError("leapfrog position diverged", step=i)
-        grad = grad_v(q)
+    v, grad = at_end(q)
     p = p - 0.5 * dt * grad
     if not _all_finite(p):
         raise DivergenceError("leapfrog momentum diverged", step=L - 1)
-    return q, p, grad
+    return q, p, v, grad
 
 
 def leapfrog_trajectory(x, prob, g, dt, L):
     """L leapfrog steps (half kick / full drift / half kick) for
-    H = (1/2) p^T g^{-1} p + V(q)."""
+    H = (1/2) p^T g^{-1} p + V(q); V itself is never evaluated."""
     _check_hmc(x.q, prob, g, L, 0.0)
-    q, p, _ = _leapfrog(x.q, x.p, prob.grad(x.q), prob, g, dt, L)
+    q, p, _, _ = _leapfrog(x.q, x.p, prob.grad(x.q), prob, g, dt, L,
+                           lambda q: (None, prob.grad(q)))
     return PhasePoint(q, p)
 
 
@@ -137,15 +141,16 @@ def _check_hmc(q, prob, g, L, jitter):
 def _hmc_transition(q, v0, grad0, prob, g, dt, L, rng, jitter):
     """`hmc_draw` on raw arrays from position q with V(q), grad V(q) (None:
     evaluate them).  Returns (q, p, V, grad V, accepted, incident) of the
-    new state; arguments are not checked."""
+    new state; arguments are not checked.  V and grad V at q (when not
+    given) and at the flight's end each come from one fused call."""
     p = g.sample_momentum(rng)
     l_min = max(1, math.ceil((1.0 - jitter) * L))
     l_run = rng.integers(l_min, L) if l_min < L else L
     try:
         if grad0 is None:
-            v0, grad0 = prob.value(q), prob.grad(q)
-        q1, p1, grad1 = _leapfrog(q, p, grad0, prob, g, dt, l_run)
-        v1 = prob.value(q1)
+            v0, grad0 = prob.value_and_grad(q)
+        q1, p1, v1, grad1 = _leapfrog(q, p, grad0, prob, g, dt, l_run,
+                                      prob.value_and_grad)
         # H = (1/2) p^T g^{-1} p + V, as evaluate_hamiltonian forms it; a
         # non-finite term makes d_h non-finite.
         d_h = (0.5 * g.quad_inv(p1) + v1) - (0.5 * g.quad_inv(p) + v0)
@@ -169,8 +174,10 @@ def hmc_draw(chain, prob, g, dt, L, rng, jitter=0.0):
     state keeps the position with the refreshed momentum flipped.
 
     V and grad V at the current position come from the chain's cache (the
-    first draw evaluates them), so a draw of L steps calls grad L times and
-    V once; the returned chain caches them at its new position.
+    first draw evaluates them with one `prob.value_and_grad` call), and the
+    flight takes V and grad V at its end from one `value_and_grad` call, so
+    a draw of L steps calls grad L - 1 times and value_and_grad once; the
+    returned chain caches them at its new position.
     """
     _check_hmc(chain.x.q, prob, g, L, jitter)
     q, p, v, grad, accepted, incident = _hmc_transition(

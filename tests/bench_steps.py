@@ -1,8 +1,14 @@
-"""Unit costs of one integrator step, through the public one-step functions.
+"""Unit costs of one integrator step, through the public one-step functions,
+and of the evaluations and estimators the benchmark's workloads repeat.
 
-Not part of the test suite (the file does not match `test_*.py`); run it with
+Not part of the test suite (the file does not match `test_*.py`); run it from
+the root of the tree it measures with
 
     python -m pytest tests/bench_steps.py --benchmark-only
+
+pyproject.toml's `pythonpath = ["src"]` puts that tree's own `src` ahead of
+PYTHONPATH, so `PYTHONPATH=<other tree>/src` still times this tree's code.
+To time another tree, copy this file into its `tests/` and run it there.
 
 Each benchmark times one call: a flat damped leapfrog step of the quartic at
 d = 2, one HMC draw (d = 10, L = 5), one SO(50) step of a trace objective
@@ -10,12 +16,21 @@ d = 2, one HMC draw (d = 10, L = 5), one SO(50) step of a trace objective
 `test_flat_run_per_step` times a 1,000-step `run_optimizer` on the same
 quartic, the loop optimize_quartic runs; divide its time by 1,000 for the
 cost of one step inside a run, where no `PhasePoint` is validated.
+`test_quartic_value_and_grad` and `test_quartic_value_then_grad` time the
+quartic's fused evaluation against its two separate calls at one point.
+`test_information_tensor` times one `information_tensor("sm", ...)` of a
+d = 10 Gaussian location model from 200 draws, and
+`test_ksd_score_array` one KSD U-statistic with its standard error at
+m = 1200, d = 10 with the scores passed as an array: the shapes
+discrepancy_gram runs.
 """
 import numpy as np
 
 from hamkit import (
     ChainState,
     DampingSchedule,
+    GaussianLocationModel,
+    KernelSpec,
     KineticMetric,
     MatrixGroupState,
     OptimizerConfig,
@@ -23,6 +38,8 @@ from hamkit import (
     Problem,
     dissipative_leapfrog_step,
     hmc_draw,
+    information_tensor,
+    ksd_u_statistic,
     lie_group_step,
     problems,
     project_momentum,
@@ -50,6 +67,31 @@ def test_flat_run_per_step(benchmark):
     cfg, prob = quartic_config(1000), problems.quartic(2)
     traj = benchmark(run_optimizer, cfg, prob)
     assert traj.reason == "completed"
+
+
+def test_quartic_value_and_grad(benchmark):
+    prob, q = problems.quartic(2), np.array([1.8, -0.4])
+    f, grad = benchmark(prob.value_and_grad, q)
+    assert f == prob.value(q)
+
+
+def test_quartic_value_then_grad(benchmark):
+    prob, q = problems.quartic(2), np.array([1.8, -0.4])
+    f, grad = benchmark(lambda: (prob.value(q), prob.grad(q)))
+    assert f == prob.value(q)
+
+
+def test_information_tensor(benchmark):
+    model, rng = GaussianLocationModel(np.zeros(10)), np.random.default_rng(0)
+    g = benchmark(information_tensor, "sm", model, 200, rng)
+    assert g.shape == (10, 10)
+
+
+def test_ksd_score_array(benchmark):
+    x = np.random.default_rng(0).standard_normal((1200, 10))
+    value, se = benchmark(ksd_u_statistic, x, -(x - 1.0),
+                          KernelSpec.gaussian(1.0), with_stderr=True)
+    assert value / se >= 5.0
 
 
 def test_hmc_draw(benchmark):

@@ -1,4 +1,8 @@
+import collections
+
 import pytest
+
+from hamkit import Problem
 
 
 @pytest.fixture
@@ -17,3 +21,28 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def counting_problem():
+    """counting_problem(base, fused=True) returns (problem, calls): a Problem
+    with base's value, grad and, when fused, its value_and_grad, and a Counter
+    of the calls each of them gets.  Without the fused form the problem runs
+    through Problem's adapter."""
+    def make(base, fused=True):
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def call(q):
+                calls[name] += 1
+                return f(q)
+            return call
+
+        prob = Problem(base.dim, counted("value", base.value),
+                       counted("grad", base.grad), f_star=base.f_star,
+                       value_and_grad=(counted("value_and_grad",
+                                               base.value_and_grad)
+                                       if fused else None))
+        return prob, calls
+
+    return make

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,12 @@ def shifted_score(z):
     return -(np.asarray(z) - 0.5)
 
 
+def same_bits(a, b):
+    """a and b have one shape and the same float64 bits."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def pair_forms(kernel, x, y):
     """k, d k / d x and sum_i d^2 k / (d x_i d y_i) at one pair, from the
     direct difference x - y and KernelSpec._profile: an oracle apart from
@@ -280,6 +287,49 @@ def draw_points(seed, *sizes):
     """Standard normal arrays of the given shapes, from one seed."""
     rng = np.random.default_rng(seed)
     return [rng.standard_normal(size) for size in sizes]
+
+
+class TestScoreArrays:
+    """The Stein estimators take the scores as a per-point callable or as the
+    (m, d) array of the scores at x's rows, with the same bits; a malformed
+    array is refused before any kernel tile is built."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(TILED_SIZES, st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from(KERNELS))
+    def test_array_gives_the_callable_bits(self, m, d, seed, kernel):
+        (x,) = draw_points(seed, (m, d))
+        s = -(x - 0.5)   # shifted_score at every row
+        assert same_bits(s, [shifted_score(row) for row in x])
+        assert (ksd_u_statistic(x, s, kernel, with_stderr=True)
+                == ksd_u_statistic(x, shifted_score, kernel, with_stderr=True))
+        assert same_bits(stein_gram(x, s, kernel),
+                         stein_gram(x, shifted_score, kernel))
+
+    def test_one_dimensional_points_take_a_vector(self):
+        x, k = np.array([0.2, 1.4, -0.3]), KernelSpec.gaussian(1.0)
+        assert ksd_u_statistic(x, -x, k) == ksd_u_statistic(x, lambda z: -z, k)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (4, 3), (8,), (4, 2, 1), ()])
+    def test_wrong_shape_is_refused(self, shape):
+        x, k = np.zeros((4, 2)), KernelSpec.gaussian(1.0)
+        for estimator in (ksd_u_statistic, stein_gram):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"shape {shape}; the samples need (4, 2)")):
+                estimator(x, np.zeros(shape), k)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 70), st.integers(1, 4), st.data())
+    def test_non_finite_entry_is_named_before_any_tile(self, m, d, data):
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, d - 1))
+        s = np.zeros((m, d))
+        s[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(KernelSpec, "_profile", lambda *a: pytest.fail(
+                "a kernel tile was built"))
+            for estimator in (ksd_u_statistic, stein_gram):
+                with pytest.raises(DomainError, match=f"row {i}, column {j}$"):
+                    estimator(np.zeros((m, d)), s, KernelSpec.gaussian(1.0))
 
 
 class TestTiledReductions:
@@ -494,6 +544,37 @@ def curved_model(d, p):
 def assert_close(a, b):
     """rtol 1e-12 in the max norm: max |a - b| <= 1e-12 max |b|."""
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (a, b)
+
+
+class TestRowForms:
+    """GaussianLocationModel's row-wise forms return its per-point forms'
+    bits at every row, and so the information tensor keeps the loop's bits;
+    a model without them runs through the `_rows` adapters."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.37, 1.0, 2.5]), st.booleans())
+    def test_gaussian_location_forms_are_the_per_point_bits(self, d, seed,
+                                                            sigma, dense_b):
+        rng = np.random.default_rng(seed)
+        b_matrix = rng.standard_normal((d, d)) if dense_b else None
+        model = GaussianLocationModel(rng.standard_normal(d), sigma=sigma,
+                                      b_matrix=b_matrix)
+        x = model.sample(120, RngStream(seed))
+        w = [model.b(row).T @ model.dscore_dtheta(row) for row in x]
+        assert same_bits(model.score_rows(x), [model.score(row) for row in x])
+        assert same_bits(model.info_term_rows(x), w)
+        g = np.einsum("adi,adj->ij", np.asarray(w), np.asarray(w)) / 120
+        assert same_bits(information_tensor("sm", model, 120, RngStream(seed)),
+                         0.5 * (g + g.T))
+
+    @pytest.mark.parametrize("d, p", [(1, 1), (3, 2)])
+    def test_adapters_call_the_per_point_forms(self, d, p):
+        model = curved_model(d, p)
+        x = model.sample(30, RngStream(d))
+        assert same_bits(model.score_rows(x), [model.score(row) for row in x])
+        assert same_bits(model.info_term_rows(x), [
+            model.b(row).T @ model.dscore_dtheta(row) for row in x])
 
 
 class TestEstimatorsMatchLoops:

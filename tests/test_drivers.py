@@ -178,19 +178,23 @@ def test_rattle_driver_matches_step_loop(seed, kind, record_every, target_gap):
 
 
 @pytest.mark.parametrize("num_steps", [10, 200])
-def test_flat_run_work_counts(count_calls, num_steps):
-    prob = problems.quartic(2)
+def test_flat_run_work_counts(count_calls, counting_problem, num_steps):
     cfg = OptimizerConfig(step=0.05, num_steps=num_steps,
                           schedule=DampingSchedule.vanishing(),
                           x0=PhasePoint([1.8, 0.0], [0.0, 0.0]))
-    grads = count_calls(Problem, "grad")
-    values = count_calls(Problem, "value")
+    prob, calls = counting_problem(problems.quartic(2))
     validations = count_calls(PhasePoint, "__post_init__")
     traj = run_optimizer(cfg, prob)
     assert len(traj) == num_steps + 1
-    assert len(grads) == num_steps + 1
-    assert len(values) <= num_steps + 1
+    # f and grad f at each of the run's points from one fused call
+    assert calls == {"value_and_grad": num_steps + 1}
     assert len(validations) <= 1
+    # without the fused form Problem's adapter makes both calls, same bits
+    plain, plain_calls = counting_problem(problems.quartic(2), fused=False)
+    ref = run_optimizer(cfg, plain)
+    for column in ("steps", "times", "values", "gaps", "extra"):
+        assert np.array_equal(getattr(traj, column), getattr(ref, column))
+    assert plain_calls == {"value": num_steps + 1, "grad": num_steps + 1}
 
 
 @pytest.mark.parametrize("num_steps", [10, 200])

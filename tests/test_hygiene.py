@@ -3,8 +3,9 @@ finiteness checks use one idiom, config defaults live in one table and
 every config key is read, one driver builds every report, kernel values
 are built without their derivatives, the package exports every public
 name, only the manifold module imports scipy, and only on first use, no
-module serves names through a module-level `__getattr__`, and the per-step
-functions multiply with ndarray.dot, not `@`.
+module serves names through a module-level `__getattr__`, the per-step
+functions multiply with ndarray.dot, not `@`, and only the adapters for
+per-point callables call `core._rows`.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -279,3 +280,43 @@ def test_per_step_products_call_dot(module):
             offending[name] = lines
     assert not offending, (f"{module}: `@` in per-step functions at "
                            f"{offending}; use ndarray.dot")
+
+
+# The only functions that call `core._rows`, the loop that calls a per-point
+# callable once per row: the adapters for a callable without a row-wise
+# form, the central differences and `mcmc_estimate`, whose f is the user's.
+# An estimator calls a row-wise form, so that it grows no per-point loop.
+_ROWS_CALLERS = {
+    ("core.py", "Problem.grad_rows"),
+    ("core.py", "_central_diffs"),
+    ("discrepancies.py", "_scores"),
+    ("discrepancies.py", "ScoreModel.score_rows"),
+    ("discrepancies.py", "ScoreModel.info_term_rows"),
+    ("samplers.py", "mcmc_estimate"),
+}
+
+
+def _callers_of(tree, name):
+    """Qualified names (Class.method) of the defs that call `name` by name."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == name):
+                callers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return callers
+
+
+def test_only_the_adapters_call_rows():
+    calls = {(path.name, caller) for path in MODULES
+             for caller in _callers_of(ast.parse(path.read_text()), "_rows")}
+    assert calls == _ROWS_CALLERS, (
+        f"_rows called from {sorted(calls - _ROWS_CALLERS)}; "
+        f"no longer from {sorted(_ROWS_CALLERS - calls)}")

@@ -198,7 +198,8 @@ class TestLeapfrogGeometry:
     @staticmethod
     def flight(prob, g, dt, L, z):
         d = z.size // 2
-        q, p, _ = _leapfrog(z[:d], z[d:], prob.grad(z[:d]), prob, g, dt, L)
+        q, p, _, _ = _leapfrog(z[:d], z[d:], prob.grad(z[:d]), prob, g, dt, L,
+                               prob.value_and_grad)
         return np.concatenate([q, p])
 
     def rounding(self, prob, hess, g, dt, L, z):
@@ -477,13 +478,16 @@ class TestHmcTransition:
         prob, L = problems.standard_gaussian(5), 4
         grads = count_calls(Problem, "grad")
         values = count_calls(Problem, "value")
+        fused = count_calls(Problem, "value_and_grad")
         points = count_calls(PhasePoint, "__post_init__")
         states = count_calls(ChainState, "__post_init__")
         chain, _ = run_hmc_chain(prob, KineticMetric.identity(5), 0.3, L,
                                  n_draws, RngStream(15), q0=np.ones(5))
         assert 0 < chain.accepted and chain.incidents == 0
-        assert len(grads) == n_draws * L + 1
-        assert len(values) == n_draws + 1
+        # the start and each flight's end: V and grad V from one fused call
+        assert len(fused) == n_draws + 1
+        assert len(grads) == n_draws * (L - 1)
+        assert values == []
         assert len(points) <= 2 and len(states) <= 2
 
     @pytest.mark.parametrize("keep_samples", [True, False])
@@ -527,6 +531,24 @@ class TestHmcTransition:
             chain = hmc_draw(chain, prob, g, 1.9, L, rng)
             assert calls == {"grad": L, "value": 1}
         assert 0 < chain.accepted < chain.steps   # both branches were taken
+
+    def test_fused_calls_per_draw(self, counting_problem):
+        # V and grad V at the start and at each flight's end from one call;
+        # the adapter's separate calls give the same chain, bit for bit
+        base, g, L = problems.standard_gaussian(4), KineticMetric.identity(4), 5
+        prob, calls = counting_problem(base)
+        plain, _ = counting_problem(base, fused=False)
+        rng, plain_rng = RngStream(12), RngStream(12)
+        chain = hmc_draw(ChainState.start(np.ones(4)), prob, g, 1.9, L, rng)
+        ref = hmc_draw(ChainState.start(np.ones(4)), plain, g, 1.9, L, plain_rng)
+        assert calls == {"value_and_grad": 2, "grad": L - 1}
+        for _ in range(40):
+            calls.clear()
+            chain = hmc_draw(chain, prob, g, 1.9, L, rng)
+            ref = hmc_draw(ref, plain, g, 1.9, L, plain_rng)
+            assert calls == {"value_and_grad": 1, "grad": L - 1}
+            assert_same_chain(chain, ref)
+        assert 0 < chain.accepted < chain.steps
 
     @pytest.mark.parametrize("case", ["banana", "rejections", "divergent-flights"])
     def test_cache_holds_value_and_gradient_at_position(self, case):

@@ -618,7 +618,8 @@ def cmd_sample(cfg, p):
             vals = []
             for n_pts in ksd_curve["n_points"]:
                 draws = rng.standard_normal((int(n_pts), prob.dim))
-                vals.append(ksd_u_statistic(draws, -prob.grad_rows(draws), kernel))
+                # -draws: the N(0, I) score at each draw
+                vals.append(ksd_u_statistic(draws, -draws, kernel))
                 metrics[f"ksd_n_{int(n_pts)}"] = vals[-1]
             metrics["ksd_decreasing"] = float(abs(vals[-1]) < abs(vals[0]))
         return metrics

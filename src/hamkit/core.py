@@ -223,25 +223,21 @@ class Problem:
     """Differentiable objective f (doubling as negative log-density V) with its
     user-supplied gradient and, when known, its minimum f_star at q_star.
 
-    Two forms are optional, for callers that hold several evaluations at
-    once: `value_and_grad(q)` returns (f(q), grad f(q)) from one call, for the
-    optimiser's kick and the end of an HMC flight, which need both at one
-    point; `grad_rows(Q)` returns grad f at each row of an (n, d) array.  A
-    problem that supplies them writes them with the expressions of `value`
-    and `grad`, so that they return the same bits.  Without them the methods
-    adapt: `value_and_grad` makes the two separate calls and `grad_rows` calls
-    `grad` once per row through `_rows`.
+    `value_and_grad(q)`, optional, returns (f(q), grad f(q)) from one call,
+    for the optimiser's kick and the end of an HMC flight, which need both at
+    one point.  A problem that supplies it writes it with the expressions of
+    `value` and `grad`, so that it returns the same bits; without it the
+    method makes the two separate calls.
     """
 
     def __init__(self, dim, value, grad, f_star=None, q_star=None, name="",
-                 value_and_grad=None, grad_rows=None):
+                 value_and_grad=None):
         if dim < 1:
             raise DomainError("problem dimension must be >= 1")
         self.dim = int(dim)
         self._value = value
         self._grad = grad
         self._value_and_grad = value_and_grad
-        self._grad_rows = grad_rows
         self.f_star = None if f_star is None else float(f_star)
         self.q_star = None if q_star is None else np.asarray(q_star, float)
         self.name = name
@@ -258,13 +254,6 @@ class Problem:
             return self.value(q), self.grad(q)
         f, g = self._value_and_grad(np.asarray(q, float))
         return float(f), np.asarray(g, float)
-
-    def grad_rows(self, q_rows):
-        """grad f at each row of the (n, d) array q_rows, shape (n, d)."""
-        q_rows = np.asarray(q_rows, float)
-        if self._grad_rows is None:
-            return _rows(self.grad, q_rows)
-        return np.asarray(self._grad_rows(q_rows), float)
 
     def gap(self, q):
         """f(q) - f_star; requires a known minimum."""

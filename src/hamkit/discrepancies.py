@@ -238,8 +238,12 @@ def stein_kernel(x, y, score, kernel):
     k_mu(x, y) = tr d_x d_y k + s(x).d_y k + s(y).d_x k + k s(x).s(y)
 
     The expanded form avoids the density-ratio underflow of the definition;
-    equivalence with the density-weighted form is a tested property.
+    equivalence with the density-weighted form is a tested property.  The
+    score is a per-point callable x -> s(x), evaluated at x and at y.
     """
+    if not callable(score):
+        raise DomainError("stein_kernel needs the score as a callable "
+                          "x -> s(x), to evaluate it at x and at y")
     x_arr = np.atleast_1d(np.asarray(x, float))[None, :]
     y_arr = np.atleast_1d(np.asarray(y, float))[None, :]
     return float(_stein_matrix(x_arr, y_arr, _scores(score, x_arr),
@@ -306,17 +310,16 @@ class ScoreModel:
     """Parametric score model: x -> d_x log q_theta(x) plus its theta
     derivatives, with an optional matrix field B (default identity).
 
-    Two row-wise forms are optional, each a callable (x_arr, theta) on an
-    (n, d) array of points: `score_rows`, the scores, shape (n, d), and
-    `info_term_rows`, the information tensor's term B(x)^T d/dtheta s(x),
-    shape (n, d, n_params).  A model that supplies them writes them with the
-    expressions of its per-point forms, so that they return the same bits.
-    Without them the methods of the same names call the per-point forms once
-    per row through `_rows`.
+    `info_term_rows`, optional, is a callable (x_arr, theta) that returns
+    the information tensor's term B(x)^T d/dtheta s(x) at each row of an
+    (n, d) array of points, shape (n, d, n_params).  A model that supplies
+    it writes it with the expressions of its per-point forms, so that it
+    returns the same bits; without it the method of the same name calls the
+    per-point forms once per row through `_rows`.
     """
 
     def __init__(self, theta, dim, score, dscore_dtheta, b_field=None,
-                 sample=None, sm_theta_grad=None, name="", score_rows=None,
+                 sample=None, sm_theta_grad=None, name="",
                  info_term_rows=None):
         self.theta = np.atleast_1d(np.asarray(theta, float))
         self.dim = int(dim)
@@ -325,7 +328,6 @@ class ScoreModel:
         self._b_field = b_field
         self._sample = sample
         self._sm_theta_grad = sm_theta_grad
-        self._score_rows = score_rows
         self._info_term_rows = info_term_rows
         self.name = name
 
@@ -345,12 +347,6 @@ class ScoreModel:
         """d/dtheta of the score, shape (dim, n_params)."""
         out = np.asarray(self._dscore_dtheta(x, self.theta), float)
         return out.reshape(self.dim, self.n_params)
-
-    def score_rows(self, x_arr):
-        """The score at each row of the (n, dim) array x_arr, shape (n, dim)."""
-        if self._score_rows is None:
-            return _rows(self.score, x_arr).reshape(x_arr.shape)
-        return np.asarray(self._score_rows(x_arr, self.theta), float)
 
     def info_term_rows(self, x_arr):
         """B(x)^T d/dtheta s(x) at each row of x_arr, shape (n, dim, n_params)."""
@@ -390,9 +386,6 @@ def GaussianLocationModel(theta, sigma=1.0, b_matrix=None):
     def score(x, th):
         return -(np.atleast_1d(x) - th) / s2
 
-    def score_rows(x_arr, th):
-        return -(x_arr - th) / s2
-
     def dscore(x, th):
         return np.eye(d) / s2
 
@@ -405,11 +398,12 @@ def GaussianLocationModel(theta, sigma=1.0, b_matrix=None):
 
     def sm_grad(x_arr, th):
         # d/dtheta mean(||B^T s||^2 + 2 div) = mean 2 (ds/dth)^T B B^T s.
-        return (2.0 / s2) * (bbt @ score_rows(x_arr, th).mean(axis=0))
+        scores = -(x_arr - th) / s2
+        return (2.0 / s2) * (bbt @ scores.mean(axis=0))
 
     return ScoreModel(theta, d, score, dscore, b_field=lambda x: b_mat,
                       sample=sample, sm_theta_grad=sm_grad,
-                      name=f"gaussian_location(d={d})", score_rows=score_rows,
+                      name=f"gaussian_location(d={d})",
                       info_term_rows=info_term_rows)
 
 

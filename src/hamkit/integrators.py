@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -142,21 +141,31 @@ def _conformal_step(q, p, half_kick, t_k, dt, sched, kick, drift,
     return q_new, p_new, half_kick
 
 
+def _flat_drift(inv_mul):
+    """The flat drift of `_conformal_step`: q + h g^{-1} p, p unchanged."""
+    return lambda q, p, h, decay: (q + h * inv_mul(p), p)
+
+
 def _leapfrog_step(cfg, prob):
     """`dissipative_leapfrog_step` on raw arrays, built once per run: returns
     step(x, t_k) for x = (q, p, half kick or None, f(q) or None); see
     `_conformal_step`.  The kick takes f and grad f from one
     `prob.value_and_grad` call, and the step returns f(q_{k+1}) with the
-    state, so a run evaluates each point once."""
-    dt, sched, inv_mul = cfg.step, cfg.schedule, cfg.metric.inv_mul
-    value_and_grad, f_new = prob.value_and_grad, [None]
+    state, so a run evaluates each point once.
+
+    Where f overflows (OverflowError) the kick takes grad f alone and f is
+    None, to be evaluated after the step, as two separate calls would have
+    it: a non-finite gradient then raises DivergenceError first.
+    """
+    dt, sched, drift = cfg.step, cfg.schedule, _flat_drift(cfg.metric.inv_mul)
+    value_and_grad, grad, f_new = prob.value_and_grad, prob.grad, [None]
 
     def kick(q, p):
-        f_new[0], grad = value_and_grad(q)
-        return grad
-
-    def drift(q, p, h, decay):
-        return q + h * inv_mul(p), p
+        try:
+            f_new[0], g = value_and_grad(q)
+        except OverflowError:
+            f_new[0], g = None, grad(q)
+        return g
 
     def step(x, t_k):
         q, p, half_kick = _conformal_step(x[0], x[1], x[2], t_k, dt, sched,
@@ -171,9 +180,11 @@ def dissipative_leapfrog_step(x, t_k, cfg, prob):
 
     The conformal step with kick grad f and drift
     q_{k+1} = q_k + dt cosh(De) g^{-1} p_{k+1/2}, whose plus sign makes the
-    undamped limit the classical leapfrog.
+    undamped limit the classical leapfrog.  f itself is not evaluated.
     """
-    q, p, _, _ = _leapfrog_step(cfg, prob)((x.q, x.p, None, None), t_k)
+    q, p, _ = _conformal_step(x.q, x.p, None, t_k, cfg.step, cfg.schedule,
+                              lambda q, p: prob.grad(q),
+                              _flat_drift(cfg.metric.inv_mul))
     return PhasePoint(q, p)
 
 
@@ -249,14 +260,17 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
         return h if math.isfinite(h) else evaluate_hamiltonian(
             PhasePoint(x[0], x[1]), g, prob)
 
+    def value(x):   # the fused step carries f(q) unless it overflowed
+        return prob.value(x[0]) if not leapfrog or x[3] is None else x[3]
+
     q0, p0 = cfg.x0.q, cfg.x0.p
     if leapfrog:
         # x = (q, p, (dt/2) grad f(q), f(q)), from one evaluation per point
         f0, grad0 = prob.value_and_grad(q0)
         x0 = (q0, p0, 0.5 * cfg.step * grad0, f0)
-        advance, value = _leapfrog_step(cfg, prob), itemgetter(3)
+        advance = _leapfrog_step(cfg, prob)
     else:
-        x0, advance, value = (q0, p0), flow, lambda x: prob.value(x[0])
+        x0, advance = (q0, p0), flow
     thr = cfg.divergence_threshold
     traj, _ = _run_steps(
         x0, advance, value, energy, cfg.schedule.start_time(), cfg.step,

@@ -77,7 +77,6 @@ def standard_gaussian(d):
         value=lambda q: 0.5 * float(q.dot(q)),
         grad=lambda q: q,
         value_and_grad=lambda q: (0.5 * float(q.dot(q)), q),
-        grad_rows=lambda q_rows: q_rows,
         f_star=0.0,
         q_star=np.zeros(d),
         name=f"standard_gaussian({d})",

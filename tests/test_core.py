@@ -282,7 +282,7 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# every built-in: those with fused or row-wise forms, and those that adapt
+# every built-in: those with a fused form, and those that adapt
 _BUILT_INS = {"quadratic": problems.quadratic(3, 1.3),
               "quartic-2": problems.quartic(2), "quartic-5": problems.quartic(5),
               "standard_gaussian": problems.standard_gaussian(4),
@@ -295,7 +295,7 @@ class TestProblems:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(_BUILT_INS)), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([1e-3, 1.0, 1e3]))
-    def test_fused_and_row_forms_are_the_per_point_bits(self, name, seed, scale):
+    def test_fused_form_is_the_separate_calls_bits(self, name, seed, scale):
         prob = _BUILT_INS[name]
         q_rows = scale * np.random.default_rng(seed).standard_normal((7, prob.dim))
         # far from its modes the mixture's density underflows to 0
@@ -304,8 +304,6 @@ class TestProblems:
                 f, grad = prob.value_and_grad(q)
                 assert isinstance(f, float) and same_bits(f, prob.value(q))
                 assert same_bits(grad, prob.grad(q))
-            assert same_bits(prob.grad_rows(q_rows),
-                             [prob.grad(q) for q in q_rows])
 
     @pytest.mark.parametrize("prob", [
         problems.quadratic(3, 1.3),

@@ -331,6 +331,13 @@ class TestScoreArrays:
                 with pytest.raises(DomainError, match=f"row {i}, column {j}$"):
                     estimator(np.zeros((m, d)), s, KernelSpec.gaussian(1.0))
 
+    @pytest.mark.parametrize("x, y, s", [([0.3, 1.0], [0.0, -1.0], [[0.5, 2.0]]),
+                                         ([0.3], [1.2], [0.5])])
+    def test_stein_kernel_refuses_an_array(self, x, y, s):
+        # one point's scores would be taken as s(x) and again as s(y)
+        with pytest.raises(DomainError, match="callable"):
+            stein_kernel(x, y, np.asarray(s), KernelSpec.gaussian(1.0))
+
 
 class TestTiledReductions:
     """The KSD and MMD estimators reduce their Grams in row tiles; they must
@@ -547,14 +554,14 @@ def assert_close(a, b):
 
 
 class TestRowForms:
-    """GaussianLocationModel's row-wise forms return its per-point forms'
-    bits at every row, and so the information tensor keeps the loop's bits;
-    a model without them runs through the `_rows` adapters."""
+    """GaussianLocationModel's row-wise information-tensor term returns its
+    per-point forms' bits at every row, and so the information tensor keeps
+    the loop's bits; a model without it runs through the `_rows` adapter."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([0.37, 1.0, 2.5]), st.booleans())
-    def test_gaussian_location_forms_are_the_per_point_bits(self, d, seed,
+    def test_gaussian_location_term_is_the_per_point_bits(self, d, seed,
                                                             sigma, dense_b):
         rng = np.random.default_rng(seed)
         b_matrix = rng.standard_normal((d, d)) if dense_b else None
@@ -562,17 +569,15 @@ class TestRowForms:
                                       b_matrix=b_matrix)
         x = model.sample(120, RngStream(seed))
         w = [model.b(row).T @ model.dscore_dtheta(row) for row in x]
-        assert same_bits(model.score_rows(x), [model.score(row) for row in x])
         assert same_bits(model.info_term_rows(x), w)
         g = np.einsum("adi,adj->ij", np.asarray(w), np.asarray(w)) / 120
         assert same_bits(information_tensor("sm", model, 120, RngStream(seed)),
                          0.5 * (g + g.T))
 
     @pytest.mark.parametrize("d, p", [(1, 1), (3, 2)])
-    def test_adapters_call_the_per_point_forms(self, d, p):
+    def test_adapter_calls_the_per_point_forms(self, d, p):
         model = curved_model(d, p)
         x = model.sample(30, RngStream(d))
-        assert same_bits(model.score_rows(x), [model.score(row) for row in x])
         assert same_bits(model.info_term_rows(x), [
             model.b(row).T @ model.dscore_dtheta(row) for row in x])
 

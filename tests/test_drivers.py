@@ -197,6 +197,16 @@ def test_flat_run_work_counts(count_calls, counting_problem, num_steps):
     assert plain_calls == {"value": num_steps + 1, "grad": num_steps + 1}
 
 
+def test_public_flat_step_evaluates_only_the_gradient(counting_problem):
+    cfg = OptimizerConfig(step=0.05, num_steps=1,
+                          schedule=DampingSchedule.vanishing(),
+                          x0=PhasePoint([1.8, 0.0], [0.0, 0.0]))
+    for fused in (True, False):
+        prob, calls = counting_problem(problems.quartic(2), fused=fused)
+        dissipative_leapfrog_step(cfg.x0, 1.0, cfg, prob)
+        assert calls == {"grad": 2}
+
+
 @pytest.mark.parametrize("num_steps", [10, 200])
 def test_rattle_run_jacobian_calls(count_calls, num_steps):
     rng = np.random.default_rng(4)

@@ -287,10 +287,8 @@ def test_per_step_products_call_dot(module):
 # form, the central differences and `mcmc_estimate`, whose f is the user's.
 # An estimator calls a row-wise form, so that it grows no per-point loop.
 _ROWS_CALLERS = {
-    ("core.py", "Problem.grad_rows"),
     ("core.py", "_central_diffs"),
     ("discrepancies.py", "_scores"),
-    ("discrepancies.py", "ScoreModel.score_rows"),
     ("discrepancies.py", "ScoreModel.info_term_rows"),
     ("samplers.py", "mcmc_estimate"),
 }

@@ -277,6 +277,30 @@ class TestRunOptimizer:
             run_optimizer(cfg, prob)
         assert exc_info.value.step == first
 
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_overflowing_value_leaves_the_gradients_divergence(
+            self, counting_problem, fused):
+        # at |q| ~ 1e104 the quartic's ||q||^4 / 4 overflows a Python float
+        # (OverflowError) while its gradient ||q||^2 q is inf: the run raises
+        # the step's DivergenceError, at the index where a loop over the
+        # public step (which never evaluates f) first fails
+        prob, _ = counting_problem(problems.quartic(2), fused=fused)
+        cfg = make_cfg(prob, 1e52, 50, DampingSchedule.zero(),
+                       np.array([1.8, 0.0]), metric=KineticMetric.identity(2),
+                       divergence_threshold=math.inf)
+        x, first = cfg.x0, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, cfg.num_steps + 1):
+                try:
+                    x = dissipative_leapfrog_step(x, 0.0, cfg, prob)
+                except DivergenceError:
+                    first = k
+                    break
+            assert first is not None
+            with pytest.raises(DivergenceError) as exc_info:
+                run_optimizer(cfg, prob)
+        assert exc_info.value.step == first
+
     @pytest.mark.parametrize("term", ["potential", "kinetic"])
     def test_non_finite_energy_term_raises(self, term):
         # q stays finite and no stop rule fires; one term of H is non-finite

@@ -125,14 +125,20 @@ def _conformal_step(q, p, half_kick, t_k, dt, sched, kick, drift,
     or None to evaluate it.  Returns (q_{k+1}, p_{k+1}, the half kick
     (dt/2) kick(q_{k+1}, p_{k+1/2})), the last being the next step's half kick
     when the kick reads only q and dt stays the same.
-    Non-finite results raise DivergenceError.
+    Non-finite results, or a De whose cosh overflows, raise DivergenceError.
     """
     if half_kick is None:
         half_kick = 0.5 * dt * kick(q, p)
     de = sched.delta_eta(t_k, t_k + 0.5 * dt)
     decay = math.exp(-de)
     p_half = decay * project(q, p - half_kick)
-    q_new, p_half = drift(q, p_half, dt * math.cosh(de), decay)
+    try:
+        h = dt * math.cosh(de)
+    except OverflowError:
+        raise DivergenceError(f"cosh(De) overflows at t={t_k}: De = {de:g} over "
+                              "half a step; damping too strong for the step "
+                              "size?") from None
+    q_new, p_half = drift(q, p_half, h, decay)
     half_kick = 0.5 * dt * kick(q_new, p_half)
     p_new = project(q_new, decay * p_half - half_kick)
     if not (_all_finite(q_new) and _all_finite(p_new)):

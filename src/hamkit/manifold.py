@@ -5,8 +5,14 @@ terms across steps: the half kicks (dt/2) skew(Q^T grad f) and (dt/2) grad f,
 ||Q^T Q - I|| (formed once per step, to check the group and to record it),
 and RATTLE's J, factor of R_g and residual that ended the Newton solve.
 
-Only this module uses scipy (expm, LAPACK's Cholesky), and `_linalg` imports
-it on first use, so that `import hamkit` and the flat code never load it.
+Only this module uses scipy, and `_linalg` imports it on first use, so that
+`import hamkit` and the flat code never load it.  Every dense factorisation
+here goes through scipy's LAPACK, the library `expm` uses: the trace
+minimum's SVD and determinant, RATTLE's Newton solve (getrf/getrs) and
+Cholesky (potrf/potrs).  numpy and scipy each bundle an OpenBLAS with its own
+worker threads.  A single LAPACK call from numpy would wake numpy's workers
+too, and they would spin beside every later `expm`: with the BLAS threads
+unpinned, an SO(50) run reads about a quarter slower that way.
 """
 from __future__ import annotations
 
@@ -38,7 +44,11 @@ SKEW_TOL = 1e-10
 
 
 def _linalg():
-    """scipy.linalg, imported on first call; look its routines up at each use."""
+    """scipy.linalg, imported on first call; look its routines up at each use.
+
+    Every LAPACK call of this module comes from here, none from np.linalg, so
+    that no factorisation wakes numpy's OpenBLAS thread pool beside scipy's
+    (see the module docstring)."""
     import scipy.linalg
     return scipy.linalg
 
@@ -95,9 +105,10 @@ def so_trace_minimum(C):
     except, when parity forbids it, the one paired with the smallest sigma.
     """
     C = np.asarray(C, float)
-    u, s, vt = np.linalg.svd(C)
+    u, s, vt = _linalg().svd(C)
+    u = np.ascontiguousarray(u)  # scipy's is Fortran-ordered; matmul rounds by layout
     d = -np.ones(len(s))
-    parity = np.linalg.det(u @ vt)  # +-1
+    parity = _linalg().det(u @ vt)  # +-1
     if parity * np.prod(d) < 0:
         d[-1] = 1.0  # smallest singular value absorbs the parity constraint
     q_star = vt.T @ np.diag(d) @ u.T
@@ -250,11 +261,10 @@ def _rattle_step(q, p, half_kick, jac, factor, t_k, dt, g, sched, prob, cons):
             kick_mat = h * (0.5 * dt * decay) * g.g_inv.dot(jac.T)
             newton_mat = jac.dot(kick_mat)   # frozen-Jacobian (quasi-)Newton
             for _ in range(cons.newton_max_iter):
-                try:
-                    dlam = np.linalg.solve(newton_mat, res)
-                except np.linalg.LinAlgError as exc:
+                _, _, dlam, info = _linalg().lapack.dgesv(newton_mat, res)
+                if info != 0:
                     raise GeometryError("singular Newton system in RATTLE "
-                                        "constraint solve") from exc
+                                        "constraint solve")
                 lam = lam + dlam
                 q_new = base_q - kick_mat.dot(lam)
                 res = cons.value(q_new)

@@ -1,6 +1,8 @@
 """Built-in objectives and sampling targets with certified optima."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import Problem
@@ -30,15 +32,29 @@ def quadratic(d, mu=1.0):
 
 
 def quartic(d):
-    """f(q) = (1/4) ||q||^4, convex but not strongly convex."""
+    """f(q) = (1/4) ||q||^4, convex but not strongly convex.
+
+    f is inf beyond the float range (||q|| > 1.2e77), where Python's float
+    power raises OverflowError instead of returning inf.
+    """
+
+    def value(q):
+        try:
+            return 0.25 * float(q.dot(q)) ** 2
+        except OverflowError:
+            return math.inf
 
     def value_and_grad(q):
         r2 = float(q.dot(q))   # formed once for both
-        return 0.25 * r2 ** 2, r2 * q
+        try:
+            f = 0.25 * r2 ** 2
+        except OverflowError:
+            f = math.inf
+        return f, r2 * q
 
     return Problem(
         d,
-        value=lambda q: 0.25 * float(q.dot(q)) ** 2,
+        value=value,
         grad=lambda q: float(q.dot(q)) * q,
         value_and_grad=value_and_grad,
         f_star=0.0,

@@ -22,7 +22,11 @@ quartic's fused evaluation against its two separate calls at one point.
 d = 10 Gaussian location model from 200 draws, and
 `test_ksd_score_array` one KSD U-statistic with its standard error at
 m = 1200, d = 10 with the scores passed as an array: the shapes
-discrepancy_gram runs.
+discrepancy_gram runs.  `test_svd_then_lie_run` times `trace_objective` at
+n = 50 (its SVD) followed by a 100-step `run_lie_optimizer`, the sequence
+manifold_so_rattle repeats.  Run it with the BLAS threads unpinned (no
+OPENBLAS_NUM_THREADS): there a LAPACK call from numpy's OpenBLAS would
+leave its worker threads contending with the expm calls of scipy's.
 """
 import numpy as np
 
@@ -44,6 +48,7 @@ from hamkit import (
     problems,
     project_momentum,
     rattle_step,
+    run_lie_optimizer,
     run_optimizer,
     skew_part,
     sphere_constraint,
@@ -121,3 +126,15 @@ def test_rattle_step(benchmark):
     y, _ = benchmark(rattle_step, x, 1.0, 0.05, g,
                      DampingSchedule.constant(2.0), prob, cons)
     assert abs(y.q.dot(y.q) - 1.0) <= 1e-9
+
+
+def test_svd_then_lie_run(benchmark):
+    c = np.random.default_rng(0).standard_normal((50, 50))
+    st = MatrixGroupState(np.eye(50), np.zeros((50, 50)))
+    sched = DampingSchedule.constant(2.0)
+
+    def svd_then_run():
+        return run_lie_optimizer(st, trace_objective(c), 0.05, 0.05, sched, 100)
+
+    traj, _ = benchmark(svd_then_run)
+    assert len(traj) == 101

@@ -536,6 +536,18 @@ class TestCli:
         assert cli_main(["optimize", "--config", path, flag, value]) == 1
         assert flag[2:] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rattle", [None, {"dim": 3, "step": 0.05,
+                                                "num_steps": 5, "gamma": 1e5}])
+    def test_exit_one_on_cosh_overflow(self, tmp_path, capsys, rattle):
+        # gamma dt / 2 = 2500 > 710 in the Lie run, or in the RATTLE run
+        params = {"n": 3, "step": 0.05, "max_steps": 5, "target_gap": 1e-4,
+                  "gammas": [1.0, 1e5] if rattle is None else [1.0],
+                  "rattle": rattle}
+        path = self.write_config(tmp_path, params, experiment="manifold")
+        assert cli_main(["manifold", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("execution error:") and "cosh" in err, err
+
     @pytest.mark.parametrize("experiment, key, value, named", [
         ("optimize", "problem", 5, "problem block"),
         ("optimize", "problem", "quartic", "problem block"),

@@ -305,6 +305,16 @@ class TestProblems:
                 assert isinstance(f, float) and same_bits(f, prob.value(q))
                 assert same_bits(grad, prob.grad(q))
 
+    @pytest.mark.parametrize("norm", [1.3e77, 1e100, 1.3e154, 1e200])
+    def test_quartic_value_is_inf_past_the_float_range(self, norm):
+        # ||q||^4 / 4 > 1.8e308 from ||q|| = 1.2e77; below 1.3e154, ||q||^2
+        # is finite and Python's float power raises instead of returning inf
+        prob, q = problems.quartic(2), np.array([0.6 * norm, 0.8 * norm])
+        with np.errstate(over="ignore"):
+            f, grad = prob.value_and_grad(q)
+            assert f == prob.value(q) == math.inf
+            assert same_bits(grad, prob.grad(q))
+
     @pytest.mark.parametrize("prob", [
         problems.quadratic(3, 1.3),
         problems.quartic(2),

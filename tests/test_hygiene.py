@@ -2,10 +2,11 @@
 finiteness checks use one idiom, config defaults live in one table and
 every config key is read, one driver builds every report, kernel values
 are built without their derivatives, the package exports every public
-name, only the manifold module imports scipy, and only on first use, no
-module serves names through a module-level `__getattr__`, the per-step
-functions multiply with ndarray.dot, not `@`, and only the adapters for
-per-point callables call `core._rows`.
+name, only the manifold module imports scipy, only on first use, and it
+takes every LAPACK routine from scipy, not numpy, no module serves names
+through a module-level `__getattr__`, the per-step functions multiply
+with ndarray.dot, not `@`, and only the adapters for per-point callables
+call `core._rows`.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -200,8 +201,11 @@ def test_package_exports_every_public_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_only_manifold_imports_scipy(path):
     # scipy.linalg costs more than half of `import hamkit.cli`; only the
-    # Lie-group and RATTLE code needs it (expm, LAPACK Cholesky), and
-    # hamkit.manifold imports it inside the function that uses it
+    # Lie-group and RATTLE code needs it, and hamkit.manifold imports it
+    # inside the function that uses it.  It needs expm, and then takes every
+    # LAPACK call from scipy too (see the next test): numpy and scipy bundle
+    # separate OpenBLAS builds, and waking both thread pools in one run
+    # slows each expm
     tree = ast.parse(path.read_text(), filename=str(path))
     modules = [alias.name for node in tree.body if isinstance(node, ast.Import)
                for alias in node.names]
@@ -210,6 +214,20 @@ def test_only_manifold_imports_scipy(path):
     scipy = [m for m in modules if m.split(".")[0] == "scipy"]
     assert path.name == "manifold.py" or not scipy, (
         f"{path.name} imports {scipy} at module level")
+
+
+def test_manifold_calls_no_numpy_lapack():
+    # np.linalg.norm is plain numpy; any other np.linalg routine is LAPACK in
+    # numpy's OpenBLAS, whose worker threads then contend with scipy's
+    path = PACKAGE / "manifold.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = [(node.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "np" and node.attr != "norm"]
+    assert not used, f"manifold.py uses np.linalg routines {used}"
 
 
 def test_manifold_loads_scipy_linalg_on_first_use():

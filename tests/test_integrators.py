@@ -11,6 +11,7 @@ from hamkit import (
     DivergenceError,
     DomainError,
     FitDomainError,
+    HamkitError,
     KineticMetric,
     NumericOverflowError,
     OptimizerConfig,
@@ -280,10 +281,10 @@ class TestRunOptimizer:
     @pytest.mark.parametrize("fused", [True, False])
     def test_overflowing_value_leaves_the_gradients_divergence(
             self, counting_problem, fused):
-        # at |q| ~ 1e104 the quartic's ||q||^4 / 4 overflows a Python float
-        # (OverflowError) while its gradient ||q||^2 q is inf: the run raises
-        # the step's DivergenceError, at the index where a loop over the
-        # public step (which never evaluates f) first fails
+        # at |q| ~ 1e104 the quartic's ||q||^4 / 4 is inf while its gradient
+        # ||q||^2 q is inf too: the run raises the step's DivergenceError, at
+        # the index where a loop over the public step (which never evaluates
+        # f) first fails
         prob, _ = counting_problem(problems.quartic(2), fused=fused)
         cfg = make_cfg(prob, 1e52, 50, DampingSchedule.zero(),
                        np.array([1.8, 0.0]), metric=KineticMetric.identity(2),
@@ -300,6 +301,29 @@ class TestRunOptimizer:
             with pytest.raises(DivergenceError) as exc_info:
                 run_optimizer(cfg, prob)
         assert exc_info.value.step == first
+
+    def test_quartic_value_overflow_ends_in_a_package_error(self):
+        # undamped at step 10 from |q| = 1.8, an iterate lands where the
+        # quartic's f is inf but its gradient is finite (1.2e77 < |q| <
+        # 5.6e102); the run ends in a typed error, not a bare OverflowError
+        prob = problems.quartic(2)
+        cfg = make_cfg(prob, 10.0, 50, DampingSchedule.zero(),
+                       np.array([1.8, 0.0]), metric=KineticMetric.identity(2),
+                       divergence_threshold=math.inf)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(HamkitError):
+            run_optimizer(cfg, prob)
+
+    def test_cosh_overflow_raises_divergence(self):
+        # gamma dt / 2 = 5000 > 710: cosh(De) leaves the float range
+        prob = problems.quadratic(1)
+        cfg = make_cfg(prob, 0.1, 10, DampingSchedule.constant(1e5),
+                       np.array([1.0]))
+        with pytest.raises(DivergenceError, match=r"t=0\.0.*De = 5000"):
+            dissipative_leapfrog_step(cfg.x0, 0.0, cfg, prob)
+        with pytest.raises(DivergenceError, match="cosh") as exc_info:
+            run_optimizer(cfg, prob)
+        assert exc_info.value.step == 1
 
     @pytest.mark.parametrize("term", ["potential", "kinetic"])
     def test_non_finite_energy_term_raises(self, term):

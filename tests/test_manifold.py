@@ -11,6 +11,7 @@ from hamkit import (
     ConstraintSet,
     ConstraintSolveError,
     DampingSchedule,
+    DivergenceError,
     GeometryError,
     KineticMetric,
     MatrixGroupState,
@@ -120,6 +121,15 @@ class TestLieGroupStep:
                                     DampingSchedule.constant(0.5), 10000,
                                     record_every=100)
         assert np.max(traj.extra) <= 1e-8
+
+    def test_cosh_overflow_raises_divergence(self):
+        # gamma dt / 2 = 2500 > 710: cosh(De) leaves the float range
+        prob = trace_objective(np.eye(3))
+        st = MatrixGroupState(np.eye(3), np.zeros((3, 3)))
+        with pytest.raises(DivergenceError, match="cosh") as exc_info:
+            run_lie_optimizer(st, prob, 0.05, 0.05,
+                              DampingSchedule.constant(1e5), 10)
+        assert exc_info.value.step == 1
 
     @given(hst.integers(0, 2**32 - 1), hst.floats(0.01, 0.3))
     @settings(max_examples=30, deadline=None)
@@ -333,6 +343,24 @@ class TestRattle:
         traj, _ = run_rattle_optimizer(PhasePoint(q0, p0), prob, 0.05, g,
                                        DampingSchedule.constant(0.5), cons, 200)
         assert np.max(traj.extra) <= 10 * cons.newton_tol
+
+    def test_cosh_overflow_raises_divergence(self):
+        q0 = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(DivergenceError, match="cosh") as exc_info:
+            run_rattle_optimizer(PhasePoint(q0, np.zeros(3)), problems.quadratic(3),
+                                 0.05, KineticMetric.identity(3),
+                                 DampingSchedule.constant(1e5),
+                                 sphere_constraint(), 10)
+        assert exc_info.value.step == 1
+
+    def test_singular_newton_system_raises(self):
+        # from q off the unit sphere the drift leaves psi = 3 to correct, but
+        # at dt = 1e-170 the Newton matrix, of order dt^2, underflows to zero
+        x = PhasePoint(np.array([2.0, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(GeometryError, match="singular Newton system"):
+            rattle_step(x, 0.0, 1e-170, KineticMetric.identity(3),
+                        DampingSchedule.zero(), problems.constant(3),
+                        sphere_constraint())
 
     # q = e1 with velocity e2 drifts off the unit sphere; with no force and
     # no damping, the 7th Newton solve is the first to bring |psi| (1.9e-11)

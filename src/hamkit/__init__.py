@@ -38,7 +38,6 @@ from .integrators import (
 from .samplers import (
     ChainState,
     DiffusionSpec,
-    RngStream,
     complete_recipe_drift,
     hmc_draw,
     leapfrog_trajectory,

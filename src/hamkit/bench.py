@@ -30,12 +30,7 @@ from .integrators import _METHODS, OptimizerConfig, Trajectory, fit_rate, run_op
 from .manifold import (MatrixGroupState, _linalg, run_lie_optimizer,
                        run_rattle_optimizer, sphere_constraint, trace_objective)
 from .problems import banana, gaussian_mixture_1d, quadratic, quartic, rosenbrock, standard_gaussian
-from .samplers import (
-    RngStream,
-    overdamped_em_step,
-    run_hmc_chain,
-    write_samples_csv,
-)
+from .samplers import overdamped_em_step, run_hmc_chain, write_samples_csv
 
 __all__ = [
     "ExperimentConfig",
@@ -363,9 +358,9 @@ def reevaluate(report_dict, verdict_specs):
 
 def _run_reps(cfg, worker):
     """Run `worker(rep_index, rng)` for each repetition, in order, each on its
-    own split stream."""
-    streams = RngStream(cfg.seed).split(cfg.reps)
-    return [worker(i, stream) for i, stream in enumerate(streams)]
+    own numpy Generator, seeded by one child of SeedSequence(cfg.seed)."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
+    return [worker(i, np.random.default_rng(s)) for i, s in enumerate(seeds)]
 
 
 # ---------------------------------------------------------------- problems --
@@ -692,7 +687,7 @@ def cmd_discrepancy(cfg, p):
                         both = pool[rng.permutation(pool.shape[0])[: 2 * n]]
                     else:
                         both = rng.standard_normal((2 * n, d))
-                    vals.append(mmd_squared(both[:n], both[n:], kernel, mode="u"))
+                    vals.append(mmd_squared(both[:n], both[n:], kernel))
                 vals = np.asarray(vals)
                 metrics["mmd_u_mean"] = float(vals.mean())
                 metrics["mmd_u_stderr"] = float(vals.std(ddof=1)) / math.sqrt(n_outer)

@@ -22,7 +22,8 @@ __all__ = [
 
 
 def _vector(x, name):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    """A frozen float copy of x; the caller's array stays writeable."""
+    arr = np.array(x, dtype=float, ndmin=1)
     if arr.ndim != 1:
         raise DomainError(f"{name} must be a 1-d vector, got shape {arr.shape}")
     if arr.size < 1:
@@ -254,12 +255,6 @@ class Problem:
             return self.value(q), self.grad(q)
         f, g = self._value_and_grad(np.asarray(q, float))
         return float(f), np.asarray(g, float)
-
-    def gap(self, q):
-        """f(q) - f_star; requires a known minimum."""
-        if self.f_star is None:
-            raise DomainError(f"problem {self.name!r} has no certified minimum")
-        return self.value(q) - self.f_star
 
 
 def _check_dims(dim, g, prob):

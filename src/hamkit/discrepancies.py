@@ -150,41 +150,31 @@ def _tile_sums(n, tile, symmetric=False):
     return sums, np.concatenate(diags)
 
 
-def mmd_squared(x_samples, y_samples, kernel, mode="v"):
-    """Squared maximum mean discrepancy between two sample sets.
+def mmd_squared(x_samples, y_samples, kernel):
+    """Unbiased U-statistic of the squared maximum mean discrepancy between
+    two sample sets (Gretton et al., JMLR 2012): same-set sums skip the
+    diagonal, so the estimate may be negative.
 
-    mode='v': biased V-statistic (includes diagonal terms, always >= 0).
-    mode='u': unbiased U-statistic (diagonal excluded in same-set sums).
     Each Gram is reduced in row tiles (_tile_sums), holding O(64 n)
-    entries.  The U-statistic's symmetric same-set Grams take upper tiles,
-    each pair built once (about n (n + 64) / 2 entries); the cross Gram and
-    the V-statistic keep full-width tiles against a copy of the second set,
-    so kxx and kxy of a copy are one product summed in one order, and its
-    V-statistic is exactly 0.  KernelSpec.gram gives the full matrices.
+    entries.  The symmetric same-set Grams take upper tiles, each pair built
+    once (about n (n + 64) / 2 entries); the cross Gram keeps full-width
+    tiles.  KernelSpec.gram gives the full matrices.
     """
-    if mode not in ("v", "u"):
-        raise DomainError(f"unknown MMD mode {mode!r}")
     x_arr, y_arr = _as_samples(x_samples), _as_samples(y_samples)
-    n, m = x_arr.shape[0], y_arr.shape[0]
-    if n < 1 or m < 1:
-        raise DomainError("both sample sets must be non-empty")
-    if mode == "u" and (n < 2 or m < 2):
+    if x_arr.shape[0] < 2 or y_arr.shape[0] < 2:
         raise DomainError("U-statistic MMD needs >= 2 points per set")
 
     def mean(a, b, distinct=False):
         """Mean of k(a_i, b_j) over all pairs, or, for b = a, over pairs
         with i != j from upper tiles, each pair built once."""
-        if not distinct:   # A @ A.T of one buffer is syrk, rounding apart from gemm
-            b = b.copy()
         sums, diag = _tile_sums(a.shape[0], lambda rows, cols: kernel.gram(
             a[rows], b[cols]), symmetric=distinct)
         if distinct:
             return (sums - diag).sum() / (a.shape[0] * (a.shape[0] - 1))
         return sums.sum() / (a.shape[0] * b.shape[0])
 
-    u = mode == "u"
-    val = mean(x_arr, x_arr, u) + mean(y_arr, y_arr, u) - 2.0 * mean(x_arr, y_arr)
-    return float(val) if u else max(float(val), 0.0)  # clips roundoff negatives
+    return float(mean(x_arr, x_arr, True) + mean(y_arr, y_arr, True)
+                 - 2.0 * mean(x_arr, y_arr))
 
 
 def _stein_matrix(x_arr, y_arr, sx, sy, kernel):
@@ -416,16 +406,12 @@ def _warn_if_indefinite(g):
             ConditioningWarning, stacklevel=3)
 
 
-def information_tensor(kind, model, n_mc, rng):
+def information_tensor(model, n_mc, rng):
     """Monte Carlo estimate of the score-matching information tensor
     E[W^T W], W = B(x)^T d/dtheta s(x), from n_mc draws of the model.  The
-    W of all draws come from one `model.info_term_rows` call.
-
-    kind must be 'sm', the one tensor implemented.  The output is
+    W of all draws come from one `model.info_term_rows` call.  The output is
     symmetrised.
     """
-    if kind != "sm":
-        raise DomainError(f"unknown information tensor kind {kind!r}")
     if n_mc < 100:
         raise DomainError("information tensor needs MC size >= 100")
     x_arr = model.sample(n_mc, rng)
@@ -477,7 +463,7 @@ def sm_ngd_fit(x_samples, model, rng, n_iter=50, step=1.0, tol=1e-10, n_mc=200,
     history = [model.theta.copy()]
     for _ in range(n_iter):
         grad = 0.5 * model.sm_theta_grad(x_arr)
-        g = information_tensor("sm", model, n_mc, rng)
+        g = information_tensor(model, n_mc, rng)
         theta_new = natural_gradient_step(model.theta, grad, g, step,
                                           ridge=ridge)
         model = model.with_theta(theta_new)

@@ -66,8 +66,9 @@ class MatrixGroupState:
     P: np.ndarray
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, float)
-        P = np.asarray(self.P, float)
+        # frozen copies: the caller's arrays stay writeable
+        Q = np.array(self.Q, float)
+        P = np.array(self.P, float)
         if Q.shape != P.shape or Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise DomainError("Q and P must be square matrices of equal shape")
         _group_defect(Q, P)
@@ -152,10 +153,12 @@ def lie_group_step(st, t_k, dt, g_scalar, sched, prob):
 
 
 class ConstraintSet:
-    """Equality constraints psi_a(q) = 0 with Jacobian rows dpsi_a/dq."""
+    """m >= 1 equality constraints psi_a(q) = 0 with Jacobian rows dpsi_a/dq."""
 
     def __init__(self, m, value, jacobian, newton_tol=1e-10, newton_max_iter=50):
         self.m = int(m)
+        if self.m < 1:
+            raise DomainError(f"a constraint set needs m >= 1, got {m}")
         self._value = value
         self._jacobian = jacobian
         self.newton_tol = float(newton_tol)
@@ -167,8 +170,6 @@ class ConstraintSet:
                               f"got {newton_max_iter}")
 
     def value(self, q):
-        if self.m == 0:
-            return np.zeros(0)
         res = np.atleast_1d(np.asarray(self._value(q), float))
         if res.shape != (self.m,):
             raise DomainError(
@@ -176,8 +177,6 @@ class ConstraintSet:
         return res
 
     def jacobian(self, q):
-        if self.m == 0:
-            return np.zeros((0, q.size))
         jac = np.atleast_2d(np.asarray(self._jacobian(q), float))
         if jac.shape != (self.m, q.size):
             raise DomainError(
@@ -185,13 +184,9 @@ class ConstraintSet:
             )
         return jac
 
-    @classmethod
-    def unconstrained(cls):
-        return cls(0, None, None)
 
-
-def _sup_norm(v):  # max |v_i|; 0.0 for the empty residual of no constraints
-    return float(np.abs(v).max(initial=0.0))
+def _sup_norm(v):  # max |v_i| of a constraint residual
+    return float(np.abs(v).max())
 
 
 def sphere_constraint(radius=1.0, **kwargs):
@@ -205,12 +200,9 @@ def sphere_constraint(radius=1.0, **kwargs):
 
 
 def _projector(q, g, cons):
-    """(J, potrf factor of R_g = J g^{-1} J^T) at q, which `_project` needs;
-    the factor is None without constraints.  A rank-deficient J or a
-    non-finite R_g raises GeometryError."""
+    """(J, potrf factor of R_g = J g^{-1} J^T) at q, which `_project` needs.
+    A rank-deficient J or a non-finite R_g raises GeometryError."""
     jac = cons.jacobian(q)
-    if cons.m == 0:
-        return jac, None
     r_g = jac.dot(g.g_inv).dot(jac.T)
     if not _all_finite(r_g):
         raise GeometryError("R_g = J g^{-1} J^T is non-finite")
@@ -222,9 +214,8 @@ def _projector(q, g, cons):
 
 
 def _project(p, jac, factor, g):
-    """L_g p from `_projector`'s (J, factor) at the same position."""
-    if factor is None:
-        return np.array(p, float)
+    """L_g p = p - J^T R_g^{-1} J g^{-1} p from `_projector`'s (J, factor)
+    at the same position."""
     lam, info = _linalg().lapack.dpotrs(factor, jac.dot(g.inv_mul(p)))
     if info != 0:
         raise GeometryError(f"R_g solve failed (potrs info {info})")
@@ -294,7 +285,7 @@ def rattle_step(x, t_k, dt, g, sched, prob, cons):
     The position update, the multiplier kick and the constraint equations are
     solved simultaneously: Newton iteration on lambda until
     psi(q_{k+1}(lambda)) = 0 within cons.newton_tol.  The momentum map is
-    project_momentum; without constraints this is the flat damped leapfrog.
+    project_momentum.  `cons` holds at least one constraint.
     """
     q, p, _, _, _, lam, _ = _rattle_step(x.q, x.p, None, None, None, t_k, dt,
                                          g, sched, prob, cons)

@@ -11,7 +11,6 @@ __all__ = [
     "quadratic",
     "quartic",
     "rosenbrock",
-    "constant",
     "standard_gaussian",
     "gaussian_mixture_1d",
     "banana",
@@ -79,11 +78,6 @@ def rosenbrock(a=1.0, b=100.0):
 
     return Problem(2, value, grad, f_star=0.0, q_star=np.array([a, a * a]),
                    name="rosenbrock")
-
-
-def constant(d, c=0.0):
-    return Problem(d, value=lambda q: c, grad=lambda q: np.zeros_like(q),
-                   f_star=c, q_star=np.zeros(d), name="constant")
 
 
 def standard_gaussian(d):

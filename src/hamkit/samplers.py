@@ -3,6 +3,8 @@
 
 An HMC chain steps raw arrays (`_hmc_transition`); validated `PhasePoint` and
 `ChainState` objects exist only at its edges, and `hmc_draw` wraps the same step.
+Every random draw comes from the `rng` argument, a numpy Generator such as
+`np.random.default_rng(seed)`.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from .errors import DivergenceError, DomainError
 from .integrators import _write_csv, gradient_flow_step
 
 __all__ = [
-    "RngStream",
     "ChainState",
     "DiffusionSpec",
     "hmc_draw",
@@ -28,40 +29,6 @@ __all__ = [
     "run_hmc_chain",
     "write_samples_csv",
 ]
-
-class RngStream:
-    """Seedable random stream (PCG64 behind a numpy Generator).
-
-    Identical seeds give identical draw sequences within one build; derived
-    streams come from SeedSequence.spawn and never share state.
-    """
-
-    def __init__(self, seed, _seq=None):
-        self.seed = int(seed)
-        self._seq = _seq if _seq is not None else np.random.SeedSequence(self.seed)
-        self._gen = np.random.Generator(np.random.PCG64(self._seq))
-
-    def split(self, n):
-        return [RngStream(self.seed, _seq=child) for child in self._seq.spawn(n)]
-
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        """Uniform draws on [low, high).  The unit interval draws through
-        Generator.random: Generator.uniform's low + (high - low) r is r there."""
-        if (isinstance(low, float) and isinstance(high, float)
-                and low == 0.0 and high == 1.0):
-            return self._gen.random(size)
-        return self._gen.uniform(low, high, size)
-
-    def permutation(self, n):
-        """A random ordering of range(n)."""
-        return self._gen.permutation(n)
-
-    def integers(self, low, high):
-        """Uniform integer in the closed range [low, high]."""
-        return int(self._gen.integers(low, high + 1))
 
 
 @dataclass(frozen=True)
@@ -145,7 +112,7 @@ def _hmc_transition(q, v0, grad0, prob, g, dt, L, rng, jitter):
     given) and at the flight's end each come from one fused call."""
     p = g.sample_momentum(rng)
     l_min = max(1, math.ceil((1.0 - jitter) * L))
-    l_run = rng.integers(l_min, L) if l_min < L else L
+    l_run = int(rng.integers(l_min, L + 1)) if l_min < L else L
     try:
         if grad0 is None:
             v0, grad0 = prob.value_and_grad(q)
@@ -157,7 +124,7 @@ def _hmc_transition(q, v0, grad0, prob, g, dt, L, rng, jitter):
     except (DivergenceError, ArithmeticError):
         d_h = math.inf
     incident = not math.isfinite(d_h)   # counts as a rejection
-    u = rng.uniform()
+    u = rng.random()
     if not incident and (d_h <= 0.0 or u < math.exp(-d_h)):
         return q1, p1, v1, grad1, True, incident
     return q, -p, v0, grad0, False, incident

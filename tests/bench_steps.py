@@ -18,11 +18,12 @@ quartic, the loop optimize_quartic runs; divide its time by 1,000 for the
 cost of one step inside a run, where no `PhasePoint` is validated.
 `test_quartic_value_and_grad` and `test_quartic_value_then_grad` time the
 quartic's fused evaluation against its two separate calls at one point.
-`test_information_tensor` times one `information_tensor("sm", ...)` of a
-d = 10 Gaussian location model from 200 draws, and
-`test_ksd_score_array` one KSD U-statistic with its standard error at
-m = 1200, d = 10 with the scores passed as an array: the shapes
-discrepancy_gram runs.  `test_svd_then_lie_run` times `trace_objective` at
+`test_information_tensor` times one `information_tensor(model, 200, rng)`
+of a d = 10 Gaussian location model, `test_ksd_score_array` one KSD
+U-statistic with its standard error at m = 1200, d = 10 with the scores
+passed as an array, and `test_mmd_u_statistic` one MMD U-statistic of two
+sets of n = 300 points in d = 10 with a sigma = 3 Gaussian kernel: the
+shapes discrepancy_gram runs.  `test_svd_then_lie_run` times `trace_objective` at
 n = 50 (its SVD) followed by a 100-step `run_lie_optimizer`, the sequence
 manifold_so_rattle repeats.  Run it with the BLAS threads unpinned (no
 OPENBLAS_NUM_THREADS): there a LAPACK call from numpy's OpenBLAS would
@@ -45,6 +46,7 @@ from hamkit import (
     information_tensor,
     ksd_u_statistic,
     lie_group_step,
+    mmd_squared,
     problems,
     project_momentum,
     rattle_step,
@@ -88,7 +90,7 @@ def test_quartic_value_then_grad(benchmark):
 
 def test_information_tensor(benchmark):
     model, rng = GaussianLocationModel(np.zeros(10)), np.random.default_rng(0)
-    g = benchmark(information_tensor, "sm", model, 200, rng)
+    g = benchmark(information_tensor, model, 200, rng)
     assert g.shape == (10, 10)
 
 
@@ -97,6 +99,13 @@ def test_ksd_score_array(benchmark):
     value, se = benchmark(ksd_u_statistic, x, -(x - 1.0),
                           KernelSpec.gaussian(1.0), with_stderr=True)
     assert value / se >= 5.0
+
+
+def test_mmd_u_statistic(benchmark):
+    both = np.random.default_rng(0).standard_normal((600, 10))
+    value = benchmark(mmd_squared, both[:300], both[300:],
+                      KernelSpec.gaussian(3.0))
+    assert abs(value) < 0.01
 
 
 def test_hmc_draw(benchmark):

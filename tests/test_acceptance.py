@@ -18,7 +18,6 @@ from hamkit import (
     OptimizerConfig,
     PhasePoint,
     Problem,
-    RngStream,
     dissipative_leapfrog_step,
     fit_rate,
     information_tensor,
@@ -140,7 +139,7 @@ def test_criterion_4_acceleration_ordinal():
     wins = []
     details = []
     for seed in range(5):
-        c_mat = RngStream(seed).standard_normal((n, n))
+        c_mat = np.random.default_rng(seed).standard_normal((n, n))
         prob = trace_objective(c_mat)
         st0 = MatrixGroupState(np.eye(n), np.zeros((n, n)))
         steps = {}
@@ -183,13 +182,14 @@ def test_criterion_5_constraint_fidelity():
 def test_criterion_6_hmc_correctness():
     prob = problems.standard_gaussian(10)
     g = KineticMetric.identity(10)
-    rng = RngStream(0)
+    rng = np.random.default_rng(0)
     chain, samples = run_hmc_chain(prob, g, 0.2, 5, 100000, rng)
     mean_err = float(np.max(np.abs(samples.mean(axis=0))))
     var_err = float(np.max(np.abs(samples.var(axis=0) - 1.0)))
 
     grid = (0.01, 0.05, 0.1, 0.2, 0.4)
-    streams = RngStream(1).split(len(grid))
+    streams = [np.random.default_rng(s) for s in
+               np.random.SeedSequence(1).spawn(len(grid))]
     accs = []
     for dt, stream in zip(grid, streams):
         sub, _ = run_hmc_chain(prob, g, dt, max(1, round(2.0 / dt)), 3000,
@@ -209,7 +209,7 @@ def test_criterion_6_hmc_correctness():
 def test_criterion_7_euler_maruyama_bias():
     d = 2000
     prob = problems.standard_gaussian(d)
-    rng = RngStream(2)
+    rng = np.random.default_rng(2)
     variances = []
     for dt in (0.5, 0.25, 0.1):
         q = np.zeros(d)
@@ -236,13 +236,13 @@ def test_criterion_7_euler_maruyama_bias():
 def test_criterion_8_ksd_calibration():
     kernel = KernelSpec.gaussian(1.0)
     score = lambda x: -x  # noqa: E731
-    rng = RngStream(3)
+    rng = np.random.default_rng(3)
     vals = np.array([ksd_u_statistic(rng.standard_normal((200, 1)), score,
                                      kernel) for _ in range(500)])
     se = float(vals.std(ddof=1)) / math.sqrt(len(vals))
     z_null = abs(float(vals.mean())) / se
 
-    draws = RngStream(4).standard_normal((500, 1))
+    draws = np.random.default_rng(4).standard_normal((500, 1))
     mis_val, mis_se = ksd_u_statistic(draws, lambda x: -(x - 1.0), kernel,
                                       with_stderr=True)
     ratio = mis_val / mis_se
@@ -254,7 +254,7 @@ def test_criterion_8_ksd_calibration():
 
 
 def test_criterion_9_sm_ngd_fitting():
-    rng = RngStream(5)
+    rng = np.random.default_rng(5)
     data = rng.standard_normal((200, 2)) + 1.5
     model = GaussianLocationModel(np.zeros(2))
     theta, history = sm_ngd_fit(data, model, rng, n_iter=50, step=1.0)
@@ -263,7 +263,7 @@ def test_criterion_9_sm_ngd_fitting():
 
     # scale invariance of the natural-gradient step (power-of-two factor)
     grad = 0.5 * model.sm_theta_grad(data)
-    g_tensor = information_tensor("sm", model, 200, RngStream(6))
+    g_tensor = information_tensor(model, 200, np.random.default_rng(6))
     step_a = natural_gradient_step(model.theta, grad, g_tensor, 1.0)
     step_b = natural_gradient_step(model.theta, 4.0 * grad, 4.0 * g_tensor, 1.0)
     invariant = bool(np.array_equal(step_a, step_b))
@@ -312,10 +312,10 @@ def test_criterion_10_oracle_equivalences():
             -mu * mu / (2 * (sig2 + s2)))
 
     population = 2 * expected_k(0.0, 2.0) - 2 * expected_k(1.0, 2.0)
-    stream = RngStream(8)
+    stream = np.random.default_rng(8)
     vals = [mmd_squared(stream.standard_normal((2000, 1)),
                         stream.standard_normal((2000, 1)) + 1.0,
-                        kernel, mode="u") for _ in range(10)]
+                        kernel) for _ in range(10)]
     mmd_se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
     mmd_dev = abs(float(np.mean(vals)) - population)
 

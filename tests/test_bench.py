@@ -119,6 +119,38 @@ class TestExperimentConfig:
             reevaluate(stored, [spec])
 
 
+class TestRunReps:
+    """bench._run_reps gives rep i the numpy Generator seeded by child i of
+    SeedSequence(cfg.seed)."""
+
+    @staticmethod
+    def run(seed, reps, worker):
+        cfg = ExperimentConfig("optimize", base_optimize_params(), seed=seed,
+                               reps=reps)
+        return bench._run_reps(cfg, worker)
+
+    def test_equal_seeds_give_equal_streams(self):
+        a, b = (self.run(123, 2, lambda i, rng: rng.standard_normal(10))
+                for _ in range(2))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_each_rep_has_its_own_stream(self):
+        first, second = self.run(5, 2, lambda i, rng: rng.standard_normal(10))
+        assert not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_stream_is_the_spawned_generator(self, seed):
+        def draws(i, rng):
+            return (i, rng.random(), rng.standard_normal(3),
+                    int(rng.integers(3, 6)), rng.permutation(50))
+
+        got = self.run(seed, 3, draws)
+        want = [draws(i, np.random.default_rng(child)) for i, child in
+                enumerate(np.random.SeedSequence(seed).spawn(3))]
+        for a, b in zip(got, want, strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
 class TestOptimizeExperiment:
     def test_exponential_rate_verdicts_pass(self, tmp_path):
         cfg = ExperimentConfig("optimize", base_optimize_params(),

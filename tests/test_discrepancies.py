@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
@@ -13,7 +13,6 @@ from hamkit import (
     DomainError,
     GaussianLocationModel,
     KernelSpec,
-    RngStream,
     information_tensor,
     ksd_u_statistic,
     mmd_squared,
@@ -88,34 +87,14 @@ class TestKernelSpec:
 
 
 class TestMmd:
-    def test_identical_sets_vstat_zero(self):
-        x = np.array([[0.0], [1.0], [2.0]])
-        assert mmd_squared(x, x.copy(), KernelSpec.gaussian(1.0), mode="v") == 0.0
-
-    def test_singletons(self):
+    def test_two_point_sets(self):
+        # one same-set pair each, and the four cross pairs
         k = KernelSpec.gaussian(1.0)
-        x, y = np.array([[0.3]]), np.array([[1.1]])
-        expected = (pair_forms(k, x[0], x[0])[0] + pair_forms(k, y[0], y[0])[0]
-                    - 2 * pair_forms(k, x[0], y[0])[0])
-        assert mmd_squared(x, y, k, mode="v") == pytest.approx(expected)
-
-    def test_vstat_nonnegative(self):
-        rng = np.random.default_rng(4)
-        k = KernelSpec.inverse_multiquadric()
-        for _ in range(10):
-            x = rng.standard_normal((15, 2))
-            y = rng.standard_normal((10, 2)) + rng.uniform(-1, 1)
-            assert mmd_squared(x, y, k, mode="v") >= 0.0
-
-    def test_ustat_approaches_vstat(self):
-        rng = np.random.default_rng(5)
-        k = KernelSpec.gaussian(1.0)
-        diffs = []
-        for n in (50, 200, 800):
-            x = rng.standard_normal((n, 1))
-            y = rng.standard_normal((n, 1)) + 0.5
-            diffs.append(abs(mmd_squared(x, y, k, "u") - mmd_squared(x, y, k, "v")))
-        assert diffs[2] < diffs[0]
+        x, y = np.array([[0.3], [-0.4]]), np.array([[1.1], [0.6]])
+        cross = sum(pair_forms(k, a, b)[0] for a in x for b in y) / 4
+        expected = (pair_forms(k, x[0], x[1])[0] + pair_forms(k, y[0], y[1])[0]
+                    - 2 * cross)
+        assert mmd_squared(x, y, k) == pytest.approx(expected)
 
     def test_population_value(self):
         # N(0,1) vs N(1,1), closed-form Gaussian-kernel expectations
@@ -123,19 +102,19 @@ class TestMmd:
             return math.sqrt(sig2 / (sig2 + s2)) * math.exp(-mu * mu / (2 * (sig2 + s2)))
 
         pop = 2 * expected_k(0.0, 2.0, 1.0) - 2 * expected_k(1.0, 2.0, 1.0)
-        rng = RngStream(6)
+        rng = np.random.default_rng(6)
         vals = [mmd_squared(rng.standard_normal((2000, 1)),
                             rng.standard_normal((2000, 1)) + 1.0,
-                            KernelSpec.gaussian(1.0), "u") for _ in range(10)]
+                            KernelSpec.gaussian(1.0)) for _ in range(10)]
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert abs(np.mean(vals) - pop) < 3 * se
 
     def test_preconditions(self):
         k = KernelSpec.gaussian(1.0)
         with pytest.raises(DomainError):
-            mmd_squared(np.array([[1.0]]), np.array([[2.0]]), k, mode="u")
+            mmd_squared(np.array([[1.0]]), np.array([[2.0]]), k)
         with pytest.raises(DomainError):
-            mmd_squared(np.array([[1.0]]), np.array([[2.0]]), k, mode="w")
+            mmd_squared(np.zeros((0, 1)), np.array([[1.0], [2.0]]), k)
 
 
 KERNELS = [KernelSpec.gaussian(0.9),
@@ -258,7 +237,7 @@ class TestKsd:
 
     def test_unbiased_at_target(self):
         k = KernelSpec.gaussian(1.0)
-        rng = RngStream(10)
+        rng = np.random.default_rng(10)
         vals = [ksd_u_statistic(rng.standard_normal((100, 1)), lambda z: -z, k)
                 for _ in range(60)]
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
@@ -266,7 +245,7 @@ class TestKsd:
 
     def test_mismatch_detected(self):
         k = KernelSpec.gaussian(1.0)
-        draws = RngStream(11).standard_normal((500, 1))
+        draws = np.random.default_rng(11).standard_normal((500, 1))
         val, se = ksd_u_statistic(draws, lambda z: -(z - 1.0), k,
                                   with_stderr=True)
         assert val > 0
@@ -398,7 +377,7 @@ class TestTiledReductions:
         monkeypatch.setattr(KernelSpec, "gram", counted)
         n = 300
         x, y = draw_points(2, (n, 3), (n, 3))
-        mmd_squared(x, y + 0.3, KernelSpec.gaussian(1.0), "u")
+        mmd_squared(x, y + 0.3, KernelSpec.gaussian(1.0))
         # two upper-tile same-set Grams and the full cross Gram
         assert 0 < sum(entries) <= n * (n + _TILE_ROWS) + n * n
 
@@ -449,18 +428,7 @@ class TestTiledReductions:
         tol = 1e-13 * max(np.abs(k).max() for k in (kxx, kyy, kxy))
         u = ((kxx.sum() - np.trace(kxx)) / (n * (n - 1))
              + (kyy.sum() - np.trace(kyy)) / (m * (m - 1)) - 2.0 * kxy.mean())
-        v = kxx.mean() + kyy.mean() - 2.0 * kxy.mean()
-        assert abs(mmd_squared(x, y, kernel, "u") - u) <= tol
-        assert abs(mmd_squared(x, y, kernel, "v") - max(v, 0.0)) <= tol
-
-    @settings(max_examples=20, deadline=None)
-    @given(TILED_SIZES, st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from(KERNELS))
-    # one tile: numpy's syrk for X @ X.T once gave kxx and kxy apart by 1e-16
-    @example(46, 2, 857135, KERNELS[0])
-    def test_mmd_vstat_of_a_copy_is_zero(self, n, d, seed, kernel):
-        (x,) = draw_points(seed, (n, d))
-        assert mmd_squared(x, x.copy(), kernel, "v") == 0.0
+        assert abs(mmd_squared(x, y, kernel) - u) <= tol
 
     @settings(max_examples=20, deadline=None)
     @given(TILED_SIZES, st.integers(1, 6), st.data())
@@ -486,7 +454,7 @@ def test_estimators_peak_below_one_full_gram(estimator, n):
         call = lambda: ksd_u_statistic(  # noqa: E731
             x, shifted_score, KernelSpec.gaussian(1.0), with_stderr=True)
     else:
-        call = lambda: mmd_squared(x, y, KernelSpec.gaussian(3.0), "u")  # noqa: E731
+        call = lambda: mmd_squared(x, y, KernelSpec.gaussian(3.0))  # noqa: E731
     tracemalloc.start()
     try:
         call()
@@ -517,16 +485,13 @@ class TestSmEstimate:
 class TestInformationTensor:
     def test_sm_gaussian_location_exact(self):
         model = GaussianLocationModel(np.array([1.0]))
-        g = information_tensor("sm", model, 200, RngStream(14))
+        g = information_tensor(model, 200, np.random.default_rng(14))
         assert g == pytest.approx(np.ones((1, 1)), abs=1e-12)
 
     def test_validation(self):
         model = GaussianLocationModel(np.zeros(1))
         with pytest.raises(DomainError):
-            information_tensor("sm", model, 50, RngStream(0))
-        for kind in ("fisher", "ksd", "mmd"):
-            with pytest.raises(DomainError, match="kind"):
-                information_tensor(kind, model, 200, RngStream(0))
+            information_tensor(model, 50, np.random.default_rng(0))
 
 
 def curved_model(d, p):
@@ -567,17 +532,17 @@ class TestRowForms:
         b_matrix = rng.standard_normal((d, d)) if dense_b else None
         model = GaussianLocationModel(rng.standard_normal(d), sigma=sigma,
                                       b_matrix=b_matrix)
-        x = model.sample(120, RngStream(seed))
+        x = model.sample(120, np.random.default_rng(seed))
         w = [model.b(row).T @ model.dscore_dtheta(row) for row in x]
         assert same_bits(model.info_term_rows(x), w)
         g = np.einsum("adi,adj->ij", np.asarray(w), np.asarray(w)) / 120
-        assert same_bits(information_tensor("sm", model, 120, RngStream(seed)),
+        assert same_bits(information_tensor(model, 120, np.random.default_rng(seed)),
                          0.5 * (g + g.T))
 
     @pytest.mark.parametrize("d, p", [(1, 1), (3, 2)])
     def test_adapter_calls_the_per_point_forms(self, d, p):
         model = curved_model(d, p)
-        x = model.sample(30, RngStream(d))
+        x = model.sample(30, np.random.default_rng(d))
         assert same_bits(model.info_term_rows(x), [
             model.b(row).T @ model.dscore_dtheta(row) for row in x])
 
@@ -589,16 +554,16 @@ class TestEstimatorsMatchLoops:
     @pytest.mark.parametrize("d, p", [(1, 1), (2, 3), (3, 2)])
     def test_sm_tensor(self, d, p):
         model = curved_model(d, p)
-        g = information_tensor("sm", model, 120, RngStream(20))
+        g = information_tensor(model, 120, np.random.default_rng(20))
         ref = np.zeros((p, p))
-        for x in model.sample(120, RngStream(20)):
+        for x in model.sample(120, np.random.default_rng(20)):
             w = model.b(x).T @ model.dscore_dtheta(x)
             ref += w.T @ w
         assert_close(g, (ref + ref.T) / (2 * 120))
 
     def test_sm_tensor_work(self, count_calls):
         b_calls = count_calls(ScoreModel, "b")
-        information_tensor("sm", curved_model(2, 2), 100, RngStream(25))
+        information_tensor(curved_model(2, 2), 100, np.random.default_rng(25))
         assert len(b_calls) == 100
 
 
@@ -666,7 +631,7 @@ class TestNaturalGradient:
             natural_gradient_step(np.zeros(2), grad, g, 1.0)
 
     def test_sm_ngd_recovers_sample_mean(self):
-        rng = RngStream(17)
+        rng = np.random.default_rng(17)
         data = rng.standard_normal((200, 2)) + 1.5
         theta, history = sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)),
                                     rng, n_iter=50, step=1.0)
@@ -676,24 +641,24 @@ class TestNaturalGradient:
     def test_sm_ngd_needs_an_rng(self):
         # the information tensor is a Monte Carlo estimate over model draws;
         # there is no draw-free fallback
-        data = RngStream(17).standard_normal((20, 2))
+        data = np.random.default_rng(17).standard_normal((20, 2))
         with pytest.raises(TypeError, match="rng"):
             sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)), n_iter=5)
 
     def test_sm_ngd_refuses_a_small_mc_size(self):
         # n_mc reaches the information tensor as given, which refuses fewer
         # than 100 draws
-        data = RngStream(17).standard_normal((20, 2))
+        data = np.random.default_rng(17).standard_normal((20, 2))
         with pytest.raises(DomainError, match="MC size >= 100"):
-            sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)), RngStream(0),
-                       n_mc=99)
+            sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)),
+                       np.random.default_rng(0), n_mc=99)
 
 
 class TestConsistency:
     def test_sm_fit_error_decreases_with_sample_size(self):
         errors = {m: [] for m in (100, 1000, 10000)}
         for seed in range(20):
-            rng = RngStream(100 + seed)
+            rng = np.random.default_rng(100 + seed)
             pool = rng.standard_normal((10000, 1))
             for m in errors:
                 theta, _ = sm_ngd_fit(pool[:m], GaussianLocationModel(np.zeros(1)),
@@ -706,7 +671,7 @@ class TestConsistency:
         k = KernelSpec.gaussian(1.0)
         errors = {m: [] for m in (50, 200, 800)}
         for seed in range(6):
-            rng = RngStream(200 + seed)
+            rng = np.random.default_rng(200 + seed)
             pool = rng.standard_normal((800, 1))
             for m in errors:
                 data = pool[:m]

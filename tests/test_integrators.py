@@ -27,6 +27,7 @@ from hamkit import (
 )
 from hamkit import integrators
 from hamkit.bench import _envelope
+from helpers import constant_problem
 
 
 def make_cfg(prob, step, num_steps, schedule, q0, p0=None, metric="auto", **kw):
@@ -37,7 +38,7 @@ def make_cfg(prob, step, num_steps, schedule, q0, p0=None, metric="auto", **kw):
 
 class TestStepExamples:
     def test_free_drift(self):
-        prob = problems.constant(1)
+        prob = constant_problem(1)
         cfg = make_cfg(prob, 1.0, 1, DampingSchedule.zero(), np.array([0.0]),
                        np.array([1.0]), metric=KineticMetric.identity(1))
         y = dissipative_leapfrog_step(cfg.x0, 0.0, cfg, prob)
@@ -54,7 +55,7 @@ class TestStepExamples:
 
     def test_damped_free_drift(self):
         # constant gamma with Delta_eta = ln 2 over the half step
-        prob = problems.constant(1)
+        prob = constant_problem(1)
         gamma = 2.0 * math.log(2.0)  # gamma * (dt/2) = ln 2 at dt = 1
         cfg = make_cfg(prob, 1.0, 1, DampingSchedule.constant(gamma),
                        np.array([0.0]), np.array([1.0]),
@@ -187,7 +188,7 @@ class TestRunOptimizer:
         assert traj.gaps[-1] < 1e-10
 
     def test_constant_objective(self):
-        prob = problems.constant(3, c=2.0)
+        prob = constant_problem(3, c=2.0)
         cfg = make_cfg(prob, 0.1, 50, DampingSchedule.constant(1.0),
                        np.ones(3))
         traj = run_optimizer(cfg, prob)

@@ -16,7 +16,6 @@ from hamkit import (
     DomainError,
     KineticMetric,
     PhasePoint,
-    RngStream,
     complete_recipe_drift,
     evaluate_hamiltonian,
     hmc_draw,
@@ -27,40 +26,11 @@ from hamkit import (
     run_hmc_chain,
     write_samples_csv,
 )
+from hamkit import samplers
 from hamkit.core import Problem, _all_finite
 from hamkit.integrators import gradient_flow_step
 from hamkit.samplers import _FD_STEP, _leapfrog
-
-
-class TestRngStream:
-    def test_determinism(self):
-        a = RngStream(123).standard_normal(10)
-        b = RngStream(123).standard_normal(10)
-        assert np.array_equal(a, b)
-
-    def test_split_independence(self):
-        parent = RngStream(5)
-        c1, c2 = parent.split(2)
-        assert not np.array_equal(c1.standard_normal(10), c2.standard_normal(10))
-
-    def test_integers_closed_range(self):
-        rng = RngStream(0)
-        draws = {rng.integers(3, 5) for _ in range(200)}
-        assert draws == {3, 4, 5}
-
-    def test_permutation_is_the_generator_call(self):
-        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
-        assert np.array_equal(RngStream(5).permutation(50), ref.permutation(50))
-
-    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
-    def test_uniform_is_the_generator_call(self, seed):
-        # the unit interval draws through Generator.random: 0 + 1 r is r
-        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        rng = RngStream(seed)
-        assert [rng.uniform() for _ in range(1000)] == \
-            [ref.uniform(0.0, 1.0) for _ in range(1000)]
-        assert np.array_equal(rng.uniform(size=7), ref.uniform(0.0, 1.0, 7))
-        assert rng.uniform(2.0, 5.0) == ref.uniform(2.0, 5.0)
+from helpers import constant_problem
 
 
 class TestChainState:
@@ -80,7 +50,7 @@ class TestChainState:
 
 class TestLeapfrog:
     def test_free_drift(self):
-        prob = problems.constant(2)
+        prob = constant_problem(2)
         g = KineticMetric.scaled_identity(2, 2.0)
         x = PhasePoint(np.array([0.0, 1.0]), np.array([2.0, -4.0]))
         y = leapfrog_trajectory(x, prob, g, 0.1, 7)
@@ -265,10 +235,10 @@ class TestLeapfrogGeometry:
 
 class TestHmc:
     def test_constant_potential_always_accepts(self):
-        prob = problems.constant(2)
+        prob = constant_problem(2)
         g = KineticMetric.identity(2)
         chain = ChainState.start(np.zeros(2))
-        rng = RngStream(0)
+        rng = np.random.default_rng(0)
         for _ in range(50):
             chain = hmc_draw(chain, prob, g, 0.5, 3, rng)
         assert chain.acceptance_rate == 1.0
@@ -276,7 +246,7 @@ class TestHmc:
     def test_exact_flow_has_zero_energy_change(self):
         # the analytic harmonic flow conserves H, so the Metropolis
         # probability min(1, e^{-dH}) is exactly 1
-        rng = RngStream(1)
+        rng = np.random.default_rng(1)
         g = KineticMetric.identity(1)
         for _ in range(20):
             q, p = rng.standard_normal(1), rng.standard_normal(1)
@@ -289,7 +259,8 @@ class TestHmc:
     def test_gaussian_moments(self):
         prob = problems.standard_gaussian(2)
         g = KineticMetric.identity(2)
-        chain, samples = run_hmc_chain(prob, g, 0.2, 5, 20000, RngStream(2))
+        chain, samples = run_hmc_chain(prob, g, 0.2, 5, 20000,
+                                       np.random.default_rng(2))
         assert np.max(np.abs(samples.mean(axis=0))) < 0.05
         assert np.max(np.abs(samples.var(axis=0) - 1.0)) < 0.08
 
@@ -298,7 +269,7 @@ class TestHmc:
         prob = problems.quadratic(1)
         g = KineticMetric.identity(1)
         chain = ChainState.start(np.array([100.0]))
-        out = hmc_draw(chain, prob, g, 5.0, 20, RngStream(3))
+        out = hmc_draw(chain, prob, g, 5.0, 20, np.random.default_rng(3))
         assert out.accepted == 0
         assert out.x.q == pytest.approx(100.0)
 
@@ -308,7 +279,7 @@ class TestHmc:
         chain = ChainState.start(np.array([5.0]))
         with np.errstate(over="ignore", invalid="ignore"):
             out = hmc_draw(chain, steep, KineticMetric.identity(1), 2.0, 10,
-                           RngStream(4))
+                           np.random.default_rng(4))
         assert out.incidents == 1
         assert out.accepted == 0
 
@@ -316,7 +287,23 @@ class TestHmc:
         chain = ChainState.start(np.zeros(1))
         with pytest.raises(DomainError):
             hmc_draw(chain, problems.quadratic(1), KineticMetric.identity(1),
-                     0.1, 5, RngStream(0), jitter=1.5)
+                     0.1, 5, np.random.default_rng(0), jitter=1.5)
+
+    def test_jitter_runs_every_step_count(self, monkeypatch):
+        # jitter 0.5 at L = 4 draws the flight length uniformly from the
+        # closed range [2, 4]
+        lengths = []
+        leapfrog = samplers._leapfrog
+
+        def counted(q, p, grad, prob, g, dt, L, at_end):
+            lengths.append(L)
+            return leapfrog(q, p, grad, prob, g, dt, L, at_end)
+
+        monkeypatch.setattr(samplers, "_leapfrog", counted)
+        run_hmc_chain(problems.standard_gaussian(2), KineticMetric.identity(2),
+                      0.1, 4, 200, np.random.default_rng(0), jitter=0.5,
+                      keep_samples=False)
+        assert set(lengths) == {2, 3, 4}
 
     def test_acceptance_monotone_in_step(self):
         # fixed flight length L * dt = 0.4
@@ -325,17 +312,17 @@ class TestHmc:
         accs = []
         for dt in (0.01, 0.05, 0.1, 0.2, 0.4):
             chain, _ = run_hmc_chain(prob, g, dt, max(1, round(0.4 / dt)),
-                                     1500, RngStream(6), keep_samples=False)
+                                     1500, np.random.default_rng(6), keep_samples=False)
             accs.append(chain.acceptance_rate)
         assert all(a >= b - 0.02 for a, b in zip(accs, accs[1:]))
 
     def test_stationarity_from_exact_start(self):
         prob = problems.standard_gaussian(1)
         g = KineticMetric.identity(1)
-        rng = RngStream(7)
         n_chains, n_steps = 400, 40
         finals = np.empty(n_chains)
-        for i, stream in enumerate(rng.split(n_chains)):
+        for i, seed in enumerate(np.random.SeedSequence(7).spawn(n_chains)):
+            stream = np.random.default_rng(seed)
             chain = ChainState.start(stream.standard_normal(1))
             for _ in range(n_steps):
                 chain = hmc_draw(chain, prob, g, 0.3, 3, stream)
@@ -349,7 +336,7 @@ class TestHmc:
         # two-state down-projection of the 1-d mixture: sign of q
         prob = problems.gaussian_mixture_1d()
         g = KineticMetric.identity(1)
-        rng = RngStream(8)
+        rng = np.random.default_rng(8)
         chain = ChainState.start(np.array([2.0]))
         signs = []
         for _ in range(4000):
@@ -382,7 +369,7 @@ def _reference_chain(prob, g, dt, L, n_draws, rng, q0, jitter):
     for i in range(n_draws):
         z0 = PhasePoint(x.q, g.sample_momentum(rng))
         l_min = max(1, math.ceil((1.0 - jitter) * L))
-        l_run = rng.integers(l_min, L) if l_min < L else L
+        l_run = int(rng.integers(l_min, L + 1)) if l_min < L else L
         try:
             z = leapfrog_trajectory(z0, prob, g, dt, l_run)
             d_h = (evaluate_hamiltonian(z, g, prob)
@@ -392,7 +379,7 @@ def _reference_chain(prob, g, dt, L, n_draws, rng, q0, jitter):
         if not math.isfinite(d_h):
             incidents += 1
             d_h = math.inf
-        u = rng.uniform()
+        u = rng.random()
         accept = d_h <= 0.0 or u < math.exp(-d_h)
         x = z if accept else z0.flip_momentum()
         accepted += accept
@@ -441,10 +428,11 @@ class TestHmcTransition:
         n = 150
         for name, g in _hmc_metrics(prob.dim).items():
             with np.errstate(over="ignore", invalid="ignore"):
-                chain, samples = run_hmc_chain(prob, g, dt, L, n, RngStream(11),
+                chain, samples = run_hmc_chain(prob, g, dt, L, n,
+                                               np.random.default_rng(11),
                                                q0=q0, jitter=jitter)
                 x, accepted, incidents, ref = _reference_chain(
-                    prob, g, dt, L, n, RngStream(11), q0, jitter)
+                    prob, g, dt, L, n, np.random.default_rng(11), q0, jitter)
             assert np.array_equal(samples, ref), name
             assert np.array_equal(chain.x.q, x.q)
             assert np.array_equal(chain.x.p, x.p)
@@ -462,10 +450,11 @@ class TestHmcTransition:
         prob, dt, L, jitter, q0 = _HMC_CASES[case]
         n = 120
         for g in _hmc_metrics(prob.dim).values():
-            rng = RngStream(14)
+            rng = np.random.default_rng(14)
             chain = ChainState.start(q0)
             with np.errstate(over="ignore", invalid="ignore"):
-                run, samples = run_hmc_chain(prob, g, dt, L, n, RngStream(14),
+                run, samples = run_hmc_chain(prob, g, dt, L, n,
+                                             np.random.default_rng(14),
                                              q0=q0, jitter=jitter)
                 for i in range(n):
                     chain = hmc_draw(chain, prob, g, dt, L, rng, jitter=jitter)
@@ -482,7 +471,7 @@ class TestHmcTransition:
         points = count_calls(PhasePoint, "__post_init__")
         states = count_calls(ChainState, "__post_init__")
         chain, _ = run_hmc_chain(prob, KineticMetric.identity(5), 0.3, L,
-                                 n_draws, RngStream(15), q0=np.ones(5))
+                                 n_draws, np.random.default_rng(15), q0=np.ones(5))
         assert 0 < chain.accepted and chain.incidents == 0
         # the start and each flight's end: V and grad V from one fused call
         assert len(fused) == n_draws + 1
@@ -494,18 +483,20 @@ class TestHmcTransition:
     def test_negative_draw_count(self, keep_samples):
         with pytest.raises(DomainError, match="n_draws"):
             run_hmc_chain(problems.standard_gaussian(2), KineticMetric.identity(2),
-                          0.1, 3, -1, RngStream(0), keep_samples=keep_samples)
+                          0.1, 3, -1, np.random.default_rng(0),
+                          keep_samples=keep_samples)
 
     def test_chain_checks_arguments(self):
         prob, g = problems.standard_gaussian(2), KineticMetric.identity(2)
         with pytest.raises(DomainError, match="dimension mismatch"):
-            run_hmc_chain(prob, g, 0.1, 3, 5, RngStream(0), q0=np.zeros(3))
+            run_hmc_chain(prob, g, 0.1, 3, 5, np.random.default_rng(0), q0=np.zeros(3))
         with pytest.raises(DomainError, match="L must be"):
-            run_hmc_chain(prob, g, 0.1, 0, 5, RngStream(0))
+            run_hmc_chain(prob, g, 0.1, 0, 5, np.random.default_rng(0))
         with pytest.raises(DomainError, match="jitter"):
-            run_hmc_chain(prob, g, 0.1, 3, 5, RngStream(0), jitter=1.5)
+            run_hmc_chain(prob, g, 0.1, 3, 5, np.random.default_rng(0), jitter=1.5)
         with pytest.raises(DomainError, match="non-finite"):
-            run_hmc_chain(prob, g, 0.1, 3, 5, RngStream(0), q0=[0.0, math.nan])
+            run_hmc_chain(prob, g, 0.1, 3, 5, np.random.default_rng(0),
+                          q0=[0.0, math.nan])
 
     def test_gradient_and_value_calls_per_draw(self):
         calls = {"grad": 0, "value": 0}
@@ -521,7 +512,7 @@ class TestHmcTransition:
 
         prob = Problem(4, value=value, grad=grad)
         g = KineticMetric.identity(4)
-        rng = RngStream(12)
+        rng = np.random.default_rng(12)
         L = 5
         chain = hmc_draw(ChainState.start(np.ones(4)), prob, g, 1.9, L, rng)
         assert calls == {"grad": L + 1, "value": 2}
@@ -538,7 +529,7 @@ class TestHmcTransition:
         base, g, L = problems.standard_gaussian(4), KineticMetric.identity(4), 5
         prob, calls = counting_problem(base)
         plain, _ = counting_problem(base, fused=False)
-        rng, plain_rng = RngStream(12), RngStream(12)
+        rng, plain_rng = np.random.default_rng(12), np.random.default_rng(12)
         chain = hmc_draw(ChainState.start(np.ones(4)), prob, g, 1.9, L, rng)
         ref = hmc_draw(ChainState.start(np.ones(4)), plain, g, 1.9, L, plain_rng)
         assert calls == {"value_and_grad": 2, "grad": L - 1}
@@ -554,7 +545,7 @@ class TestHmcTransition:
     def test_cache_holds_value_and_gradient_at_position(self, case):
         prob, dt, L, jitter, q0 = _HMC_CASES[case]
         g = KineticMetric.identity(prob.dim)
-        rng = RngStream(13)
+        rng = np.random.default_rng(13)
         chain = ChainState.start(q0)
         assert chain.potential is None and chain.grad is None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -567,15 +558,15 @@ class TestHmcTransition:
         chain = ChainState.start(np.zeros(2))
         with pytest.raises(DomainError, match="dimension mismatch"):
             hmc_draw(chain, problems.standard_gaussian(3),
-                     KineticMetric.identity(2), 0.1, 3, RngStream(0))
+                     KineticMetric.identity(2), 0.1, 3, np.random.default_rng(0))
         with pytest.raises(DomainError, match="dimension mismatch"):
             hmc_draw(chain, problems.standard_gaussian(2),
-                     KineticMetric.identity(3), 0.1, 3, RngStream(0))
+                     KineticMetric.identity(3), 0.1, 3, np.random.default_rng(0))
 
     def test_needs_a_leapfrog_step(self):
         with pytest.raises(DomainError, match="L must be"):
             hmc_draw(ChainState.start(np.zeros(1)), problems.quadratic(1),
-                     KineticMetric.identity(1), 0.1, 0, RngStream(0))
+                     KineticMetric.identity(1), 0.1, 0, np.random.default_rng(0))
 
     def test_cache_fields_come_together(self):
         with pytest.raises(DomainError):
@@ -586,13 +577,13 @@ class TestLangevin:
     def test_em_noise_free_is_gradient_flow(self):
         prob = problems.quadratic(3)
         q = np.array([1.0, 2.0, -3.0])
-        a = overdamped_em_step(q, prob, 0.2, math.inf, RngStream(0))
+        a = overdamped_em_step(q, prob, 0.2, math.inf, np.random.default_rng(0))
         b = gradient_flow_step(q, 0.2, prob)
         assert np.array_equal(a, b)
 
     def test_em_stationary_variance_bias(self):
         prob = problems.standard_gaussian(1000)
-        rng = RngStream(2)
+        rng = np.random.default_rng(2)
         dt = 0.5
         q = np.zeros(1000)
         acc, count = 0.0, 0
@@ -686,7 +677,7 @@ class TestCompleteRecipe:
         spec = DiffusionSpec(s_field=lambda x: np.eye(2),
                              a_field=lambda x: a,
                              divergence=lambda x: np.zeros(2))
-        rng = RngStream(3)
+        rng = np.random.default_rng(3)
         n_chains, n_steps, dt = 300, 150, 1e-2
         xs = rng.standard_normal((n_chains, 2))
         for _ in range(n_steps):
@@ -706,12 +697,12 @@ class TestMcmcEstimate:
         assert se == 0.0
 
     def test_clt(self):
-        draws = RngStream(4).standard_normal(5000)
+        draws = np.random.default_rng(4).standard_normal(5000)
         mean, se = mcmc_estimate(draws, lambda x: float(x[0]))
         assert abs(mean) < 4 * se
 
     def test_second_moment(self):
-        draws = RngStream(5).standard_normal(5000)
+        draws = np.random.default_rng(5).standard_normal(5000)
         mean, _ = mcmc_estimate(draws, lambda x: float(x[0]) ** 2)
         assert mean == pytest.approx(1.0, abs=0.1)
 

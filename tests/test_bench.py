@@ -150,6 +150,12 @@ class TestRunReps:
         for a, b in zip(got, want, strict=True):
             assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
+    def test_permutation_is_the_spawned_generator(self):
+        got = self.run(5, 2, lambda i, rng: rng.permutation(50))
+        want = [np.random.default_rng(child).permutation(50)
+                for child in np.random.SeedSequence(5).spawn(2)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
 
 class TestOptimizeExperiment:
     def test_exponential_rate_verdicts_pass(self, tmp_path):

@@ -531,6 +531,12 @@ def cmd_manifold(cfg, p):
                     "spin-glass instance (desk scale)"], []
 
 
+def _in_key_order(metrics, tag, keys):
+    """The metrics `tag % key` in ascending order of key (a grid's dt or n),
+    so that no comparison of them depends on the order of the config's list."""
+    return [metrics[tag % k] for k in sorted(keys, key=float)]
+
+
 def cmd_sample(cfg, p):
     """Sampler validation: moments, acceptance curves and discretisation bias."""
     target = _block(p["target"], "target block")
@@ -579,20 +585,16 @@ def cmd_sample(cfg, p):
                     os.path.join(cfg.out_dir, f"samples_rep{i}.csv"),
                     kept, chain_id=i)
             if grid:
-                accs = []
                 for dt in grid:
                     sub, _ = run_hmc_chain(
                         prob, g, float(dt), max(1, round(1.0 / float(dt))),
                         int(samp["grid_draws"]), rng, keep_samples=False)
-                    accs.append(sub.acceptance_rate)
                     metrics[f"acceptance_dt_{dt:g}"] = sub.acceptance_rate
-                order = np.argsort([float(d) for d in grid])
-                sorted_accs = [accs[j] for j in order]
+                accs = _in_key_order(metrics, "acceptance_dt_%g", grid)
                 metrics["acceptance_monotone"] = float(
-                    all(a >= b - 0.02 for a, b in zip(sorted_accs, sorted_accs[1:])))
+                    all(a >= b - 0.02 for a, b in zip(accs, accs[1:])))
         else:  # em
             beta = float(samp["beta"])
-            biases = []
             for dt in samp["dt_grid"]:
                 dt = float(dt)
                 q = np.zeros(prob.dim)
@@ -603,19 +605,20 @@ def cmd_sample(cfg, p):
                     if k >= burn:
                         acc2 += float(q @ q) / prob.dim
                         kept += 1
-                var = acc2 / kept
-                metrics[f"var_dt_{dt:g}"] = var
-                biases.append(abs(var - 1.0))
+                metrics[f"var_dt_{dt:g}"] = acc2 / kept
+            # the bias |var - 1| grows with dt
+            biases = [abs(var - 1.0) for var in
+                      _in_key_order(metrics, "var_dt_%g", samp["dt_grid"])]
             metrics["bias_monotone"] = float(
-                all(a >= b for a, b in zip(biases, biases[1:])))
+                all(a <= b for a, b in zip(biases, biases[1:])))
         if ksd_curve is not None:
             kernel = KernelSpec.gaussian(float(ksd_curve["sigma"]))
-            vals = []
             for n_pts in ksd_curve["n_points"]:
                 draws = rng.standard_normal((int(n_pts), prob.dim))
                 # -draws: the N(0, I) score at each draw
-                vals.append(ksd_u_statistic(draws, -draws, kernel))
-                metrics[f"ksd_n_{int(n_pts)}"] = vals[-1]
+                metrics[f"ksd_n_{int(n_pts)}"] = ksd_u_statistic(
+                    draws, -draws, kernel)
+            vals = _in_key_order(metrics, "ksd_n_%d", ksd_curve["n_points"])
             metrics["ksd_decreasing"] = float(abs(vals[-1]) < abs(vals[0]))
         return metrics
 

@@ -240,7 +240,7 @@ class Problem:
         self._grad = grad
         self._value_and_grad = value_and_grad
         self.f_star = None if f_star is None else float(f_star)
-        self.q_star = None if q_star is None else np.asarray(q_star, float)
+        self.q_star = None if q_star is None else np.array(q_star, float)
         self.name = name
 
     def value(self, q):

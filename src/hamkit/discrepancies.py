@@ -311,7 +311,7 @@ class ScoreModel:
     def __init__(self, theta, dim, score, dscore_dtheta, b_field=None,
                  sample=None, sm_theta_grad=None, name="",
                  info_term_rows=None):
-        self.theta = np.atleast_1d(np.asarray(theta, float))
+        self.theta = np.array(theta, float, ndmin=1)   # a copy, not the caller's
         self.dim = int(dim)
         self._score = score
         self._dscore_dtheta = dscore_dtheta
@@ -361,7 +361,7 @@ class ScoreModel:
     def with_theta(self, theta):
         """A copy of this model at parameters theta."""
         model = copy.copy(self)
-        model.theta = np.atleast_1d(np.asarray(theta, float))
+        model.theta = np.array(theta, float, ndmin=1)
         return model
 
 
@@ -370,7 +370,7 @@ def GaussianLocationModel(theta, sigma=1.0, b_matrix=None):
     theta = np.atleast_1d(np.asarray(theta, float))
     d = theta.size
     s2 = float(sigma) ** 2
-    b_mat = np.eye(d) if b_matrix is None else np.asarray(b_matrix, float)
+    b_mat = np.eye(d) if b_matrix is None else np.array(b_matrix, float)
     bbt = b_mat @ b_mat.T
 
     def score(x, th):

@@ -6,8 +6,8 @@ half-step form: the damping enters only through Delta_eta over half a step,
 so no large exponentials appear.  Every run is the record loop `_run_steps`.
 
 The run drivers step raw arrays and carry the end-of-step half kick into the
-next step; the flat run also carries f(q_{k+1}), which the kick's fused
-`Problem.value_and_grad` call returns with the gradient.  A validated
+next step, and each state holds f at its position: the flat run takes
+f(q_{k+1}) from the kick's fused `Problem.value_and_grad` call.  A validated
 `PhasePoint` exists only at the edges, and the public one-step functions
 are thin wrappers over the same raw steps.  Per-step
 vector products call `ndarray.dot`: `@`'s BLAS routine at half the call cost.
@@ -154,23 +154,15 @@ def _flat_drift(inv_mul):
 
 def _leapfrog_step(cfg, prob):
     """`dissipative_leapfrog_step` on raw arrays, built once per run: returns
-    step(x, t_k) for x = (q, p, half kick or None, f(q) or None); see
-    `_conformal_step`.  The kick takes f and grad f from one
-    `prob.value_and_grad` call, and the step returns f(q_{k+1}) with the
-    state, so a run evaluates each point once.
-
-    Where f overflows (OverflowError) the kick takes grad f alone and f is
-    None, to be evaluated after the step, as two separate calls would have
-    it: a non-finite gradient then raises DivergenceError first.
+    step(x, t_k) for x = (q, p, half kick, f(q)); see `_conformal_step`.  The
+    kick takes f and grad f from one `prob.value_and_grad` call, and the step
+    returns f(q_{k+1}) with the state, so a run evaluates each point once.
     """
     dt, sched, drift = cfg.step, cfg.schedule, _flat_drift(cfg.metric.inv_mul)
-    value_and_grad, grad, f_new = prob.value_and_grad, prob.grad, [None]
+    value_and_grad, f_new = prob.value_and_grad, [None]
 
     def kick(q, p):
-        try:
-            f_new[0], g = value_and_grad(q)
-        except OverflowError:
-            f_new[0], g = None, grad(q)
+        f_new[0], g = value_and_grad(q)
         return g
 
     def step(x, t_k):
@@ -202,34 +194,29 @@ def gradient_flow_step(q, dt, prob):
     return q_new
 
 
-def _run_steps(x, advance, value, extra, t0, dt, num_steps, f_star,
+def _run_steps(x, advance, extra, t0, dt, num_steps, f_star,
                record_every=1, target_gap=None, too_far=None,
                extra_name="energy"):
     """Record/stop loop of every optimiser run; returns (Trajectory, last state).
 
-    `advance(x, t_k)` steps from t_k; `value(x)` is f and `extra(x, f)` the
-    fifth column.  Records step 0, every `record_every`-th, the last and any
-    stopping step; stops on `too_far(x, f)` or a gap below `target_gap`.  f is
-    evaluated once per step while a stop rule is active, otherwise only on
-    recorded steps.  A step's DivergenceError is re-raised with its index.
+    `advance(x, t_k)` steps from t_k; each state holds f at its position in
+    x[3], and `extra(x)` is the fifth column.  Records step 0, every
+    `record_every`-th, the last and any stopping step; stops on `too_far(x)`
+    or a gap below `target_gap`.  A step's DivergenceError is re-raised with
+    its index.
     """
     watch_gap = target_gap is not None and f_star is not None
-    f = value(x)
-    rows = [(0, t0, f, extra(x, f))]
+    rows = [(0, t0, x[3], extra(x))]
     reason = "completed"
     for k in range(1, num_steps + 1):
         try:
             x = advance(x, t0 + (k - 1) * dt)
         except DivergenceError as exc:
             raise DivergenceError(str(exc), step=k) from None
-        due = k % record_every == 0 or k == num_steps
-        if not (due or watch_gap or too_far is not None):
-            continue
-        f = value(x)
-        diverged = too_far is not None and too_far(x, f)
-        reached = watch_gap and f - f_star < target_gap
-        if due or diverged or reached:
-            rows.append((k, t0 + k * dt, f, extra(x, f)))
+        diverged = too_far is not None and too_far(x)
+        reached = watch_gap and x[3] - f_star < target_gap
+        if diverged or reached or k % record_every == 0 or k == num_steps:
+            rows.append((k, t0 + k * dt, x[3], extra(x)))
         if diverged or reached:
             reason = "diverged" if diverged else "target_reached"
             break
@@ -256,33 +243,31 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
     _check_dims(cfg.x0.dim, g, prob)
 
     def flow(x, t_k):
-        return gradient_flow_step(x[0], cfg.step, prob), x[1]
+        q = gradient_flow_step(x[0], cfg.step, prob)
+        return q, x[1], None, prob.value(q)
 
-    def energy(x, f):
+    def energy(x):
         if not leapfrog:
-            return f
-        h = 0.5 * g.quad_inv(x[1]) + f
+            return x[3]
+        h = 0.5 * g.quad_inv(x[1]) + x[3]
         # a non-finite term raises NumericOverflowError there
         return h if math.isfinite(h) else evaluate_hamiltonian(
             PhasePoint(x[0], x[1]), g, prob)
 
-    def value(x):   # the fused step carries f(q) unless it overflowed
-        return prob.value(x[0]) if not leapfrog or x[3] is None else x[3]
-
+    # x = (q, p, (dt/2) grad f(q) or None for the flow, f(q))
     q0, p0 = cfg.x0.q, cfg.x0.p
     if leapfrog:
-        # x = (q, p, (dt/2) grad f(q), f(q)), from one evaluation per point
-        f0, grad0 = prob.value_and_grad(q0)
+        f0, grad0 = prob.value_and_grad(q0)   # one evaluation per point
         x0 = (q0, p0, 0.5 * cfg.step * grad0, f0)
         advance = _leapfrog_step(cfg, prob)
     else:
-        x0, advance = (q0, p0), flow
+        x0, advance = (q0, p0, None, prob.value(q0)), flow
     thr = cfg.divergence_threshold
     traj, _ = _run_steps(
-        x0, advance, value, energy, cfg.schedule.start_time(), cfg.step,
+        x0, advance, energy, cfg.schedule.start_time(), cfg.step,
         cfg.num_steps, prob.f_star, record_every=cfg.record_every,
         target_gap=cfg.target_gap,
-        too_far=lambda x, f: abs(f) > thr or math.sqrt(x[0].dot(x[0])) > thr)
+        too_far=lambda x: abs(x[3]) > thr or math.sqrt(x[0].dot(x[0])) > thr)
     return traj
 
 

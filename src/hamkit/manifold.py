@@ -1,7 +1,7 @@
 """Optimisation beyond flat space: SO(n) group steps and constrained RATTLE.
 
 As in `integrators`, the run drivers step raw arrays and carry per-position
-terms across steps: the half kicks (dt/2) skew(Q^T grad f) and (dt/2) grad f,
+terms across steps: f, the half kicks (dt/2) skew(Q^T grad f) and (dt/2) grad f,
 ||Q^T Q - I|| (formed once per step, to check the group and to record it),
 and RATTLE's J, factor of R_g and residual that ended the Newton solve.
 
@@ -297,15 +297,16 @@ def run_lie_optimizer(st, prob, dt, g_scalar, sched, num_steps,
     """Iterate lie_group_step; reports the orthogonality defect per record."""
     step = _lie_stepper(dt, g_scalar, sched, prob)
 
-    def advance(x, t_k):  # x = (Q, P, half kick or None, ||Q^T Q - I||_F)
+    # x = (Q, P, half kick or None, f(Q), ||Q^T Q - I||_F)
+    def advance(x, t_k):
         Q, P, half_kick = step(*x[:3], t_k)
-        return Q, P, half_kick, _group_defect(Q, P)
+        defect = _group_defect(Q, P)
+        return Q, P, half_kick, prob.value(Q), defect
 
-    traj, (Q, P, _, _) = _run_steps(
-        (st.Q, st.P, None, st.orthogonality_defect()), advance,
-        lambda x: prob.value(x[0]), lambda x, f: x[3],
-        sched.start_time(), dt, num_steps, prob.f_star,
-        record_every=record_every, target_gap=target_gap,
+    traj, (Q, P, *_) = _run_steps(
+        (st.Q, st.P, None, prob.value(st.Q), st.orthogonality_defect()),
+        advance, lambda x: x[4], sched.start_time(), dt, num_steps,
+        prob.f_star, record_every=record_every, target_gap=target_gap,
         extra_name="orthogonality_defect")
     return traj, MatrixGroupState(Q, P)
 
@@ -316,13 +317,15 @@ def run_rattle_optimizer(x, prob, dt, g, sched, cons, num_steps,
     jac, factor = _projector(x.q, g, cons)
     x = PhasePoint(x.q, _project(x.p, jac, factor, g))
 
-    def advance(s, t_k):  # s = (q, p, half kick or None, J, factor, residual)
-        *s, _, residual = _rattle_step(*s[:5], t_k, dt, g, sched, prob, cons)
-        return *s, residual
+    # s = (q, p, half kick or None, f(q), J, factor, residual)
+    def advance(s, t_k):
+        q, p, half_kick, jac, factor, _, residual = _rattle_step(
+            *s[:3], *s[4:6], t_k, dt, g, sched, prob, cons)
+        return q, p, half_kick, prob.value(q), jac, factor, residual
 
     traj, (q, p, *_) = _run_steps(
-        (x.q, x.p, None, jac, factor, _sup_norm(cons.value(x.q))), advance,
-        lambda s: prob.value(s[0]), lambda s, f: s[5],
+        (x.q, x.p, None, prob.value(x.q), jac, factor,
+         _sup_norm(cons.value(x.q))), advance, lambda s: s[6],
         sched.start_time(), dt, num_steps, prob.f_star,
         record_every=record_every, target_gap=target_gap,
         extra_name="constraint_residual")

@@ -2,7 +2,8 @@
 (Euler-Maruyama) step, recipe drift.
 
 An HMC chain steps raw arrays (`_hmc_transition`); validated `PhasePoint` and
-`ChainState` objects exist only at its edges, and `hmc_draw` wraps the same step.
+`ChainState` objects exist only at its edges.  `run_hmc_chain` carries V and
+grad V from draw to draw; `hmc_draw`, the same step, evaluates them afresh.
 Every random draw comes from the `rng` argument, a numpy Generator such as
 `np.random.default_rng(seed)`.
 """
@@ -33,26 +34,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChainState:
-    """Current MCMC state, its acceptance tally and what the next draw reads.
-
-    `potential` and `grad` carry V(x.q) and grad V(x.q) from one HMC draw to
-    the next; they are None until the first draw has evaluated them.  The
-    chain keeps no moments: estimates come from the draws (the samples of
-    `run_hmc_chain`, `mcmc_estimate`).
-    """
+    """Current phase point with its step, acceptance and incident tallies.
+    No moments: estimates come from the draws (the samples of
+    `run_hmc_chain`, `mcmc_estimate`)."""
 
     x: PhasePoint
     steps: int = 0
     accepted: int = 0
     incidents: int = 0          # non-finite energy differences seen
-    potential: float = None
-    grad: np.ndarray = None
 
     def __post_init__(self):
         if self.accepted > self.steps:
             raise DomainError("acceptance tally cannot exceed step count")
-        if (self.potential is None) != (self.grad is None):
-            raise DomainError("potential and grad are cached together or not at all")
 
     @classmethod
     def start(cls, q):
@@ -140,17 +133,16 @@ def hmc_draw(chain, prob, g, dt, L, rng, jitter=0.0):
     rejection and increments the incident counter.  On rejection the stored
     state keeps the position with the refreshed momentum flipped.
 
-    V and grad V at the current position come from the chain's cache (the
-    first draw evaluates them with one `prob.value_and_grad` call), and the
-    flight takes V and grad V at its end from one `value_and_grad` call, so
-    a draw of L steps calls grad L - 1 times and value_and_grad once; the
-    returned chain caches them at its new position.
+    V and grad V at the current position and at the flight's end each come
+    from one `prob.value_and_grad` call, so a draw of L steps calls
+    value_and_grad twice and grad L - 1 times.  `run_hmc_chain` carries them
+    from one draw to the next instead.
     """
     _check_hmc(chain.x.q, prob, g, L, jitter)
-    q, p, v, grad, accepted, incident = _hmc_transition(
-        chain.x.q, chain.potential, chain.grad, prob, g, dt, L, rng, jitter)
+    q, p, _, _, accepted, incident = _hmc_transition(
+        chain.x.q, None, None, prob, g, dt, L, rng, jitter)
     return ChainState(PhasePoint(q, p), chain.steps + 1, chain.accepted + accepted,
-                      chain.incidents + incident, v, grad)
+                      chain.incidents + incident)
 
 
 def overdamped_em_step(q, prob, dt, beta, rng):
@@ -244,8 +236,7 @@ def run_hmc_chain(prob, g, dt, L, n_draws, rng, q0=None, jitter=0.0,
         accepted, incidents = accepted + acc, incidents + inc
         if keep_samples:
             samples[i] = q
-    return ChainState(PhasePoint(q, p), n_draws, accepted, incidents, v,
-                      grad), samples
+    return ChainState(PhasePoint(q, p), n_draws, accepted, incidents), samples
 
 
 def write_samples_csv(path_or_file, samples, chain_id=0):

@@ -11,11 +11,14 @@ PYTHONPATH, so `PYTHONPATH=<other tree>/src` still times this tree's code.
 To time another tree, copy this file into its `tests/` and run it there.
 
 Each benchmark times one call: a flat damped leapfrog step of the quartic at
-d = 2, one HMC draw (d = 10, L = 5), one SO(50) step of a trace objective
+d = 2, one HMC draw (d = 10, L = 5), which evaluates V and grad V at its
+start, one SO(50) step of a trace objective
 (the shape manifold_so_rattle runs) and one RATTLE step on the unit sphere.
 `test_flat_run_per_step` times a 1,000-step `run_optimizer` on the same
 quartic, the loop optimize_quartic runs; divide its time by 1,000 for the
 cost of one step inside a run, where no `PhasePoint` is validated.
+`test_hmc_transition` times the raw draw `run_hmc_chain` repeats, with V
+and grad V carried from the previous draw.
 `test_quartic_value_and_grad` and `test_quartic_value_then_grad` time the
 quartic's fused evaluation against its two separate calls at one point.
 `test_information_tensor` times one `information_tensor(model, 200, rng)`
@@ -56,6 +59,7 @@ from hamkit import (
     sphere_constraint,
     trace_objective,
 )
+from hamkit.samplers import _hmc_transition
 
 
 def quartic_config(num_steps):
@@ -114,6 +118,15 @@ def test_hmc_draw(benchmark):
     chain = hmc_draw(ChainState.start(np.full(d, 0.5)), prob, g, 0.2, 5, rng)
     out = benchmark(hmc_draw, chain, prob, g, 0.2, 5, rng)
     assert out.steps == 2
+
+
+def test_hmc_transition(benchmark):
+    d, prob = 10, problems.standard_gaussian(10)
+    g, rng = KineticMetric.identity(d), np.random.default_rng(0)
+    q = np.full(d, 0.5)
+    v, grad = prob.value_and_grad(q)
+    out = benchmark(_hmc_transition, q, v, grad, prob, g, 0.2, 5, rng, 0.0)
+    assert out[2] == prob.value(out[0])
 
 
 def test_lie_step(benchmark):

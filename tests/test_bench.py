@@ -101,6 +101,29 @@ class TestExperimentConfig:
         assert (cfg.seed, cfg.reps) == (3, 2)
         assert type(cfg.seed) is int and type(cfg.reps) is int
 
+    @pytest.mark.parametrize("values, agg, op, threshold, value, passed", [
+        ([1.0, 2.0, 4.0], "median", "<", 2.0, 2.0, False),
+        ([1.0, 2.0, 4.0], "median", ">", 1.5, 2.0, True),
+        ([1.0, 2.0, 4.0], "median", "in", [2.0, 2.0], 2.0, True),
+        ([1.0, 2.0, 4.0], "mean", "<", 2.5, 7.0 / 3.0, True),
+        ([1.0, 2.0, 4.0], "min", ">", 1.0, 1.0, False),
+        ([1.0, 2.0, 4.0], "max", "<=", 4.0, 4.0, True),
+        ([1.0, 2.0, 4.0], "max", ">=", 4.5, 4.0, False),
+        # |mean| / (sd / sqrt(n)) = (7/3) / sqrt(7/9) = sqrt(7)
+        ([1.0, 2.0, 4.0], "zscore", ">=", 2.6, math.sqrt(7.0), True),
+        ([-1.0, -2.0, -4.0], "zscore", "<", 2.6, math.sqrt(7.0), False),
+        # no standard error from one value, none from zero spread
+        ([3.0], "zscore", ">", 1e300, math.inf, True),
+        ([2.0, 2.0, 2.0], "zscore", "<=", 1e300, math.inf, False),
+    ])
+    def test_reevaluate_every_op_and_aggregate(self, values, agg, op,
+                                               threshold, value, passed):
+        stored = {"per_rep": [{"rep": i, "x": v} for i, v in enumerate(values)]}
+        (verdict,) = reevaluate(stored, [{"metric": "x", "agg": agg, "op": op,
+                                          "threshold": threshold}])
+        assert verdict["value"] == pytest.approx(value, rel=1e-15)
+        assert verdict["pass"] is passed
+
     @pytest.mark.parametrize("spec, named", [
         ({"metric": "x", "op": "~", "threshold": 1}, "unknown verdict op '~'"),
         ({"metric": "x", "agg": "mode", "op": "<=", "threshold": 1},
@@ -318,6 +341,21 @@ class TestSampleExperiment:
         # discrete stationary variance of the dt=0.5 chain is 1/(1 - dt/2)
         assert report.per_rep[0]["var_dt_0.5"] == pytest.approx(4.0 / 3.0,
                                                                 rel=0.03)
+
+    def test_metrics_do_not_depend_on_list_order(self, tmp_path):
+        # bias_monotone and ksd_decreasing compare by dt and by n, not by
+        # place in the config's list; the draws still follow the list
+        def metrics(dt_grid, n_points):
+            params = {"target": {"name": "gaussian", "dim": 10,
+                                 "ksd_curve": {"n_points": n_points}},
+                      "sampler": {"kind": "em", "dt_grid": dt_grid,
+                                  "n_steps": 400}}
+            rep = run_experiment(ExperimentConfig(
+                "sample", params, seed=1, out_dir=str(tmp_path))).per_rep[0]
+            return rep["bias_monotone"], rep["ksd_decreasing"]
+
+        assert metrics([0.5, 0.1], [50, 400]) == (1.0, 1.0)
+        assert metrics([0.1, 0.5], [400, 50]) == (1.0, 1.0)
 
     def test_hmc_moments_and_grid(self, tmp_path):
         params = {

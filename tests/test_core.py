@@ -298,6 +298,12 @@ _BUILT_INS = {"quadratic": problems.quadratic(3, 1.3),
 
 
 class TestProblems:
+    def test_q_star_is_a_copy(self):
+        qs = np.array([1.0, 2.0])
+        prob = Problem(2, value=lambda q: 0.0, grad=np.zeros_like, q_star=qs)
+        qs[0] = 5.0
+        assert np.array_equal(prob.q_star, [1.0, 2.0])
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(_BUILT_INS)), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([1e-3, 1.0, 1e3]))

@@ -482,6 +482,18 @@ class TestSmEstimate:
         assert np.allclose(moved.score(x), -(x - np.asarray(theta)) / 1.3 ** 2)
 
 
+class TestScoreModel:
+    def test_stores_copies_of_the_callers_arrays(self):
+        th, b_mat = np.zeros(2), np.eye(2)
+        model = GaussianLocationModel(th, b_matrix=b_mat)
+        moved = model.with_theta(th)
+        th[0], b_mat[0, 0] = 5.0, 3.0
+        for m in (model, moved):
+            assert np.array_equal(m.theta, [0.0, 0.0])
+            assert np.array_equal(m.score(np.zeros(2)), [0.0, 0.0])
+        assert np.array_equal(model.b(None), np.eye(2))
+
+
 class TestInformationTensor:
     def test_sm_gaussian_location_exact(self):
         model = GaussianLocationModel(np.array([1.0]))

@@ -45,7 +45,7 @@ class TestChainState:
     def test_carries_only_what_the_next_draw_reads(self):
         # no running moments: estimates come from the draws
         assert [f.name for f in dataclasses.fields(ChainState)] == [
-            "x", "steps", "accepted", "incidents", "potential", "grad"]
+            "x", "steps", "accepted", "incidents"]
 
 
 class TestLeapfrog:
@@ -414,12 +414,10 @@ def _hmc_metrics(d):
 def assert_same_chain(a, b):
     assert np.array_equal(a.x.q, b.x.q) and np.array_equal(a.x.p, b.x.p)
     assert (a.steps, a.accepted, a.incidents) == (b.steps, b.accepted, b.incidents)
-    assert a.potential == b.potential
-    assert np.array_equal(a.grad, b.grad)
 
 
 class TestHmcTransition:
-    """hmc_draw against a reference loop, the V / grad V cache and its cost."""
+    """hmc_draw against a reference loop, and the evaluations of each draw."""
 
     @pytest.mark.parametrize("case", sorted(_HMC_CASES))
     def test_matches_reference_loop(self, case):
@@ -514,13 +512,11 @@ class TestHmcTransition:
         g = KineticMetric.identity(4)
         rng = np.random.default_rng(12)
         L = 5
-        chain = hmc_draw(ChainState.start(np.ones(4)), prob, g, 1.9, L, rng)
-        assert calls == {"grad": L + 1, "value": 2}
-        n = 40
-        for _ in range(n):
+        chain = ChainState.start(np.ones(4))
+        for _ in range(41):   # each draw evaluates V and grad V at its start
             calls.update(grad=0, value=0)
             chain = hmc_draw(chain, prob, g, 1.9, L, rng)
-            assert calls == {"grad": L, "value": 1}
+            assert calls == {"grad": L + 1, "value": 2}
         assert 0 < chain.accepted < chain.steps   # both branches were taken
 
     def test_fused_calls_per_draw(self, counting_problem):
@@ -530,29 +526,14 @@ class TestHmcTransition:
         prob, calls = counting_problem(base)
         plain, _ = counting_problem(base, fused=False)
         rng, plain_rng = np.random.default_rng(12), np.random.default_rng(12)
-        chain = hmc_draw(ChainState.start(np.ones(4)), prob, g, 1.9, L, rng)
-        ref = hmc_draw(ChainState.start(np.ones(4)), plain, g, 1.9, L, plain_rng)
-        assert calls == {"value_and_grad": 2, "grad": L - 1}
-        for _ in range(40):
+        chain = ref = ChainState.start(np.ones(4))
+        for _ in range(41):
             calls.clear()
             chain = hmc_draw(chain, prob, g, 1.9, L, rng)
             ref = hmc_draw(ref, plain, g, 1.9, L, plain_rng)
-            assert calls == {"value_and_grad": 1, "grad": L - 1}
+            assert calls == {"value_and_grad": 2, "grad": L - 1}
             assert_same_chain(chain, ref)
         assert 0 < chain.accepted < chain.steps
-
-    @pytest.mark.parametrize("case", ["banana", "rejections", "divergent-flights"])
-    def test_cache_holds_value_and_gradient_at_position(self, case):
-        prob, dt, L, jitter, q0 = _HMC_CASES[case]
-        g = KineticMetric.identity(prob.dim)
-        rng = np.random.default_rng(13)
-        chain = ChainState.start(q0)
-        assert chain.potential is None and chain.grad is None
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(60):
-                chain = hmc_draw(chain, prob, g, dt, L, rng, jitter=jitter)
-                assert chain.potential == prob.value(chain.x.q)
-                assert np.array_equal(chain.grad, prob.grad(chain.x.q))
 
     def test_dimension_mismatch(self):
         chain = ChainState.start(np.zeros(2))
@@ -567,10 +548,6 @@ class TestHmcTransition:
         with pytest.raises(DomainError, match="L must be"):
             hmc_draw(ChainState.start(np.zeros(1)), problems.quadratic(1),
                      KineticMetric.identity(1), 0.1, 0, np.random.default_rng(0))
-
-    def test_cache_fields_come_together(self):
-        with pytest.raises(DomainError):
-            ChainState(PhasePoint([0.0], [0.0]), potential=0.0)
 
 
 class TestLangevin:

@@ -203,7 +203,7 @@ def _run_steps(x, advance, extra, t0, dt, num_steps, f_star,
     x[3], and `extra(x)` is the fifth column.  Records step 0, every
     `record_every`-th, the last and any stopping step; stops on `too_far(x)`
     or a gap below `target_gap`.  A step's DivergenceError is re-raised with
-    its index.
+    its index, and so is an OverflowError (math.exp, say) as one.
     """
     watch_gap = target_gap is not None and f_star is not None
     rows = [(0, t0, x[3], extra(x))]
@@ -213,6 +213,8 @@ def _run_steps(x, advance, extra, t0, dt, num_steps, f_star,
             x = advance(x, t0 + (k - 1) * dt)
         except DivergenceError as exc:
             raise DivergenceError(str(exc), step=k) from None
+        except OverflowError as exc:
+            raise DivergenceError(f"overflow in step: {exc}", step=k) from exc
         diverged = too_far is not None and too_far(x)
         reached = watch_gap and x[3] - f_star < target_gap
         if diverged or reached or k % record_every == 0 or k == num_steps:

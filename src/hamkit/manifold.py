@@ -5,6 +5,9 @@ terms across steps: f, the half kicks (dt/2) skew(Q^T grad f) and (dt/2) grad f,
 ||Q^T Q - I|| (formed once per step, to check the group and to record it),
 and RATTLE's J, factor of R_g and residual that ended the Newton solve.
 
+An SO(n) step keeps P exactly skew with no momentum map (`lie_group_step`),
+and a RATTLE step that runs no Newton iteration takes no multiplier kick.
+
 Only this module uses scipy, and `_linalg` imports it on first use, so that
 `import hamkit` and the flat code never load it.  Every dense factorisation
 here goes through scipy's LAPACK, the library `expm` uses: the trace
@@ -16,6 +19,7 @@ unpinned, an SO(50) run reads about a quarter slower that way.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,8 +47,10 @@ ORTHO_TOL = 1e-8
 SKEW_TOL = 1e-10
 
 
+@functools.cache
 def _linalg():
-    """scipy.linalg, imported on first call; look its routines up at each use.
+    """scipy.linalg, imported on first call; look its routines up at each use
+    (so that one patched by name on the module is the one called).
 
     Every LAPACK call of this module comes from here, none from np.linalg, so
     that no factorisation wakes numpy's OpenBLAS thread pool beside scipy's
@@ -60,7 +66,7 @@ def skew_part(m):
 
 @dataclass(frozen=True)
 class MatrixGroupState:
-    """Group element Q in SO(n) paired with algebra element P (skew)."""
+    """Q in SO(n) paired with P in so(n), held as skew_part(P): exactly skew."""
 
     Q: np.ndarray
     P: np.ndarray
@@ -68,14 +74,17 @@ class MatrixGroupState:
     def __post_init__(self):
         # frozen copies: the caller's arrays stay writeable
         Q = np.array(self.Q, float)
-        P = np.array(self.P, float)
+        P = np.asarray(self.P, float)
         if Q.shape != P.shape or Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise DomainError("Q and P must be square matrices of equal shape")
+        skew = skew_part(P)   # non-finite for a P whose P - P^T overflows
+        if not (_all_finite(Q) and _all_finite(skew)):
+            raise DomainError("Q and P must have finite entries")
         _group_defect(Q, P)
         Q.flags.writeable = False
-        P.flags.writeable = False
+        skew.flags.writeable = False
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "P", skew)
 
     def orthogonality_defect(self):
         """||Q^T Q - I||_F."""
@@ -90,10 +99,10 @@ def _group_defect(Q, P):
     qtq = Q.T @ Q
     qtq.flat[::Q.shape[0] + 1] -= 1.0   # Q^T Q - I, without forming I
     defect = float(np.linalg.norm(qtq))
-    if defect > ORTHO_TOL:
+    if not defect <= ORTHO_TOL:   # NaN fails too
         raise GeometryError(f"Q is not orthogonal: ||Q^T Q - I||_F = {defect:.3e}")
     skew_defect = np.linalg.norm(P + P.T)
-    if skew_defect > SKEW_TOL:
+    if not skew_defect <= SKEW_TOL:
         raise GeometryError(f"P is not skew: ||P + P^T||_F = {skew_defect:.3e}")
     return defect
 
@@ -127,7 +136,8 @@ def trace_objective(C):
 
 def _lie_stepper(dt, g_scalar, sched, prob):
     """`lie_group_step` on raw arrays, built once per run: returns
-    step(Q, P, half kick or None, t_k); see `_conformal_step`."""
+    step(Q, P, half kick or None, t_k); see `_conformal_step`.  P must be
+    exactly skew (P == -P^T); the step keeps it so without a momentum map."""
     if not g_scalar > 0:
         raise DomainError("g_scalar must be positive")
 
@@ -138,15 +148,15 @@ def _lie_stepper(dt, g_scalar, sched, prob):
         return Q @ _linalg().expm((h / g_scalar) * P), P
 
     return lambda Q, P, half_kick, t_k: _conformal_step(
-        Q, P, half_kick, t_k, dt, sched, kick, drift, lambda Q, P: skew_part(P))
+        Q, P, half_kick, t_k, dt, sched, kick, drift)
 
 
 def lie_group_step(st, t_k, dt, g_scalar, sched, prob):
     """One damped leapfrog step on SO(n) with exact exponential update.
 
-    The kick is the trivialised gradient skew(Q^T df/dQ), the drift is
-    Q exp((dt cosh(De) / g_scalar) P_{k+1/2}) and the momentum map is
-    skew_part.
+    The kick is the trivialised gradient skew(Q^T df/dQ) and the drift is
+    Q exp((dt cosh(De) / g_scalar) P_{k+1/2}).  No momentum map: IEEE rounding
+    is sign-symmetric, so the half kicks keep an exactly skew P exactly skew.
     """
     Q, P, _ = _lie_stepper(dt, g_scalar, sched, prob)(st.Q, st.P, None, t_k)
     return MatrixGroupState(Q, P)
@@ -239,7 +249,8 @@ def _rattle_step(q, p, half_kick, jac, factor, t_k, dt, g, sched, prob, cons):
     J, factor) at the new position, the multipliers and the sup norm of
     psi(q_{k+1}) that ended the Newton solve.  The Newton system is formed
     only when the unconstrained drift leaves the constraint (psi beyond
-    newton_tol); otherwise lambda = 0."""
+    newton_tol); otherwise lambda = 0, with no multiplier kick.  A non-finite
+    psi after the drift raises ConstraintSolveError."""
     lam, residual, q_k = np.zeros(cons.m), 0.0, q
 
     def drift(q, p_half, h, decay):
@@ -247,25 +258,29 @@ def _rattle_step(q, p, half_kick, jac, factor, t_k, dt, g, sched, prob, cons):
         base_q = q_new = q + h * g.inv_mul(p_half)
         res = cons.value(q_new)
         residual = _sup_norm(res)
-        if residual > cons.newton_tol:
-            # q(lambda) = base_q - kick_mat @ lambda
-            kick_mat = h * (0.5 * dt * decay) * g.g_inv.dot(jac.T)
-            newton_mat = jac.dot(kick_mat)   # frozen-Jacobian (quasi-)Newton
-            for _ in range(cons.newton_max_iter):
-                _, _, dlam, info = _linalg().lapack.dgesv(newton_mat, res)
-                if info != 0:
-                    raise GeometryError("singular Newton system in RATTLE "
-                                        "constraint solve")
-                lam = lam + dlam
-                q_new = base_q - kick_mat.dot(lam)
-                res = cons.value(q_new)
-                residual = _sup_norm(res)
-                if residual <= cons.newton_tol:
-                    break
-            else:
-                raise ConstraintSolveError(
-                    f"Newton iteration did not reach tol {cons.newton_tol} in "
-                    f"{cons.newton_max_iter} iterations", residual=residual)
+        if residual <= cons.newton_tol:
+            return q_new, p_half
+        if not math.isfinite(residual):
+            raise ConstraintSolveError(f"non-finite constraint value after the "
+                                       f"drift: {residual}", residual=residual)
+        # q(lambda) = base_q - kick_mat @ lambda
+        kick_mat = h * (0.5 * dt * decay) * g.g_inv.dot(jac.T)
+        newton_mat = jac.dot(kick_mat)   # frozen-Jacobian (quasi-)Newton
+        for _ in range(cons.newton_max_iter):
+            _, _, dlam, info = _linalg().lapack.dgesv(newton_mat, res)
+            if info != 0:
+                raise GeometryError("singular Newton system in RATTLE "
+                                    "constraint solve")
+            lam = lam + dlam
+            q_new = base_q - kick_mat.dot(lam)
+            res = cons.value(q_new)
+            residual = _sup_norm(res)
+            if residual <= cons.newton_tol:
+                break
+        else:
+            raise ConstraintSolveError(
+                f"Newton iteration did not reach tol {cons.newton_tol} in "
+                f"{cons.newton_max_iter} iterations", residual=residual)
         return q_new, p_half - 0.5 * dt * decay * jac.T.dot(lam)
 
     def project(q, p):   # called at q_k, then at the new position
@@ -284,8 +299,9 @@ def rattle_step(x, t_k, dt, g, sched, prob, cons):
 
     The position update, the multiplier kick and the constraint equations are
     solved simultaneously: Newton iteration on lambda until
-    psi(q_{k+1}(lambda)) = 0 within cons.newton_tol.  The momentum map is
-    project_momentum.  `cons` holds at least one constraint.
+    psi(q_{k+1}(lambda)) = 0 within cons.newton_tol; a drift within it takes
+    lambda = 0 and no kick.  The momentum map is project_momentum.  `cons`
+    holds at least one constraint.
     """
     q, p, _, _, _, lam, _ = _rattle_step(x.q, x.p, None, None, None, t_k, dt,
                                          g, sched, prob, cons)

@@ -315,6 +315,23 @@ class TestRunOptimizer:
                 pytest.raises(HamkitError):
             run_optimizer(cfg, prob)
 
+    @pytest.mark.parametrize("grad", [
+        lambda q: 2.0 * q * np.exp(q.dot(q)),   # inf where f overflows
+        lambda q: 2.0 * q,                      # finite where f overflows
+    ], ids=["inf-grad", "finite-grad"])
+    def test_value_overflow_error_becomes_divergence(self, grad):
+        # the first drift lands at q = 30, where math.exp(q . q) raises
+        # OverflowError; the run re-raises it as the step's DivergenceError
+        prob = Problem(1, value=lambda q: math.exp(q.dot(q)), grad=grad)
+        cfg = make_cfg(prob, 0.1, 10, DampingSchedule.zero(), np.array([0.0]),
+                       np.array([300.0]), metric=KineticMetric.identity(1),
+                       divergence_threshold=math.inf)
+        with np.errstate(over="ignore"), \
+                pytest.raises(DivergenceError, match="overflow") as exc_info:
+            run_optimizer(cfg, prob)
+        assert exc_info.value.step == 1
+        assert isinstance(exc_info.value.__cause__, OverflowError)
+
     def test_cosh_overflow_raises_divergence(self):
         # gamma dt / 2 = 5000 > 710: cosh(De) leaves the float range
         prob = problems.quadratic(1)

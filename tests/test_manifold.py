@@ -29,7 +29,9 @@ from hamkit import (
 )
 from hamkit.core import Problem
 from hamkit.errors import DomainError
-from helpers import constant_problem
+from hamkit.manifold import _group_defect, _lie_stepper
+from helpers import (constant_problem, lie_step_with_skew_map,
+                     rattle_step_always_kicking)
 
 
 def random_skew(n, rng):
@@ -43,6 +45,35 @@ class TestMatrixGroupState:
             MatrixGroupState(2.0 * np.eye(3), np.zeros((3, 3)))
         with pytest.raises(GeometryError):
             MatrixGroupState(np.eye(3), np.eye(3))  # not skew
+
+    @pytest.mark.parametrize("q, p", [
+        (np.full((3, 3), np.nan), np.zeros((3, 3))),
+        (np.eye(3), np.full((3, 3), np.nan)),
+        (np.diag([np.inf, 1.0, 1.0]), np.zeros((3, 3))),
+        (np.eye(2), [[0.0, -1e308], [1e308, 0.0]]),   # skew_part(P) is inf
+    ], ids=["nan-Q", "nan-P", "inf-Q", "overflowing-P"])
+    def test_non_finite_refused(self, q, p):
+        with np.errstate(over="ignore"), \
+                pytest.raises(DomainError, match="finite"):
+            MatrixGroupState(q, p)
+
+    @pytest.mark.parametrize("which, match", [("Q", "orthogonal"),
+                                              ("P", "skew")])
+    def test_group_defect_refuses_nan(self, which, match):
+        q, p = np.eye(3), np.zeros((3, 3))
+        (q if which == "Q" else p)[0, 1] = np.nan
+        with pytest.raises(GeometryError, match=match):
+            _group_defect(q, p)
+
+    def test_holds_the_skew_part(self):
+        # a P within SKEW_TOL of skew is stored as skew_part(P), exactly skew
+        rng = np.random.default_rng(0)
+        sym = rng.standard_normal((4, 4))
+        p = random_skew(4, rng) + 1e-12 * (sym + sym.T)
+        st = MatrixGroupState(np.eye(4), p)
+        assert not np.array_equal(p, -p.T)
+        assert np.array_equal(st.P, skew_part(p))
+        assert np.array_equal(st.P, -st.P.T)
 
     def test_flip(self):
         rng = np.random.default_rng(0)
@@ -176,25 +207,84 @@ class TestLieGroupStep:
             flights.append(st)
         st = st.flip_momentum()
         # Rounding only: with zero damping the step is reversible.  A step
-        # rounds an entry at most 17n + 16 times: n in each of the two
-        # products Q^T C^T, 2 in each of the four skew parts, 4 in each half
-        # kick, and for the drift Q expm(dt P) a Pade expm of fewer than 12
-        # products of n x n matrices (12n) and one LU solve (2n), then n in
-        # the product by Q.  Each time it errs by at most u M, M bounding an
-        # entry of Q (orthogonal, so <= 1), of P and of (dt/2) skew(Q^T C^T)
-        # (<= dt/2); over the n^2 entries a step errs by n (17n + 16) u M
-        # (Frobenius norm).  A later step amplifies an error at most by
-        # (1 + (dt/2) ||C||_2)^2 (1 + dt): a half kick is (dt/2) ||C||_2-
-        # Lipschitz in Q, the drift dt-Lipschitz in P (the derivative of expm
-        # at a skew matrix has norm <= 1) and 1-Lipschitz in Q, and skew_part
-        # is a projection.  The flip is an isometry, so the round trip errs by
-        # at most 2 * steps such errors, each amplified 2 * steps times.
+        # rounds an entry at most 17n + 12 times: n in each of the two
+        # products Q^T C^T, 2 in each of the two skew parts (the kicks'; P
+        # stays exactly skew without one), 4 in each half kick, and for the
+        # drift Q expm(dt P) a Pade expm of fewer than 12 products of n x n
+        # matrices (12n) and one LU solve (2n), then n in the product by Q.
+        # The bound keeps 17n + 16, the count when the step also took the
+        # skew part of each momentum.  Each time it errs by at most u M, M
+        # bounding an entry of Q (orthogonal, so <= 1), of P and of
+        # (dt/2) skew(Q^T C^T) (<= dt/2); over the n^2 entries a step errs by
+        # n (17n + 16) u M (Frobenius norm).  A later step amplifies an error
+        # at most by (1 + (dt/2) ||C||_2)^2 (1 + dt): a half kick is
+        # (dt/2) ||C||_2-Lipschitz in Q, the drift dt-Lipschitz in P (the
+        # derivative of expm at a skew matrix has norm <= 1) and 1-Lipschitz
+        # in Q, and skew_part is a projection.  The flip is an isometry, so
+        # the round trip errs by at most 2 * steps such errors, each
+        # amplified 2 * steps times.
         m = max(1.0 + np.abs(s.P).max() + 0.5 * dt for s in flights)
         eps = n * (17 * n + 16) * u * m
         lip = (1.0 + 0.5 * dt) ** 2 * (1.0 + dt)
         bound = 2 * steps * eps * lip ** (2 * steps)
         assert np.linalg.norm(st.Q - st0.Q) <= bound
         assert np.linalg.norm(st.P - st0.P) <= bound
+
+    SCHEDULES = {"zero": DampingSchedule.zero(),
+                 "constant": DampingSchedule.constant(0.7),
+                 "vanishing": DampingSchedule.vanishing(3.0, 1.0)}
+
+    @given(hst.integers(2, 8), hst.integers(0, 2**32 - 1),
+           hst.floats(0.0, 10.0), hst.sampled_from(sorted(SCHEDULES)),
+           hst.floats(0.01, 0.3), hst.floats(0.05, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_steps_stay_skew_without_a_momentum_map(self, n, seed, scale, kind,
+                                                    dt, g_scalar):
+        # P - (dt/2) K and exp(-De) P - (dt/2) K are exactly skew when P and
+        # K are, so the step equals one that projects them with skew_part.
+        # np.array_equal treats -0.0 and 0.0 as equal: these checks do not
+        # see the sign of a zero.
+        rng = np.random.default_rng(seed)
+        prob = trace_objective(rng.standard_normal((n, n)))
+        sched = self.SCHEDULES[kind]
+        Q = scipy.linalg.expm(random_skew(n, rng))
+        P = scale * skew_part(rng.standard_normal((n, n)))
+        step, half_kick, t = _lie_stepper(dt, g_scalar, sched, prob), None, \
+            sched.start_time()
+        for _ in range(5):
+            Q_ref, P_ref = lie_step_with_skew_map(Q, P, t, dt, g_scalar, sched,
+                                                  prob)
+            Q, P, half_kick = step(Q, P, half_kick, t)
+            assert np.array_equal(P, -P.T)
+            assert np.array_equal(Q, Q_ref) and np.array_equal(P, P_ref)
+            t += dt
+
+    def test_each_step_calls_expm_once_through_scipy_linalg(self, count_calls):
+        # `_linalg` caches the module and looks `expm` up at each call, so a
+        # wrapper set on scipy.linalg by name (as perfbench's tracer does)
+        # after the first step still sees every later one
+        rng = np.random.default_rng(8)
+        prob, sched = trace_objective(rng.standard_normal((4, 4))), \
+            DampingSchedule.constant(1.0)
+        st = MatrixGroupState(np.eye(4), random_skew(4, rng))
+        st = lie_group_step(st, 0.0, 0.05, 0.05, sched, prob)
+        calls = count_calls(scipy.linalg, "expm")
+        for k in range(1, 4):
+            st = lie_group_step(st, 0.05 * k, 0.05, 0.05, sched, prob)
+            assert len(calls) == k
+        run_lie_optimizer(st, prob, 0.05, 0.05, sched, 5)
+        assert len(calls) == 3 + 5
+
+    def test_value_overflow_error_becomes_divergence(self):
+        # a half turn in the first step takes Q[0, 0] from 1 to -1, where
+        # math.exp raises OverflowError; the run ends in DivergenceError
+        prob = Problem(4, value=lambda Q: math.exp(800.0 * (1.0 - Q[0, 0])),
+                       grad=lambda Q: np.zeros((2, 2)))
+        st = MatrixGroupState(np.eye(2), [[0.0, -math.pi], [math.pi, 0.0]])
+        with pytest.raises(DivergenceError, match="overflow") as exc_info:
+            run_lie_optimizer(st, prob, 1.0, 1.0, DampingSchedule.zero(), 3)
+        assert exc_info.value.step == 1
+        assert isinstance(exc_info.value.__cause__, OverflowError)
 
     def test_underdamped_beats_overdamped(self):
         rng = np.random.default_rng(9)
@@ -401,6 +491,53 @@ class TestRattle:
                              jacobian=lambda q: 2.0 * q[None, :])
         with pytest.raises(DomainError, match=r"\(1,\).*\(2,\)"):
             rattle_step(x, *args, cons)
+
+    def test_non_finite_constraint_value_raises(self):
+        # psi(q) = sqrt(1.2 - |q|^2) - sqrt(0.2) is NaN once |q|^2 > 1.2,
+        # where the first drift from e1 lands; NaN must not pass as within tol
+        c = np.array([1.0, 0.3, -0.2])
+        prob = Problem(3, value=lambda q: float(c @ q), grad=lambda q: c)
+        cons = ConstraintSet(
+            1, value=lambda q: np.sqrt(1.2 - q @ q) - math.sqrt(0.2),
+            jacobian=lambda q: -q[None, :] / np.sqrt(1.2 - q @ q))
+        x = PhasePoint(np.array([1.0, 0.0, 0.0]), np.zeros(3))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ConstraintSolveError, match="non-finite") as exc:
+            run_rattle_optimizer(x, prob, 0.5,
+                                 KineticMetric.scaled_identity(3, 0.05),
+                                 DampingSchedule.constant(0.1), cons, 50)
+        assert math.isnan(exc.value.residual)
+
+    @given(hst.integers(0, 2**32 - 1), hst.booleans(),
+           hst.sampled_from(sorted(TestLieGroupStep.SCHEDULES)))
+    @settings(max_examples=30, deadline=None)
+    def test_step_equals_an_always_kicking_reference(self, seed, newton, kind):
+        # with no Newton iteration (lambda = 0) the drift applies no
+        # multiplier kick; with one it is unchanged.  np.array_equal treats
+        # -0.0 and 0.0 as equal: these checks do not see the sign of a zero.
+        rng = np.random.default_rng(seed)
+        q0 = rng.standard_normal(3)
+        q0 /= np.linalg.norm(q0)
+        c = rng.uniform(-1.0, 1.0, 3)
+        prob = Problem(3, value=lambda q: float(c @ q), grad=lambda q: c)
+        v = rng.standard_normal(3)
+        v -= (v @ q0) * q0
+        # a drift of dt |p| <= 1e-6 leaves psi at about (dt |p|)^2 <= 1e-12,
+        # within tol, over 10 steps in which the force adds at most 2e-3 to
+        # |p|; one of dt |p| >= 1e-3 needs a Newton solve
+        dt, speed = (0.05, rng.uniform(0.02, 1.0)) if newton else (1e-4, 1e-3)
+        g, sched, cons = (KineticMetric.identity(3),
+                          TestLieGroupStep.SCHEDULES[kind], sphere_constraint())
+        x = PhasePoint(q0, speed * v / np.linalg.norm(v))
+        t = sched.start_time()
+        for _ in range(10):
+            y, lam = rattle_step(x, t, dt, g, sched, prob, cons)
+            y_ref, lam_ref = rattle_step_always_kicking(x, t, dt, g, sched,
+                                                        prob, cons)
+            assert np.any(lam != 0.0) == newton
+            assert np.array_equal(y.q, y_ref.q) and np.array_equal(y.p, y_ref.p)
+            assert np.array_equal(lam, lam_ref)
+            x, t = y, t + dt
 
     @given(hst.integers(0, 2**32 - 1), hst.booleans())
     @settings(max_examples=20, deadline=None)

@@ -43,12 +43,11 @@ __all__ = [
     "reevaluate",
 ]
 
-# Every run draws from numpy.random and takes np.median, which loads numpy.ma.
-# numpy imports both on first use; load them with the harness, so that their
-# import counts as set-up, not as a run.  A manifold config loads
-# `manifold._linalg` for the same reason.
+# Every run draws from numpy.random, which numpy imports on first use; load it
+# with the harness, so that its import counts as set-up, not as a run.  A
+# manifold config loads `manifold._linalg` for the same reason.  np.median and
+# np.percentile would load numpy.ma, which no run needs: see _median.
 importlib.import_module("numpy.random")
-importlib.import_module("numpy.ma")
 
 
 class _Key:
@@ -240,7 +239,36 @@ def _zscore(vals):
     return abs(float(np.mean(vals))) / se if se > 0 else math.inf
 
 
-_AGGS = {"median": np.median, "min": np.min, "max": np.max, "mean": np.mean,
+def _median(vals):
+    """np.median(vals) of a 1-d float array, bit for bit, without the numpy.ma
+    import np.median makes: numpy's partition at numpy's indices (which of
+    0.0 and -0.0 lands where), then numpy's mean of the middle one or two
+    values (a sum from +0.0), or the NaN when there is one."""
+    n, h = len(vals), len(vals) // 2
+    part = np.partition(vals, [h, -1] if n % 2 else [h - 1, h, -1]).tolist()
+    if math.isnan(part[-1]):
+        return part[-1]
+    return 0.0 + part[h] if n % 2 else (0.0 + part[h - 1] + part[h]) / 2.0
+
+
+def _quartiles(vals):
+    """np.percentile(vals, [25, 75]) likewise: numpy's "linear" lerp at the
+    virtual index (n - 1) q.  At or past the last index both neighbours are
+    the last value and the weight is the index + 1, so a lone +-inf gives NaN."""
+    n, spots = len(vals), []   # (previous index, next index, weight) each
+    for v in ((n - 1) * 0.25, (n - 1) * 0.75):
+        i = -1 if v >= n - 1 else math.floor(v)
+        spots.append((i, -1 if i == -1 else i + 1, v - i))
+    part = np.partition(vals, sorted({0, -1, *(k for s in spots for k in s[:2])}))
+    part = part.tolist()
+    if math.isnan(part[-1]):
+        return part[-1], part[-1]
+    ends = [(part[i], part[j], t) for i, j, t in spots]
+    return tuple(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+                 for a, b, t in ends)
+
+
+_AGGS = {"median": _median, "min": np.min, "max": np.max, "mean": np.mean,
          "zscore": _zscore}
 _OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
         ">": operator.gt, "in": lambda value, thr: thr[0] <= value <= thr[1]}
@@ -332,8 +360,8 @@ class Report:
         agg = {}
         for k in keys:
             vals = np.asarray([rep[k] for rep in self.per_rep if k in rep], float)
-            q25, q75 = np.percentile(vals, [25, 75])
-            agg[k] = {"median": float(np.median(vals)), "iqr": float(q75 - q25)}
+            q25, q75 = _quartiles(vals)
+            agg[k] = {"median": _median(vals), "iqr": q75 - q25}
         return agg
 
     def to_dict(self):

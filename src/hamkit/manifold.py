@@ -6,7 +6,8 @@ terms across steps: f, the half kicks (dt/2) skew(Q^T grad f) and (dt/2) grad f,
 and RATTLE's J, factor of R_g and residual that ended the Newton solve.
 
 An SO(n) step keeps P exactly skew with no momentum map (`lie_group_step`),
-and a RATTLE step that runs no Newton iteration takes no multiplier kick.
+so only building a `MatrixGroupState` checks skewness, and a RATTLE step
+that runs no Newton iteration takes no multiplier kick.
 
 Only this module uses scipy, and `_linalg` imports it on first use, so that
 `import hamkit` and the flat code never load it.  Every dense factorisation
@@ -80,7 +81,8 @@ class MatrixGroupState:
         skew = skew_part(P)   # non-finite for a P whose P - P^T overflows
         if not (_all_finite(Q) and _all_finite(skew)):
             raise DomainError("Q and P must have finite entries")
-        _group_defect(Q, P)
+        _group_defect(Q)
+        _check_skew(P)   # the only skew check: every step keeps P exactly skew
         Q.flags.writeable = False
         skew.flags.writeable = False
         object.__setattr__(self, "Q", Q)
@@ -88,23 +90,27 @@ class MatrixGroupState:
 
     def orthogonality_defect(self):
         """||Q^T Q - I||_F."""
-        return _group_defect(self.Q, self.P)
+        return _group_defect(self.Q)
 
     def flip_momentum(self):
         return MatrixGroupState(self.Q, -self.P)
 
 
-def _group_defect(Q, P):
-    """||Q^T Q - I||_F; GeometryError beyond ORTHO_TOL, or P not skew."""
+def _group_defect(Q):
+    """||Q^T Q - I||_F; GeometryError beyond ORTHO_TOL."""
     qtq = Q.T @ Q
     qtq.flat[::Q.shape[0] + 1] -= 1.0   # Q^T Q - I, without forming I
     defect = float(np.linalg.norm(qtq))
     if not defect <= ORTHO_TOL:   # NaN fails too
         raise GeometryError(f"Q is not orthogonal: ||Q^T Q - I||_F = {defect:.3e}")
-    skew_defect = np.linalg.norm(P + P.T)
-    if not skew_defect <= SKEW_TOL:
-        raise GeometryError(f"P is not skew: ||P + P^T||_F = {skew_defect:.3e}")
     return defect
+
+
+def _check_skew(P):
+    """GeometryError unless ||P + P^T||_F <= SKEW_TOL."""
+    defect = np.linalg.norm(P + P.T)
+    if not defect <= SKEW_TOL:   # NaN fails too
+        raise GeometryError(f"P is not skew: ||P + P^T||_F = {defect:.3e}")
 
 
 def so_trace_minimum(C):
@@ -316,8 +322,7 @@ def run_lie_optimizer(st, prob, dt, g_scalar, sched, num_steps,
     # x = (Q, P, half kick or None, f(Q), ||Q^T Q - I||_F)
     def advance(x, t_k):
         Q, P, half_kick = step(*x[:3], t_k)
-        defect = _group_defect(Q, P)
-        return Q, P, half_kick, prob.value(Q), defect
+        return Q, P, half_kick, prob.value(Q), _group_defect(Q)
 
     traj, (Q, P, *_) = _run_steps(
         (st.Q, st.P, None, prob.value(st.Q), st.orthogonality_defect()),

@@ -31,6 +31,9 @@ n = 50 (its SVD) followed by a 100-step `run_lie_optimizer`, the sequence
 manifold_so_rattle repeats.  Run it with the BLAS threads unpinned (no
 OPENBLAS_NUM_THREADS): there a LAPACK call from numpy's OpenBLAS would
 leave its worker threads contending with the expm calls of scipy's.
+`test_report_aggregates` times what every run's report takes last: the
+median/IQR aggregates and a "median" verdict per metric of a 5-rep,
+15-metric report.
 """
 import numpy as np
 
@@ -59,6 +62,7 @@ from hamkit import (
     sphere_constraint,
     trace_objective,
 )
+from hamkit.bench import Report, _evaluate_verdicts
 from hamkit.samplers import _hmc_transition
 
 
@@ -160,3 +164,17 @@ def test_svd_then_lie_run(benchmark):
 
     traj, _ = benchmark(svd_then_run)
     assert len(traj) == 101
+
+
+
+def test_report_aggregates(benchmark):
+    # 5 reps of 15 metrics (rep, m0..m13) and a "median" verdict on each mK
+    rng = np.random.default_rng(0)
+    report = Report("optimize", [{"rep": i, **{f"m{k}": float(x) for k, x in
+                                               enumerate(rng.standard_normal(14))}}
+                                 for i in range(5)], [])
+    specs = [{"metric": f"m{k}", "agg": "median", "op": "<=",
+              "threshold": 10.0} for k in range(14)]
+    agg, verdicts = benchmark(lambda: (report.aggregates(),
+                                       _evaluate_verdicts(specs, report.per_rep)))
+    assert len(agg) == 15 and all(v["pass"] for v in verdicts)

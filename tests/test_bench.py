@@ -5,9 +5,12 @@ import math
 import os
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamkit import bench
 from hamkit.bench import ExperimentConfig, Report, reevaluate, run_experiment
@@ -33,6 +36,38 @@ def base_optimize_params():
             {"metric": "r2", "agg": "min", "op": ">=", "threshold": 0.99},
         ],
     }
+
+
+def bits(x):
+    """The IEEE-754 bits of float x, with every NaN the same."""
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+def numpy_aggregates(vals):
+    """np.median and np.percentile(.., [25, 75]) of vals, as Python floats."""
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf warns
+        return float(np.median(vals)), np.percentile(vals, [25, 75]).tolist()
+
+
+_MAGNITUDES = st.floats(1e-300, 1e300)
+_VALUES = st.lists(_MAGNITUDES | _MAGNITUDES.map(lambda x: -x)
+                   | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                   min_size=1, max_size=12)
+
+
+class TestAggregateHelpers:
+    @settings(max_examples=1000, deadline=None)
+    @given(_VALUES)
+    @example([-2.0, -2.0, -0.0, -0.0, 0.0, -2.0])   # a sorted copy: -0.0
+    @example([-0.0])                                  # numpy's mean: 0.0
+    @example([math.inf])                              # both quartiles NaN
+    @example([1.0, math.nan, -math.inf])
+    def test_median_and_quartiles_are_numpys_bits(self, values):
+        vals = np.array(values)
+        median, quartiles = numpy_aggregates(vals)
+        assert bits(bench._median(vals)) == bits(median)
+        assert list(map(bits, bench._quartiles(vals))) == list(map(bits, quartiles))
+        assert list(map(bits, vals.tolist())) == list(map(bits, values))
 
 
 class TestExperimentConfig:
@@ -237,11 +272,25 @@ class TestOptimizeExperiment:
         assert body["passed"] is True
 
     def test_aggregates_present(self, tmp_path):
-        cfg = ExperimentConfig("optimize", base_optimize_params(),
-                               seed=1, out_dir=str(tmp_path), reps=2)
-        agg = run_experiment(cfg).aggregates()
+        # no x0: each rep starts elsewhere, so the reps' metrics differ and the
+        # median and quartiles interpolate between them
+        params = base_optimize_params()
+        del params["x0"]
+        cfg = ExperimentConfig("optimize", params, seed=1,
+                               out_dir=str(tmp_path), reps=4)
+        report = run_experiment(cfg)
+        agg = report.aggregates()
         assert "rate" in agg
-        assert set(agg["rate"]) == {"median", "iqr"}
+        assert agg["final_gap"]["iqr"] > 0
+        for key, got in agg.items():
+            median, (q25, q75) = numpy_aggregates(
+                np.array([rep[key] for rep in report.per_rep]))
+            assert set(got) == {"median", "iqr"}
+            assert bits(got["median"]) == bits(median), key
+            assert bits(got["iqr"]) == bits(q75 - q25), key
+        rate = report.verdicts[0]
+        assert (rate["metric"], rate["agg"]) == ("rate", "median")
+        assert bits(rate["value"]) == bits(agg["rate"]["median"])
 
     def test_power_law_fit_from_time_zero_is_a_note(self, tmp_path):
         # a constant schedule records t = 0; a power-law fit over it used to

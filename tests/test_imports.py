@@ -3,6 +3,9 @@
 `import hamkit` and `import hamkit.cli` load no scipy module: only the
 manifold experiment needs scipy.linalg, and a manifold config loads it when
 the config loads, so that its cost lands in set-up and not in the run.
+A flat run (optimize, sample, discrepancy) loads no numpy.ma either: the
+report's median and quartiles are numpy's values, computed without
+np.median and np.percentile, which import it.
 perfbench's tracer (perfbench/tracing.py) wraps names in the package from
 the outside; the manifold names it patches on `hamkit.bench` must still be
 found and must still be the ones a manifold run calls.
@@ -28,6 +31,24 @@ def run_python(code, cwd):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+# small runs of each flat experiment, so that no code on their path imports
+# a module inside a function unnoticed
+FLAT_RUNS = [
+    ("optimize", {"problem": {"name": "quadratic"},
+                  "method": "dissipative_leapfrog",
+                  "schedule": {"kind": "vanishing"}, "step": 0.05,
+                  "num_steps": 200, "fit": {"model": "power_law"}}),
+    ("sample", {"target": {"name": "gaussian", "dim": 2,
+                           "ksd_curve": {"n_points": [20, 40]}},
+                "sampler": {"kind": "hmc", "step": 0.2, "n_leapfrog": 3,
+                            "n_draws": 50}}),
+    ("discrepancy", {"tasks": [
+        {"kind": "sm_ngd", "n_samples": 20, "dim": 2, "n_iter": 3},
+        {"kind": "mmd_ustat_zero", "n": 10, "n_outer": 3},
+        {"kind": "ksd_mismatch", "m": 20}]}),
+]
+
+
 def test_only_a_manifold_config_loads_scipy(tmp_path):
     seen = run_python(f"""
         import json, sys
@@ -42,21 +63,7 @@ def test_only_a_manifold_config_loads_scipy(tmp_path):
         for name in ("optimize_quartic", "sample_hmc_chains", "discrepancy_gram"):
             ExperimentConfig.load(f"{WORKLOADS}/{{name}}.json")
             seen[name] = scipy_modules()
-        # small runs of each flat experiment, so that no code on their path
-        # imports scipy inside a function either
-        for experiment, params in [
-                ("optimize", {{"problem": {{"name": "quadratic"}},
-                              "method": "dissipative_leapfrog",
-                              "schedule": {{"kind": "vanishing"}}, "step": 0.05,
-                              "num_steps": 200, "fit": {{"model": "power_law"}}}}),
-                ("sample", {{"target": {{"name": "gaussian", "dim": 2,
-                                        "ksd_curve": {{"n_points": [20, 40]}}}},
-                            "sampler": {{"kind": "hmc", "step": 0.2,
-                                        "n_leapfrog": 3, "n_draws": 50}}}}),
-                ("discrepancy", {{"tasks": [
-                    {{"kind": "sm_ngd", "n_samples": 20, "dim": 2, "n_iter": 3}},
-                    {{"kind": "mmd_ustat_zero", "n": 10, "n_outer": 3}},
-                    {{"kind": "ksd_mismatch", "m": 20}}]}})]:
+        for experiment, params in json.loads({json.dumps(FLAT_RUNS)!r}):
             run_experiment(ExperimentConfig(experiment, params, out_dir="out"))
             seen["run " + experiment] = scipy_modules()
         ExperimentConfig.load("{WORKLOADS}/manifold_so_rattle.json")
@@ -67,6 +74,34 @@ def test_only_a_manifold_config_loads_scipy(tmp_path):
     manifold = seen.pop("manifold loads")
     assert seen == dict.fromkeys(seen, []), seen
     assert manifold == [True, True]
+
+
+def test_flat_runs_leave_numpy_ma_unloaded(tmp_path):
+    # three reps, so that the median and quartiles interpolate; every report
+    # takes both, a "median" verdict one more median, and reevaluate both
+    verdicts = [{"metric": "rep", "agg": "median", "op": "in",
+                 "threshold": [0, 2]}]
+    for experiment, params in FLAT_RUNS:
+        config = {"experiment": experiment, "out_dir": experiment, "reps": 3,
+                  "params": {**params, "verdicts": verdicts}}
+        (tmp_path / f"{experiment}.json").write_text(json.dumps(config))
+    seen = run_python(f"""
+        import json, sys
+        import hamkit.cli
+        from hamkit.bench import reevaluate
+
+        seen = {{"import": "numpy.ma" in sys.modules}}
+        for experiment in ("optimize", "sample", "discrepancy"):
+            code = hamkit.cli.main([experiment, "--config", experiment + ".json"])
+            with open(f"{{experiment}}/report_{{experiment}}.json") as fh:
+                report = json.load(fh)
+            again = reevaluate(report, {verdicts!r})
+            seen[experiment] = [code, again == report["verdicts"],
+                                "numpy.ma" in sys.modules]
+        print(json.dumps(seen))
+        """, tmp_path)
+    assert seen == {"import": False, **dict.fromkeys(
+        ("optimize", "sample", "discrepancy"), [0, True, False])}, seen
 
 
 def test_tracer_install_finds_and_keeps_the_manifold_names(tmp_path):

@@ -29,7 +29,7 @@ from hamkit import (
 )
 from hamkit.core import Problem
 from hamkit.errors import DomainError
-from hamkit.manifold import _group_defect, _lie_stepper
+from hamkit.manifold import _check_skew, _group_defect, _lie_stepper
 from helpers import (constant_problem, lie_step_with_skew_map,
                      rattle_step_always_kicking)
 
@@ -60,10 +60,12 @@ class TestMatrixGroupState:
     @pytest.mark.parametrize("which, match", [("Q", "orthogonal"),
                                               ("P", "skew")])
     def test_group_defect_refuses_nan(self, which, match):
-        q, p = np.eye(3), np.zeros((3, 3))
-        (q if which == "Q" else p)[0, 1] = np.nan
+        # Q goes to the per-step orthogonality check, P to the skew check
+        # that only MatrixGroupState runs
+        m = np.eye(3) if which == "Q" else np.zeros((3, 3))
+        m[0, 1] = np.nan
         with pytest.raises(GeometryError, match=match):
-            _group_defect(q, p)
+            (_group_defect if which == "Q" else _check_skew)(m)
 
     def test_holds_the_skew_part(self):
         # a P within SKEW_TOL of skew is stored as skew_part(P), exactly skew

@@ -229,6 +229,10 @@ class Problem:
     one point.  A problem that supplies it writes it with the expressions of
     `value` and `grad`, so that it returns the same bits; without it the
     method makes the two separate calls.
+
+    `value`, `grad` and `value_and_grad` must be deterministic functions of
+    q: an optimiser run that comes back to a state it was in replays the
+    steps that followed it and stops calling them (`integrators._run_steps`).
     """
 
     def __init__(self, dim, value, grad, f_star=None, q_star=None, name="",

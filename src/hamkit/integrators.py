@@ -3,7 +3,9 @@
 Every damped optimiser step (here and in `manifold`) is the conformal half
 kick / drift / half kick `_conformal_step`, in the numerically stable
 half-step form: the damping enters only through Delta_eta over half a step,
-so no large exponentials appear.  Every run is the record loop `_run_steps`.
+so no large exponentials appear.  Every run is the record loop `_run_steps`,
+which evaluates each step at most once: a run that comes back to a state it
+was in, byte for byte, replays the steps that followed it.
 
 The run drivers step raw arrays and carry the end-of-step half kick into the
 next step, and each state holds f at its position: the flat run takes
@@ -14,6 +16,7 @@ vector products call `ndarray.dot`: `@`'s BLAS routine at half the call cost.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,16 +54,14 @@ class OptimizerConfig:
     target_gap: float | None = None
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise DomainError("step size must be positive")
-        if self.num_steps < 1:
-            raise DomainError("num_steps must be >= 1")
-        if self.record_every < 1:
-            raise DomainError("record_every must be >= 1")
-        if self.metric == "auto":
+        if not 0 < self.step < math.inf:   # NaN fails too
+            raise DomainError(f"step must be finite and > 0, got {self.step!r}")
+        _check_run_length(self.num_steps, self.record_every)
+        if isinstance(self.metric, str) and self.metric == "auto":
             self.metric = KineticMetric.scaled_identity(self.x0.dim, self.step)
         elif not isinstance(self.metric, KineticMetric):
-            raise DomainError("metric must be a KineticMetric or 'auto'")
+            raise DomainError("metric must be a KineticMetric or 'auto', got "
+                              f"{type(self.metric).__name__}")
         if self.metric.dim != self.x0.dim:
             raise DomainError("metric dimension does not match initial state")
 
@@ -111,6 +112,11 @@ class Trajectory:
                           [self.steps, self.times, self.values, gaps, self.extra])
 
 
+def _half_step_eta(sched, t_k, dt):
+    """De over [t_k, t_k + dt/2]: all of t_k that a step reads."""
+    return sched.delta_eta(t_k, t_k + 0.5 * dt)
+
+
 def _conformal_step(q, p, half_kick, t_k, dt, sched, kick, drift,
                     project=lambda q, p: p):
     """One conformal-symplectic step from (q_k, p_k) at time t_k:
@@ -129,7 +135,7 @@ def _conformal_step(q, p, half_kick, t_k, dt, sched, kick, drift,
     """
     if half_kick is None:
         half_kick = 0.5 * dt * kick(q, p)
-    de = sched.delta_eta(t_k, t_k + 0.5 * dt)
+    de = _half_step_eta(sched, t_k, dt)
     decay = math.exp(-de)
     p_half = decay * project(q, p - half_kick)
     try:
@@ -194,27 +200,87 @@ def gradient_flow_step(q, dt, prob):
     return q_new
 
 
-def _run_steps(x, advance, extra, t0, dt, num_steps, f_star,
+def _key(x):
+    """The bytes of x's (q, p, half kick): -0.0 is not 0.0, None is None."""
+    return tuple(a if a is None else a.tobytes() for a in x[:3])
+
+
+def _check_run_length(num_steps, record_every):
+    """DomainError unless num_steps and record_every are integers >= 1."""
+    for name, n in (("num_steps", num_steps), ("record_every", record_every)):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+
+
+def _states(x, advance, sched, t0, dt, num_steps):
+    """Yield x_1, ..., x_num_steps, x_k = advance(x_{k-1}, t_{k-1}), taking
+    each step at most once (see `_run_steps`).
+
+    Brent's cycle finding keeps one checkpoint, moved to x_k when k is a
+    power of two steps past it, and compares a state's bytes with it only
+    when their f agree.  Once x_k repeats it, one more period is stepped,
+    noting each step's De; if that brings x back to x_k, the noted states
+    are replayed while each step's De is the noted one.  A step's
+    DivergenceError, or OverflowError (math.exp, say), is re-raised as a
+    DivergenceError with the step's index.
+    """
+    k, ck, k_ck, power = 0, x, 0, 1
+    try:
+        while k < num_steps:
+            k += 1
+            x = advance(x, t0 + (k - 1) * dt)
+            yield x
+            if x[3] == ck[3] and _key(x) == _key(ck):
+                start, cycle = _key(x), []
+                for _ in range(k - k_ck):
+                    if k == num_steps:
+                        return
+                    t_k, k = t0 + k * dt, k + 1
+                    x = advance(x, t_k)
+                    cycle.append((_half_step_eta(sched, t_k, dt), x))
+                    yield x
+                if _key(x) == start:
+                    for de, x_next in itertools.cycle(cycle):
+                        if (k == num_steps
+                                or _half_step_eta(sched, t0 + k * dt, dt) != de):
+                            break
+                        k, x = k + 1, x_next
+                        yield x
+                ck, k_ck, power = x, k, 1   # find cycles afresh from here
+            elif k - k_ck == power:
+                ck, k_ck, power = x, k, 2 * power
+    except DivergenceError as exc:
+        raise DivergenceError(str(exc), step=k) from None
+    except OverflowError as exc:
+        raise DivergenceError(f"overflow in step: {exc}", step=k) from exc
+
+
+def _run_steps(x, advance, extra, sched, dt, num_steps, f_star,
                record_every=1, target_gap=None, too_far=None,
                extra_name="energy"):
     """Record/stop loop of every optimiser run; returns (Trajectory, last state).
 
-    `advance(x, t_k)` steps from t_k; each state holds f at its position in
-    x[3], and `extra(x)` is the fifth column.  Records step 0, every
-    `record_every`-th, the last and any stopping step; stops on `too_far(x)`
-    or a gap below `target_gap`.  A step's DivergenceError is re-raised with
-    its index, and so is an OverflowError (math.exp, say) as one.
+    `advance(x, t_k)` steps from t_k, under the damping schedule `sched` from
+    its start time; each state holds f at its position in x[3], and
+    `extra(x)` is the fifth column.  Records step 0, every `record_every`-th,
+    the last and any stopping step; stops on `too_far(x)` or a gap below
+    `target_gap`.  num_steps and record_every must be integers >= 1.
+
+    The states come from `_states`, which takes each step at most once: a
+    run that comes back to a state it was in, byte for byte in (q, p, half
+    kick), replays the steps that followed it.  That is exact because a step
+    reads only x[:3] (the rest are outputs, or functions of q such as
+    RATTLE's J and factor of R_g) and reads t_k only through De, which it
+    takes from `_half_step_eta` as `_states` does; so a replayed step has
+    the input and De of one already taken, and its state still goes through
+    `extra`, `too_far` and the gap test.  f and grad f must be deterministic.
     """
+    _check_run_length(num_steps, record_every)
+    t0 = sched.start_time()
     watch_gap = target_gap is not None and f_star is not None
     rows = [(0, t0, x[3], extra(x))]
     reason = "completed"
-    for k in range(1, num_steps + 1):
-        try:
-            x = advance(x, t0 + (k - 1) * dt)
-        except DivergenceError as exc:
-            raise DivergenceError(str(exc), step=k) from None
-        except OverflowError as exc:
-            raise DivergenceError(f"overflow in step: {exc}", step=k) from exc
+    for k, x in enumerate(_states(x, advance, sched, t0, dt, num_steps), 1):
         diverged = too_far is not None and too_far(x)
         reached = watch_gap and x[3] - f_star < target_gap
         if diverged or reached or k % record_every == 0 or k == num_steps:
@@ -266,9 +332,8 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
         x0, advance = (q0, p0, None, prob.value(q0)), flow
     thr = cfg.divergence_threshold
     traj, _ = _run_steps(
-        x0, advance, energy, cfg.schedule.start_time(), cfg.step,
-        cfg.num_steps, prob.f_star, record_every=cfg.record_every,
-        target_gap=cfg.target_gap,
+        x0, advance, energy, cfg.schedule, cfg.step, cfg.num_steps,
+        prob.f_star, record_every=cfg.record_every, target_gap=cfg.target_gap,
         too_far=lambda x: abs(x[3]) > thr or math.sqrt(x[0].dot(x[0])) > thr)
     return traj
 

@@ -326,8 +326,8 @@ def run_lie_optimizer(st, prob, dt, g_scalar, sched, num_steps,
 
     traj, (Q, P, *_) = _run_steps(
         (st.Q, st.P, None, prob.value(st.Q), st.orthogonality_defect()),
-        advance, lambda x: x[4], sched.start_time(), dt, num_steps,
-        prob.f_star, record_every=record_every, target_gap=target_gap,
+        advance, lambda x: x[4], sched, dt, num_steps, prob.f_star,
+        record_every=record_every, target_gap=target_gap,
         extra_name="orthogonality_defect")
     return traj, MatrixGroupState(Q, P)
 
@@ -346,8 +346,8 @@ def run_rattle_optimizer(x, prob, dt, g, sched, cons, num_steps,
 
     traj, (q, p, *_) = _run_steps(
         (x.q, x.p, None, prob.value(x.q), jac, factor,
-         _sup_norm(cons.value(x.q))), advance, lambda s: s[6],
-        sched.start_time(), dt, num_steps, prob.f_star,
+         _sup_norm(cons.value(x.q))), advance, lambda s: s[6], sched, dt,
+        num_steps, prob.f_star,
         record_every=record_every, target_gap=target_gap,
         extra_name="constraint_residual")
     return traj, PhasePoint(q, p)

@@ -14,6 +14,8 @@ Each benchmark times one call: a flat damped leapfrog step of the quartic at
 d = 2, one HMC draw (d = 10, L = 5), which evaluates V and grad V at its
 start, one SO(50) step of a trace objective
 (the shape manifold_so_rattle runs) and one RATTLE step on the unit sphere.
+`test_rattle_run` times the whole sphere run of manifold_so_rattle: 4,000
+RATTLE steps of a linear objective from rest (d = 3, dt = 0.05, gamma = 2).
 `test_flat_run_per_step` times a 1,000-step `run_optimizer` on the same
 quartic, the loop optimize_quartic runs; divide its time by 1,000 for the
 cost of one step inside a run, where no `PhasePoint` is validated.
@@ -58,6 +60,7 @@ from hamkit import (
     rattle_step,
     run_lie_optimizer,
     run_optimizer,
+    run_rattle_optimizer,
     skew_part,
     sphere_constraint,
     trace_objective,
@@ -152,6 +155,17 @@ def test_rattle_step(benchmark):
     y, _ = benchmark(rattle_step, x, 1.0, 0.05, g,
                      DampingSchedule.constant(2.0), prob, cons)
     assert abs(y.q.dot(y.q) - 1.0) <= 1e-9
+
+
+def test_rattle_run(benchmark):
+    c = np.array([0.3, -1.2, 0.7])
+    prob = Problem(3, value=lambda q: float(c.dot(q)), grad=lambda q: c,
+                   f_star=-float(np.linalg.norm(c)))
+    x = PhasePoint(np.array([1.0, 2.0, -2.0]) / 3.0, np.zeros(3))
+    traj, y = benchmark(run_rattle_optimizer, x, prob, 0.05,
+                        KineticMetric.scaled_identity(3, 0.05),
+                        DampingSchedule.constant(2.0), sphere_constraint(), 4000)
+    assert len(traj) == 4001 and abs(y.q.dot(y.q) - 1.0) <= 1e-9
 
 
 def test_svd_then_lie_run(benchmark):

@@ -1,7 +1,7 @@
 """Helpers shared by the test modules."""
 import numpy as np
 
-from hamkit import PhasePoint, Problem, project_momentum, skew_part
+from hamkit import PhasePoint, Problem, Trajectory, project_momentum, skew_part
 from hamkit.integrators import _conformal_step
 from hamkit.manifold import _linalg
 
@@ -51,3 +51,27 @@ def rattle_step_always_kicking(x, t_k, dt, g, sched, prob, cons):
                               lambda q, p: prob.grad(q), drift,
                               lambda q, p: project_momentum(q, p, g, cons))
     return PhasePoint(q, p), lam
+
+
+def run_steps_stepping_each(x, advance, extra, sched, dt, num_steps, f_star,
+                            record_every=1, target_gap=None, too_far=None,
+                            extra_name="energy"):
+    """`integrators._run_steps` without replay: the same record/stop rules,
+    with `advance` called at every step.  Returns (Trajectory, last state)."""
+    t0 = sched.start_time()
+    watch_gap = target_gap is not None and f_star is not None
+    rows = [(0, t0, x[3], extra(x))]
+    reason = "completed"
+    for k in range(1, num_steps + 1):
+        x = advance(x, t0 + (k - 1) * dt)
+        diverged = too_far is not None and too_far(x)
+        reached = watch_gap and x[3] - f_star < target_gap
+        if diverged or reached or k % record_every == 0 or k == num_steps:
+            rows.append((k, t0 + k * dt, x[3], extra(x)))
+        if diverged or reached:
+            reason = "diverged" if diverged else "target_reached"
+            break
+    steps, times, values, extras = (np.asarray(col) for col in zip(*rows))
+    gaps = values - f_star if f_star is not None else None
+    return Trajectory(steps, times, values, gaps, extras, reason,
+                      extra_name), x

@@ -199,6 +199,22 @@ class TestRunOptimizer:
             make_cfg(problems.quadratic(1), 0.1, 0, DampingSchedule.zero(),
                      np.array([1.0]))
 
+    @pytest.mark.parametrize("field, value", [
+        ("metric", np.eye(1)), ("metric", "identity"), ("num_steps", 2.5),
+        ("num_steps", True), ("record_every", 1.5), ("record_every", 0),
+        ("step", math.inf), ("step", math.nan), ("step", 0.0)])
+    def test_bad_field_refused(self, field, value):
+        kw = {"step": 0.1, "num_steps": 10, field: value}
+        with pytest.raises(DomainError, match=field):
+            OptimizerConfig(schedule=DampingSchedule.zero(),
+                            x0=PhasePoint([1.0], [0.0]), **kw)
+
+    def test_numpy_integer_run_length_accepted(self):
+        cfg = make_cfg(problems.quadratic(1), 0.1, np.int64(4),
+                       DampingSchedule.zero(), np.array([1.0]),
+                       record_every=np.int64(2))
+        assert len(run_optimizer(cfg, problems.quadratic(1))) == 3
+
     def test_bad_method(self):
         prob = problems.quadratic(1)
         cfg = make_cfg(prob, 0.1, 10, DampingSchedule.zero(), np.array([1.0]))

@@ -602,3 +602,21 @@ class TestManifoldCsv:
         traj2.to_csv(buf2)
         assert buf2.getvalue().splitlines()[0] == \
             "step,time,value,gap,constraint_residual"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_steps", 2.5), ("num_steps", -1), ("num_steps", 0),
+    ("num_steps", True), ("record_every", 0), ("record_every", 1.5)])
+def test_manifold_runs_check_their_length(field, value):
+    # both runs take the flat run's rule: integers >= 1, and no bool
+    kw = {"num_steps": 10, "record_every": 1, field: value}
+    n = kw.pop("num_steps")
+    st = MatrixGroupState(np.eye(3), np.zeros((3, 3)))
+    with pytest.raises(DomainError, match=field):
+        run_lie_optimizer(st, trace_objective(np.eye(3)), 0.05, 0.05,
+                          DampingSchedule.constant(1.0), n, **kw)
+    with pytest.raises(DomainError, match=field):
+        run_rattle_optimizer(
+            PhasePoint([1.0, 0.0], np.zeros(2)), problems.quadratic(2), 0.05,
+            KineticMetric.identity(2), DampingSchedule.constant(1.0),
+            sphere_constraint(), n, **kw)

@@ -122,26 +122,20 @@ def _sq_dists(x_arr, y_arr):
     return np.maximum(r2, 0.0, out=r2)
 
 
-_TILE_ROWS = 64   # Gram rows built at a time by _row_tiles
-
-
-def _row_tiles(n, tile, symmetric):
-    """(lo, hi, tile(rows, cols)) for each slice of _TILE_ROWS rows of an
-    n-row matrix.  cols is every column, or for a symmetric matrix the
-    columns from lo on: the diagonal block and the upper triangle."""
-    for lo in range(0, n, _TILE_ROWS):
-        hi = min(lo + _TILE_ROWS, n)
-        yield lo, hi, tile(slice(lo, hi), slice(lo if symmetric else 0, None))
+_TILE_ROWS = 64   # Gram rows built at a time by _tile_sums
 
 
 def _tile_sums(n, tile, symmetric=False):
-    """Row sums and main diagonal of an n-row matrix from _row_tiles, so at
-    most _TILE_ROWS rows are held.  The diagonal is as long as the matrix's
-    shorter side.  A symmetric tile builds only H[lo:hi, lo:]; the column
-    sums of its part right of the diagonal block stand in for the lower
-    triangle's rows hi:, so each pair is built once."""
+    """Row sums and main diagonal of an n-row matrix, built _TILE_ROWS rows
+    at a time as tile(rows, cols), so at most that many rows are held.  cols
+    is every column, or for a symmetric matrix the columns from the tile's
+    first row on: H[lo:hi, lo:], whose column sums right of the diagonal
+    block stand in for the lower triangle's rows hi:, so each pair is built
+    once.  The diagonal is as long as the matrix's shorter side."""
     sums, diags = np.zeros(n), []
-    for lo, hi, block in _row_tiles(n, tile, symmetric):
+    for lo in range(0, n, _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, n)
+        block = tile(slice(lo, hi), slice(lo if symmetric else 0, None))
         sums[lo:hi] += block.sum(axis=1)
         if symmetric:
             sums[hi:] += block[:, hi - lo:].sum(axis=0)
@@ -240,30 +234,17 @@ def stein_kernel(x, y, score, kernel):
                                _scores(score, y_arr), kernel)[0, 0])
 
 
-def _stein_tile(x_arr, s, kernel):
-    """tile(rows, cols) for _row_tiles: a block of x_arr's Stein Gram."""
-    return lambda rows, cols: _stein_matrix(x_arr[rows], x_arr[cols], s[rows],
-                                            s[cols], kernel)
-
-
 def stein_gram(x_samples, score, kernel):
     """Full m x m Stein-kernel Gram matrix; a non-finite score raises.  The
     score is given as in `ksd_u_statistic`.
 
-    Built from upper-triangle row tiles (_row_tiles), each pair once.  A
-    tile's part right of its diagonal block D is copied, transposed, to the
-    lower triangle, and D becomes triu(D) + triu(D, 1)^T: exactly symmetric.
+    One `_stein_matrix` call builds every entry, in O(m^2) memory, the size
+    of the output; triu(K) + triu(K, 1)^T makes it exactly symmetric.
     """
     x_arr = _as_samples(x_samples)
-    m = x_arr.shape[0]
-    out = np.empty((m, m))
-    for lo, hi, block in _row_tiles(m, _stein_tile(
-            x_arr, _scores(score, x_arr), kernel), symmetric=True):
-        diag, right = block[:, :hi - lo], block[:, hi - lo:]
-        out[lo:hi, lo:hi] = np.triu(diag) + np.triu(diag, 1).T
-        out[lo:hi, hi:] = right
-        out[hi:, lo:hi] = right.T
-    return out
+    s = _scores(score, x_arr)
+    full = _stein_matrix(x_arr, x_arr, s, s, kernel)
+    return np.triu(full) + np.triu(full, 1).T
 
 
 def ksd_u_statistic(x_samples, score, kernel, with_stderr=False):
@@ -280,14 +261,15 @@ def ksd_u_statistic(x_samples, score, kernel, with_stderr=False):
     raises before any kernel entry is built.  The Gram is symmetric, so it
     is reduced in upper-triangle row tiles (_tile_sums): each pair is built
     once, about m (m + 64) / 2 entries, and O(64 m) are held.  stein_gram
-    gives the full matrix.
+    builds the full matrix in one call.
     """
     x_arr = _as_samples(x_samples)
     m = x_arr.shape[0]
     if m < 2:
         raise DomainError("KSD U-statistic needs m >= 2")
     s = _scores(score, x_arr)
-    sums, diag = _tile_sums(m, _stein_tile(x_arr, s, kernel), symmetric=True)
+    sums, diag = _tile_sums(m, lambda rows, cols: _stein_matrix(
+        x_arr[rows], x_arr[cols], s[rows], s[cols], kernel), symmetric=True)
     h = sums - diag
     value = float(h.sum() / (m * (m - 1)))
     if not with_stderr:

@@ -54,9 +54,11 @@ class OptimizerConfig:
     target_gap: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.step < math.inf:   # NaN fails too
-            raise DomainError(f"step must be finite and > 0, got {self.step!r}")
-        _check_run_length(self.num_steps, self.record_every)
+        _check_run(self.step, self.num_steps, self.record_every,
+                   self.target_gap)
+        if not self.divergence_threshold > 0:   # NaN fails too
+            raise DomainError("divergence_threshold must be > 0 (inf for no "
+                              f"stop), got {self.divergence_threshold!r}")
         if isinstance(self.metric, str) and self.metric == "auto":
             self.metric = KineticMetric.scaled_identity(self.x0.dim, self.step)
         elif not isinstance(self.metric, KineticMetric):
@@ -205,11 +207,23 @@ def _key(x):
     return tuple(a if a is None else a.tobytes() for a in x[:3])
 
 
-def _check_run_length(num_steps, record_every):
-    """DomainError unless num_steps and record_every are integers >= 1."""
+def _check_dt(dt):
+    """DomainError unless the step size dt is finite and > 0."""
+    if not 0 < dt < math.inf:   # NaN fails too
+        raise DomainError(f"step size dt must be finite and > 0, got {dt!r}")
+
+
+def _check_run(dt, num_steps, record_every, target_gap):
+    """DomainError, naming the field, unless the step size dt is finite and
+    > 0, num_steps and record_every are integers >= 1, and target_gap is
+    None or finite and > 0."""
+    _check_dt(dt)
     for name, n in (("num_steps", num_steps), ("record_every", record_every)):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+    if target_gap is not None and not 0 < target_gap < math.inf:
+        raise DomainError("target_gap must be None or finite and > 0, got "
+                          f"{target_gap!r}")
 
 
 def _states(x, advance, sched, t0, dt, num_steps):
@@ -264,7 +278,9 @@ def _run_steps(x, advance, extra, sched, dt, num_steps, f_star,
     its start time; each state holds f at its position in x[3], and
     `extra(x)` is the fifth column.  Records step 0, every `record_every`-th,
     the last and any stopping step; stops on `too_far(x)` or a gap below
-    `target_gap`.  num_steps and record_every must be integers >= 1.
+    `target_gap`.  One rule holds for every run's parameters (`_check_run`):
+    dt finite and > 0, num_steps and record_every integers >= 1, target_gap
+    None or finite and > 0; anything else raises DomainError naming it.
 
     The states come from `_states`, which takes each step at most once: a
     run that comes back to a state it was in, byte for byte in (q, p, half
@@ -275,7 +291,7 @@ def _run_steps(x, advance, extra, sched, dt, num_steps, f_star,
     the input and De of one already taken, and its state still goes through
     `extra`, `too_far` and the gap test.  f and grad f must be deterministic.
     """
-    _check_run_length(num_steps, record_every)
+    _check_run(dt, num_steps, record_every, target_gap)
     t0 = sched.start_time()
     watch_gap = target_gap is not None and f_star is not None
     rows = [(0, t0, x[3], extra(x))]

@@ -92,9 +92,6 @@ class MatrixGroupState:
         """||Q^T Q - I||_F."""
         return _group_defect(self.Q)
 
-    def flip_momentum(self):
-        return MatrixGroupState(self.Q, -self.P)
-
 
 def _group_defect(Q):
     """||Q^T Q - I||_F; GeometryError beyond ORTHO_TOL."""
@@ -144,8 +141,8 @@ def _lie_stepper(dt, g_scalar, sched, prob):
     """`lie_group_step` on raw arrays, built once per run: returns
     step(Q, P, half kick or None, t_k); see `_conformal_step`.  P must be
     exactly skew (P == -P^T); the step keeps it so without a momentum map."""
-    if not g_scalar > 0:
-        raise DomainError("g_scalar must be positive")
+    if not 0 < g_scalar < math.inf:   # NaN fails too
+        raise DomainError(f"g_scalar must be finite and > 0, got {g_scalar!r}")
 
     def kick(Q, P):   # the trivialised gradient skew(Q^T df/dQ)
         return skew_part(Q.T @ prob.grad(Q))

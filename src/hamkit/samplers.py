@@ -17,7 +17,7 @@ import numpy as np
 from .core import (PhasePoint, _all_finite, _as_samples, _central_diffs,
                    _check_dims, _rows)
 from .errors import DivergenceError, DomainError
-from .integrators import _write_csv, gradient_flow_step
+from .integrators import _check_dt, _write_csv, gradient_flow_step
 
 __all__ = [
     "ChainState",
@@ -84,13 +84,14 @@ def _leapfrog(q, p, grad, prob, g, dt, L, at_end):
 def leapfrog_trajectory(x, prob, g, dt, L):
     """L leapfrog steps (half kick / full drift / half kick) for
     H = (1/2) p^T g^{-1} p + V(q); V itself is never evaluated."""
-    _check_hmc(x.q, prob, g, L, 0.0)
+    _check_hmc(x.q, prob, g, dt, L, 0.0)
     q, p, _, _ = _leapfrog(x.q, x.p, prob.grad(x.q), prob, g, dt, L,
                            lambda q: (None, prob.grad(q)))
     return PhasePoint(q, p)
 
 
-def _check_hmc(q, prob, g, L, jitter):
+def _check_hmc(q, prob, g, dt, L, jitter):
+    _check_dt(dt)
     if not 0.0 <= jitter <= 1.0:
         raise DomainError("jitter must lie in [0, 1]")
     if L < 1:
@@ -138,7 +139,7 @@ def hmc_draw(chain, prob, g, dt, L, rng, jitter=0.0):
     value_and_grad twice and grad L - 1 times.  `run_hmc_chain` carries them
     from one draw to the next instead.
     """
-    _check_hmc(chain.x.q, prob, g, L, jitter)
+    _check_hmc(chain.x.q, prob, g, dt, L, jitter)
     q, p, _, _, accepted, incident = _hmc_transition(
         chain.x.q, None, None, prob, g, dt, L, rng, jitter)
     return ChainState(PhasePoint(q, p), chain.steps + 1, chain.accepted + accepted,
@@ -149,6 +150,7 @@ def overdamped_em_step(q, prob, dt, beta, rng):
     """Euler-Maruyama step q - dt grad V(q) + sqrt(2 dt / beta) xi."""
     if not beta > 0:
         raise DomainError("inverse temperature beta must be positive")
+    _check_dt(dt)
     if math.isinf(beta):
         return gradient_flow_step(np.asarray(q, float), dt, prob)
     q = np.asarray(q, float)
@@ -227,7 +229,7 @@ def run_hmc_chain(prob, g, dt, L, n_draws, rng, q0=None, jitter=0.0,
     if n_draws < 0:
         raise DomainError(f"n_draws must be >= 0, got {n_draws}")
     x = ChainState.start(np.zeros(prob.dim) if q0 is None else q0).x
-    _check_hmc(x.q, prob, g, L, jitter)
+    _check_hmc(x.q, prob, g, dt, L, jitter)
     q, p, v, grad, accepted, incidents = x.q, x.p, None, None, 0, 0
     samples = np.empty((n_draws, prob.dim)) if keep_samples else None
     for i in range(n_draws):

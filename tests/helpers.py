@@ -12,6 +12,39 @@ def constant_problem(d, c=0.0):
                    f_star=c, q_star=np.zeros(d), name="constant")
 
 
+def two_form_of_step(step, curves, h, coords=lambda x: x):
+    """omega(u, v) and omega(D step u, D step v), each with a bound on its
+    error, for the tangents u, v at eps = 0 of two curves inside a
+    constrained phase space.  omega(u, v) = dq_u.dp_v - dp_u.dq_v in the
+    ambient coordinates (q, p) = coords(x).
+
+    A curve maps eps to (x, e) and step maps (x, e) to (step(x), e'), each e
+    bounding the 2-norm error of the point's coordinates that need not be
+    smooth in eps: rounding, a stopped solve.  A tangent is the central
+    difference (y(h/2) - y(-h/2)) / h of the coordinates y of a curve point
+    or of its step.  It errs by its truncation, taken as in
+    `TestDampedStepGeometry` as a third of its distance from the difference
+    at h, plus 2 e / h.  As |omega(x, y)| <= |x| |y|, tangents off by E_u and
+    E_v move omega by at most |E_u| |T_v| + |T_u| |E_v| + |E_u| |E_v|.
+    Returns ((omega(u, v), bound), (omega(D step u, D step v), bound)).
+    """
+    def form(f):
+        tangents = []
+        for curve in curves:
+            points = {s: f(curve(s)) for s in (-h, -h / 2, h / 2, h)}
+            y = {s: np.concatenate([np.ravel(a) for a in coords(x)])
+                 for s, (x, _) in points.items()}
+            t = (y[h / 2] - y[-h / 2]) / h
+            err = (np.linalg.norm(t - (y[h] - y[-h]) / (2 * h)) / 3
+                   + 2 * max(e for _, e in points.values()) / h)
+            tangents.append((t, np.linalg.norm(t), err))
+        (tu, nu, eu), (tv, nv, ev) = tangents
+        d = tu.size // 2
+        return tu[:d] @ tv[d:] - tu[d:] @ tv[:d], eu * nv + nu * ev + eu * ev
+
+    return form(lambda point: point), form(lambda point: step(*point))
+
+
 def lie_step_with_skew_map(Q, P, t_k, dt, g_scalar, sched, prob):
     """The SO(n) step with skew_part as its momentum map: the library's kick
     and drift, with P projected after each half kick.  Returns (Q, P)."""

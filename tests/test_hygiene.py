@@ -5,8 +5,9 @@ are built without their derivatives, the package exports every public
 name, only the manifold module imports scipy, only on first use, and it
 takes every LAPACK routine from scipy, not numpy, no module serves names
 through a module-level `__getattr__`, the per-step functions multiply
-with ndarray.dot, not `@`, and only the adapters for per-point callables
-call `core._rows`.
+with ndarray.dot, not `@`, only the adapters for per-point callables
+call `core._rows`, one loop walks a Gram's row tiles and one check takes
+every optimiser run's parameters.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -312,8 +313,9 @@ _ROWS_CALLERS = {
 }
 
 
-def _callers_of(tree, name):
-    """Qualified names (Class.method) of the defs that call `name` by name."""
+def _callers_of(tree, name, calls_only=True):
+    """Qualified names (Class.method) of the defs that call `name` by name,
+    or, with calls_only false, that read it at all."""
     callers = set()
 
     def visit(node, scope):
@@ -321,8 +323,12 @@ def _callers_of(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == name):
+            called = (isinstance(child, ast.Call)
+                      and isinstance(child.func, ast.Name)
+                      and child.func.id == name)
+            read = (not calls_only and isinstance(child, ast.Name)
+                    and child.id == name and isinstance(child.ctx, ast.Load))
+            if called or read:
                 callers.add(".".join(scope))
             visit(child, scope)
 
@@ -330,9 +336,33 @@ def _callers_of(tree, name):
     return callers
 
 
+def _package_callers(name, calls_only=True):
+    """(module file, caller) over the package; see `_callers_of`."""
+    return {(path.name, caller) for path in MODULES
+            for caller in _callers_of(ast.parse(path.read_text()), name,
+                                      calls_only)}
+
+
 def test_only_the_adapters_call_rows():
-    calls = {(path.name, caller) for path in MODULES
-             for caller in _callers_of(ast.parse(path.read_text()), "_rows")}
+    calls = _package_callers("_rows")
     assert calls == _ROWS_CALLERS, (
         f"_rows called from {sorted(calls - _ROWS_CALLERS)}; "
         f"no longer from {sorted(_ROWS_CALLERS - calls)}")
+
+
+def test_one_gram_tile_loop():
+    # _tile_sums is the only loop over a Gram's row tiles: the two
+    # U-statistics reduce through it, and nothing else reads the tile height
+    assert _package_callers("_tile_sums") == {
+        ("discrepancies.py", "mmd_squared.mean"),
+        ("discrepancies.py", "ksd_u_statistic")}
+    assert _package_callers("_TILE_ROWS", calls_only=False) == {
+        ("discrepancies.py", "_tile_sums")}
+
+
+def test_one_run_parameter_check():
+    # every optimiser run's dt, length and target gap go through _run_steps,
+    # and the flat run's config refuses the same values when it is built
+    assert _package_callers("_check_run") == {
+        ("integrators.py", "OptimizerConfig.__post_init__"),
+        ("integrators.py", "_run_steps")}

@@ -202,7 +202,9 @@ class TestRunOptimizer:
     @pytest.mark.parametrize("field, value", [
         ("metric", np.eye(1)), ("metric", "identity"), ("num_steps", 2.5),
         ("num_steps", True), ("record_every", 1.5), ("record_every", 0),
-        ("step", math.inf), ("step", math.nan), ("step", 0.0)])
+        ("step", math.inf), ("step", math.nan), ("step", 0.0),
+        ("target_gap", -1.0), ("target_gap", 0.0), ("target_gap", math.nan),
+        ("divergence_threshold", math.nan), ("divergence_threshold", 0.0)])
     def test_bad_field_refused(self, field, value):
         kw = {"step": 0.1, "num_steps": 10, field: value}
         with pytest.raises(DomainError, match=field):

@@ -29,9 +29,10 @@ from hamkit import (
 )
 from hamkit.core import Problem
 from hamkit.errors import DomainError
-from hamkit.manifold import _check_skew, _group_defect, _lie_stepper
+from hamkit.manifold import (_check_skew, _group_defect, _lie_stepper,
+                             _rattle_step)
 from helpers import (constant_problem, lie_step_with_skew_map,
-                     rattle_step_always_kicking)
+                     rattle_step_always_kicking, two_form_of_step)
 
 
 def random_skew(n, rng):
@@ -76,11 +77,6 @@ class TestMatrixGroupState:
         assert not np.array_equal(p, -p.T)
         assert np.array_equal(st.P, skew_part(p))
         assert np.array_equal(st.P, -st.P.T)
-
-    def test_flip(self):
-        rng = np.random.default_rng(0)
-        st = MatrixGroupState(np.eye(3), random_skew(3, rng))
-        assert np.array_equal(st.flip_momentum().P, -st.P)
 
     def test_callers_arrays_stay_writeable(self):
         q, p = np.eye(3), random_skew(3, np.random.default_rng(0))
@@ -183,10 +179,10 @@ class TestLieGroupStep:
         st = st0
         for _ in range(30):
             st = lie_group_step(st, 0.0, dt, 1.0, DampingSchedule.zero(), prob)
-        st = st.flip_momentum()
+        st = MatrixGroupState(st.Q, -st.P)
         for _ in range(30):
             st = lie_group_step(st, 0.0, dt, 1.0, DampingSchedule.zero(), prob)
-        st = st.flip_momentum()
+        st = MatrixGroupState(st.Q, -st.P)
         assert np.linalg.norm(st.Q - st0.Q) < 1e-9
         assert np.linalg.norm(st.P - st0.P) < 1e-9
 
@@ -204,10 +200,10 @@ class TestLieGroupStep:
         st = st0
         for k in range(2 * steps):
             if k == steps:
-                st = st.flip_momentum()
+                st = MatrixGroupState(st.Q, -st.P)
             st = lie_group_step(st, 0.0, dt, 1.0, DampingSchedule.zero(), prob)
             flights.append(st)
-        st = st.flip_momentum()
+        st = MatrixGroupState(st.Q, -st.P)
         # Rounding only: with zero damping the step is reversible.  A step
         # rounds an entry at most 17n + 12 times: n in each of the two
         # products Q^T C^T, 2 in each of the two skew parts (the kicks'; P
@@ -260,6 +256,50 @@ class TestLieGroupStep:
             assert np.array_equal(P, -P.T)
             assert np.array_equal(Q, Q_ref) and np.array_equal(P, P_ref)
             t += dt
+
+    @given(hst.sampled_from([3, 5]), hst.integers(0, 2**32 - 1),
+           hst.floats(0.02, 0.1), hst.sampled_from([0.0, 2.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_step_is_conformally_symplectic(self, n, seed, dt, gamma):
+        # In the ambient coordinates (Q, Pi = Q P) the step maps the tangents
+        # u, v of two curves (Q e^{eps A}, P + eps B), A and B skew, with
+        # omega(D Phi u, D Phi v) = e^{-gamma dt} omega(u, v).  Rounding, as
+        # in test_reversibility_with_force: a curve point rounds an entry
+        # fewer than 16n + 2 times (Q expm(eps A), P + eps B), a step fewer
+        # than 17n + 16 times, and forming Pi adds n, each time by at most
+        # u M, M bounding an entry of Q, P and the half kick; over the n^2
+        # entries of a matrix that is n times as much in the Frobenius norm.
+        # A step amplifies an earlier error at most by
+        # lip = (1 + dt/2)^2 (1 + h / g_scalar), h = dt cosh(De): the half
+        # kicks are (dt/2)-Lipschitz in Q (||C||_2 = 1), the drift is
+        # (h / g_scalar)-Lipschitz in P and 1-Lipschitz in Q.
+        u, g_scalar = 2.0 ** -53, 0.7
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((n, n))
+        c /= np.linalg.norm(c, 2)
+        sched = (DampingSchedule.constant(gamma) if gamma
+                 else DampingSchedule.zero())
+        lie_step = _lie_stepper(dt, g_scalar, sched, trace_objective(c))
+        q0 = scipy.linalg.expm(random_skew(n, rng))
+        p0 = random_skew(n, rng)
+        de = sched.delta_eta(0.0, 0.5 * dt)
+        big = 1.0 + 2.0 * np.abs(p0).max() + dt
+        lip = (1.0 + 0.5 * dt) ** 2 * (1.0 + dt * math.cosh(de) / g_scalar)
+
+        def curve(a, b):
+            return lambda eps: ((q0 @ scipy.linalg.expm(eps * a), p0 + eps * b),
+                                n * (17 * n + 2) * u * big)
+
+        def step(x, err):
+            Q, P, _ = lie_step(*x, None, 0.0)
+            return (Q, P), lip * (err + n * (18 * n + 16) * u * big)
+
+        curves = [curve(random_skew(n, rng), random_skew(n, rng))
+                  for _ in range(2)]
+        (w_in, b_in), (w_out, b_out) = two_form_of_step(
+            step, curves, 1e-5, coords=lambda x: (x[0], x[0] @ x[1]))
+        factor = math.exp(-2.0 * de)
+        assert abs(w_out - factor * w_in) <= b_out + factor * b_in
 
     def test_each_step_calls_expm_once_through_scipy_linalg(self, count_calls):
         # `_linalg` caches the module and looks `expm` up at each call, so a
@@ -579,6 +619,70 @@ class TestRattle:
         assert np.max(np.abs(x.q - q0)) <= bound
         assert np.max(np.abs(x.p - p0)) <= bound / dt
 
+    @given(hst.integers(0, 2**32 - 1), hst.booleans(), hst.floats(0.02, 0.1),
+           hst.sampled_from([0.0, 2.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_step_is_conformally_symplectic(self, seed, newton, dt, gamma):
+        # On the unit sphere in R^3 (g = I, f = q.A q / 2, ||A||_2 = 1) the
+        # step maps the tangents u, v of two curves (q + eps a normalised,
+        # p + eps b projected onto q-perp) with omega(D Phi u, D Phi v) =
+        # e^{-gamma dt} omega(u, v) when it solves the constraint exactly.
+        # It leaves |psi| = r <= newton_tol instead: after Newton, or after
+        # a drift that needs none.  lambda is then off by
+        # r / |d psi / d lambda| = r / (2 h dt e^{-De}), h = dt cosh(De),
+        # which moves q by r / 2 and p by r / (2 h), and with them the second
+        # kick and projection: a stepped point errs by at most
+        # r (1 + 2M)(1 + 1/h).  Rounding: a curve point rounds an entry fewer
+        # than 2d + 8 times, a step fewer than 6d + 36 (two kicks, two
+        # projections with their potrf/potrs, the drift, Newton's last
+        # update and the multiplier kick), each time by at most u M, M
+        # bounding |q| = 1, |p| and dt |grad f|.  A step amplifies an earlier
+        # error at most by lip = (1 + dt)^2 (1 + 2h)(1 + 2M)^2: the kicks are
+        # (dt/2)-Lipschitz, the drift h-Lipschitz in p, and the projection
+        # p - (q.p) q 2|p|-Lipschitz in q.  Without Newton the step is
+        # shortened so that (h |p|)^2 stays below newton_tol.
+        u, d, tol = 2.0 ** -53, 3, 1e-13
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d))
+        a = (a + a.T) / np.linalg.norm(a + a.T, 2)
+        prob = Problem(d, value=lambda q: 0.5 * q.dot(a.dot(q)),
+                       grad=lambda q: a.dot(q))
+        g, cons = KineticMetric.identity(d), sphere_constraint(newton_tol=tol)
+        sched = (DampingSchedule.constant(gamma) if gamma
+                 else DampingSchedule.zero())
+        dt, speed = (dt, rng.uniform(0.2, 1.0)) if newton else (dt / 200, 1e-4)
+        q0 = rng.standard_normal(d)
+        q0 /= np.linalg.norm(q0)
+        p0 = rng.standard_normal(d)
+        p0 -= p0.dot(q0) * q0
+        p0 *= speed / np.linalg.norm(p0)
+        de = sched.delta_eta(0.0, 0.5 * dt)
+        h = dt * math.cosh(de)
+        big = 1.0 + 2.0 * speed + dt
+        lip = (1.0 + dt) ** 2 * (1.0 + 2.0 * h) * (1.0 + 2.0 * big) ** 2
+
+        def curve(da, db):
+            def point(eps):
+                q = q0 + eps * da
+                q = q / np.linalg.norm(q)
+                p = p0 + eps * db
+                err = math.sqrt(2 * d) * (2 * d + 8) * u * big
+                return (q, p - p.dot(q) * q), err
+            return point
+
+        def step(x, err):
+            q, p, _, _, _, lam, r = _rattle_step(*x, None, None, None, 0.0, dt,
+                                                 g, sched, prob, cons)
+            assert np.any(lam != 0.0) == newton and r <= tol
+            rounding = math.sqrt(2 * d) * (6 * d + 36) * u * big
+            return (q, p), (lip * (err + rounding)
+                            + r * (1.0 + 2.0 * big) * (1.0 + 1.0 / h))
+
+        (w_in, b_in), (w_out, b_out) = two_form_of_step(
+            step, [curve(*rng.standard_normal((2, d))) for _ in range(2)], 1e-5)
+        factor = math.exp(-2.0 * de)
+        assert abs(w_out - factor * w_in) <= b_out + factor * b_in
+
 
 class TestManifoldCsv:
     def test_extra_column_names(self):
@@ -606,17 +710,26 @@ class TestManifoldCsv:
 
 @pytest.mark.parametrize("field, value", [
     ("num_steps", 2.5), ("num_steps", -1), ("num_steps", 0),
-    ("num_steps", True), ("record_every", 0), ("record_every", 1.5)])
+    ("num_steps", True), ("record_every", 0), ("record_every", 1.5),
+    ("dt", 0.0), ("dt", -0.05), ("dt", math.inf), ("dt", math.nan),
+    ("target_gap", -1.0), ("target_gap", 0.0), ("target_gap", math.nan),
+    ("g_scalar", math.inf), ("g_scalar", math.nan)])
+@pytest.mark.filterwarnings("error")
 def test_manifold_runs_check_their_length(field, value):
-    # both runs take the flat run's rule: integers >= 1, and no bool
-    kw = {"num_steps": 10, "record_every": 1, field: value}
-    n = kw.pop("num_steps")
+    # both runs take the flat run's rule: integers >= 1 and no bool, dt
+    # finite and > 0, target_gap None or finite and > 0; the SO(n) run's
+    # g_scalar is finite and > 0.  Each is refused before the first step.
+    kw = {"dt": 0.05, "g_scalar": 0.05, "num_steps": 10, "record_every": 1,
+          field: value}
+    dt, g_scalar, n = kw.pop("dt"), kw.pop("g_scalar"), kw.pop("num_steps")
     st = MatrixGroupState(np.eye(3), np.zeros((3, 3)))
     with pytest.raises(DomainError, match=field):
-        run_lie_optimizer(st, trace_objective(np.eye(3)), 0.05, 0.05,
+        run_lie_optimizer(st, trace_objective(np.eye(3)), dt, g_scalar,
                           DampingSchedule.constant(1.0), n, **kw)
+    if field == "g_scalar":
+        return
     with pytest.raises(DomainError, match=field):
         run_rattle_optimizer(
-            PhasePoint([1.0, 0.0], np.zeros(2)), problems.quadratic(2), 0.05,
+            PhasePoint([1.0, 0.0], np.zeros(2)), problems.quadratic(2), dt,
             KineticMetric.identity(2), DampingSchedule.constant(1.0),
             sphere_constraint(), n, **kw)

@@ -544,6 +544,23 @@ class TestHmcTransition:
             hmc_draw(chain, problems.standard_gaussian(2),
                      KineticMetric.identity(3), 0.1, 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", ["hmc_draw", "leapfrog_trajectory",
+                                       "run_hmc_chain"])
+    @pytest.mark.filterwarnings("error")
+    def test_step_size_refused(self, entry, dt):
+        # dt = 0 used to give acceptance 1.0 from a chain that never moved,
+        # and NaN or inf one incident per draw with a RuntimeWarning
+        prob, g = problems.quadratic(1), KineticMetric.identity(1)
+        rng = np.random.default_rng(0)
+        calls = {"hmc_draw": lambda: hmc_draw(ChainState.start(np.zeros(1)),
+                                              prob, g, dt, 3, rng),
+                 "leapfrog_trajectory": lambda: leapfrog_trajectory(
+                     PhasePoint([1.0], [0.0]), prob, g, dt, 3),
+                 "run_hmc_chain": lambda: run_hmc_chain(prob, g, dt, 3, 50, rng)}
+        with pytest.raises(DomainError, match="dt"):
+            calls[entry]()
+
     def test_needs_a_leapfrog_step(self):
         with pytest.raises(DomainError, match="L must be"):
             hmc_draw(ChainState.start(np.zeros(1)), problems.quadratic(1),
@@ -557,6 +574,16 @@ class TestLangevin:
         a = overdamped_em_step(q, prob, 0.2, math.inf, np.random.default_rng(0))
         b = gradient_flow_step(q, 0.2, prob)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_em_step_size_refused(self, dt, beta):
+        # dt = -0.1 used to raise an untyped math domain error, and dt = 0
+        # returned q unchanged
+        with pytest.raises(DomainError, match="dt"):
+            overdamped_em_step(np.ones(2), problems.quadratic(2), dt, beta,
+                               np.random.default_rng(0))
 
     def test_em_stationary_variance_bias(self):
         prob = problems.standard_gaussian(1000)

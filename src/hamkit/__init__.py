@@ -28,7 +28,6 @@ from .errors import (
     NumericOverflowError,
 )
 from .integrators import (
-    OptimizerConfig,
     Trajectory,
     dissipative_leapfrog_step,
     fit_rate,

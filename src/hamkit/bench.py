@@ -26,7 +26,7 @@ from .discrepancies import (
     sm_ngd_fit,
 )
 from .errors import ConfigError, DivergenceError, FitDomainError
-from .integrators import _METHODS, OptimizerConfig, Trajectory, fit_rate, run_optimizer
+from .integrators import _METHODS, Trajectory, fit_rate, run_optimizer
 from .manifold import (MatrixGroupState, _linalg, run_lie_optimizer,
                        run_rattle_optimizer, sphere_constraint, trace_objective)
 from .problems import banana, gaussian_mixture_1d, quadratic, quartic, rosenbrock, standard_gaussian
@@ -463,12 +463,12 @@ def cmd_optimize(cfg, p):
         else:
             q0 = rng.standard_normal(prob.dim)
             q0 = float(p["x0_scale"]) * q0 / np.linalg.norm(q0)
-        run_cfg = OptimizerConfig(
-            step=float(p["step"]), num_steps=int(p["num_steps"]),
-            schedule=sched, x0=PhasePoint(q0, np.zeros(prob.dim)),
-            record_every=int(p["record_every"]), target_gap=p["target_gap"])
         try:
-            traj = run_optimizer(run_cfg, prob, method=p["method"])
+            traj = run_optimizer(
+                PhasePoint(q0, np.zeros(prob.dim)), prob, float(p["step"]),
+                None, sched, int(p["num_steps"]),
+                record_every=int(p["record_every"]),
+                target_gap=p["target_gap"], method=p["method"])
         except DivergenceError as exc:
             return {"diverged": 1.0, "divergence_step": float(exc.step or -1)}
         traj.to_csv(os.path.join(cfg.out_dir, f"optimize_rep{i}.csv"))

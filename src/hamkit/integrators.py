@@ -5,7 +5,10 @@ kick / drift / half kick `_conformal_step`, in the numerically stable
 half-step form: the damping enters only through Delta_eta over half a step,
 so no large exponentials appear.  Every run is the record loop `_run_steps`,
 which evaluates each step at most once: a run that comes back to a state it
-was in, byte for byte, replays the steps that followed it.
+was in, byte for byte, replays the steps that followed it.  The flat, SO(n)
+and RATTLE runs take (start, prob, dt, metric, schedule, ...), their steps
+(state, t_k, dt, metric, schedule, prob, ...), and `_run_steps` checks the
+dt and length of every run.
 
 The run drivers step raw arrays and carry the end-of-step half kick into the
 next step, and each state holds f at its position: the flat run takes
@@ -27,45 +30,12 @@ from .core import (KineticMetric, PhasePoint, _all_finite, _check_dims,
 from .errors import DivergenceError, DomainError, FitDomainError
 
 __all__ = [
-    "OptimizerConfig",
     "Trajectory",
     "dissipative_leapfrog_step",
     "gradient_flow_step",
     "run_optimizer",
     "fit_rate",
 ]
-
-
-@dataclass
-class OptimizerConfig:
-    """Run parameters for the flat-space optimisers.
-
-    metric='auto' resolves to (step size) * I, the convenient default for
-    optimisation runs; explicit metrics are honoured as given.
-    """
-
-    step: float
-    num_steps: int
-    schedule: "DampingSchedule"
-    x0: PhasePoint
-    metric: object = "auto"
-    record_every: int = 1
-    divergence_threshold: float = 1e12
-    target_gap: float | None = None
-
-    def __post_init__(self):
-        _check_run(self.step, self.num_steps, self.record_every,
-                   self.target_gap)
-        if not self.divergence_threshold > 0:   # NaN fails too
-            raise DomainError("divergence_threshold must be > 0 (inf for no "
-                              f"stop), got {self.divergence_threshold!r}")
-        if isinstance(self.metric, str) and self.metric == "auto":
-            self.metric = KineticMetric.scaled_identity(self.x0.dim, self.step)
-        elif not isinstance(self.metric, KineticMetric):
-            raise DomainError("metric must be a KineticMetric or 'auto', got "
-                              f"{type(self.metric).__name__}")
-        if self.metric.dim != self.x0.dim:
-            raise DomainError("metric dimension does not match initial state")
 
 
 _CSV_CHUNK = 2048  # rows converted to Python numbers at a time
@@ -160,13 +130,13 @@ def _flat_drift(inv_mul):
     return lambda q, p, h, decay: (q + h * inv_mul(p), p)
 
 
-def _leapfrog_step(cfg, prob):
+def _leapfrog_step(dt, g, sched, prob):
     """`dissipative_leapfrog_step` on raw arrays, built once per run: returns
     step(x, t_k) for x = (q, p, half kick, f(q)); see `_conformal_step`.  The
     kick takes f and grad f from one `prob.value_and_grad` call, and the step
     returns f(q_{k+1}) with the state, so a run evaluates each point once.
     """
-    dt, sched, drift = cfg.step, cfg.schedule, _flat_drift(cfg.metric.inv_mul)
+    drift = _flat_drift(g.inv_mul)
     value_and_grad, f_new = prob.value_and_grad, [None]
 
     def kick(q, p):
@@ -181,16 +151,15 @@ def _leapfrog_step(cfg, prob):
     return step
 
 
-def dissipative_leapfrog_step(x, t_k, cfg, prob):
+def dissipative_leapfrog_step(x, t_k, dt, g, sched, prob):
     """One damped leapfrog step from (q_k, p_k) at time t_k.
 
     The conformal step with kick grad f and drift
     q_{k+1} = q_k + dt cosh(De) g^{-1} p_{k+1/2}, whose plus sign makes the
     undamped limit the classical leapfrog.  f itself is not evaluated.
     """
-    q, p, _ = _conformal_step(x.q, x.p, None, t_k, cfg.step, cfg.schedule,
-                              lambda q, p: prob.grad(q),
-                              _flat_drift(cfg.metric.inv_mul))
+    q, p, _ = _conformal_step(x.q, x.p, None, t_k, dt, sched,
+                              lambda q, p: prob.grad(q), _flat_drift(g.inv_mul))
     return PhasePoint(q, p)
 
 
@@ -213,14 +182,20 @@ def _check_dt(dt):
         raise DomainError(f"step size dt must be finite and > 0, got {dt!r}")
 
 
+def _check_count(name, n, least):
+    """DomainError naming `name` unless n is an integer (not a bool) >= least."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < least:
+        raise DomainError(f"{name} must be an integer, {name} >= {least}; "
+                          f"got {n!r}")
+
+
 def _check_run(dt, num_steps, record_every, target_gap):
     """DomainError, naming the field, unless the step size dt is finite and
     > 0, num_steps and record_every are integers >= 1, and target_gap is
     None or finite and > 0."""
     _check_dt(dt)
-    for name, n in (("num_steps", num_steps), ("record_every", record_every)):
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+    _check_count("num_steps", num_steps, 1)
+    _check_count("record_every", record_every, 1)
     if target_gap is not None and not 0 < target_gap < math.inf:
         raise DomainError("target_gap must be None or finite and > 0, got "
                           f"{target_gap!r}")
@@ -313,21 +288,33 @@ def _run_steps(x, advance, extra, sched, dt, num_steps, f_star,
 _METHODS = ("dissipative_leapfrog", "gradient_flow")
 
 
-def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
-    """Run an optimiser and record a Trajectory.
+def run_optimizer(x0, prob, dt, g, sched, num_steps, record_every=1,
+                  target_gap=None, divergence_threshold=1e12,
+                  method="dissipative_leapfrog"):
+    """Run a flat optimiser from the PhasePoint x0; returns its Trajectory.
 
-    Terminates early (with a recorded reason) on divergence of |f| or ||q||
-    beyond cfg.divergence_threshold, or when the objective gap drops below
-    cfg.target_gap.
+    The leapfrog steps under the kinetic metric g (None: dt * I, the usual
+    choice for optimisation) and the damping schedule sched.  The run stops
+    early, with a recorded reason, when |f| or ||q|| exceeds
+    divergence_threshold (inf: never) or the gap drops below target_gap.
+    `_run_steps` checks dt, num_steps, record_every and target_gap.
     """
     if method not in _METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {_METHODS}")
+    _check_dt(dt)   # before dt * I, whose own check does not name dt
+    if not divergence_threshold > 0:   # NaN fails too
+        raise DomainError("divergence_threshold must be > 0 (inf for no "
+                          f"stop), got {divergence_threshold!r}")
+    if g is None:
+        g = KineticMetric.scaled_identity(x0.dim, dt)
+    elif not isinstance(g, KineticMetric):
+        raise DomainError("metric g must be a KineticMetric or None, got "
+                          f"{type(g).__name__}")
+    _check_dims(x0.dim, g, prob)
     leapfrog = method == "dissipative_leapfrog"
-    g = cfg.metric
-    _check_dims(cfg.x0.dim, g, prob)
 
     def flow(x, t_k):
-        q = gradient_flow_step(x[0], cfg.step, prob)
+        q = gradient_flow_step(x[0], dt, prob)
         return q, x[1], None, prob.value(q)
 
     def energy(x):
@@ -339,17 +326,16 @@ def run_optimizer(cfg, prob, method="dissipative_leapfrog"):
             PhasePoint(x[0], x[1]), g, prob)
 
     # x = (q, p, (dt/2) grad f(q) or None for the flow, f(q))
-    q0, p0 = cfg.x0.q, cfg.x0.p
     if leapfrog:
-        f0, grad0 = prob.value_and_grad(q0)   # one evaluation per point
-        x0 = (q0, p0, 0.5 * cfg.step * grad0, f0)
-        advance = _leapfrog_step(cfg, prob)
+        f0, grad0 = prob.value_and_grad(x0.q)   # one evaluation per point
+        start = (x0.q, x0.p, 0.5 * dt * grad0, f0)
+        advance = _leapfrog_step(dt, g, sched, prob)
     else:
-        x0, advance = (q0, p0, None, prob.value(q0)), flow
-    thr = cfg.divergence_threshold
+        start, advance = (x0.q, x0.p, None, prob.value(x0.q)), flow
+    thr = divergence_threshold
     traj, _ = _run_steps(
-        x0, advance, energy, cfg.schedule, cfg.step, cfg.num_steps,
-        prob.f_star, record_every=cfg.record_every, target_gap=cfg.target_gap,
+        start, advance, energy, sched, dt, num_steps, prob.f_star,
+        record_every=record_every, target_gap=target_gap,
         too_far=lambda x: abs(x[3]) > thr or math.sqrt(x[0].dot(x[0])) > thr)
     return traj
 

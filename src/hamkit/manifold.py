@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import PhasePoint, Problem, _all_finite
 from .errors import ConstraintSolveError, DomainError, GeometryError
-from .integrators import _conformal_step, _run_steps
+from .integrators import _check_count, _conformal_step, _run_steps
 
 __all__ = [
     "MatrixGroupState",
@@ -169,18 +169,14 @@ class ConstraintSet:
     """m >= 1 equality constraints psi_a(q) = 0 with Jacobian rows dpsi_a/dq."""
 
     def __init__(self, m, value, jacobian, newton_tol=1e-10, newton_max_iter=50):
-        self.m = int(m)
-        if self.m < 1:
-            raise DomainError(f"a constraint set needs m >= 1, got {m}")
+        _check_count("m", m, 1)
+        _check_count("newton_max_iter", newton_max_iter, 0)
+        self.m, self.newton_max_iter = int(m), int(newton_max_iter)
         self._value = value
         self._jacobian = jacobian
         self.newton_tol = float(newton_tol)
-        self.newton_max_iter = int(newton_max_iter)
         if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise DomainError(f"newton_tol must be finite and > 0, got {newton_tol}")
-        if self.newton_max_iter < 0 or self.newton_max_iter != newton_max_iter:
-            raise DomainError(f"newton_max_iter must be an integer >= 0, "
-                              f"got {newton_max_iter}")
 
     def value(self, q):
         res = np.atleast_1d(np.asarray(self._value(q), float))

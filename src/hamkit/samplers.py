@@ -17,7 +17,7 @@ import numpy as np
 from .core import (PhasePoint, _all_finite, _as_samples, _central_diffs,
                    _check_dims, _rows)
 from .errors import DivergenceError, DomainError
-from .integrators import _check_dt, _write_csv, gradient_flow_step
+from .integrators import _check_count, _check_dt, _write_csv, gradient_flow_step
 
 __all__ = [
     "ChainState",
@@ -94,8 +94,7 @@ def _check_hmc(q, prob, g, dt, L, jitter):
     _check_dt(dt)
     if not 0.0 <= jitter <= 1.0:
         raise DomainError("jitter must lie in [0, 1]")
-    if L < 1:
-        raise DomainError("L must be >= 1")
+    _check_count("L", L, 1)
     _check_dims(q.size, g, prob)
 
 
@@ -226,8 +225,7 @@ def run_hmc_chain(prob, g, dt, L, n_draws, rng, q0=None, jitter=0.0,
     """Drive a single HMC chain, draw for draw as chained `hmc_draw` calls;
     returns (final ChainState, samples array).  Estimates come from the
     samples, one row per draw (None unless keep_samples)."""
-    if n_draws < 0:
-        raise DomainError(f"n_draws must be >= 0, got {n_draws}")
+    _check_count("n_draws", n_draws, 0)
     x = ChainState.start(np.zeros(prob.dim) if q0 is None else q0).x
     _check_hmc(x.q, prob, g, dt, L, jitter)
     q, p, v, grad, accepted, incidents = x.q, x.p, None, None, 0, 0

@@ -46,7 +46,6 @@ from hamkit import (
     KernelSpec,
     KineticMetric,
     MatrixGroupState,
-    OptimizerConfig,
     PhasePoint,
     Problem,
     dissipative_leapfrog_step,
@@ -69,21 +68,20 @@ from hamkit.bench import Report, _evaluate_verdicts
 from hamkit.samplers import _hmc_transition
 
 
-def quartic_config(num_steps):
-    return OptimizerConfig(step=0.01, num_steps=num_steps,
-                           schedule=DampingSchedule.vanishing(r=3.0, t0=1.0),
-                           x0=PhasePoint([1.8, -0.4], [0.0, 0.0]))
+QUARTIC_X0 = PhasePoint([1.8, -0.4], [0.0, 0.0])
+QUARTIC_SCHED = DampingSchedule.vanishing(r=3.0, t0=1.0)
 
 
 def test_flat_step(benchmark):
-    cfg, prob = quartic_config(1), problems.quartic(2)
-    x = benchmark(dissipative_leapfrog_step, cfg.x0, 1.0, cfg, prob)
+    prob, g = problems.quartic(2), KineticMetric.scaled_identity(2, 0.01)
+    x = benchmark(dissipative_leapfrog_step, QUARTIC_X0, 1.0, 0.01, g,
+                  QUARTIC_SCHED, prob)
     assert np.isfinite(x.q).all()
 
 
 def test_flat_run_per_step(benchmark):
-    cfg, prob = quartic_config(1000), problems.quartic(2)
-    traj = benchmark(run_optimizer, cfg, prob)
+    traj = benchmark(run_optimizer, QUARTIC_X0, problems.quartic(2), 0.01, None,
+                     QUARTIC_SCHED, 1000)
     assert traj.reason == "completed"
 
 

@@ -15,7 +15,6 @@ from hamkit import (
     KernelSpec,
     KineticMetric,
     MatrixGroupState,
-    OptimizerConfig,
     PhasePoint,
     Problem,
     dissipative_leapfrog_step,
@@ -47,21 +46,17 @@ def test_criterion_1_rate_table():
     # (a) quartic objective with vanishing damping gamma = 3/t: power-law fit
     # of the block-maximum envelope of the optimality gap.
     prob = problems.quartic(2)
-    cfg = OptimizerConfig(step=0.05, num_steps=100000,
-                          schedule=DampingSchedule.vanishing(r=3.0, t0=1.0),
-                          x0=PhasePoint([1.5, -1.0], [0.0, 0.0]))
-    traj = run_optimizer(cfg, prob)
+    traj = run_optimizer(PhasePoint([1.5, -1.0], [0.0, 0.0]), prob, 0.05, None,
+                         DampingSchedule.vanishing(r=3.0, t0=1.0), 100000)
     exponent, r2_a = fit_rate(_envelope(traj, 40, spacing="log"),
                               "power_law", burn_in=0.3)
 
     # (b) strongly convex quadratic with critical constant damping:
     # exponential fit of the gap.
     prob_b = problems.quadratic(3, mu=1.0)
-    cfg_b = OptimizerConfig(step=0.05, num_steps=4000,
-                            schedule=DampingSchedule.constant(2.0),
-                            x0=PhasePoint([2.0, -1.0, 0.5], np.zeros(3)))
-    rate, r2_b = fit_rate(run_optimizer(cfg_b, prob_b), "exponential",
-                          burn_in=0.2)
+    traj_b = run_optimizer(PhasePoint([2.0, -1.0, 0.5], np.zeros(3)), prob_b,
+                           0.05, None, DampingSchedule.constant(2.0), 4000)
+    rate, r2_b = fit_rate(traj_b, "exponential", burn_in=0.2)
 
     ok_a = -2.3 <= exponent <= -1.7 and r2_a >= 0.98
     ok_b = r2_b >= 0.99
@@ -79,11 +74,9 @@ def test_criterion_2_shadow_energy_order():
     prob = problems.quadratic(1)
     drifts = []
     for dt in (0.1, 0.05):
-        cfg = OptimizerConfig(step=dt, num_steps=10000,
-                              schedule=DampingSchedule.zero(),
-                              x0=PhasePoint([1.0], [0.0]),
-                              metric=KineticMetric.identity(1))
-        traj = run_optimizer(cfg, prob)
+        traj = run_optimizer(PhasePoint([1.0], [0.0]), prob, dt,
+                             KineticMetric.identity(1), DampingSchedule.zero(),
+                             10000)
         drifts.append(float(np.max(np.abs(traj.extra - traj.extra[0]))))
     ratio = drifts[0] / drifts[1]
     ok = 3.5 <= ratio <= 4.5
@@ -94,29 +87,25 @@ def test_criterion_2_shadow_energy_order():
 
 def test_criterion_3_reversibility_and_volume():
     prob = problems.quadratic(3, mu=1.3)
-    cfg = OptimizerConfig(step=0.1, num_steps=1, schedule=DampingSchedule.zero(),
-                          x0=PhasePoint([0.7, -0.4, 1.2], [0.2, 1.1, -0.3]),
-                          metric=KineticMetric.identity(3))
-    x = cfg.x0
+    args = (0.1, KineticMetric.identity(3), DampingSchedule.zero(), prob)
+    x0 = PhasePoint([0.7, -0.4, 1.2], [0.2, 1.1, -0.3])
+    x = x0
     for _ in range(50):
-        x = dissipative_leapfrog_step(x, 0.0, cfg, prob)
+        x = dissipative_leapfrog_step(x, 0.0, *args)
     x = x.flip_momentum()
     for _ in range(50):
-        x = dissipative_leapfrog_step(x, 0.0, cfg, prob)
+        x = dissipative_leapfrog_step(x, 0.0, *args)
     x = x.flip_momentum()
-    rev_err = max(float(np.max(np.abs(x.q - cfg.x0.q))),
-                  float(np.max(np.abs(x.p - cfg.x0.p))))
+    rev_err = max(float(np.max(np.abs(x.q - x0.q))),
+                  float(np.max(np.abs(x.p - x0.p))))
 
     # One conservative step on a quadratic is affine, so central differences
     # recover its Jacobian exactly; a large h keeps round-off negligible.
-    prob2 = problems.quadratic(2, mu=0.8)
-    cfg2 = OptimizerConfig(step=0.1, num_steps=1,
-                           schedule=DampingSchedule.zero(),
-                           x0=PhasePoint(np.zeros(2), np.zeros(2)),
-                           metric=KineticMetric.identity(2))
+    args2 = (0.1, KineticMetric.identity(2), DampingSchedule.zero(),
+             problems.quadratic(2, mu=0.8))
 
     def step_map(z):
-        y = dissipative_leapfrog_step(PhasePoint(z[:2], z[2:]), 0.0, cfg2, prob2)
+        y = dissipative_leapfrog_step(PhasePoint(z[:2], z[2:]), 0.0, *args2)
         return np.concatenate([y.q, y.p])
 
     z0 = np.array([0.3, -0.6, 0.9, 0.1])

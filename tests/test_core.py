@@ -14,7 +14,6 @@ from hamkit import (
     DomainError,
     KineticMetric,
     NumericOverflowError,
-    OptimizerConfig,
     PhasePoint,
     Problem,
     evaluate_hamiltonian,
@@ -268,12 +267,11 @@ class TestEvaluateHamiltonian:
         # step by the same check, with the same message
         x, g = PhasePoint([1.0], [0.0]), KineticMetric.identity(1)
         prob = problems.quadratic(2)
-        cfg = OptimizerConfig(step=0.1, num_steps=3, x0=x, metric=g,
-                              schedule=DampingSchedule.constant(1.0))
+        run = (x, prob, 0.1, g, DampingSchedule.constant(1.0), 3)
         calls = {
             "hamiltonian": lambda: evaluate_hamiltonian(x, g, prob),
-            "leapfrog_optimizer": lambda: run_optimizer(cfg, prob),
-            "gradient_flow": lambda: run_optimizer(cfg, prob, "gradient_flow"),
+            "leapfrog_optimizer": lambda: run_optimizer(*run),
+            "gradient_flow": lambda: run_optimizer(*run, method="gradient_flow"),
             "hmc_draw": lambda: hmc_draw(ChainState(x), prob, g, 0.1, 2,
                                          np.random.default_rng(0)),
             "leapfrog_trajectory": lambda: leapfrog_trajectory(x, prob, g, 0.1, 2),

@@ -19,7 +19,6 @@ from hamkit import (
     HamkitError,
     KineticMetric,
     MatrixGroupState,
-    OptimizerConfig,
     PhasePoint,
     Problem,
     dissipative_leapfrog_step,
@@ -84,16 +83,16 @@ FLAT_PROBLEMS = {"quadratic": lambda: problems.quadratic(2, 1.3),
 
 
 def random_metric(rng, kind):
-    """'auto' (the scaled identity step * I), I, or a dense SPD metric; each
-    takes its own branch of the KineticMetric products."""
+    """None (the run's default, the scaled identity dt * I), I, or a dense
+    SPD metric; each takes its own branch of the KineticMetric products."""
     if kind == "dense":
         a = rng.standard_normal((2, 2))
         return KineticMetric(a @ a.T + 0.5 * np.eye(2))
-    return KineticMetric.identity(2) if kind == "identity" else "auto"
+    return KineticMetric.identity(2) if kind == "identity" else None
 
 
 @given(problem=hst.sampled_from(sorted(FLAT_PROBLEMS)),
-       metric=hst.sampled_from(["auto", "identity", "dense"]),
+       metric=hst.sampled_from(["scaled", "identity", "dense"]),
        threshold=hst.sampled_from([1e12, 2.0]), **run_settings)
 @settings(max_examples=60, deadline=None)
 def test_flat_driver_matches_step_loop(problem, metric, threshold, seed, kind,
@@ -103,27 +102,32 @@ def test_flat_driver_matches_step_loop(problem, metric, threshold, seed, kind,
     rng = np.random.default_rng(seed)
     prob = FLAT_PROBLEMS[problem]()
     sched = SCHEDULES[kind]
-    cfg = OptimizerConfig(step=0.1, num_steps=60, schedule=sched,
-                          x0=PhasePoint(rng.standard_normal(2),
-                                        rng.standard_normal(2)),
-                          metric=random_metric(rng, metric),
-                          record_every=record_every, target_gap=target_gap,
-                          divergence_threshold=threshold)
+    dt, n = 0.1, 60
+    x0 = PhasePoint(rng.standard_normal(2), rng.standard_normal(2))
+    g = random_metric(rng, metric)
+    g_step = KineticMetric.scaled_identity(2, dt) if g is None else g
+
+    def run():
+        return run_optimizer(x0, prob, dt, g, sched, n, record_every=record_every,
+                             target_gap=target_gap,
+                             divergence_threshold=threshold)
+
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             ref = step_loop(
-                cfg.x0, lambda x, t: dissipative_leapfrog_step(x, t, cfg, prob),
+                x0, lambda x, t: dissipative_leapfrog_step(x, t, dt, g_step,
+                                                           sched, prob),
                 lambda x: prob.value(x.q),
-                lambda x, f: evaluate_hamiltonian(x, cfg.metric, prob),
-                sched.start_time(), cfg.step, cfg.num_steps, prob.f_star,
+                lambda x, f: evaluate_hamiltonian(x, g_step, prob),
+                sched.start_time(), dt, n, prob.f_star,
                 record_every, target_gap,
                 too_far=lambda x, f: (abs(f) > threshold
                                      or np.linalg.norm(x.q) > threshold))
         except HamkitError as exc:   # a stiff run may overflow on both sides
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                run_optimizer(cfg, prob)
+                run()
             return
-        assert_same_run(run_optimizer(cfg, prob), ref, prob.f_star)
+        assert_same_run(run(), ref, prob.f_star)
 
 
 @given(**run_settings)
@@ -179,31 +183,29 @@ def test_rattle_driver_matches_step_loop(seed, kind, record_every, target_gap):
 
 @pytest.mark.parametrize("num_steps", [10, 200])
 def test_flat_run_work_counts(count_calls, counting_problem, num_steps):
-    cfg = OptimizerConfig(step=0.05, num_steps=num_steps,
-                          schedule=DampingSchedule.vanishing(),
-                          x0=PhasePoint([1.8, 0.0], [0.0, 0.0]))
+    x0, sched = PhasePoint([1.8, 0.0], [0.0, 0.0]), DampingSchedule.vanishing()
     prob, calls = counting_problem(problems.quartic(2))
     validations = count_calls(PhasePoint, "__post_init__")
-    traj = run_optimizer(cfg, prob)
+    traj = run_optimizer(x0, prob, 0.05, None, sched, num_steps)
     assert len(traj) == num_steps + 1
     # f and grad f at each of the run's points from one fused call
     assert calls == {"value_and_grad": num_steps + 1}
     assert len(validations) <= 1
     # without the fused form Problem's adapter makes both calls, same bits
     plain, plain_calls = counting_problem(problems.quartic(2), fused=False)
-    ref = run_optimizer(cfg, plain)
+    ref = run_optimizer(x0, plain, 0.05, None, sched, num_steps)
     for column in ("steps", "times", "values", "gaps", "extra"):
         assert np.array_equal(getattr(traj, column), getattr(ref, column))
     assert plain_calls == {"value": num_steps + 1, "grad": num_steps + 1}
 
 
 def test_public_flat_step_evaluates_only_the_gradient(counting_problem):
-    cfg = OptimizerConfig(step=0.05, num_steps=1,
-                          schedule=DampingSchedule.vanishing(),
-                          x0=PhasePoint([1.8, 0.0], [0.0, 0.0]))
+    x0 = PhasePoint([1.8, 0.0], [0.0, 0.0])
+    g = KineticMetric.scaled_identity(2, 0.05)
     for fused in (True, False):
         prob, calls = counting_problem(problems.quartic(2), fused=fused)
-        dissipative_leapfrog_step(cfg.x0, 1.0, cfg, prob)
+        dissipative_leapfrog_step(x0, 1.0, 0.05, g, DampingSchedule.vanishing(),
+                                  prob)
         assert calls == {"grad": 2}
 
 

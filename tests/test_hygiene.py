@@ -6,14 +6,17 @@ name, only the manifold module imports scipy, only on first use, and it
 takes every LAPACK routine from scipy, not numpy, no module serves names
 through a module-level `__getattr__`, the per-step functions multiply
 with ndarray.dot, not `@`, only the adapters for per-point callables
-call `core._rows`, one loop walks a Gram's row tiles and one check takes
-every optimiser run's parameters.
+call `core._rows`, one loop walks a Gram's row tiles, one check takes
+every optimiser run's parameters, the flat, SO(n) and RATTLE runs and steps
+take them in one order, and the step benchmarks in `tests/bench_steps.py`
+run.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
 """
 import ast
 import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -361,8 +364,35 @@ def test_one_gram_tile_loop():
 
 
 def test_one_run_parameter_check():
-    # every optimiser run's dt, length and target gap go through _run_steps,
-    # and the flat run's config refuses the same values when it is built
-    assert _package_callers("_check_run") == {
-        ("integrators.py", "OptimizerConfig.__post_init__"),
-        ("integrators.py", "_run_steps")}
+    # every optimiser run's dt, length and target gap go through _run_steps
+    assert _package_callers("_check_run") == {("integrators.py", "_run_steps")}
+
+
+def _param_names(func, start, stop):
+    return [*inspect.signature(func).parameters][start:stop]
+
+
+def test_runs_and_steps_take_one_parameter_order():
+    # the flat, SO(n) and RATTLE optimisers take their parameters alike: a
+    # run (start, prob, dt, metric, schedule, ...), a step (state, t_k, dt,
+    # metric, schedule, prob, ...), the metric being g_scalar on SO(n)
+    for run in (hamkit.run_optimizer, hamkit.run_rattle_optimizer):
+        assert _param_names(run, 1, 5) == ["prob", "dt", "g", "sched"]
+    assert _param_names(hamkit.run_lie_optimizer, 1, 5) == [
+        "prob", "dt", "g_scalar", "sched"]
+    for step in (hamkit.dissipative_leapfrog_step, hamkit.rattle_step):
+        assert _param_names(step, 2, 6) == ["dt", "g", "sched", "prob"]
+    assert _param_names(hamkit.lie_group_step, 2, 6) == [
+        "dt", "g_scalar", "sched", "prob"]
+
+
+def test_step_benchmarks_run():
+    # tests/bench_steps.py is not collected here (its name does not match
+    # test_*.py); run its cases once each, untimed, so that a signature
+    # change cannot break it unseen
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "tests/bench_steps.py",
+         "--benchmark-disable", "-q", "-p", "no:cacheprovider"],
+        cwd=pathlib.Path(__file__).resolve().parent.parent,
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

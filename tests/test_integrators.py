@@ -14,7 +14,6 @@ from hamkit import (
     HamkitError,
     KineticMetric,
     NumericOverflowError,
-    OptimizerConfig,
     PhasePoint,
     Problem,
     Trajectory,
@@ -30,26 +29,25 @@ from hamkit.bench import _envelope
 from helpers import constant_problem
 
 
-def make_cfg(prob, step, num_steps, schedule, q0, p0=None, metric="auto", **kw):
-    p0 = np.zeros_like(np.atleast_1d(q0)) if p0 is None else p0
-    return OptimizerConfig(step=step, num_steps=num_steps, schedule=schedule,
-                           x0=PhasePoint(q0, p0), metric=metric, **kw)
+def at_rest(q0):
+    """The PhasePoint (q0, 0)."""
+    return PhasePoint(q0, np.zeros_like(np.atleast_1d(q0)))
 
 
 class TestStepExamples:
     def test_free_drift(self):
         prob = constant_problem(1)
-        cfg = make_cfg(prob, 1.0, 1, DampingSchedule.zero(), np.array([0.0]),
-                       np.array([1.0]), metric=KineticMetric.identity(1))
-        y = dissipative_leapfrog_step(cfg.x0, 0.0, cfg, prob)
+        y = dissipative_leapfrog_step(PhasePoint([0.0], [1.0]), 0.0, 1.0,
+                                      KineticMetric.identity(1),
+                                      DampingSchedule.zero(), prob)
         assert y.q == pytest.approx(1.0)
         assert y.p == pytest.approx(1.0)
 
     def test_harmonic_small_step(self):
         prob = problems.quadratic(1)
-        cfg = make_cfg(prob, 0.1, 1, DampingSchedule.zero(), np.array([1.0]),
-                       np.array([0.0]), metric=KineticMetric.identity(1))
-        y = dissipative_leapfrog_step(cfg.x0, 0.0, cfg, prob)
+        y = dissipative_leapfrog_step(PhasePoint([1.0], [0.0]), 0.0, 0.1,
+                                      KineticMetric.identity(1),
+                                      DampingSchedule.zero(), prob)
         assert y.q == pytest.approx(0.995, abs=1e-12)
         assert y.p == pytest.approx(-0.09975, abs=1e-12)
 
@@ -57,22 +55,21 @@ class TestStepExamples:
         # constant gamma with Delta_eta = ln 2 over the half step
         prob = constant_problem(1)
         gamma = 2.0 * math.log(2.0)  # gamma * (dt/2) = ln 2 at dt = 1
-        cfg = make_cfg(prob, 1.0, 1, DampingSchedule.constant(gamma),
-                       np.array([0.0]), np.array([1.0]),
-                       metric=KineticMetric.identity(1))
-        y = dissipative_leapfrog_step(cfg.x0, 0.0, cfg, prob)
+        y = dissipative_leapfrog_step(PhasePoint([0.0], [1.0]), 0.0, 1.0,
+                                      KineticMetric.identity(1),
+                                      DampingSchedule.constant(gamma), prob)
         assert y.q == pytest.approx(0.625, abs=1e-12)   # cosh(ln2) = 1.25
         assert y.p == pytest.approx(0.25, abs=1e-12)
 
     def test_zero_damping_is_classical_leapfrog(self):
         prob = problems.quadratic(2, 1.3)
         g = KineticMetric([[1.2, 0.1], [0.1, 0.9]])
-        cfg = make_cfg(prob, 0.07, 1, DampingSchedule.zero(),
-                       np.array([0.4, -0.2]), np.array([0.9, 0.3]), metric=g)
-        y = dissipative_leapfrog_step(cfg.x0, 0.0, cfg, prob)
+        x0 = PhasePoint([0.4, -0.2], [0.9, 0.3])
+        y = dissipative_leapfrog_step(x0, 0.0, 0.07, g, DampingSchedule.zero(),
+                                      prob)
         # classical kick-drift-kick by hand
-        p_half = cfg.x0.p - 0.5 * 0.07 * prob.grad(cfg.x0.q)
-        q_new = cfg.x0.q + 0.07 * g.inv_mul(p_half)
+        p_half = x0.p - 0.5 * 0.07 * prob.grad(x0.q)
+        q_new = x0.q + 0.07 * g.inv_mul(p_half)
         p_new = p_half - 0.5 * 0.07 * prob.grad(q_new)
         assert np.array_equal(y.q, q_new)
         assert np.array_equal(y.p, p_new)
@@ -94,12 +91,13 @@ class TestDampedStepGeometry:
     D = 3
 
     @staticmethod
-    def step(cfg, prob, t_k, z):
+    def step(args, t_k, z):
+        """The step from z = (q, p) at t_k; args = (dt, g, sched, prob)."""
         d = z.size // 2
-        y = dissipative_leapfrog_step(PhasePoint(z[:d], z[d:]), t_k, cfg, prob)
+        y = dissipative_leapfrog_step(PhasePoint(z[:d], z[d:]), t_k, *args)
         return np.concatenate([y.q, y.p])
 
-    def rounding(self, cfg, prob, t_k, de, z):
+    def rounding(self, args, t_k, de, z):
         """Bound on the 2-norm of the rounding error of the step from z.  The
         step rounds an entry at most 3d + 16 times: d in g^{-1} p, 2 in the
         drift, 2 in dt cosh(De), 6 in the two half kicks, 4 in the two decays
@@ -110,9 +108,9 @@ class TestDampedStepGeometry:
         the product of their Lipschitz bounds: 1 + h ||g^{-1}|| for the drift
         and 1 + (dt/2) ||H(q)|| for a half kick at q, H(q) = |q|^2 I + 2 q q^T
         the quartic's Hessian; a decay e^{-De} <= 1 does not amplify."""
-        d, dt = self.D, cfg.step
-        h_inv = dt * math.cosh(de) * np.linalg.norm(cfg.metric.g_inv, 2)
-        ends = [z, self.step(cfg, prob, t_k, z)]
+        d, (dt, g, _, prob) = self.D, args
+        h_inv = dt * math.cosh(de) * np.linalg.norm(g.g_inv, 2)
+        ends = [z, self.step(args, t_k, z)]
         m = max(np.linalg.norm(w[:d]) + np.linalg.norm(w[d:])
                 + dt * np.linalg.norm(prob.grad(w[:d])) for w in ends)
         m *= 1.0 + h_inv
@@ -130,20 +128,19 @@ class TestDampedStepGeometry:
         a = rng.standard_normal((d, d))   # a dense SPD metric, eigenvalues >= 0.5
         g = KineticMetric(a @ a.T / d + 0.5 * np.eye(d))
         z = rng.uniform(-1.5, 1.5, n)
-        prob = problems.quartic(d)
-        cfg = make_cfg(prob, dt, 1, sched, z[:d], z[d:], metric=g)
+        args = (dt, g, sched, problems.quartic(d))
         de = sched.delta_eta(t_k, t_k + 0.5 * dt)
 
         def jacobian(h):   # central differences, one column per coordinate
             return np.column_stack([
-                (self.step(cfg, prob, t_k, z + h * e)
-                 - self.step(cfg, prob, t_k, z - h * e)) / (2.0 * h)
+                (self.step(args, t_k, z + h * e)
+                 - self.step(args, t_k, z - h * e)) / (2.0 * h)
                 for e in np.eye(n)])
 
         jac, jac_half = jacobian(h), jacobian(0.5 * h)
         # E = jac_half - J: rounding as in TestLeapfrogGeometry (each step
         # errs by eps, z +- h e_j by u |z|), truncation about (jac - jac_half) / 3
-        eps = self.rounding(cfg, prob, t_k, de, z)
+        eps = self.rounding(args, t_k, de, z)
         rounding = math.sqrt(n) * 2.0 * (eps + _U * np.abs(z).max()
                                          * np.linalg.norm(jac_half, 2)) / h
         err = rounding + np.linalg.norm(jac - jac_half) / 3.0
@@ -172,8 +169,8 @@ class TestGradientFlow:
 
     def test_unstable_step_diverges(self):
         prob = problems.quadratic(1)
-        cfg = make_cfg(prob, 2.5, 100, DampingSchedule.zero(), np.array([1.0]))
-        traj = run_optimizer(cfg, prob, method="gradient_flow")
+        traj = run_optimizer(at_rest([1.0]), prob, 2.5, None,
+                             DampingSchedule.zero(), 100, method="gradient_flow")
         assert traj.reason == "diverged"
         assert traj.steps[-1] <= 50
 
@@ -181,23 +178,21 @@ class TestGradientFlow:
 class TestRunOptimizer:
     def test_strongly_convex_constant_damping(self):
         prob = problems.quadratic(1)
-        cfg = make_cfg(prob, 0.1, 2000, DampingSchedule.constant(1.0),
-                       np.array([5.0]))
-        traj = run_optimizer(cfg, prob)
+        traj = run_optimizer(at_rest([5.0]), prob, 0.1, None,
+                             DampingSchedule.constant(1.0), 2000)
         assert traj.reason == "completed"
         assert traj.gaps[-1] < 1e-10
 
     def test_constant_objective(self):
         prob = constant_problem(3, c=2.0)
-        cfg = make_cfg(prob, 0.1, 50, DampingSchedule.constant(1.0),
-                       np.ones(3))
-        traj = run_optimizer(cfg, prob)
+        traj = run_optimizer(at_rest(np.ones(3)), prob, 0.1, None,
+                             DampingSchedule.constant(1.0), 50)
         assert np.all(traj.gaps == 0.0)
 
     def test_zero_steps_rejected(self):
         with pytest.raises(DomainError):
-            make_cfg(problems.quadratic(1), 0.1, 0, DampingSchedule.zero(),
-                     np.array([1.0]))
+            run_optimizer(at_rest([1.0]), problems.quadratic(1), 0.1, None,
+                          DampingSchedule.zero(), 0)
 
     @pytest.mark.parametrize("field, value", [
         ("metric", np.eye(1)), ("metric", "identity"), ("num_steps", 2.5),
@@ -206,28 +201,30 @@ class TestRunOptimizer:
         ("target_gap", -1.0), ("target_gap", 0.0), ("target_gap", math.nan),
         ("divergence_threshold", math.nan), ("divergence_threshold", 0.0)])
     def test_bad_field_refused(self, field, value):
-        kw = {"step": 0.1, "num_steps": 10, field: value}
+        # "metric" is the argument g and "step" the step size dt; each
+        # message names the field
+        kw = {"dt": 0.1, "g": None, "sched": DampingSchedule.zero(),
+              "num_steps": 10}
+        kw[{"metric": "g", "step": "dt"}.get(field, field)] = value
         with pytest.raises(DomainError, match=field):
-            OptimizerConfig(schedule=DampingSchedule.zero(),
-                            x0=PhasePoint([1.0], [0.0]), **kw)
+            run_optimizer(PhasePoint([1.0], [0.0]), problems.quadratic(1), **kw)
 
     def test_numpy_integer_run_length_accepted(self):
-        cfg = make_cfg(problems.quadratic(1), 0.1, np.int64(4),
-                       DampingSchedule.zero(), np.array([1.0]),
-                       record_every=np.int64(2))
-        assert len(run_optimizer(cfg, problems.quadratic(1))) == 3
+        traj = run_optimizer(at_rest([1.0]), problems.quadratic(1), 0.1, None,
+                             DampingSchedule.zero(), np.int64(4),
+                             record_every=np.int64(2))
+        assert len(traj) == 3
 
     def test_bad_method(self):
         prob = problems.quadratic(1)
-        cfg = make_cfg(prob, 0.1, 10, DampingSchedule.zero(), np.array([1.0]))
         with pytest.raises(DomainError):
-            run_optimizer(cfg, prob, method="newton")
+            run_optimizer(at_rest([1.0]), prob, 0.1, None,
+                          DampingSchedule.zero(), 10, method="newton")
 
     def test_recording_length_and_spacing(self):
         prob = problems.quadratic(2)
-        cfg = make_cfg(prob, 0.1, 10, DampingSchedule.zero(), np.ones(2),
-                       record_every=3)
-        traj = run_optimizer(cfg, prob)
+        traj = run_optimizer(at_rest(np.ones(2)), prob, 0.1, None,
+                             DampingSchedule.zero(), 10, record_every=3)
         assert len(traj) == math.ceil(10 / 3) + 1
         # interior spacing is dt * record_every
         assert np.allclose(np.diff(traj.times[:-1]), 0.3)
@@ -235,18 +232,17 @@ class TestRunOptimizer:
 
     def test_target_gap_termination(self):
         prob = problems.quadratic(1)
-        cfg = make_cfg(prob, 0.1, 5000, DampingSchedule.constant(1.0),
-                       np.array([5.0]), target_gap=1e-6)
-        traj = run_optimizer(cfg, prob)
+        traj = run_optimizer(at_rest([5.0]), prob, 0.1, None,
+                             DampingSchedule.constant(1.0), 5000,
+                             target_gap=1e-6)
         assert traj.reason == "target_reached"
         assert traj.gaps[-1] < 1e-6
         assert traj.steps[-1] < 5000
 
     def test_lyapunov_descent(self):
         prob = problems.quadratic(2, mu=2.0)
-        cfg = make_cfg(prob, 0.05, 500, DampingSchedule.constant(2.0),
-                       np.array([3.0, -1.0]))
-        traj = run_optimizer(cfg, prob)
+        traj = run_optimizer(at_rest([3.0, -1.0]), prob, 0.05, None,
+                             DampingSchedule.constant(2.0), 500)
         energies = traj.extra[10:]
         assert np.all(np.diff(energies) <= 1e-9)
 
@@ -255,9 +251,8 @@ class TestRunOptimizer:
         dt = 0.05
         deviations = []
         for gamma in (1e2, 1e3):
-            cfg = make_cfg(prob, dt, 200, DampingSchedule.constant(gamma),
-                           np.array([2.0, -1.0]))
-            traj = run_optimizer(cfg, prob)
+            traj = run_optimizer(at_rest([2.0, -1.0]), prob, dt, None,
+                                 DampingSchedule.constant(gamma), 200)
             # overdamped limit: first step dt/4 (momentum starts at zero),
             # every later step an effective gradient step of dt/2
             q = np.array([2.0, -1.0])
@@ -272,29 +267,28 @@ class TestRunOptimizer:
 
     def test_divergence_reason_recorded(self):
         prob = problems.quadratic(1)
-        cfg = make_cfg(prob, 10.0, 2000, DampingSchedule.zero(),
-                       np.array([1.0]))
-        traj = run_optimizer(cfg, prob)
+        traj = run_optimizer(at_rest([1.0]), prob, 10.0, None,
+                             DampingSchedule.zero(), 2000)
         assert traj.reason == "diverged"
-        assert abs(traj.values[-1]) > cfg.divergence_threshold
+        assert abs(traj.values[-1]) > 1e12   # the default divergence_threshold
 
     def test_divergence_error_carries_step(self):
-        prob = problems.quadratic(1)
-        cfg = make_cfg(prob, 10.0, 2000, DampingSchedule.zero(),
-                       np.array([1.0]), divergence_threshold=math.inf,
-                       record_every=1000)
+        prob, sched = problems.quadratic(1), DampingSchedule.zero()
         # the index at which a loop over the public step first goes non-finite
-        x, first = cfg.x0, None
+        # under the run's metric g = None, dt * I
+        x0 = at_rest([1.0])
+        x, first, g = x0, None, KineticMetric.scaled_identity(1, 10.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, cfg.num_steps + 1):
+            for k in range(1, 2000 + 1):
                 try:
-                    x = dissipative_leapfrog_step(x, 0.0, cfg, prob)
+                    x = dissipative_leapfrog_step(x, 0.0, 10.0, g, sched, prob)
                 except DivergenceError:
                     first = k
                     break
         assert first is not None
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc_info:
-            run_optimizer(cfg, prob)
+            run_optimizer(x0, prob, 10.0, None, sched, 2000,
+                          divergence_threshold=math.inf, record_every=1000)
         assert exc_info.value.step == first
 
     @pytest.mark.parametrize("fused", [True, False])
@@ -305,20 +299,19 @@ class TestRunOptimizer:
         # the index where a loop over the public step (which never evaluates
         # f) first fails
         prob, _ = counting_problem(problems.quartic(2), fused=fused)
-        cfg = make_cfg(prob, 1e52, 50, DampingSchedule.zero(),
-                       np.array([1.8, 0.0]), metric=KineticMetric.identity(2),
-                       divergence_threshold=math.inf)
-        x, first = cfg.x0, None
+        args = (1e52, KineticMetric.identity(2), DampingSchedule.zero())
+        x0 = at_rest([1.8, 0.0])
+        x, first = x0, None
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, cfg.num_steps + 1):
+            for k in range(1, 50 + 1):
                 try:
-                    x = dissipative_leapfrog_step(x, 0.0, cfg, prob)
+                    x = dissipative_leapfrog_step(x, 0.0, *args, prob)
                 except DivergenceError:
                     first = k
                     break
             assert first is not None
             with pytest.raises(DivergenceError) as exc_info:
-                run_optimizer(cfg, prob)
+                run_optimizer(x0, prob, *args, 50, divergence_threshold=math.inf)
         assert exc_info.value.step == first
 
     def test_quartic_value_overflow_ends_in_a_package_error(self):
@@ -326,12 +319,11 @@ class TestRunOptimizer:
         # quartic's f is inf but its gradient is finite (1.2e77 < |q| <
         # 5.6e102); the run ends in a typed error, not a bare OverflowError
         prob = problems.quartic(2)
-        cfg = make_cfg(prob, 10.0, 50, DampingSchedule.zero(),
-                       np.array([1.8, 0.0]), metric=KineticMetric.identity(2),
-                       divergence_threshold=math.inf)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(HamkitError):
-            run_optimizer(cfg, prob)
+            run_optimizer(at_rest([1.8, 0.0]), prob, 10.0,
+                          KineticMetric.identity(2), DampingSchedule.zero(), 50,
+                          divergence_threshold=math.inf)
 
     @pytest.mark.parametrize("grad", [
         lambda q: 2.0 * q * np.exp(q.dot(q)),   # inf where f overflows
@@ -341,24 +333,24 @@ class TestRunOptimizer:
         # the first drift lands at q = 30, where math.exp(q . q) raises
         # OverflowError; the run re-raises it as the step's DivergenceError
         prob = Problem(1, value=lambda q: math.exp(q.dot(q)), grad=grad)
-        cfg = make_cfg(prob, 0.1, 10, DampingSchedule.zero(), np.array([0.0]),
-                       np.array([300.0]), metric=KineticMetric.identity(1),
-                       divergence_threshold=math.inf)
         with np.errstate(over="ignore"), \
                 pytest.raises(DivergenceError, match="overflow") as exc_info:
-            run_optimizer(cfg, prob)
+            run_optimizer(PhasePoint([0.0], [300.0]), prob, 0.1,
+                          KineticMetric.identity(1), DampingSchedule.zero(), 10,
+                          divergence_threshold=math.inf)
         assert exc_info.value.step == 1
         assert isinstance(exc_info.value.__cause__, OverflowError)
 
     def test_cosh_overflow_raises_divergence(self):
         # gamma dt / 2 = 5000 > 710: cosh(De) leaves the float range
-        prob = problems.quadratic(1)
-        cfg = make_cfg(prob, 0.1, 10, DampingSchedule.constant(1e5),
-                       np.array([1.0]))
+        prob, sched = problems.quadratic(1), DampingSchedule.constant(1e5)
+        x0 = at_rest([1.0])
         with pytest.raises(DivergenceError, match=r"t=0\.0.*De = 5000"):
-            dissipative_leapfrog_step(cfg.x0, 0.0, cfg, prob)
+            dissipative_leapfrog_step(x0, 0.0, 0.1,
+                                      KineticMetric.scaled_identity(1, 0.1),
+                                      sched, prob)
         with pytest.raises(DivergenceError, match="cosh") as exc_info:
-            run_optimizer(cfg, prob)
+            run_optimizer(x0, prob, 0.1, None, sched, 10)
         assert exc_info.value.step == 1
 
     @pytest.mark.parametrize("term", ["potential", "kinetic"])
@@ -366,29 +358,26 @@ class TestRunOptimizer:
         # q stays finite and no stop rule fires; one term of H is non-finite
         prob = Problem(1, value=lambda q: math.inf if q[0] > 1.5 else float(q @ q),
                        grad=lambda q: 2.0 * q)
-        cfg = make_cfg(prob, 0.1, 200, DampingSchedule.zero(), np.array([1.0]),
-                       np.array([3.0] if term == "potential" else [1e200]),
-                       metric=KineticMetric.identity(1),
-                       divergence_threshold=math.inf)
+        x0 = PhasePoint([1.0], [3.0] if term == "potential" else [1e200])
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericOverflowError, match=term):
-            run_optimizer(cfg, prob)
+            run_optimizer(x0, prob, 0.1, KineticMetric.identity(1),
+                          DampingSchedule.zero(), 200,
+                          divergence_threshold=math.inf)
 
     @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
            st.floats(0.01, 0.5))
     @settings(max_examples=50, deadline=None)
     def test_time_reversibility(self, start, dt):
         prob = problems.quadratic(2, 1.3)
-        cfg = make_cfg(prob, dt, 1, DampingSchedule.zero(),
-                       np.array(start[:2]), np.array(start[2:]),
-                       metric=KineticMetric.identity(2))
-        x0 = cfg.x0
+        args = (dt, KineticMetric.identity(2), DampingSchedule.zero(), prob)
+        x0 = PhasePoint(start[:2], start[2:])
         x = x0
         for _ in range(40):
-            x = dissipative_leapfrog_step(x, 0.0, cfg, prob)
+            x = dissipative_leapfrog_step(x, 0.0, *args)
         x = x.flip_momentum()
         for _ in range(40):
-            x = dissipative_leapfrog_step(x, 0.0, cfg, prob)
+            x = dissipative_leapfrog_step(x, 0.0, *args)
         x = x.flip_momentum()
         assert np.max(np.abs(x.q - x0.q)) < 1e-9
         assert np.max(np.abs(x.p - x0.p)) < 1e-9
@@ -446,9 +435,8 @@ def test_quartic_r_law(r):
     # Su, Boyd & Candes (arXiv:1503.01243): under gamma = r/t the gap of
     # f = |q|^p decays as t^(-2rp/(p+2)); p = 4 gives -4r/3.  The fit is the
     # optimize_quartic workload's: log envelope of 40 blocks, burn-in 0.3.
-    cfg = make_cfg(problems.quartic(2), 0.05, 15000,
-                   DampingSchedule.vanishing(r=r, t0=1.0), np.array([1.8, 0.0]))
-    traj = run_optimizer(cfg, problems.quartic(2))
+    traj = run_optimizer(at_rest([1.8, 0.0]), problems.quartic(2), 0.05, None,
+                         DampingSchedule.vanishing(r=r, t0=1.0), 15000)
     exponent, _ = fit_rate(_envelope(traj, 40, spacing="log"), "power_law",
                            burn_in=0.3)
     assert exponent == pytest.approx(-2.0 * r * 4 / (4 + 2), abs=0.2)
@@ -457,11 +445,10 @@ def test_quartic_r_law(r):
 class TestTrajectoryCsv:
     def test_format_and_determinism(self):
         prob = problems.quadratic(1)
-        cfg = make_cfg(prob, 0.1, 20, DampingSchedule.constant(1.0),
-                       np.array([2.0]))
         bodies = []
         for _ in range(2):
-            traj = run_optimizer(cfg, prob)
+            traj = run_optimizer(at_rest([2.0]), prob, 0.1, None,
+                                 DampingSchedule.constant(1.0), 20)
             buf = io.StringIO()
             traj.to_csv(buf)
             bodies.append(buf.getvalue())

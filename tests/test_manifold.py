@@ -515,16 +515,25 @@ class TestRattle:
                                         {"newton_tol": math.inf},
                                         {"newton_tol": math.nan},
                                         {"newton_max_iter": -1},
-                                        {"newton_max_iter": 2.5}])
+                                        {"newton_max_iter": 2.5},
+                                        {"newton_max_iter": True},
+                                        {"newton_max_iter": 3.0}])
     def test_newton_settings_checked(self, kwargs):
         with pytest.raises(DomainError, match="newton"):
             sphere_constraint(**kwargs)
 
-    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize("m", [0, -1, 1.5, True])
     def test_a_constraint_set_needs_a_constraint(self, m):
+        # m = 1.5 and m = True used to give a set of one constraint
         with pytest.raises(DomainError, match="m >= 1"):
             ConstraintSet(m, value=lambda q: np.zeros(0),
                           jacobian=lambda q: np.zeros((0, q.size)))
+
+    def test_numpy_integer_counts_accepted(self):
+        cons = ConstraintSet(np.int64(1), value=lambda q: q.dot(q) - 1.0,
+                             jacobian=lambda q: 2.0 * q[None, :],
+                             newton_max_iter=np.int64(7))
+        assert (cons.m, cons.newton_max_iter) == (1, 7)
 
     def test_constraint_value_shape_checked(self):
         # one constraint whose callable returns two values

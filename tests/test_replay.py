@@ -20,7 +20,6 @@ from hypothesis import strategies as hst
 from hamkit import (
     DampingSchedule,
     KineticMetric,
-    OptimizerConfig,
     PhasePoint,
     Problem,
     integrators,
@@ -99,20 +98,20 @@ def test_sphere_run_steps_about_a_quarter_of_its_steps(count_calls, seed):
 FLAT_RUNS = {
     # reaches (q, p, half kick) = (0, -0, 0) after 996 steps, near t = 300
     "constant damping": dict(
-        step=0.3, num_steps=1500, schedule=DampingSchedule.constant(5.0),
+        dt=0.3, num_steps=1500, sched=DampingSchedule.constant(5.0),
         x0=PhasePoint([1.8, -0.4], [0.3, 0.1]), mu=4.0),
     # from rest at the minimum, x_1 is x_0
     "zero damping, at rest": dict(
-        step=0.1, num_steps=100, schedule=DampingSchedule.zero(),
+        dt=0.1, num_steps=100, sched=DampingSchedule.zero(),
         x0=PhasePoint([0.0, 0.0], [0.0, 0.0]), mu=1.0),
     # dt = 1 on a unit quadratic: dyadic leapfrog, an exact 6-cycle
     "zero damping, 6-cycle": dict(
-        step=1.0, num_steps=100, schedule=DampingSchedule.zero(),
+        dt=1.0, num_steps=100, sched=DampingSchedule.zero(),
         x0=PhasePoint([1.0, -0.5], [0.25, 0.0]), mu=1.0,
-        metric=KineticMetric.identity(2)),
+        g=KineticMetric.identity(2)),
     # q quarters at each step and is exactly 0 after 269 steps
     "gradient flow": dict(
-        step=0.75, num_steps=400, schedule=DampingSchedule.constant(1.0),
+        dt=0.75, num_steps=400, sched=DampingSchedule.constant(1.0),
         x0=PhasePoint([1.8, -0.4], [0.3, 0.1]), mu=1.0,
         method="gradient_flow"),
 }
@@ -121,12 +120,11 @@ FLAT_RUNS = {
 @pytest.mark.parametrize("record_every", [1, 7])
 @pytest.mark.parametrize("name", sorted(FLAT_RUNS))
 def test_flat_run_replays_exactly(monkeypatch, name, record_every):
-    kw = dict(FLAT_RUNS[name])
+    kw = {"g": None, **FLAT_RUNS[name]}
     prob = problems.quadratic(2, kw.pop("mu"))
-    method = kw.pop("method", "dissipative_leapfrog")
-    cfg = OptimizerConfig(record_every=record_every, **kw)
     assert_replay_exact(monkeypatch, integrators,
-                        lambda: run_optimizer(cfg, prob, method))
+                        lambda: run_optimizer(prob=prob, record_every=record_every,
+                                              **kw))
 
 
 @pytest.mark.parametrize("kind, calls", [("vanishing", 201), ("zero", 3)])
@@ -135,10 +133,8 @@ def test_a_repeat_is_replayed_only_under_the_same_de(counting_problem, kind, cal
     # damping De changes at every step, so each of the 200 steps is taken;
     # under none, one step finds the repeat and one more confirms it.
     prob, counts = counting_problem(problems.quadratic(2))
-    cfg = OptimizerConfig(step=0.1, num_steps=200,
-                          schedule=getattr(DampingSchedule, kind)(),
-                          x0=PhasePoint(np.zeros(2), np.zeros(2)))
-    traj = run_optimizer(cfg, prob)
+    traj = run_optimizer(PhasePoint(np.zeros(2), np.zeros(2)), prob, 0.1, None,
+                         getattr(DampingSchedule, kind)(), 200)
     assert len(traj) == 201
     assert counts == {"value_and_grad": calls}
 

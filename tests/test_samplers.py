@@ -566,6 +566,38 @@ class TestHmcTransition:
             hmc_draw(ChainState.start(np.zeros(1)), problems.quadratic(1),
                      KineticMetric.identity(1), 0.1, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("L", [2.5, True])
+    @pytest.mark.parametrize("entry", ["hmc_draw", "leapfrog_trajectory",
+                                       "run_hmc_chain"])
+    def test_leapfrog_count_refused(self, entry, L):
+        # L = 2.5 used to end in an untyped TypeError from range(), and
+        # L = True ran as one leapfrog step
+        prob, g = problems.quadratic(1), KineticMetric.identity(1)
+        rng = np.random.default_rng(0)
+        calls = {"hmc_draw": lambda: hmc_draw(ChainState.start(np.zeros(1)),
+                                              prob, g, 0.1, L, rng),
+                 "leapfrog_trajectory": lambda: leapfrog_trajectory(
+                     PhasePoint([1.0], [0.0]), prob, g, 0.1, L),
+                 "run_hmc_chain": lambda: run_hmc_chain(prob, g, 0.1, L, 50, rng)}
+        with pytest.raises(DomainError, match="L must be an integer"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("n_draws", [2.5, True])
+    def test_draw_count_refused(self, n_draws):
+        # both used to end in an untyped TypeError from numpy
+        with pytest.raises(DomainError, match="n_draws must be an integer"):
+            run_hmc_chain(problems.quadratic(1), KineticMetric.identity(1), 0.1,
+                          3, n_draws, np.random.default_rng(0))
+
+    def test_numpy_integer_counts_accepted(self):
+        prob, g = problems.quadratic(1), KineticMetric.identity(1)
+        chain, samples = run_hmc_chain(prob, g, 0.1, np.int64(3), np.int64(5),
+                                       np.random.default_rng(0))
+        assert chain.steps == 5 and samples.shape == (5, 1)
+        assert hmc_draw(chain, prob, g, 0.1, np.int64(3),
+                        np.random.default_rng(0)).steps == 6
+        leapfrog_trajectory(PhasePoint([1.0], [0.0]), prob, g, 0.1, np.int64(3))
+
 
 class TestLangevin:
     def test_em_noise_free_is_gradient_flow(self):

@@ -60,6 +60,19 @@ def _central_diffs(f, x, h):
     return (diffs.T / (2.0 * steps.diagonal())).T
 
 
+def _check_positive(name, x):
+    """DomainError naming `name` unless x is finite and > 0."""
+    if not 0 < x < math.inf:   # NaN fails too
+        raise DomainError(f"{name} must be finite and > 0, got {x!r}")
+
+
+def _check_count(name, n, least):
+    """DomainError naming `name` unless n is an integer (not a bool) >= least."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < least:
+        raise DomainError(f"{name} must be an integer, {name} >= {least}; "
+                          f"got {n!r}")
+
+
 def _all_finite(x):
     """np.isfinite(x).all(), scanning x only when its sum of squares (finite iff
     every entry is, or it overflowed) reads non-finite.  np.vdot forms that
@@ -183,13 +196,9 @@ class DampingSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "vanishing", "zero"):
             raise DomainError(f"unknown damping kind {self.kind!r}")
-        if self.kind == "constant" and not self.gamma > 0:
-            raise DomainError("constant damping requires gamma > 0")
-        if self.kind == "vanishing":
-            if not self.r > 0:
-                raise DomainError("vanishing damping requires r > 0")
-            if not self.t0 > 0:
-                raise DomainError("vanishing damping requires t0 > 0")
+        fields = {"constant": ("gamma",), "vanishing": ("r", "t0")}
+        for name in fields.get(self.kind, ()):
+            _check_positive(f"{self.kind} damping {name}", getattr(self, name))
 
     @classmethod
     def constant(cls, gamma):
@@ -225,10 +234,11 @@ class Problem:
     user-supplied gradient and, when known, its minimum f_star at q_star.
 
     `value_and_grad(q)`, optional, returns (f(q), grad f(q)) from one call,
-    for the optimiser's kick and the end of an HMC flight, which need both at
-    one point.  A problem that supplies it writes it with the expressions of
-    `value` and `grad`, so that it returns the same bits; without it the
-    method makes the two separate calls.
+    for the kick of every optimiser run (flat, SO(n) and RATTLE) and the end
+    of an HMC flight, which need both at one point.  A problem that supplies
+    it writes it with the expressions of `value` and `grad`, so that it
+    returns the same bits; without it the method makes the two separate
+    calls.
 
     `value`, `grad` and `value_and_grad` must be deterministic functions of
     q: an optimiser run that comes back to a state it was in replays the
@@ -237,8 +247,7 @@ class Problem:
 
     def __init__(self, dim, value, grad, f_star=None, q_star=None, name="",
                  value_and_grad=None):
-        if dim < 1:
-            raise DomainError("problem dimension must be >= 1")
+        _check_count("dim", dim, 1)
         self.dim = int(dim)
         self._value = value
         self._grad = grad

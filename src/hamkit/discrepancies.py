@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-from .core import _as_samples, _rows
+from .core import _as_samples, _check_count, _check_positive, _rows
 from .errors import (
     CapabilityError,
     ConditioningError,
@@ -45,14 +45,12 @@ class KernelSpec:
 
         if family == "gaussian":
             sigma = need("sigma")
-            if not sigma > 0:
-                raise DomainError("gaussian kernel needs sigma > 0")
+            _check_positive("gaussian kernel sigma", sigma)
             self.params = {"sigma": sigma}
         elif family == "inverse_multiquadric":
             c = need("c")
             beta = need("beta")
-            if not c > 0:
-                raise DomainError("inverse multiquadric needs c > 0")
+            _check_positive("inverse multiquadric c", c)
             if not 0.0 < beta < 1.0:
                 raise DomainError("inverse multiquadric needs beta in (0, 1)")
             self.params = {"c": c, "beta": beta}
@@ -157,6 +155,9 @@ def mmd_squared(x_samples, y_samples, kernel):
     x_arr, y_arr = _as_samples(x_samples), _as_samples(y_samples)
     if x_arr.shape[0] < 2 or y_arr.shape[0] < 2:
         raise DomainError("U-statistic MMD needs >= 2 points per set")
+    if x_arr.shape[1] != y_arr.shape[1]:
+        raise DomainError("MMD sample sets differ in dimension: shapes "
+                          f"{x_arr.shape} and {y_arr.shape}")
 
     def mean(a, b, distinct=False):
         """Mean of k(a_i, b_j) over all pairs, or, for b = a, over pairs
@@ -394,8 +395,7 @@ def information_tensor(model, n_mc, rng):
     W of all draws come from one `model.info_term_rows` call.  The output is
     symmetrised.
     """
-    if n_mc < 100:
-        raise DomainError("information tensor needs MC size >= 100")
+    _check_count("n_mc, the MC size", n_mc, 100)
     x_arr = model.sample(n_mc, rng)
     w = model.info_term_rows(x_arr)   # w[a] = B(x_a)^T d/dtheta s(x_a)
     g = np.einsum("adi,adj->ij", w, w) / n_mc
@@ -441,6 +441,8 @@ def sm_ngd_fit(x_samples, model, rng, n_iter=50, step=1.0, tol=1e-10, n_mc=200,
     model draws taken from `rng`.  Returns (theta, per-iteration theta
     history).
     """
+    _check_count("n_iter", n_iter, 0)
+    _check_count("n_mc, the MC size", n_mc, 100)
     x_arr = _as_samples(x_samples)
     history = [model.theta.copy()]
     for _ in range(n_iter):

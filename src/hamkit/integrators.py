@@ -10,12 +10,13 @@ and RATTLE runs take (start, prob, dt, metric, schedule, ...), their steps
 (state, t_k, dt, metric, schedule, prob, ...), and `_run_steps` checks the
 dt and length of every run.
 
-The run drivers step raw arrays and carry the end-of-step half kick into the
-next step, and each state holds f at its position: the flat run takes
-f(q_{k+1}) from the kick's fused `Problem.value_and_grad` call.  A validated
-`PhasePoint` exists only at the edges, and the public one-step functions
-are thin wrappers over the same raw steps.  Per-step
-vector products call `ndarray.dot`: `@`'s BLAS routine at half the call cost.
+Each run's raw step maps its state tuple, which begins (q, p, end-of-step
+half kick, f(q)), to the next.  `_conformal_step` returns those four: every
+run, flat, SO(n) or RATTLE, takes f(q_{k+1}) from its force, the kick's one
+`Problem.value_and_grad` call.  A validated `PhasePoint` exists only at the
+edges, and the public one-step functions are thin wrappers over the same raw
+steps.  Per-step vector products call `ndarray.dot`: `@`'s BLAS routine at
+half the call cost.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (KineticMetric, PhasePoint, _all_finite, _check_dims,
-                   evaluate_hamiltonian)
+from .core import (KineticMetric, PhasePoint, _all_finite, _check_count,
+                   _check_dims, _check_positive, evaluate_hamiltonian)
 from .errors import DivergenceError, DomainError, FitDomainError
 
 __all__ = [
@@ -89,7 +90,7 @@ def _half_step_eta(sched, t_k, dt):
     return sched.delta_eta(t_k, t_k + 0.5 * dt)
 
 
-def _conformal_step(q, p, half_kick, t_k, dt, sched, kick, drift,
+def _conformal_step(q, p, half_kick, t_k, dt, sched, force, drift,
                     project=lambda q, p: p):
     """One conformal-symplectic step from (q_k, p_k) at time t_k:
 
@@ -99,14 +100,16 @@ def _conformal_step(q, p, half_kick, t_k, dt, sched, kick, drift,
 
     De is the exact damping integral over [t_k, t_k + dt/2] and L the momentum
     map `project(q, p)` (default: identity).  A drift may also correct
-    p_{k+1/2} (RATTLE's multiplier kick).  `half_kick` is (dt/2) kick(q_k, p_k),
-    or None to evaluate it.  Returns (q_{k+1}, p_{k+1}, the half kick
-    (dt/2) kick(q_{k+1}, p_{k+1/2})), the last being the next step's half kick
-    when the kick reads only q and dt stays the same.
+    p_{k+1/2} (RATTLE's multiplier kick).  `force(q, p)` returns
+    (f(q) or None, kick(q, p)) from one evaluation.  `half_kick` is
+    (dt/2) kick(q_k, p_k), or None to evaluate it.  Returns (q_{k+1}, p_{k+1},
+    the half kick (dt/2) kick(q_{k+1}, p_{k+1/2}), f(q_{k+1})): the first four
+    entries of every run's state, the half kick being the next step's when
+    the kick reads only q and dt stays the same.
     Non-finite results, or a De whose cosh overflows, raise DivergenceError.
     """
     if half_kick is None:
-        half_kick = 0.5 * dt * kick(q, p)
+        half_kick = 0.5 * dt * force(q, p)[1]
     de = _half_step_eta(sched, t_k, dt)
     decay = math.exp(-de)
     p_half = decay * project(q, p - half_kick)
@@ -117,12 +120,13 @@ def _conformal_step(q, p, half_kick, t_k, dt, sched, kick, drift,
                               "half a step; damping too strong for the step "
                               "size?") from None
     q_new, p_half = drift(q, p_half, h, decay)
-    half_kick = 0.5 * dt * kick(q_new, p_half)
+    f_new, kick = force(q_new, p_half)
+    half_kick = 0.5 * dt * kick
     p_new = project(q_new, decay * p_half - half_kick)
     if not (_all_finite(q_new) and _all_finite(p_new)):
         raise DivergenceError(f"non-finite state after step at t={t_k}; "
                               "step size too large?")
-    return q_new, p_new, half_kick
+    return q_new, p_new, half_kick, f_new
 
 
 def _flat_drift(inv_mul):
@@ -132,23 +136,12 @@ def _flat_drift(inv_mul):
 
 def _leapfrog_step(dt, g, sched, prob):
     """`dissipative_leapfrog_step` on raw arrays, built once per run: returns
-    step(x, t_k) for x = (q, p, half kick, f(q)); see `_conformal_step`.  The
-    kick takes f and grad f from one `prob.value_and_grad` call, and the step
-    returns f(q_{k+1}) with the state, so a run evaluates each point once.
+    the step mapping x = (q, p, half kick, f(q)) at t_k to the next x; see
+    `_conformal_step`.  Its force is one `prob.value_and_grad` call, so a
+    run evaluates each point once.
     """
-    drift = _flat_drift(g.inv_mul)
-    value_and_grad, f_new = prob.value_and_grad, [None]
-
-    def kick(q, p):
-        f_new[0], g = value_and_grad(q)
-        return g
-
-    def step(x, t_k):
-        q, p, half_kick = _conformal_step(x[0], x[1], x[2], t_k, dt, sched,
-                                          kick, drift)
-        return q, p, half_kick, f_new[0]
-
-    return step
+    drift, force = _flat_drift(g.inv_mul), lambda q, p: prob.value_and_grad(q)
+    return lambda x, t_k: _conformal_step(*x[:3], t_k, dt, sched, force, drift)
 
 
 def dissipative_leapfrog_step(x, t_k, dt, g, sched, prob):
@@ -158,8 +151,9 @@ def dissipative_leapfrog_step(x, t_k, dt, g, sched, prob):
     q_{k+1} = q_k + dt cosh(De) g^{-1} p_{k+1/2}, whose plus sign makes the
     undamped limit the classical leapfrog.  f itself is not evaluated.
     """
-    q, p, _ = _conformal_step(x.q, x.p, None, t_k, dt, sched,
-                              lambda q, p: prob.grad(q), _flat_drift(g.inv_mul))
+    q, p, _, _ = _conformal_step(x.q, x.p, None, t_k, dt, sched,
+                                 lambda q, p: (None, prob.grad(q)),
+                                 _flat_drift(g.inv_mul))
     return PhasePoint(q, p)
 
 
@@ -176,29 +170,15 @@ def _key(x):
     return tuple(a if a is None else a.tobytes() for a in x[:3])
 
 
-def _check_dt(dt):
-    """DomainError unless the step size dt is finite and > 0."""
-    if not 0 < dt < math.inf:   # NaN fails too
-        raise DomainError(f"step size dt must be finite and > 0, got {dt!r}")
-
-
-def _check_count(name, n, least):
-    """DomainError naming `name` unless n is an integer (not a bool) >= least."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < least:
-        raise DomainError(f"{name} must be an integer, {name} >= {least}; "
-                          f"got {n!r}")
-
-
 def _check_run(dt, num_steps, record_every, target_gap):
     """DomainError, naming the field, unless the step size dt is finite and
     > 0, num_steps and record_every are integers >= 1, and target_gap is
     None or finite and > 0."""
-    _check_dt(dt)
+    _check_positive("step size dt", dt)
     _check_count("num_steps", num_steps, 1)
     _check_count("record_every", record_every, 1)
-    if target_gap is not None and not 0 < target_gap < math.inf:
-        raise DomainError("target_gap must be None or finite and > 0, got "
-                          f"{target_gap!r}")
+    if target_gap is not None:
+        _check_positive("target_gap, if not None,", target_gap)
 
 
 def _states(x, advance, sched, t0, dt, num_steps):
@@ -249,22 +229,24 @@ def _run_steps(x, advance, extra, sched, dt, num_steps, f_star,
                extra_name="energy"):
     """Record/stop loop of every optimiser run; returns (Trajectory, last state).
 
-    `advance(x, t_k)` steps from t_k, under the damping schedule `sched` from
-    its start time; each state holds f at its position in x[3], and
-    `extra(x)` is the fifth column.  Records step 0, every `record_every`-th,
-    the last and any stopping step; stops on `too_far(x)` or a gap below
-    `target_gap`.  One rule holds for every run's parameters (`_check_run`):
-    dt finite and > 0, num_steps and record_every integers >= 1, target_gap
-    None or finite and > 0; anything else raises DomainError naming it.
+    `advance(x, t_k)`, a run's raw step, maps the state x at t_k to the next,
+    under the damping schedule `sched` from its start time; each state holds
+    f at its position in x[3], and `extra(x)` is the fifth column.  Records
+    step 0, every `record_every`-th, the last and any stopping step; stops on
+    `too_far(x)` or a gap below `target_gap`.  One rule holds for every run's
+    parameters (`_check_run`): dt finite and > 0, num_steps and record_every
+    integers >= 1, target_gap None or finite and > 0; anything else raises
+    DomainError naming it.
 
     The states come from `_states`, which takes each step at most once: a
     run that comes back to a state it was in, byte for byte in (q, p, half
     kick), replays the steps that followed it.  That is exact because a step
-    reads only x[:3] (the rest are outputs, or functions of q such as
-    RATTLE's J and factor of R_g) and reads t_k only through De, which it
-    takes from `_half_step_eta` as `_states` does; so a replayed step has
-    the input and De of one already taken, and its state still goes through
-    `extra`, `too_far` and the gap test.  f and grad f must be deterministic.
+    reads only x[:3] and functions of q (RATTLE's J and factor of R_g); f,
+    the fifth column and RATTLE's residual and lambda are its outputs.  It
+    reads t_k only through De, which it takes from `_half_step_eta` as
+    `_states` does; so a replayed step has the input and De of one already
+    taken, and its state still goes through `extra`, `too_far` and the gap
+    test.  f and grad f must be deterministic.
     """
     _check_run(dt, num_steps, record_every, target_gap)
     t0 = sched.start_time()
@@ -301,7 +283,7 @@ def run_optimizer(x0, prob, dt, g, sched, num_steps, record_every=1,
     """
     if method not in _METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {_METHODS}")
-    _check_dt(dt)   # before dt * I, whose own check does not name dt
+    _check_positive("step size dt", dt)   # names dt, unlike dt * I's check
     if not divergence_threshold > 0:   # NaN fails too
         raise DomainError("divergence_threshold must be > 0 (inf for no "
                           f"stop), got {divergence_threshold!r}")

@@ -1,9 +1,10 @@
 """Optimisation beyond flat space: SO(n) group steps and constrained RATTLE.
 
-As in `integrators`, the run drivers step raw arrays and carry per-position
-terms across steps: f, the half kicks (dt/2) skew(Q^T grad f) and (dt/2) grad f,
-||Q^T Q - I|| (formed once per step, to check the group and to record it),
-and RATTLE's J, factor of R_g and residual that ended the Newton solve.
+As in `integrators`, each raw step maps its run's state to the next: (Q, P,
+(dt/2) skew(Q^T grad f), f, ||Q^T Q - I||) on SO(n), the defect formed once
+per step to check the group and to record it, and (q, p, (dt/2) grad f, f, J,
+factor of R_g, residual that ended the Newton solve, lambda) for RATTLE.  f
+comes with the kick's gradient from one `Problem.value_and_grad` call.
 
 An SO(n) step keeps P exactly skew with no momentum map (`lie_group_step`),
 so only building a `MatrixGroupState` checks skewness, and a RATTLE step
@@ -26,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhasePoint, Problem, _all_finite
+from .core import (PhasePoint, Problem, _all_finite, _check_count,
+                   _check_positive)
 from .errors import ConstraintSolveError, DomainError, GeometryError
-from .integrators import _check_count, _conformal_step, _run_steps
+from .integrators import _conformal_step, _run_steps
 
 __all__ = [
     "MatrixGroupState",
@@ -138,20 +140,24 @@ def trace_objective(C):
 
 
 def _lie_stepper(dt, g_scalar, sched, prob):
-    """`lie_group_step` on raw arrays, built once per run: returns
-    step(Q, P, half kick or None, t_k); see `_conformal_step`.  P must be
-    exactly skew (P == -P^T); the step keeps it so without a momentum map."""
-    if not 0 < g_scalar < math.inf:   # NaN fails too
-        raise DomainError(f"g_scalar must be finite and > 0, got {g_scalar!r}")
+    """`lie_group_step` on raw arrays, built once per run: returns the step
+    mapping x = (Q, P, half kick or None, f(Q), ||Q^T Q - I||_F) at t_k to the
+    next x; see `_conformal_step`.  P must be exactly skew (P == -P^T); the
+    step keeps it so without a momentum map."""
+    _check_positive("g_scalar", g_scalar)
 
-    def kick(Q, P):   # the trivialised gradient skew(Q^T df/dQ)
-        return skew_part(Q.T @ prob.grad(Q))
+    def force(Q, P):   # f and the trivialised gradient skew(Q^T df/dQ)
+        f, grad = prob.value_and_grad(Q)
+        return f, skew_part(Q.T @ grad)
 
     def drift(Q, P, h, decay):
         return Q @ _linalg().expm((h / g_scalar) * P), P
 
-    return lambda Q, P, half_kick, t_k: _conformal_step(
-        Q, P, half_kick, t_k, dt, sched, kick, drift)
+    def step(x, t_k):
+        x = _conformal_step(*x[:3], t_k, dt, sched, force, drift)
+        return (*x, _group_defect(x[0]))
+
+    return step
 
 
 def lie_group_step(st, t_k, dt, g_scalar, sched, prob):
@@ -161,7 +167,8 @@ def lie_group_step(st, t_k, dt, g_scalar, sched, prob):
     Q exp((dt cosh(De) / g_scalar) P_{k+1/2}).  No momentum map: IEEE rounding
     is sign-symmetric, so the half kicks keep an exactly skew P exactly skew.
     """
-    Q, P, _ = _lie_stepper(dt, g_scalar, sched, prob)(st.Q, st.P, None, t_k)
+    Q, P, *_ = _lie_stepper(dt, g_scalar, sched, prob)(
+        (st.Q, st.P, None, None, None), t_k)
     return MatrixGroupState(Q, P)
 
 
@@ -175,8 +182,7 @@ class ConstraintSet:
         self._value = value
         self._jacobian = jacobian
         self.newton_tol = float(newton_tol)
-        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
-            raise DomainError(f"newton_tol must be finite and > 0, got {newton_tol}")
+        _check_positive("newton_tol", self.newton_tol)
 
     def value(self, q):
         res = np.atleast_1d(np.asarray(self._value(q), float))
@@ -242,15 +248,16 @@ def project_momentum(q, p, g, cons):
     return _project(p, *_projector(q, g, cons), g)
 
 
-def _rattle_step(q, p, half_kick, jac, factor, t_k, dt, g, sched, prob, cons):
-    """`rattle_step` on raw arrays, given the half kick (dt/2) grad f, J and
-    the factor of R_g at q (None to evaluate them).  Returns (q, p, half kick,
-    J, factor) at the new position, the multipliers and the sup norm of
-    psi(q_{k+1}) that ended the Newton solve.  The Newton system is formed
+def _rattle_step(s, t_k, dt, g, sched, prob, cons):
+    """`rattle_step` on raw arrays: maps s = (q, p, half kick, f(q), J, factor
+    of R_g, residual, lambda) at t_k to the next s; see `_conformal_step`.  It
+    reads the half kick (dt/2) grad f, J and the factor at q, each None to
+    evaluate it, and not f, the residual (the sup norm of psi(q) that ended
+    the Newton solve) or the multipliers lambda.  The Newton system is formed
     only when the unconstrained drift leaves the constraint (psi beyond
     newton_tol); otherwise lambda = 0, with no multiplier kick.  A non-finite
     psi after the drift raises ConstraintSolveError."""
-    lam, residual, q_k = np.zeros(cons.m), 0.0, q
+    q_k, jac, factor, lam, residual = s[0], s[4], s[5], np.zeros(cons.m), 0.0
 
     def drift(q, p_half, h, decay):
         nonlocal lam, residual
@@ -288,9 +295,10 @@ def _rattle_step(q, p, half_kick, jac, factor, t_k, dt, g, sched, prob, cons):
             jac, factor = _projector(q, g, cons)
         return _project(p, jac, factor, g)
 
-    q, p, half_kick = _conformal_step(q, p, half_kick, t_k, dt, sched,
-                                      lambda q, p: prob.grad(q), drift, project)
-    return q, p, half_kick, jac, factor, lam, residual
+    q, p, half_kick, f = _conformal_step(
+        *s[:3], t_k, dt, sched, lambda q, p: prob.value_and_grad(q), drift,
+        project)
+    return q, p, half_kick, f, jac, factor, residual, lam
 
 
 def rattle_step(x, t_k, dt, g, sched, prob, cons):
@@ -302,45 +310,37 @@ def rattle_step(x, t_k, dt, g, sched, prob, cons):
     lambda = 0 and no kick.  The momentum map is project_momentum.  `cons`
     holds at least one constraint.
     """
-    q, p, _, _, _, lam, _ = _rattle_step(x.q, x.p, None, None, None, t_k, dt,
-                                         g, sched, prob, cons)
+    q, p, *_, lam = _rattle_step((x.q, x.p, None, None, None, None, None, None),
+                                 t_k, dt, g, sched, prob, cons)
     return PhasePoint(q, p), lam
 
 
 def run_lie_optimizer(st, prob, dt, g_scalar, sched, num_steps,
                       record_every=1, target_gap=None):
     """Iterate lie_group_step; reports the orthogonality defect per record."""
+    _check_positive("step size dt", dt)   # before dt * kick, which may warn
     step = _lie_stepper(dt, g_scalar, sched, prob)
-
-    # x = (Q, P, half kick or None, f(Q), ||Q^T Q - I||_F)
-    def advance(x, t_k):
-        Q, P, half_kick = step(*x[:3], t_k)
-        return Q, P, half_kick, prob.value(Q), _group_defect(Q)
-
+    f0, grad0 = prob.value_and_grad(st.Q)   # f and the kick, as the force
     traj, (Q, P, *_) = _run_steps(
-        (st.Q, st.P, None, prob.value(st.Q), st.orthogonality_defect()),
-        advance, lambda x: x[4], sched, dt, num_steps, prob.f_star,
-        record_every=record_every, target_gap=target_gap,
-        extra_name="orthogonality_defect")
+        (st.Q, st.P, 0.5 * dt * skew_part(st.Q.T @ grad0), f0,
+         st.orthogonality_defect()), step, lambda x: x[4], sched, dt,
+        num_steps, prob.f_star, record_every=record_every,
+        target_gap=target_gap, extra_name="orthogonality_defect")
     return traj, MatrixGroupState(Q, P)
 
 
 def run_rattle_optimizer(x, prob, dt, g, sched, cons, num_steps,
                          record_every=1, target_gap=None):
     """Iterate rattle_step; reports the constraint residual per record."""
+    _check_positive("step size dt", dt)   # before dt * kick, which may warn
     jac, factor = _projector(x.q, g, cons)
     x = PhasePoint(x.q, _project(x.p, jac, factor, g))
-
-    # s = (q, p, half kick or None, f(q), J, factor, residual)
-    def advance(s, t_k):
-        q, p, half_kick, jac, factor, _, residual = _rattle_step(
-            *s[:3], *s[4:6], t_k, dt, g, sched, prob, cons)
-        return q, p, half_kick, prob.value(q), jac, factor, residual
-
+    f0, grad0 = prob.value_and_grad(x.q)   # one evaluation per point
     traj, (q, p, *_) = _run_steps(
-        (x.q, x.p, None, prob.value(x.q), jac, factor,
-         _sup_norm(cons.value(x.q))), advance, lambda s: s[6], sched, dt,
-        num_steps, prob.f_star,
+        (x.q, x.p, 0.5 * dt * grad0, f0, jac, factor,
+         _sup_norm(cons.value(x.q)), np.zeros(cons.m)),
+        lambda s, t_k: _rattle_step(s, t_k, dt, g, sched, prob, cons),
+        lambda s: s[6], sched, dt, num_steps, prob.f_star,
         record_every=record_every, target_gap=target_gap,
         extra_name="constraint_residual")
     return traj, PhasePoint(q, p)

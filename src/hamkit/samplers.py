@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PhasePoint, _all_finite, _as_samples, _central_diffs,
-                   _check_dims, _rows)
+                   _check_count, _check_dims, _check_positive, _rows)
 from .errors import DivergenceError, DomainError
-from .integrators import _check_count, _check_dt, _write_csv, gradient_flow_step
+from .integrators import _write_csv, gradient_flow_step
 
 __all__ = [
     "ChainState",
@@ -91,7 +91,7 @@ def leapfrog_trajectory(x, prob, g, dt, L):
 
 
 def _check_hmc(q, prob, g, dt, L, jitter):
-    _check_dt(dt)
+    _check_positive("step size dt", dt)
     if not 0.0 <= jitter <= 1.0:
         raise DomainError("jitter must lie in [0, 1]")
     _check_count("L", L, 1)
@@ -149,7 +149,7 @@ def overdamped_em_step(q, prob, dt, beta, rng):
     """Euler-Maruyama step q - dt grad V(q) + sqrt(2 dt / beta) xi."""
     if not beta > 0:
         raise DomainError("inverse temperature beta must be positive")
-    _check_dt(dt)
+    _check_positive("step size dt", dt)
     if math.isinf(beta):
         return gradient_flow_step(np.asarray(q, float), dt, prob)
     q = np.asarray(q, float)

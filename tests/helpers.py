@@ -48,9 +48,9 @@ def two_form_of_step(step, curves, h, coords=lambda x: x):
 def lie_step_with_skew_map(Q, P, t_k, dt, g_scalar, sched, prob):
     """The SO(n) step with skew_part as its momentum map: the library's kick
     and drift, with P projected after each half kick.  Returns (Q, P)."""
-    Q, P, _ = _conformal_step(
+    Q, P, _, _ = _conformal_step(
         Q, P, None, t_k, dt, sched,
-        lambda Q, P: skew_part(Q.T @ prob.grad(Q)),
+        lambda Q, P: (None, skew_part(Q.T @ prob.grad(Q))),
         lambda Q, P, h, decay: (Q @ _linalg().expm((h / g_scalar) * P), P),
         lambda Q, P: skew_part(P))
     return Q, P
@@ -80,9 +80,9 @@ def rattle_step_always_kicking(x, t_k, dt, g, sched, prob, cons):
                 raise AssertionError("Newton solve did not converge")
         return q_new, p_half - 0.5 * dt * decay * jac.T.dot(lam)
 
-    q, p, _ = _conformal_step(x.q, x.p, None, t_k, dt, sched,
-                              lambda q, p: prob.grad(q), drift,
-                              lambda q, p: project_momentum(q, p, g, cons))
+    q, p, _, _ = _conformal_step(x.q, x.p, None, t_k, dt, sched,
+                                 lambda q, p: (None, prob.grad(q)), drift,
+                                 lambda q, p: project_momentum(q, p, g, cons))
     return PhasePoint(q, p), lam
 
 

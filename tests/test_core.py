@@ -219,6 +219,16 @@ class TestDampingSchedule:
         with pytest.raises(DomainError):
             DampingSchedule.vanishing(r=-1.0)
 
+    @pytest.mark.parametrize("kind, field", [("constant", "gamma"),
+                                             ("vanishing", "r"),
+                                             ("vanishing", "t0")])
+    def test_non_finite_parameters_refused(self, kind, field):
+        # each used to be accepted; its run then ended in "non-finite state
+        # ... step size too large?" after a numpy RuntimeWarning
+        with pytest.raises(DomainError,
+                           match=f"damping {field} must be finite"):
+            DampingSchedule(kind, **{field: math.inf})
+
     @given(st.floats(1.0, 50.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_additivity(self, a, d1, d2):
@@ -301,6 +311,12 @@ class TestProblems:
         prob = Problem(2, value=lambda q: 0.0, grad=np.zeros_like, q_star=qs)
         qs[0] = 5.0
         assert np.array_equal(prob.q_star, [1.0, 2.0])
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, 0])
+    def test_dimension_must_be_an_integer(self, dim):
+        # 2.5 used to give dim 2, and True dim 1
+        with pytest.raises(DomainError, match="dim must be an integer"):
+            Problem(dim, value=lambda q: 0.0, grad=np.zeros_like)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(_BUILT_INS)), st.integers(0, 2 ** 32 - 1),

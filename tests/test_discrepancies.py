@@ -46,6 +46,14 @@ class TestKernelSpec:
         with pytest.raises(DomainError, match="'beta'"):
             KernelSpec("inverse_multiquadric", c=1.0)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: KernelSpec.gaussian(math.inf), "sigma"),
+        (lambda: KernelSpec.inverse_multiquadric(c=math.inf), "c")])
+    def test_non_finite_parameters_refused(self, make, field):
+        # gaussian(inf) used to give an all-ones Gram
+        with pytest.raises(DomainError, match=f" {field} must be finite"):
+            make()
+
     @pytest.mark.parametrize("kernel", [
         KernelSpec.gaussian(0.8),
         KernelSpec.inverse_multiquadric(c=1.3, beta=0.5),
@@ -87,6 +95,12 @@ class TestKernelSpec:
 
 
 class TestMmd:
+    def test_sets_of_different_dimension_refused(self):
+        # numpy's matmul ValueError used to reach the caller
+        with pytest.raises(DomainError, match=re.escape("(5, 2) and (4, 3)")):
+            mmd_squared(np.zeros((5, 2)), np.zeros((4, 3)),
+                        KernelSpec.gaussian(1.0))
+
     def test_two_point_sets(self):
         # one same-set pair each, and the four cross pairs
         k = KernelSpec.gaussian(1.0)
@@ -505,6 +519,13 @@ class TestInformationTensor:
         with pytest.raises(DomainError):
             information_tensor(model, 50, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_mc", [150.5, 200.0, True])
+    def test_mc_size_must_be_an_integer(self, n_mc):
+        # 150.5 and 200.0 used to end in an untyped TypeError
+        with pytest.raises(DomainError, match="n_mc, the MC size must be an"):
+            information_tensor(GaussianLocationModel(np.zeros(1)), n_mc,
+                               np.random.default_rng(0))
+
 
 def curved_model(d, p):
     """A score model whose B field, score and theta-Jacobian all vary with x."""
@@ -656,6 +677,17 @@ class TestNaturalGradient:
         data = np.random.default_rng(17).standard_normal((20, 2))
         with pytest.raises(TypeError, match="rng"):
             sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)), n_iter=5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_iter", True), ("n_iter", 2.5), ("n_iter", -1),
+        ("n_mc", 150.5), ("n_mc", 200.0)])
+    def test_sm_ngd_counts_refused(self, field, value):
+        # n_iter = True used to run one iteration and -1 none; 2.5 and both
+        # n_mc values ended in an untyped TypeError
+        data = np.random.default_rng(17).standard_normal((20, 2))
+        with pytest.raises(DomainError, match=f"{field}.* must be an integer"):
+            sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)),
+                       np.random.default_rng(0), **{field: value})
 
     def test_sm_ngd_refuses_a_small_mc_size(self):
         # n_mc reaches the information tensor as given, which refuses fewer

@@ -199,6 +199,40 @@ def test_flat_run_work_counts(count_calls, counting_problem, num_steps):
     assert plain_calls == {"value": num_steps + 1, "grad": num_steps + 1}
 
 
+@pytest.mark.parametrize("run", ["lie", "rattle"])
+def test_manifold_run_work_counts(counting_problem, run):
+    # as test_flat_run_work_counts: f and the kick's gradient at each of the
+    # run's points from one fused call, or from the adapter's two calls
+    # with the same bits
+    rng, num_steps, sched = np.random.default_rng(5), 20, SCHEDULES["constant"]
+    if run == "lie":
+        base = trace_objective(rng.standard_normal((4, 4)))
+        st0 = MatrixGroupState(np.eye(4),
+                               skew_part(rng.standard_normal((4, 4))))
+
+        def go(prob):
+            return run_lie_optimizer(st0, prob, 0.05, 0.05, sched, num_steps)
+    else:
+        base, q0 = sphere_problem(rng), rng.standard_normal(3)
+        x0 = PhasePoint(q0 / np.linalg.norm(q0), 0.05 * rng.standard_normal(3))
+
+        def go(prob):
+            return run_rattle_optimizer(x0, prob, 0.05,
+                                        KineticMetric.scaled_identity(3, 0.05),
+                                        sched, sphere_constraint(), num_steps)
+    prob, calls = counting_problem(base)
+    traj, end = go(prob)
+    assert len(traj) == num_steps + 1
+    assert calls == {"value_and_grad": num_steps + 1}
+    plain, plain_calls = counting_problem(base, fused=False)
+    ref, ref_end = go(plain)
+    for column in ("steps", "times", "values", "gaps", "extra"):
+        assert np.array_equal(getattr(traj, column), getattr(ref, column))
+    for a, b in zip(vars(end).values(), vars(ref_end).values(), strict=True):
+        assert np.array_equal(a, b)
+    assert plain_calls == {"value": num_steps + 1, "grad": num_steps + 1}
+
+
 def test_public_flat_step_evaluates_only_the_gradient(counting_problem):
     x0 = PhasePoint([1.8, 0.0], [0.0, 0.0])
     g = KineticMetric.scaled_identity(2, 0.05)

@@ -247,12 +247,13 @@ class TestLieGroupStep:
         sched = self.SCHEDULES[kind]
         Q = scipy.linalg.expm(random_skew(n, rng))
         P = scale * skew_part(rng.standard_normal((n, n)))
-        step, half_kick, t = _lie_stepper(dt, g_scalar, sched, prob), None, \
-            sched.start_time()
+        step, x, t = _lie_stepper(dt, g_scalar, sched, prob), \
+            (Q, P, None, None, None), sched.start_time()
         for _ in range(5):
             Q_ref, P_ref = lie_step_with_skew_map(Q, P, t, dt, g_scalar, sched,
                                                   prob)
-            Q, P, half_kick = step(Q, P, half_kick, t)
+            x = step(x, t)
+            Q, P = x[:2]
             assert np.array_equal(P, -P.T)
             assert np.array_equal(Q, Q_ref) and np.array_equal(P, P_ref)
             t += dt
@@ -291,7 +292,7 @@ class TestLieGroupStep:
                                 n * (17 * n + 2) * u * big)
 
         def step(x, err):
-            Q, P, _ = lie_step(*x, None, 0.0)
+            Q, P, *_ = lie_step((*x, None, None, None), 0.0)
             return (Q, P), lip * (err + n * (18 * n + 16) * u * big)
 
         curves = [curve(random_skew(n, rng), random_skew(n, rng))
@@ -680,8 +681,8 @@ class TestRattle:
             return point
 
         def step(x, err):
-            q, p, _, _, _, lam, r = _rattle_step(*x, None, None, None, 0.0, dt,
-                                                 g, sched, prob, cons)
+            q, p, *_, r, lam = _rattle_step((*x, *[None] * 6), 0.0, dt, g,
+                                            sched, prob, cons)
             assert np.any(lam != 0.0) == newton and r <= tol
             rounding = math.sqrt(2 * d) * (6 * d + 36) * u * big
             return (q, p), (lip * (err + rounding)

@@ -410,16 +410,15 @@ def natural_gradient_step(theta, grad, g, step, ridge=None):
 
     Default ridge: 1e-8 * trace(G) / dim.
     """
-    if not step > 0:
-        raise DomainError("step size must be positive")
+    _check_positive("step size", step)
     theta = np.atleast_1d(np.asarray(theta, float))
     grad = np.atleast_1d(np.asarray(grad, float))
     g = np.atleast_2d(np.asarray(g, float))
     p = theta.size
     if ridge is None:
         ridge = 1e-8 * float(np.trace(g)) / p
-    if ridge < 0:
-        raise DomainError("ridge must be >= 0")
+    elif not ridge >= 0:   # NaN fails too
+        raise DomainError(f"ridge must be >= 0, got {ridge!r}")
     tensor = g + ridge * np.eye(p)
     if not (np.isfinite(tensor).all() and np.isfinite(grad).all()):
         raise DomainError("natural gradient step needs a finite tensor and gradient")
@@ -438,11 +437,14 @@ def sm_ngd_fit(x_samples, model, rng, n_iter=50, step=1.0, tol=1e-10, n_mc=200,
     The loss is half the score-matching estimator, so its information
     tensor is its Hessian at the optimum and a unit step is exact Newton for
     quadratic families.  Each iteration estimates that tensor from n_mc
-    model draws taken from `rng`.  Returns (theta, per-iteration theta
-    history).
+    model draws taken from `rng`.  Stops early once an iteration moves theta
+    by less than `tol` (>= 0; 0 never stops early).  Returns (theta,
+    per-iteration theta history).
     """
     _check_count("n_iter", n_iter, 0)
     _check_count("n_mc, the MC size", n_mc, 100)
+    if not tol >= 0:   # NaN would never stop early
+        raise DomainError(f"tol must be >= 0 (0: no early stop), got {tol!r}")
     x_arr = _as_samples(x_samples)
     history = [model.theta.copy()]
     for _ in range(n_iter):

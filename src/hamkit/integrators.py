@@ -46,21 +46,32 @@ def _write_csv(path_or_file, header, fmts, columns):
     """Write `header` and one line per row of `columns`, each value printf-
     formatted by its column's entry of `fmts` ("%d", or "%.17e", from which
     every float64 reads back exactly), to an open file or a new file at a
-    path.  Returns the text written.  Rows are converted and formatted
-    `_CSV_CHUNK` at a time, so no whole column is held as Python numbers."""
+    path.  Returns the text written.
+
+    Columns of unequal length raise ValueError before any file is opened.
+    Rows are converted and formatted `_CSV_CHUNK` at a time, and each block
+    is written as soon as it is formatted: no whole column is held as Python
+    numbers, and the text is held once, in its blocks, until they are joined
+    for the return value."""
     line = ",".join(fmts) + "\n"
     columns = [np.asarray(c) for c in columns]
-    parts = [header + "\n"]
-    for i in range(0, max(map(len, columns)), _CSV_CHUNK):
-        rows = zip(*(c[i:i + _CSV_CHUNK].tolist() for c in columns), strict=True)
-        parts.append("".join(line % row for row in rows))
-    body = "".join(parts)
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+
+    def write(fh):
+        blocks = [header + "\n"]
+        fh.write(blocks[0])
+        for i in range(0, len(columns[0]), _CSV_CHUNK):
+            rows = zip(*(c[i:i + _CSV_CHUNK].tolist() for c in columns))
+            blocks.append("".join(line % row for row in rows))
+            fh.write(blocks[-1])
+        return "".join(blocks)
+
     if hasattr(path_or_file, "write"):
-        path_or_file.write(body)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(body)
-    return body
+        return write(path_or_file)
+    with open(path_or_file, "w") as fh:
+        return write(fh)
 
 
 @dataclass
@@ -79,6 +90,9 @@ class Trajectory:
         return len(self.times)
 
     def to_csv(self, path_or_file):
+        """Write the five columns (gap NaN when the minimum is unknown) to an
+        open file or a new file at a path, `_CSV_CHUNK` rows at a time;
+        returns the text written."""
         gaps = self.gaps if self.gaps is not None else np.full(len(self), math.nan)
         return _write_csv(path_or_file, f"step,time,value,gap,{self.extra_name}",
                           ["%d"] + ["%.17e"] * 4,
@@ -224,6 +238,9 @@ def _states(x, advance, sched, t0, dt, num_steps):
         raise DivergenceError(f"overflow in step: {exc}", step=k) from exc
 
 
+_RECORD_ROWS = 256   # rows of a run's first record columns; full ones double
+
+
 def _run_steps(x, advance, extra, sched, dt, num_steps, f_star,
                record_every=1, target_gap=None, too_far=None,
                extra_name="energy"):
@@ -247,21 +264,34 @@ def _run_steps(x, advance, extra, sched, dt, num_steps, f_star,
     `_states` does; so a replayed step has the input and De of one already
     taken, and its state still goes through `extra`, `too_far` and the gap
     test.  f and grad f must be deterministic.
+
+    The records go into four typed columns (int64 steps; float64 times, f
+    and the fifth column), 8 bytes a value: they start at `_RECORD_ROWS`
+    rows, double when full and are sliced to the rows recorded at the end.
+    Nothing is allocated for the steps a run does not reach.
     """
     _check_run(dt, num_steps, record_every, target_gap)
     t0 = sched.start_time()
     watch_gap = target_gap is not None and f_star is not None
-    rows = [(0, t0, x[3], extra(x))]
-    reason = "completed"
+    cols = ([np.empty(_RECORD_ROWS, np.int64)]
+            + [np.empty(_RECORD_ROWS) for _ in range(3)])
+    steps, times, values, extras = cols
+    steps[0], times[0], values[0], extras[0] = 0, t0, x[3], extra(x)
+    n, reason = 1, "completed"
     for k, x in enumerate(_states(x, advance, sched, t0, dt, num_steps), 1):
         diverged = too_far is not None and too_far(x)
         reached = watch_gap and x[3] - f_star < target_gap
         if diverged or reached or k % record_every == 0 or k == num_steps:
-            rows.append((k, t0 + k * dt, x[3], extra(x)))
+            if n == len(steps):
+                cols = [np.concatenate((c, np.empty_like(c))) for c in cols]
+                steps, times, values, extras = cols
+            steps[n], times[n], values[n], extras[n] = (k, t0 + k * dt, x[3],
+                                                        extra(x))
+            n += 1
         if diverged or reached:
             reason = "diverged" if diverged else "target_reached"
             break
-    steps, times, values, extras = (np.asarray(col) for col in zip(*rows))
+    steps, times, values, extras = (c[:n] for c in cols)
     gaps = values - f_star if f_star is not None else None
     return Trajectory(steps, times, values, gaps, extras, reason,
                       extra_name), x

@@ -246,4 +246,4 @@ def write_samples_csv(path_or_file, samples, chain_id=0):
     return _write_csv(path_or_file,
                       ",".join(["chain", "step"] + [f"q_{i + 1}" for i in range(d)]),
                       ["%d"] * 2 + ["%.17e"] * d,
-                      [[chain_id] * n, range(n), *samples.T])
+                      [np.full(n, chain_id), np.arange(n), *samples.T])

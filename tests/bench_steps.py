@@ -19,6 +19,10 @@ RATTLE steps of a linear objective from rest (d = 3, dt = 0.05, gamma = 2).
 `test_flat_run_per_step` times a 1,000-step `run_optimizer` on the same
 quartic, the loop optimize_quartic runs; divide its time by 1,000 for the
 cost of one step inside a run, where no `PhasePoint` is validated.
+`test_flat_run_records` times a 15,000-step run of that quartic (dt = 0.05,
+optimize_quartic's length) recording every step and recording only the
+last: the difference is the cost of 15,000 records.  `test_trajectory_csv`
+times `Trajectory.to_csv` of that run's 15,001 rows to a file.
 `test_hmc_transition` times the raw draw `run_hmc_chain` repeats, with V
 and grad V carried from the previous draw.
 `test_quartic_value_and_grad` and `test_quartic_value_then_grad` time the
@@ -38,6 +42,7 @@ median/IQR aggregates and a "median" verdict per metric of a 5-rep,
 15-metric report.
 """
 import numpy as np
+import pytest
 
 from hamkit import (
     ChainState,
@@ -83,6 +88,22 @@ def test_flat_run_per_step(benchmark):
     traj = benchmark(run_optimizer, QUARTIC_X0, problems.quartic(2), 0.01, None,
                      QUARTIC_SCHED, 1000)
     assert traj.reason == "completed"
+
+
+QUARTIC_RUN = (PhasePoint([1.8, 0.0], [0.0, 0.0]), problems.quartic(2), 0.05,
+               None, QUARTIC_SCHED, 15000)
+
+
+@pytest.mark.parametrize("record_every", [1, 15000])
+def test_flat_run_records(benchmark, record_every):
+    traj = benchmark(run_optimizer, *QUARTIC_RUN, record_every=record_every)
+    assert len(traj) == 15000 // record_every + 1
+
+
+def test_trajectory_csv(benchmark, tmp_path):
+    traj = run_optimizer(*QUARTIC_RUN)
+    text = benchmark(traj.to_csv, str(tmp_path / "traj.csv"))
+    assert text.count("\n") == 15002
 
 
 def test_quartic_value_and_grad(benchmark):

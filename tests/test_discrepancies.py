@@ -663,6 +663,27 @@ class TestNaturalGradient:
         with pytest.raises(DomainError, match="finite"):
             natural_gradient_step(np.zeros(2), grad, g, 1.0)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
+    def test_step_refused(self, step):
+        # step = inf used to return [-inf, -inf]
+        with pytest.raises(DomainError, match="step size must be finite"):
+            natural_gradient_step(np.zeros(2), np.ones(2), np.eye(2), step)
+
+    @pytest.mark.parametrize("ridge", [math.nan, -1e-3])
+    def test_ridge_refused(self, ridge):
+        # ridge = NaN used to pass `ridge < 0` and fail as a non-finite tensor
+        with pytest.raises(DomainError, match="ridge must be >= 0"):
+            natural_gradient_step(np.zeros(2), np.ones(2), np.eye(2), 1.0,
+                                  ridge=ridge)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10])
+    def test_sm_ngd_tol_refused(self, tol):
+        # tol = NaN used to turn the early stop off without a word
+        data = np.random.default_rng(17).standard_normal((20, 2))
+        with pytest.raises(DomainError, match="tol must be >= 0"):
+            sm_ngd_fit(data, GaussianLocationModel(np.zeros(2)),
+                       np.random.default_rng(0), tol=tol)
+
     def test_sm_ngd_recovers_sample_mean(self):
         rng = np.random.default_rng(17)
         data = rng.standard_normal((200, 2)) + 1.5

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hamkit import (
 )
 from hamkit import integrators
 from hamkit.bench import _envelope
-from helpers import constant_problem
+from helpers import constant_problem, run_steps_stepping_each
 
 
 def at_rest(q0):
@@ -472,7 +473,7 @@ class TestTrajectoryCsv:
             "1,5.00000000000000000e-01,-0.00000000000000000e+00,nan,"
             "3.00000000000000000e+00"]
 
-    def test_rows_across_chunks(self):
+    def test_rows_across_chunks(self, tmp_path):
         # rows are formatted a chunk at a time: the text must not show it
         n = 2 * integrators._CSV_CHUNK + 1   # the short column ends on a chunk
         rng = np.random.default_rng(16)
@@ -482,6 +483,112 @@ class TestTrajectoryCsv:
             "%d,%.17e,%.17e,%.17e,%.17e\n" % row
             for row in zip(*(c.tolist() for c in cols)))
         assert traj.to_csv(io.StringIO()) == expected
-        with pytest.raises(ValueError):
-            Trajectory(cols[0], *cols[1:4], cols[4][:-1]).to_csv(io.StringIO())
+        path = tmp_path / "traj.csv"
+        assert traj.to_csv(str(path)) == expected
+        assert path.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("short", [1, 4])
+    def test_unequal_columns_leave_the_file_alone(self, tmp_path, short):
+        # the lengths are checked before the file is opened, so a refused
+        # CSV neither truncates nor half-writes what is at its path
+        cols = [np.arange(5)] + [np.linspace(0.0, 1.0, 5) for _ in range(4)]
+        cols[short] = cols[short][:-1]
+        path = tmp_path / "traj.csv"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="differ in length"):
+            Trajectory(*cols).to_csv(str(path))
+        assert path.read_text() == "kept\n"
+        with pytest.raises(ValueError, match="differ in length"):
+            Trajectory(*cols).to_csv(io.StringIO())
+
+
+
+def _bits(a):
+    """The dtype, shape and bytes of an array, or None."""
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
+@pytest.mark.parametrize("how", ["completed", "target_reached", "diverged"])
+@pytest.mark.parametrize("record_every", [1, 3, 7])
+def test_record_columns_match_the_tuple_loop(record_every, how):
+    # the typed record columns hold the bits the list of row tuples gave,
+    # for runs that end just before, on and after a column's doubling
+    rows = integrators._RECORD_ROWS
+    sched = DampingSchedule.constant(1.0)
+
+    def advance(x, t_k):
+        q = x[0] + 1.0
+        return q, x[1], None, math.sqrt(abs(stop - q[0]) + 0.25)
+
+    for stop in (rows * record_every - 1, rows * record_every,
+                 rows * record_every + 1, 2 * rows * record_every + 2):
+        start = (np.zeros(1), np.ones(1), None, math.sqrt(stop + 0.25))
+        target = how == "target_reached"
+        args = (start, advance, lambda x: x[3] / 3.0 + x[0][0], sched, 0.1,
+                stop if how == "completed" else 10**8, 0.0 if target else None)
+        kwargs = dict(record_every=record_every,
+                      target_gap=1.0 if target else None,
+                      too_far=(lambda x: x[0][0] >= stop) if how == "diverged"
+                      else None)
+        (new, x_new), (old, x_old) = (
+            loop(*args, **kwargs)
+            for loop in (integrators._run_steps, run_steps_stepping_each))
+        assert new.reason == old.reason == how
+        assert new.steps[-1] == stop
+        for field in ("steps", "times", "values", "gaps", "extra"):
+            assert _bits(getattr(new, field)) == _bits(getattr(old, field))
+        assert _bits(x_new[0]) == _bits(x_old[0])
+
+
+def _traced_peak(fn):
+    """(fn(), the peak of tracemalloc's traced memory during it, in bytes
+    above what was traced when it began)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecordMemory:
+    """Peaks of the record loop and the CSV writer, measured by tracemalloc
+    (which sees numpy's buffers), against bounds taken from their design."""
+
+    QUARTIC_RUN = (at_rest([1.8, 0.0]), problems.quartic(2), 0.05, None,
+                   DampingSchedule.vanishing(r=3.0, t0=1.0), 15000)
+
+    def test_run_records_take_eight_bytes_a_value(self):
+        # 15,001 records of 4 values in typed columns, 32 B a row.  When full,
+        # a column of C rows is copied into one of 2C, and C < n, so at most
+        # 3n rows are held: 96 B a record, plus 256 KB for the rest of the
+        # run.  The list of row tuples took about 275 B a record (4.1 MB).
+        run_optimizer(*self.QUARTIC_RUN)   # warm imports and caches
+        traj, peak = _traced_peak(lambda: run_optimizer(*self.QUARTIC_RUN))
+        assert len(traj) == 15001
+        assert peak <= 96 * len(traj) + 256 * 1024
+
+    def test_csv_text_is_held_at_most_twice(self, tmp_path):
+        # the blocks written and their join, which is returned, plus one
+        # chunk in flight: 400 B for each of its rows (five Python floats,
+        # their line, its share of the chunk's text and encoded bytes).
+        # Joining before writing also held the encoded text: 3x the text.
+        traj = run_optimizer(*self.QUARTIC_RUN)
+        path = str(tmp_path / "traj.csv")
+        traj.to_csv(path)
+        text, peak = _traced_peak(lambda: traj.to_csv(path))
+        assert len(text) > 1_000_000
+        assert peak <= 2 * len(text) + 400 * integrators._CSV_CHUNK
+
+    def test_an_early_stop_allocates_for_the_steps_taken(self):
+        # num_steps = 10**6 reaches the target gap within 50 steps; columns
+        # sized for every step would take 32 MB
+        prob = problems.quadratic(2)
+        x0 = PhasePoint([1.0, -0.5], [0.0, 0.0])
+        sched = DampingSchedule.constant(1.0)
+        run_optimizer(x0, prob, 0.1, None, sched, 10, target_gap=1e-3)
+        traj, peak = _traced_peak(lambda: run_optimizer(
+            x0, prob, 0.1, None, sched, 10**6, target_gap=1e-3))
+        assert traj.reason == "target_reached" and traj.steps[-1] <= 50
+        assert peak < 1024 * 1024

@@ -200,10 +200,12 @@ def _states(x, advance, sched, t0, dt, num_steps):
     each step at most once (see `_run_steps`).
 
     Brent's cycle finding keeps one checkpoint, moved to x_k when k is a
-    power of two steps past it, and compares a state's bytes with it only
-    when their f agree.  Once x_k repeats it, one more period is stepped,
-    noting each step's De; if that brings x back to x_k, the noted states
-    are replayed while each step's De is the noted one.  A step's
+    power of two steps past it; each state is also compared with the one
+    before, so that a fixed point (period 1) is found at its first repeat.
+    A state's bytes are compared only when their f agree.  Once x_k repeats
+    the checkpoint or the state before, one more period is stepped, noting
+    each step's De; if that brings x back to x_k, the noted states are
+    replayed while each step's De is the noted one.  A step's
     DivergenceError, or OverflowError (math.exp, say), is re-raised as a
     DivergenceError with the step's index.
     """
@@ -211,8 +213,10 @@ def _states(x, advance, sched, t0, dt, num_steps):
     try:
         while k < num_steps:
             k += 1
-            x = advance(x, t0 + (k - 1) * dt)
+            prev, x = x, advance(x, t0 + (k - 1) * dt)
             yield x
+            if x[3] == prev[3] and _key(x) == _key(prev):
+                ck, k_ck = prev, k - 1   # a repeat of period 1
             if x[3] == ck[3] and _key(x) == _key(ck):
                 start, cycle = _key(x), []
                 for _ in range(k - k_ck):

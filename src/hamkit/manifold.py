@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PhasePoint, Problem, _all_finite, _check_count,
-                   _check_positive)
+                   _check_dims, _check_positive)
 from .errors import ConstraintSolveError, DomainError, GeometryError
 from .integrators import _conformal_step, _run_steps
 
@@ -118,8 +118,12 @@ def so_trace_minimum(C):
     With C = U diag(sigma) V^T, Tr(C Q) = sum_i sigma_i d_i over sign choices
     d_i = +-1 subject to the determinant parity; the minimum flips every sign
     except, when parity forbids it, the one paired with the smallest sigma.
+    A C that is not a finite, square, 2-d matrix raises DomainError.
     """
     C = np.asarray(C, float)
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or not _all_finite(C):
+        raise DomainError("C must be a finite, square, 2-d matrix, got one "
+                          f"of shape {C.shape}")
     u, s, vt = _linalg().svd(C)
     u = np.ascontiguousarray(u)  # scipy's is Fortran-ordered; matmul rounds by layout
     d = -np.ones(len(s))
@@ -132,11 +136,15 @@ def so_trace_minimum(C):
 
 def trace_objective(C):
     """f(Q) = Tr(C Q) over n x n matrices (dim n^2), with its certified
-    minimum and minimiser over SO(n)."""
+    minimum and minimiser over SO(n).  f(Q) is one n^2 inner product, of C^T
+    (ravelled once, here) with Q.ravel(), not the trace of the n^3 product
+    C Q."""
     C = np.asarray(C, float)
     f_star, q_star = so_trace_minimum(C)
-    return Problem(C.size, value=lambda Q: np.trace(C @ Q), grad=lambda Q: C.T,
-                   f_star=f_star, q_star=q_star, name="trace_objective")
+    ct = C.T.ravel()
+    return Problem(C.size, value=lambda Q: ct.dot(Q.ravel()),
+                   grad=lambda Q: C.T, f_star=f_star, q_star=q_star,
+                   name="trace_objective")
 
 
 def _lie_stepper(dt, g_scalar, sched, prob):
@@ -205,7 +213,8 @@ def _sup_norm(v):  # max |v_i| of a constraint residual
 
 
 def sphere_constraint(radius=1.0, **kwargs):
-    """psi(q) = ||q||^2 - radius^2."""
+    """psi(q) = ||q||^2 - radius^2, for a radius finite and > 0."""
+    _check_positive("radius", radius)
     return ConstraintSet(
         1,
         value=lambda q: np.array([float(q.dot(q)) - radius * radius]),
@@ -319,6 +328,9 @@ def run_lie_optimizer(st, prob, dt, g_scalar, sched, num_steps,
                       record_every=1, target_gap=None):
     """Iterate lie_group_step; reports the orthogonality defect per record."""
     _check_positive("step size dt", dt)   # before dt * kick, which may warn
+    if st.Q.size != prob.dim:
+        raise DomainError(f"dimension mismatch: state {st.Q.size}, problem "
+                          f"{prob.dim}")
     step = _lie_stepper(dt, g_scalar, sched, prob)
     f0, grad0 = prob.value_and_grad(st.Q)   # f and the kick, as the force
     traj, (Q, P, *_) = _run_steps(
@@ -333,6 +345,7 @@ def run_rattle_optimizer(x, prob, dt, g, sched, cons, num_steps,
                          record_every=1, target_gap=None):
     """Iterate rattle_step; reports the constraint residual per record."""
     _check_positive("step size dt", dt)   # before dt * kick, which may warn
+    _check_dims(x.dim, g, prob)
     jac, factor = _projector(x.q, g, cons)
     x = PhasePoint(x.q, _project(x.p, jac, factor, g))
     f0, grad0 = prob.value_and_grad(x.q)   # one evaluation per point

@@ -14,6 +14,8 @@ Each benchmark times one call: a flat damped leapfrog step of the quartic at
 d = 2, one HMC draw (d = 10, L = 5), which evaluates V and grad V at its
 start, one SO(50) step of a trace objective
 (the shape manifold_so_rattle runs) and one RATTLE step on the unit sphere.
+`test_trace_value` times that objective's value f(Q) = Tr(C Q) at one
+Q in SO(50), which each SO(50) step evaluates once.
 `test_rattle_run` times the whole sphere run of manifold_so_rattle: 4,000
 RATTLE steps of a linear objective from rest (d = 3, dt = 0.05, gamma = 2).
 `test_flat_run_per_step` times a 1,000-step `run_optimizer` on the same
@@ -163,6 +165,16 @@ def test_lie_step(benchmark):
     lie_group_step(st, 0.0, 0.05, 0.05, sched, prob)   # loads scipy.linalg
     out = benchmark(lie_group_step, st, 0.0, 0.05, 0.05, sched, prob)
     assert out.orthogonality_defect() <= 1e-8
+
+
+def test_trace_value(benchmark):
+    rng = np.random.default_rng(0)
+    prob = trace_objective(rng.standard_normal((50, 50)))
+    st = MatrixGroupState(np.eye(50), 0.05 * skew_part(rng.standard_normal((50, 50))))
+    Q = lie_group_step(st, 0.0, 0.05, 0.05, DampingSchedule.constant(2.0),
+                       prob).Q
+    f = benchmark(prob.value, Q)
+    assert f == prob.value(np.ascontiguousarray(Q))
 
 
 def test_rattle_step(benchmark):

@@ -1,15 +1,15 @@
 """Source hygiene: every module-level import in the package is used,
 finiteness checks use one idiom, config defaults live in one table and
 every config key is read, one driver builds every report, kernel values
-are built without their derivatives, the package exports every public
-name, only the manifold module imports scipy, only on first use, and it
-takes every LAPACK routine from scipy, not numpy, no module serves names
-through a module-level `__getattr__`, the per-step functions multiply
-with ndarray.dot, not `@`, only the adapters for per-point callables
-call `core._rows`, one loop walks a Gram's row tiles, one check takes
-every optimiser run's parameters, the flat, SO(n) and RATTLE runs and steps
-take them in one order, and the step benchmarks in `tests/bench_steps.py`
-run.
+are built without their derivatives, no trace is taken of a matrix
+product, the package exports every public name, only the manifold module
+imports scipy, only on first use, and it takes every LAPACK routine from
+scipy, not numpy, no module serves names through a module-level
+`__getattr__`, the per-step functions multiply with ndarray.dot, not `@`,
+only the adapters for per-point callables call `core._rows`, one loop
+walks a Gram's row tiles, one check takes every optimiser run's
+parameters, the flat, SO(n) and RATTLE runs and steps take them in one
+order, and the step benchmarks in `tests/bench_steps.py` run.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -189,6 +189,25 @@ def test_kernel_values_skip_the_derivatives():
     offending = [node.lineno for node in ast.walk(tree) if _is_profile_value(node)]
     assert not offending, (f"discrepancies.py: _profile(...)[0] at lines "
                            f"{offending}; pass derivatives=False")
+
+
+def _is_product(node):
+    """`node` is `a @ b`, or a call of some `.dot(...)` or `.matmul(...)`."""
+    return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dot", "matmul")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_trace_of_a_product(path):
+    # Tr(A B) is the n^2 inner product of A^T and B; np.trace(A @ B) builds
+    # the whole n^3 product only to sum its diagonal
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = [node.lineno for node in ast.walk(tree)
+                 if _is_np_call(node, "trace") and node.args
+                 and _is_product(node.args[0])]
+    assert not offending, (f"{path.name}: np.trace of a product at lines "
+                           f"{offending}; take the inner product")
 
 
 def test_package_exports_every_public_name():

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,35 @@ class TestTraceMinimumOracle:
                          np.sin(thetas), np.cos(thetas)], axis=1)
         vals = rots @ np.array([c[0, 0], c[0, 1], c[1, 0], c[1, 1]])
         assert abs(vals.min() - f_star) < 1e-7
+
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50])
+    def test_value_is_a_sum_of_the_products(self, n):
+        # f(Q) = Tr(C Q) = sum_ij C_ji Q_ij.  A dot product of m = n^2 terms,
+        # in any order, errs from the exact sum by at most
+        # gamma_m = m u / (1 - m u) times sum |C_ji Q_ij| (u = eps / 2), and
+        # fsum of the rounded products by at most u times it: n^2 eps bounds
+        # both.  Q's layout must not change the bits.
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal((n, n))
+        prob = trace_objective(c)
+        q = scipy.linalg.expm(random_skew(n, rng))   # in SO(n)
+        for Q in (q, np.asfortranarray(q), q.T):   # q.T: a transposed view
+            f = prob.value(Q)
+            assert f == prob.value(np.ascontiguousarray(Q))
+            products = (c.T * Q).ravel()
+            bound = n * n * np.finfo(float).eps * math.fsum(np.abs(products))
+            assert abs(f - math.fsum(products)) <= bound
+
+    @pytest.mark.parametrize("c", [
+        np.ones((3, 4)), np.ones(3), np.ones((2, 2, 2)), np.array(2.0),
+        np.array([[1.0, math.nan], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [-math.inf, 1.0]])],
+        ids=["3x4", "1-d", "3-d", "0-d", "nan", "inf"])
+    @pytest.mark.parametrize("build", [so_trace_minimum, trace_objective])
+    def test_cost_matrix_refused(self, build, c):
+        with pytest.raises(DomainError, match=re.escape(f"shape {c.shape}")):
+            build(c)
 
 
 class TestLieGroupStep:
@@ -743,3 +773,29 @@ def test_manifold_runs_check_their_length(field, value):
             PhasePoint([1.0, 0.0], np.zeros(2)), problems.quadratic(2), dt,
             KineticMetric.identity(2), DampingSchedule.constant(1.0),
             sphere_constraint(), n, **kw)
+
+
+def test_lie_run_refuses_a_state_of_another_size(counting_problem):
+    prob, calls = counting_problem(trace_objective(np.eye(3)))
+    with pytest.raises(DomainError, match="state 16, problem 9"):
+        run_lie_optimizer(MatrixGroupState(np.eye(4), np.zeros((4, 4))), prob,
+                          0.05, 0.05, DampingSchedule.constant(1.0), 10)
+    assert not calls
+
+
+@pytest.mark.parametrize("g_dim, prob_dim", [(2, 3), (3, 2)])
+def test_rattle_run_checks_its_dimensions(counting_problem, g_dim, prob_dim):
+    # a 3-d state: the metric or the problem has another dimension
+    prob, calls = counting_problem(problems.quadratic(prob_dim))
+    with pytest.raises(DomainError, match="dimension mismatch: state 3"):
+        run_rattle_optimizer(
+            PhasePoint([1.0, 0.0, 0.0], np.zeros(3)), prob, 0.05,
+            KineticMetric.identity(g_dim), DampingSchedule.constant(1.0),
+            sphere_constraint(), 10)
+    assert not calls
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_sphere_radius_refused(radius):
+    with pytest.raises(DomainError, match="radius must be finite and > 0"):
+        sphere_constraint(radius)

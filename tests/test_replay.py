@@ -95,6 +95,42 @@ def test_sphere_run_steps_about_a_quarter_of_its_steps(count_calls, seed):
     assert len(grads) <= 1200
 
 
+def test_a_fixed_point_is_replayed_from_its_first_repeat(monkeypatch,
+                                                        count_calls):
+    # seed 1's sphere run reaches a fixed point: x_r == x_{r-1}, first at the
+    # step r of the loop stepping each.  One more step confirms the repeat,
+    # so until De next changes (at t = 64: the rounding of t_k + dt/2) the
+    # run evaluates its start and steps 1, ..., r + 1 only: r + 2 points.
+    seen, taken = [], []   # (f, key) of each state; index of each step taken
+
+    def noting(loop, states):
+        def run_steps(x, advance, extra, sched, dt, *args, **kwargs):
+            def step(x, t_k):
+                taken.append(round((t_k - sched.start_time()) / dt) + 1)
+                x = advance(x, t_k)
+                states.append((x[3], integrators._key(x)))
+                return x
+            states.append((x[3], integrators._key(x)))
+            return loop(x, step, extra, sched, dt, *args, **kwargs)
+        return run_steps
+
+    run = workload_sphere_run(SPHERE_SEEDS[0])
+    monkeypatch.setattr(manifold, "_run_steps",
+                        noting(run_steps_stepping_each, seen))
+    run()
+    r = next(k for k in range(1, len(seen)) if seen[k] == seen[k - 1])
+    sched, dt = DampingSchedule.constant(2.0), 0.05
+    de = [integrators._half_step_eta(sched, k * dt, dt) for k in range(4000)]
+    change = next(k for k in range(r, 4000) if de[k] != de[r]) + 1
+    taken.clear()
+    monkeypatch.setattr(manifold, "_run_steps",
+                        noting(integrators._run_steps, []))
+    grads = count_calls(Problem, "grad")
+    run()
+    assert len(grads) == 1 + len(taken)
+    assert [k for k in taken if k < change] == list(range(1, r + 2))
+
+
 FLAT_RUNS = {
     # reaches (q, p, half kick) = (0, -0, 0) after 996 steps, near t = 300
     "constant damping": dict(

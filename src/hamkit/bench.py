@@ -27,7 +27,7 @@ from .discrepancies import (
 )
 from .errors import ConfigError, DivergenceError, FitDomainError
 from .integrators import _METHODS, Trajectory, fit_rate, run_optimizer
-from .manifold import (MatrixGroupState, _linalg, run_lie_optimizer,
+from .manifold import (MatrixGroupState, run_lie_optimizer,
                        run_rattle_optimizer, sphere_constraint, trace_objective)
 from .problems import banana, gaussian_mixture_1d, quadratic, quartic, rosenbrock, standard_gaussian
 from .samplers import overdamped_em_step, run_hmc_chain, write_samples_csv
@@ -44,9 +44,10 @@ __all__ = [
 ]
 
 # Every run draws from numpy.random, which numpy imports on first use; load it
-# with the harness, so that its import counts as set-up, not as a run.  A
-# manifold config loads `manifold._linalg` for the same reason.  np.median and
-# np.percentile would load numpy.ma, which no run needs: see _median.
+# with the harness, so that its import counts as set-up, not as a run.
+# numpy.linalg, all the linear algebra of the manifold runs, loads with numpy
+# itself.  np.median and np.percentile would load numpy.ma, which no run
+# needs: see _median.
 importlib.import_module("numpy.random")
 
 
@@ -286,8 +287,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _choose(_COMMANDS, self.experiment, "experiment")
-        if self.experiment == "manifold":
-            _linalg()   # loads with the config, not in the run
         _block(vars(self), "config")   # seed, out_dir and reps
         self.seed, self.reps = int(self.seed), int(self.reps)
         params = _block(self.params, f"{self.experiment} params")

@@ -3,25 +3,21 @@
 As in `integrators`, each raw step maps its run's state to the next: (Q, P,
 (dt/2) skew(Q^T grad f), f, ||Q^T Q - I||) on SO(n), the defect formed once
 per step to check the group and to record it, and (q, p, (dt/2) grad f, f, J,
-factor of R_g, residual that ended the Newton solve, lambda) for RATTLE.  f
-comes with the kick's gradient from one `Problem.value_and_grad` call.
+W = L^{-1} J for R_g = L L^T, residual that ended the Newton solve, lambda)
+for RATTLE.  f comes with the kick's gradient from one
+`Problem.value_and_grad` call.
 
 An SO(n) step keeps P exactly skew with no momentum map (`lie_group_step`),
 so only building a `MatrixGroupState` checks skewness, and a RATTLE step
 that runs no Newton iteration takes no multiplier kick.
 
-Only this module uses scipy, and `_linalg` imports it on first use, so that
-`import hamkit` and the flat code never load it.  Every dense factorisation
-here goes through scipy's LAPACK, the library `expm` uses: the trace
-minimum's SVD and determinant, RATTLE's Newton solve (getrf/getrs) and
-Cholesky (potrf/potrs).  numpy and scipy each bundle an OpenBLAS with its own
-worker threads.  A single LAPACK call from numpy would wake numpy's workers
-too, and they would spin beside every later `expm`: with the BLAS threads
-unpinned, an SO(50) run reads about a quarter slower that way.
+numpy does all the linear algebra, on one BLAS thread pool.  The drift's
+exponential is `_expm`, a Taylor polynomial of matrix products; the trace
+minimum's SVD and determinant, RATTLE's Cholesky certificate and its m x m
+solves come from np.linalg.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,16 +46,58 @@ ORTHO_TOL = 1e-8
 SKEW_TOL = 1e-10
 
 
-@functools.cache
-def _linalg():
-    """scipy.linalg, imported on first call; look its routines up at each use
-    (so that one patched by name on the module is the one called).
+# (m, theta_m): Taylor degrees m = b^2 or b(b + 1), the highest that a
+# Paterson-Stockmeyer evaluation reaches with b + m/b - 2 products, and the
+# largest ||A||_1 at which the truncated series T_m(A) is exp(A + E) with
+# ||E|| <= u ||A||, u = 2^-53 (Higham & Al-Mohy, Acta Numerica 19, 2010,
+# Table A.3; Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1).
+# Above theta_16 a squaring doubles the reach for one product, as much as
+# any higher degree does or more.
+_TAYLOR = ((4, 3.40e-4), (6, 9.07e-3), (9, 8.96e-2), (12, 3.00e-1),
+           (16, 7.81e-1))
+_INV_FACTORIALS = 1.0 / np.cumprod([1.0, *range(1, 17)])   # 1 / k!, k <= 16
+# past 53 squarings their rounding alone, about 2^s u relative, leaves no
+# correct digit
+_MAX_SQUARINGS = 53
 
-    Every LAPACK call of this module comes from here, none from np.linalg, so
-    that no factorisation wakes numpy's OpenBLAS thread pool beside scipy's
-    (see the module docstring)."""
-    import scipy.linalg
-    return scipy.linalg
+
+@np.errstate(over="ignore", invalid="ignore")
+def _expm(A):
+    """exp(A): the Taylor polynomial of the lowest degree m in `_TAYLOR`
+    whose theta_m bounds ||A||_1, or, above theta_16, degree 16 at A / 2^s,
+    squared s times.  A non-finite A, or one that needs more than
+    _MAX_SQUARINGS squarings, gives NaN; an exp(A) that overflows gives inf
+    or NaN.  Neither warns: the step's finiteness check raises."""
+    norm = np.abs(A).sum(axis=0).max()
+    s = 0
+    for m, theta in _TAYLOR:
+        if norm <= theta:
+            break
+    else:   # m = 16
+        if not norm <= theta * 2.0 ** _MAX_SQUARINGS:   # NaN fails too
+            return np.full(A.shape, np.nan)
+        s = math.ceil(math.log2(norm / theta))
+        A = A * 0.5 ** s
+    # T_m(A) = sum_{j<r} B_j (A^b)^j + (A^b)^r / m!, r = m / b, with
+    # B_j = sum_{i<b} A^i / (jb + i)!: row j of coefs holds B_j's coefficients
+    n, b = A.shape[0], math.isqrt(m)
+    coefs = _INV_FACTORIALS[:m].reshape(-1, b)
+    powers = np.empty((b, n, n))   # I, A, ..., A^(b-1)
+    powers[0] = 0.0
+    powers[0].flat[::n + 1] = 1.0
+    powers[1] = A
+    for k in range(2, b):
+        powers[k - 1].dot(A, out=powers[k])
+    top = powers[-1].dot(A)   # A^b
+    blocks = coefs.dot(powers.reshape(b, -1)).reshape(-1, n, n)
+    E = top * _INV_FACTORIALS[m]
+    E += blocks[-1]
+    for block in blocks[-2::-1]:   # Horner's rule in A^b
+        E = E.dot(top)
+        E += block
+    for _ in range(s):
+        E = E.dot(E)
+    return E
 
 
 def skew_part(m):
@@ -124,10 +162,9 @@ def so_trace_minimum(C):
     if C.ndim != 2 or C.shape[0] != C.shape[1] or not _all_finite(C):
         raise DomainError("C must be a finite, square, 2-d matrix, got one "
                           f"of shape {C.shape}")
-    u, s, vt = _linalg().svd(C)
-    u = np.ascontiguousarray(u)  # scipy's is Fortran-ordered; matmul rounds by layout
+    u, s, vt = np.linalg.svd(C)
     d = -np.ones(len(s))
-    parity = _linalg().det(u @ vt)  # +-1
+    parity = np.linalg.det(u @ vt)  # +-1
     if parity * np.prod(d) < 0:
         d[-1] = 1.0  # smallest singular value absorbs the parity constraint
     q_star = vt.T @ np.diag(d) @ u.T
@@ -159,7 +196,7 @@ def _lie_stepper(dt, g_scalar, sched, prob):
         return f, skew_part(Q.T @ grad)
 
     def drift(Q, P, h, decay):
-        return Q @ _linalg().expm((h / g_scalar) * P), P
+        return Q @ _expm((h / g_scalar) * P), P
 
     def step(x, t_k):
         x = _conformal_step(*x[:3], t_k, dt, sched, force, drift)
@@ -224,26 +261,25 @@ def sphere_constraint(radius=1.0, **kwargs):
 
 
 def _projector(q, g, cons):
-    """(J, potrf factor of R_g = J g^{-1} J^T) at q, which `_project` needs.
-    A rank-deficient J or a non-finite R_g raises GeometryError."""
+    """(J, W = L^{-1} J) at q, L the Cholesky factor of R_g = J g^{-1} J^T,
+    which `_project` needs: J^T R_g^{-1} J = W^T W.  The factorisation
+    certifies R_g positive definite; a rank-deficient J or a non-finite R_g
+    raises GeometryError."""
     jac = cons.jacobian(q)
     r_g = jac.dot(g.g_inv).dot(jac.T)
     if not _all_finite(r_g):
         raise GeometryError("R_g = J g^{-1} J^T is non-finite")
-    factor, info = _linalg().lapack.dpotrf(r_g, clean=0)
-    if info != 0:
-        raise GeometryError("constraint Jacobian is rank deficient "
-                            f"(R_g not positive definite, potrf info {info})")
-    return jac, factor
+    try:
+        return jac, np.linalg.solve(np.linalg.cholesky(r_g), jac)
+    except np.linalg.LinAlgError:
+        raise GeometryError("constraint Jacobian is rank deficient (R_g not "
+                            "positive definite)") from None
 
 
-def _project(p, jac, factor, g):
-    """L_g p = p - J^T R_g^{-1} J g^{-1} p from `_projector`'s (J, factor)
-    at the same position."""
-    lam, info = _linalg().lapack.dpotrs(factor, jac.dot(g.inv_mul(p)))
-    if info != 0:
-        raise GeometryError(f"R_g solve failed (potrs info {info})")
-    return p - jac.T.dot(lam)
+def _project(p, w, g):
+    """L_g p = p - W^T W g^{-1} p from `_projector`'s W at the same
+    position."""
+    return p - w.T.dot(w.dot(g.inv_mul(p)))
 
 
 def project_momentum(q, p, g, cons):
@@ -251,22 +287,22 @@ def project_momentum(q, p, g, cons):
 
     L_g annihilates J g^{-1} (the constrained cotangent condition) and is
     idempotent.  A rank-deficient J or a non-finite R_g = J g^{-1} J^T raises
-    GeometryError.  R_g is factored and solved with LAPACK potrf/potrs
-    directly, the routines and flags scipy.linalg.cho_factor/cho_solve use.
+    GeometryError.  A Cholesky factorisation L L^T of R_g certifies it
+    positive definite, and L_g p = p - W^T W g^{-1} p with W = L^{-1} J.
     """
-    return _project(p, *_projector(q, g, cons), g)
+    return _project(p, _projector(q, g, cons)[1], g)
 
 
 def _rattle_step(s, t_k, dt, g, sched, prob, cons):
-    """`rattle_step` on raw arrays: maps s = (q, p, half kick, f(q), J, factor
-    of R_g, residual, lambda) at t_k to the next s; see `_conformal_step`.  It
-    reads the half kick (dt/2) grad f, J and the factor at q, each None to
+    """`rattle_step` on raw arrays: maps s = (q, p, half kick, f(q), J, W,
+    residual, lambda) at t_k to the next s; see `_conformal_step`.  It reads
+    the half kick (dt/2) grad f, J and `_projector`'s W at q, each None to
     evaluate it, and not f, the residual (the sup norm of psi(q) that ended
     the Newton solve) or the multipliers lambda.  The Newton system is formed
     only when the unconstrained drift leaves the constraint (psi beyond
     newton_tol); otherwise lambda = 0, with no multiplier kick.  A non-finite
     psi after the drift raises ConstraintSolveError."""
-    q_k, jac, factor, lam, residual = s[0], s[4], s[5], np.zeros(cons.m), 0.0
+    q_k, jac, w, lam, residual = s[0], s[4], s[5], np.zeros(cons.m), 0.0
 
     def drift(q, p_half, h, decay):
         nonlocal lam, residual
@@ -280,13 +316,13 @@ def _rattle_step(s, t_k, dt, g, sched, prob, cons):
                                        f"drift: {residual}", residual=residual)
         # q(lambda) = base_q - kick_mat @ lambda
         kick_mat = h * (0.5 * dt * decay) * g.g_inv.dot(jac.T)
-        newton_mat = jac.dot(kick_mat)   # frozen-Jacobian (quasi-)Newton
+        try:   # frozen-Jacobian (quasi-)Newton: one inverse serves every iterate
+            newton_inv = np.linalg.inv(jac.dot(kick_mat))
+        except np.linalg.LinAlgError:
+            raise GeometryError("singular Newton system in RATTLE constraint "
+                                "solve") from None
         for _ in range(cons.newton_max_iter):
-            _, _, dlam, info = _linalg().lapack.dgesv(newton_mat, res)
-            if info != 0:
-                raise GeometryError("singular Newton system in RATTLE "
-                                    "constraint solve")
-            lam = lam + dlam
+            lam = lam + newton_inv.dot(res)
             q_new = base_q - kick_mat.dot(lam)
             res = cons.value(q_new)
             residual = _sup_norm(res)
@@ -299,15 +335,15 @@ def _rattle_step(s, t_k, dt, g, sched, prob, cons):
         return q_new, p_half - 0.5 * dt * decay * jac.T.dot(lam)
 
     def project(q, p):   # called at q_k, then at the new position
-        nonlocal jac, factor
+        nonlocal jac, w
         if jac is None or q is not q_k:
-            jac, factor = _projector(q, g, cons)
-        return _project(p, jac, factor, g)
+            jac, w = _projector(q, g, cons)
+        return _project(p, w, g)
 
     q, p, half_kick, f = _conformal_step(
         *s[:3], t_k, dt, sched, lambda q, p: prob.value_and_grad(q), drift,
         project)
-    return q, p, half_kick, f, jac, factor, residual, lam
+    return q, p, half_kick, f, jac, w, residual, lam
 
 
 def rattle_step(x, t_k, dt, g, sched, prob, cons):
@@ -346,11 +382,11 @@ def run_rattle_optimizer(x, prob, dt, g, sched, cons, num_steps,
     """Iterate rattle_step; reports the constraint residual per record."""
     _check_positive("step size dt", dt)   # before dt * kick, which may warn
     _check_dims(x.dim, g, prob)
-    jac, factor = _projector(x.q, g, cons)
-    x = PhasePoint(x.q, _project(x.p, jac, factor, g))
+    jac, w = _projector(x.q, g, cons)
+    x = PhasePoint(x.q, _project(x.p, w, g))
     f0, grad0 = prob.value_and_grad(x.q)   # one evaluation per point
     traj, (q, p, *_) = _run_steps(
-        (x.q, x.p, 0.5 * dt * grad0, f0, jac, factor,
+        (x.q, x.p, 0.5 * dt * grad0, f0, jac, w,
          _sup_norm(cons.value(x.q)), np.zeros(cons.m)),
         lambda s, t_k: _rattle_step(s, t_k, dt, g, sched, prob, cons),
         lambda s: s[6], sched, dt, num_steps, prob.f_star,

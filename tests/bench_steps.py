@@ -37,8 +37,10 @@ sets of n = 300 points in d = 10 with a sigma = 3 Gaussian kernel: the
 shapes discrepancy_gram runs.  `test_svd_then_lie_run` times `trace_objective` at
 n = 50 (its SVD) followed by a 100-step `run_lie_optimizer`, the sequence
 manifold_so_rattle repeats.  Run it with the BLAS threads unpinned (no
-OPENBLAS_NUM_THREADS): there a LAPACK call from numpy's OpenBLAS would
-leave its worker threads contending with the expm calls of scipy's.
+OPENBLAS_NUM_THREADS), as the benchmark runs: the SVD, the products and
+the exponential all run on numpy's one OpenBLAS pool.  `test_expm` times
+the drift's `manifold._expm` of one skew 50 x 50 exponent with
+||.||_1 = 0.3: its Taylor polynomial of degree 12, in 5 products.
 `test_report_aggregates` times what every run's report takes last: the
 median/IQR aggregates and a "median" verdict per metric of a 5-rep,
 15-metric report.
@@ -72,6 +74,7 @@ from hamkit import (
     trace_objective,
 )
 from hamkit.bench import Report, _evaluate_verdicts
+from hamkit.manifold import _expm
 from hamkit.samplers import _hmc_transition
 
 
@@ -162,9 +165,15 @@ def test_lie_step(benchmark):
     prob = trace_objective(rng.standard_normal((50, 50)))
     st = MatrixGroupState(np.eye(50), 0.05 * skew_part(rng.standard_normal((50, 50))))
     sched = DampingSchedule.constant(2.0)
-    lie_group_step(st, 0.0, 0.05, 0.05, sched, prob)   # loads scipy.linalg
     out = benchmark(lie_group_step, st, 0.0, 0.05, 0.05, sched, prob)
     assert out.orthogonality_defect() <= 1e-8
+
+
+def test_expm(benchmark):
+    a = skew_part(np.random.default_rng(0).standard_normal((50, 50)))
+    a *= 0.3 / np.abs(a).sum(axis=0).max()
+    e = benchmark(_expm, a)
+    assert np.linalg.norm(e.T @ e - np.eye(50)) <= 1e-13
 
 
 def test_trace_value(benchmark):

@@ -2,14 +2,13 @@
 finiteness checks use one idiom, config defaults live in one table and
 every config key is read, one driver builds every report, kernel values
 are built without their derivatives, no trace is taken of a matrix
-product, the package exports every public name, only the manifold module
-imports scipy, only on first use, and it takes every LAPACK routine from
-scipy, not numpy, no module serves names through a module-level
-`__getattr__`, the per-step functions multiply with ndarray.dot, not `@`,
-only the adapters for per-point callables call `core._rows`, one loop
-walks a Gram's row tiles, one check takes every optimiser run's
-parameters, the flat, SO(n) and RATTLE runs and steps take them in one
-order, and the step benchmarks in `tests/bench_steps.py` run.
+product, the package exports every public name, no module imports scipy
+and the runtime dependencies are numpy alone, no module serves names
+through a module-level `__getattr__`, the per-step functions multiply with
+ndarray.dot, not `@`, only the adapters for per-point callables call
+`core._rows`, one loop walks a Gram's row tiles, one check takes every
+optimiser run's parameters, the flat, SO(n) and RATTLE runs and steps take
+them in one order, and the step benchmarks in `tests/bench_steps.py` run.
 
 A name bound by a top-level import must be referenced somewhere in its
 module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
@@ -17,12 +16,10 @@ module, or, in `__init__.py`, be re-exported through `hamkit.__all__`.
 import ast
 import importlib
 import inspect
-import json
-import os
 import pathlib
+import re
 import subprocess
 import sys
-import textwrap
 
 import pytest
 
@@ -221,62 +218,35 @@ def test_package_exports_every_public_name():
     assert not any(missing.values()), f"not exported by hamkit: {missing}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
-def test_only_manifold_imports_scipy(path):
-    # scipy.linalg costs more than half of `import hamkit.cli`; only the
-    # Lie-group and RATTLE code needs it, and hamkit.manifold imports it
-    # inside the function that uses it.  It needs expm, and then takes every
-    # LAPACK call from scipy too (see the next test): numpy and scipy bundle
-    # separate OpenBLAS builds, and waking both thread pools in one run
-    # slows each expm
-    tree = ast.parse(path.read_text(), filename=str(path))
-    modules = [alias.name for node in tree.body if isinstance(node, ast.Import)
-               for alias in node.names]
-    modules += [node.module for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.module]
-    scipy = [m for m in modules if m.split(".")[0] == "scipy"]
-    assert path.name == "manifold.py" or not scipy, (
-        f"{path.name} imports {scipy} at module level")
+def test_no_module_imports_scipy():
+    # numpy alone does the package's linear algebra: scipy's import costs
+    # more than the rest of `import hamkit.cli`, and its OpenBLAS would run
+    # a second thread pool beside numpy's.  Imports inside functions count.
+    offending = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                offending.append((path.name, node.lineno))
+    assert not offending, f"scipy imported at {offending}"
 
 
-def test_manifold_calls_no_numpy_lapack():
-    # np.linalg.norm is plain numpy; any other np.linalg routine is LAPACK in
-    # numpy's OpenBLAS, whose worker threads then contend with scipy's
-    path = PACKAGE / "manifold.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    used = [(node.attr, node.lineno) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "linalg"
-            and isinstance(node.value.value, ast.Name)
-            and node.value.value.id == "np" and node.attr != "norm"]
-    assert not used, f"manifold.py uses np.linalg routines {used}"
+def test_runtime_dependencies_are_numpy_only():
+    # scipy stays a test dependency: the tests use it as an oracle
+    import tomllib
 
-
-def test_manifold_loads_scipy_linalg_on_first_use():
-    # a fresh interpreter, so that no earlier test has loaded scipy
-    code = textwrap.dedent("""
-        import json, sys
-        import numpy as np
-        import hamkit.manifold as manifold
-        from hamkit import DampingSchedule
-
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-        seen = {"import": scipy_modules()}
-        manifold.lie_group_step(
-            manifold.MatrixGroupState(np.eye(3), np.zeros((3, 3))), 0.0, 0.1,
-            1.0, DampingSchedule.constant(1.0),
-            manifold.trace_objective(np.eye(3)))
-        seen["step"] = "scipy.linalg" in sys.modules
-        print(json.dumps(seen))
-        """)
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == {"import": [], "step": True}
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml")
+                            .read_text())["project"]
+    names = [re.split(r"[<>=!~ \[;]", dep)[0]
+             for dep in project["dependencies"]]
+    assert names == ["numpy"], names
+    assert any(dep.startswith("scipy")
+               for dep in project["optional-dependencies"]["test"])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -297,7 +267,7 @@ _PER_STEP = {
     "core.py": ["_all_finite", "inv_mul", "quad_inv", "sample_momentum"],
     "integrators.py": ["_conformal_step", "_leapfrog_step", "run_optimizer"],
     "samplers.py": ["_leapfrog", "_hmc_transition"],
-    "manifold.py": ["_projector", "_project", "_rattle_step",
+    "manifold.py": ["_expm", "_projector", "_project", "_rattle_step",
                     "sphere_constraint"],
     "problems.py": None,   # every built-in objective
 }

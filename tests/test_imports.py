@@ -1,8 +1,7 @@
 """What importing hamkit loads, in a fresh interpreter each.
 
-`import hamkit` and `import hamkit.cli` load no scipy module: only the
-manifold experiment needs scipy.linalg, and a manifold config loads it when
-the config loads, so that its cost lands in set-up and not in the run.
+No import, config load, step or run loads a scipy module: numpy alone does
+the package's linear algebra, the SO(n) and RATTLE steps' too.
 A flat run (optimize, sample, discrepancy) loads no numpy.ma either: the
 report's median and quartiles are numpy's values, computed without
 np.median and np.percentile, which import it.
@@ -47,33 +46,47 @@ FLAT_RUNS = [
         {"kind": "mmd_ustat_zero", "n": 10, "n_outer": 3},
         {"kind": "ksd_mismatch", "m": 20}]}),
 ]
+# and a small run of the manifold experiment: SO(4) steps and sphere RATTLE
+MANIFOLD_RUN = ("manifold", {
+    "n": 4, "step": 0.05, "gammas": [1.0, 100.0], "max_steps": 40,
+    "target_gap": 1e-4, "rattle": {"dim": 3, "step": 0.05, "num_steps": 20}})
+RUNS = [*FLAT_RUNS, MANIFOLD_RUN]
 
 
-def test_only_a_manifold_config_loads_scipy(tmp_path):
+def test_no_import_config_step_or_run_loads_scipy(tmp_path):
     seen = run_python(f"""
         import json, sys
+        import numpy as np
         import hamkit
         import hamkit.cli
+        from hamkit import (DampingSchedule, KineticMetric, MatrixGroupState,
+                            PhasePoint, lie_group_step, problems, rattle_step,
+                            sphere_constraint, trace_objective)
         from hamkit.bench import ExperimentConfig, run_experiment
 
         def scipy_modules():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
         seen = {{"import": scipy_modules()}}
-        for name in ("optimize_quartic", "sample_hmc_chains", "discrepancy_gram"):
+        for name in ("optimize_quartic", "sample_hmc_chains",
+                     "discrepancy_gram", "manifold_so_rattle"):
             ExperimentConfig.load(f"{WORKLOADS}/{{name}}.json")
             seen[name] = scipy_modules()
-        for experiment, params in json.loads({json.dumps(FLAT_RUNS)!r}):
+        lie_group_step(MatrixGroupState(np.eye(3), np.zeros((3, 3))), 0.0,
+                       0.1, 1.0, DampingSchedule.constant(1.0),
+                       trace_objective(np.eye(3)))
+        x = PhasePoint([1.0, 0.0, 0.0], [0.0, 0.5, 0.0])
+        rattle_step(x, 0.0, 0.3, KineticMetric.identity(3),
+                    DampingSchedule.zero(), problems.quadratic(3),
+                    sphere_constraint())
+        seen["steps"] = scipy_modules()
+        for experiment, params in json.loads({json.dumps(RUNS)!r}):
             run_experiment(ExperimentConfig(experiment, params, out_dir="out"))
             seen["run " + experiment] = scipy_modules()
-        ExperimentConfig.load("{WORKLOADS}/manifold_so_rattle.json")
-        seen["manifold loads"] = ["hamkit.manifold" in sys.modules,
-                                  "scipy.linalg" in sys.modules]
         print(json.dumps(seen))
         """, tmp_path)
-    manifold = seen.pop("manifold loads")
     assert seen == dict.fromkeys(seen, []), seen
-    assert manifold == [True, True]
+    assert len(seen) == 10, seen
 
 
 def test_flat_runs_leave_numpy_ma_unloaded(tmp_path):
@@ -105,9 +118,8 @@ def test_flat_runs_leave_numpy_ma_unloaded(tmp_path):
 
 
 def test_tracer_install_finds_and_keeps_the_manifold_names(tmp_path):
-    config = {"experiment": "manifold", "out_dir": ".", "params": {
-        "n": 4, "step": 0.05, "gammas": [1.0, 100.0], "max_steps": 40,
-        "target_gap": 1e-4, "rattle": {"dim": 3, "step": 0.05, "num_steps": 20}}}
+    experiment, params = MANIFOLD_RUN
+    config = {"experiment": experiment, "out_dir": ".", "params": params}
     (tmp_path / "manifold.json").write_text(json.dumps(config))
     spans = run_python(f"""
         import importlib.util, json
@@ -124,4 +136,7 @@ def test_tracer_install_finds_and_keeps_the_manifold_names(tmp_path):
         print(json.dumps({{"code": code, "names": sorted(names)}}))
         """, tmp_path)
     assert spans["code"] == 0
-    assert {"manifold.run", "manifold.expm"} <= set(spans["names"]), spans
+    assert "manifold.run" in spans["names"], spans
+    # the tracer's manifold.expm span wraps scipy.linalg.expm, which no run
+    # calls now: it stays empty until the tracer wraps `manifold._expm`
+    assert "manifold.expm" not in spans["names"], spans

@@ -183,15 +183,18 @@ class TestExpm:
            hst.floats(0.0, 30.0))
     @settings(max_examples=60, deadline=None)
     def test_skew_exponential_is_orthogonal(self, n, seed, norm):
-        # The Taylor polynomial leaves E^T E - I within about n u; a squaring
-        # (E^2)^T E^2 - I = E^T (E^T E - I) E + (E^T E - I) at most doubles
-        # that and adds its own product's n u, so s squarings end within
-        # 2^s (n u + n u).
+        # A product of n x n matrices errs by at most n u |X| |Y| an entry,
+        # n^2 u in the Frobenius norm for X, Y near orthogonal.  The Taylor
+        # polynomial, near orthogonal, leaves E^T E - I within about that; a
+        # squaring (E^2)^T E^2 - I = E^T (E^T E - I) E + (E^T E - I) at most
+        # doubles it and adds its own product's n^2 u, so s squarings end
+        # within 2^s (n^2 u + n^2 u).
         a = skew_part(np.random.default_rng(seed).standard_normal((n, n)))
         A = a * (norm / np.abs(a).sum(axis=0).max())
         s = max(0, math.ceil(math.log2(norm / _TAYLOR[-1][1]))) if norm else 0
         e = _expm(A)
-        assert np.linalg.norm(e.T @ e - np.eye(n)) <= 2 ** (s + 1) * n * self.U
+        assert (np.linalg.norm(e.T @ e - np.eye(n))
+                <= 2 ** (s + 1) * n * n * self.U)
 
     @pytest.mark.parametrize("A", [
         np.full((3, 3), np.nan), np.diag([np.inf, 0.0, 0.0]),
@@ -515,7 +518,9 @@ class TestProjectMomentum:
         # W^T W g^{-1} p errs by about (m + d) u kappa(R_g) |p| at most, and
         # J g^{-1} maps that, with the check's own rounding, by at most
         # |J|_2 / scale (g = scale I, where L_g is the orthogonal projector
-        # off J's rows and |L_g p| <= |p|).  The bound allows 8 times that.
+        # off J's rows and |L_g p| <= |p|).  An operation that underflows
+        # errs by up to eta = 2^-1074 more, before the map and in the check
+        # itself.  The bound allows 8 times that (and is inf where kappa is).
         u = 2.0 ** -53
         q, p = np.array(q), np.array(p)
         plane = np.array([[1.0, -2.0, 0.5]])
@@ -532,11 +537,10 @@ class TestProjectMomentum:
                 project_momentum(q, p, g, cons)
             return
         projected = project_momentum(q, p, g, cons)
-        if not p.any():   # L_g 0 = 0, whatever kappa(R_g) (inf here at times)
-            assert not projected.any()
-            return
-        bound = (8 * (r_g.shape[0] + 3) * u * np.linalg.cond(r_g)
-                 * np.linalg.norm(jac, 2) / scale * np.linalg.norm(p))
+        eta = np.finfo(float).smallest_subnormal
+        bound = 8 * (r_g.shape[0] + 3) * (
+            np.linalg.cond(r_g) * np.linalg.norm(jac, 2) / scale
+            * (u * np.linalg.norm(p) + eta) + eta)
         assert np.linalg.norm(jac @ g.inv_mul(projected)) <= bound
 
 

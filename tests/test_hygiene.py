@@ -2,8 +2,9 @@
 finiteness checks use one idiom, config defaults live in one table and
 every config key is read, one driver builds every report, kernel values
 are built without their derivatives, no trace is taken of a matrix
-product, the package exports every public name, no module imports scipy
-and the runtime dependencies are numpy alone, no module serves names
+product, the package exports every public name, no module imports scipy,
+manifold.py calls LAPACK only in its three factorisations, the runtime
+dependencies are numpy alone, no module serves names
 through a module-level `__getattr__`, the per-step functions multiply with
 ndarray.dot, not `@`, only the adapters for per-point callables call
 `core._rows`, one loop walks a Gram's row tiles, one check takes every
@@ -218,22 +219,46 @@ def test_package_exports_every_public_name():
     assert not any(missing.values()), f"not exported by hamkit: {missing}"
 
 
-def test_no_module_imports_scipy():
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_manifold_imports_scipy(path):
     # numpy alone does the package's linear algebra: scipy's import costs
     # more than the rest of `import hamkit.cli`, and its OpenBLAS would run
-    # a second thread pool beside numpy's.  Imports inside functions count.
+    # a second thread pool beside numpy's.  manifold.py, once the one module
+    # that imported it, imports none now either.  Imports inside functions
+    # count.
     offending = []
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                offending.append((path.name, node.lineno))
-    assert not offending, f"scipy imported at {offending}"
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            offending.append(node.lineno)
+    assert not offending, f"{path.name} imports scipy at lines {offending}"
+
+
+def test_manifold_calls_no_numpy_lapack():
+    # outside the three factorisations, manifold.py calls no LAPACK routine
+    # (np.linalg.norm is plain numpy): the SO(n) drift's exponential is
+    # matrix products only, and the trace minimum's SVD, the projector's
+    # Cholesky certificate and RATTLE's Newton inverse are the only
+    # factorisations a run takes
+    factoring = {"so_trace_minimum", "_projector", "_rattle_step"}
+    path = PACKAGE / "manifold.py"
+    used = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        if getattr(top, "name", None) in factoring:
+            continue
+        used += [(node.attr, node.lineno) for node in ast.walk(top)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Attribute)
+                 and node.value.attr == "linalg"
+                 and isinstance(node.value.value, ast.Name)
+                 and node.value.value.id == "np"
+                 and node.attr not in ("norm", "LinAlgError")]
+    assert not used, f"manifold.py uses np.linalg routines {used}"
 
 
 def test_runtime_dependencies_are_numpy_only():

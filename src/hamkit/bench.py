@@ -653,7 +653,7 @@ def cmd_sample(cfg, p):
 
 
 def _read_samples_csv(path):
-    """The q_ columns of a samples CSV, one row per sample."""
+    """The q_ columns of a samples CSV, one row per sample, all finite."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         q_cols = [j for j, name in enumerate(header) if name.startswith("q_")]
@@ -661,9 +661,13 @@ def _read_samples_csv(path):
             with warnings.catch_warnings():
                 # a header-only file reads as 0 rows, which _check_pool reports
                 warnings.simplefilter("ignore", UserWarning)
-                return np.loadtxt(fh, delimiter=",", usecols=q_cols, ndmin=2)
+                pool = np.loadtxt(fh, delimiter=",", usecols=q_cols, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"samples file {path}: {exc}") from None
+    for i, j in np.argwhere(~np.isfinite(pool))[:1]:   # the first such cell
+        raise ConfigError(f"samples file {path}: row {i + 1}, column "
+                          f"{header[q_cols[j]]} is {pool[i, j]}, not finite")
+    return pool
 
 
 def _check_pool(pool, task):

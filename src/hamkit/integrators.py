@@ -20,6 +20,7 @@ half the call cost.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ __all__ = [
 
 
 _CSV_CHUNK = 2048  # rows converted to Python numbers at a time
+_STACK_ROWS = 64   # most entries `_states`' stack holds; it drops the bottom one
 
 
 def _write_csv(path_or_file, header, fmts, columns):
@@ -199,27 +201,28 @@ def _states(x, advance, sched, t0, dt, num_steps):
     """Yield x_1, ..., x_num_steps, x_k = advance(x_{k-1}, t_{k-1}), taking
     each step at most once (see `_run_steps`).
 
-    Brent's cycle finding keeps one checkpoint, moved to x_k when k is a
-    power of two steps past it; each state is also compared with the one
-    before, so that a fixed point (period 1) is found at its first repeat.
-    A state's bytes are compared only when their f agree.  Once x_k repeats
-    the checkpoint or the state before, one more period is stepped, noting
-    each step's De; if that brings x back to x_k, the noted states are
-    replayed while each step's De is the noted one.  A step's
-    DivergenceError, or OverflowError (math.exp, say), is re-raised as a
-    DivergenceError with the step's index.
+    One rule finds cycles, Nivasch's stack: entries (f, step, state) in
+    increasing order of f, ties broken by `_key` bytes, read only when f
+    ties.  A new state pops every entry above it; one equal to the top
+    repeats it, with period k - its step.  So each period up to `_STACK_ROWS`,
+    the stack's bound, is found within a period of its first repeat.  Then
+    one more period is stepped, noting each step's De; if that brings x back
+    to x_k, the noted states are replayed while each step's De is the noted
+    one, and the stack restarts from x.  A step's DivergenceError or
+    OverflowError (math.exp, say) becomes a DivergenceError with its index.
     """
-    k, ck, k_ck, power = 0, x, 0, 1
+    k, stack = 0, collections.deque([(x[3], 0, x)], _STACK_ROWS)
     try:
         while k < num_steps:
             k += 1
-            prev, x = x, advance(x, t0 + (k - 1) * dt)
+            x = advance(x, t0 + (k - 1) * dt)
             yield x
-            if x[3] == prev[3] and _key(x) == _key(prev):
-                ck, k_ck = prev, k - 1   # a repeat of period 1
-            if x[3] == ck[3] and _key(x) == _key(ck):
+            while stack and (stack[-1][0] > x[3] or stack[-1][0] == x[3]
+                             and _key(stack[-1][2]) > _key(x)):
+                stack.pop()
+            if stack and stack[-1][0] == x[3] and _key(stack[-1][2]) == _key(x):
                 start, cycle = _key(x), []
-                for _ in range(k - k_ck):
+                for _ in range(k - stack[-1][1]):
                     if k == num_steps:
                         return
                     t_k, k = t0 + k * dt, k + 1
@@ -233,9 +236,8 @@ def _states(x, advance, sched, t0, dt, num_steps):
                             break
                         k, x = k + 1, x_next
                         yield x
-                ck, k_ck, power = x, k, 1   # find cycles afresh from here
-            elif k - k_ck == power:
-                ck, k_ck, power = x, k, 2 * power
+                stack.clear()   # find cycles afresh from here
+            stack.append((x[3], k, x))
     except DivergenceError as exc:
         raise DivergenceError(str(exc), step=k) from None
     except OverflowError as exc:

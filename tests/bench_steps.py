@@ -25,6 +25,10 @@ cost of one step inside a run, where no `PhasePoint` is validated.
 optimize_quartic's length) recording every step and recording only the
 last: the difference is the cost of 15,000 records.  `test_trajectory_csv`
 times `Trajectory.to_csv` of that run's 15,001 rows to a file.
+`test_states_rule` times the cycle rule of the run loop alone:
+`integrators._states` over the 15,000 states of that run, recorded once,
+with a step that returns the next recorded state; divide its time by
+15,000 for the rule's cost per state.
 `test_hmc_transition` times the raw draw `run_hmc_chain` repeats, with V
 and grad V carried from the previous draw.
 `test_quartic_value_and_grad` and `test_quartic_value_then_grad` time the
@@ -45,6 +49,8 @@ the drift's `manifold._expm` of one skew 50 x 50 exponent with
 median/IQR aggregates and a "median" verdict per metric of a 5-rep,
 15-metric report.
 """
+import collections
+
 import numpy as np
 import pytest
 
@@ -74,6 +80,7 @@ from hamkit import (
     trace_objective,
 )
 from hamkit.bench import Report, _evaluate_verdicts
+from hamkit.integrators import _leapfrog_step, _states
 from hamkit.manifold import _expm
 from hamkit.samplers import _hmc_transition
 
@@ -103,6 +110,22 @@ QUARTIC_RUN = (PhasePoint([1.8, 0.0], [0.0, 0.0]), problems.quartic(2), 0.05,
 def test_flat_run_records(benchmark, record_every):
     traj = benchmark(run_optimizer, *QUARTIC_RUN, record_every=record_every)
     assert len(traj) == 15000 // record_every + 1
+
+
+def test_states_rule(benchmark):
+    x0, prob, dt, g, sched, num_steps = QUARTIC_RUN
+    step = _leapfrog_step(dt, KineticMetric.scaled_identity(2, dt), sched, prob)
+    f0, grad0 = prob.value_and_grad(x0.q)
+    states, t0 = [(x0.q, x0.p, 0.5 * dt * grad0, f0)], sched.start_time()
+    for k in range(num_steps):
+        states.append(step(states[-1], t0 + k * dt))
+
+    def rule():
+        recorded = iter(states[1:])
+        return collections.deque(_states(states[0], lambda x, t_k: next(recorded),
+                                         sched, t0, dt, num_steps), 1)
+
+    assert benchmark(rule)[0] is states[-1]
 
 
 def test_trajectory_csv(benchmark, tmp_path):

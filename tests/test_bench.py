@@ -568,15 +568,21 @@ class TestDiscrepancyExperiment:
         with pytest.raises(ConfigError, match=match):
             run_experiment(ExperimentConfig("discrepancy", params))
 
-    @pytest.mark.parametrize("cell", ["abc", ""], ids=["text", "empty"])
+    @pytest.mark.parametrize("cell", ["abc", "", "nan", "-inf"],
+                             ids=["text", "empty", "nan", "inf"])
     def test_samples_file_bad_cell(self, tmp_path, cell):
+        # four rows, all that either task draws, so that only the cell fails
         path = tmp_path / "pool.csv"
-        path.write_text(f"chain,step,accepted,q_1,q_2\n0,0,1,1.0,2.0\n"
-                        f"0,1,1,{cell},2.0\n")
-        params = {"tasks": [{"kind": "ksd_mismatch", "m": 2,
-                             "samples_file": str(path)}]}
-        with pytest.raises(ConfigError, match=re.escape(str(path))):
-            run_experiment(ExperimentConfig("discrepancy", params))
+        path.write_text("chain,step,accepted,q_1,q_2\n0,0,1,1.0,2.0\n"
+                        f"0,1,1,{cell},2.0\n0,2,1,0.5,0.0\n0,3,1,-1.0,0.5\n")
+        named = re.escape(str(path))
+        if cell in ("nan", "-inf"):
+            named += f".*row 2, column q_1 is {cell}"
+        for task in ({"kind": "ksd_mismatch", "m": 4},
+                     {"kind": "mmd_ustat_zero", "n": 2}):
+            params = {"tasks": [dict(task, samples_file=str(path))]}
+            with pytest.raises(ConfigError, match=named):
+                run_experiment(ExperimentConfig("discrepancy", params))
 
     def test_header_only_samples_file(self, tmp_path, recwarn):
         path = tmp_path / "pool.csv"

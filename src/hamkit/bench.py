@@ -653,7 +653,9 @@ def cmd_sample(cfg, p):
 
 
 def _read_samples_csv(path):
-    """The q_ columns of a samples CSV, one row per sample, all finite."""
+    """The q_ columns of a samples CSV, one row per sample, all finite.  A
+    file with a bad cell raises ConfigError naming the first one by its
+    sample row, counted from 1, and its q_ column (`_bad_cells`)."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         q_cols = [j for j, name in enumerate(header) if name.startswith("q_")]
@@ -662,12 +664,35 @@ def _read_samples_csv(path):
                 # a header-only file reads as 0 rows, which _check_pool reports
                 warnings.simplefilter("ignore", UserWarning)
                 pool = np.loadtxt(fh, delimiter=",", usecols=q_cols, ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"samples file {path}: {exc}") from None
-    for i, j in np.argwhere(~np.isfinite(pool))[:1]:   # the first such cell
-        raise ConfigError(f"samples file {path}: row {i + 1}, column "
-                          f"{header[q_cols[j]]} is {pool[i, j]}, not finite")
+            error = None if np.isfinite(pool).all() else "a non-finite cell"
+        except ValueError as exc:   # numpy's message, if no cell is to blame
+            error = exc
+        if error is not None:
+            fh.seek(0)
+            error = next(_bad_cells(fh.readlines()[1:], header, q_cols), error)
+            raise ConfigError(f"samples file {path}: {error}")
     return pool
+
+
+def _bad_cells(lines, header, q_cols):
+    """'row i, column q_j is ...' for each q_ cell of a samples CSV's data
+    lines that is not a finite number, i counting from 1 the lines that
+    np.loadtxt reads (those not empty once a # comment is cut); it stops at
+    a row that has too few cells, which numpy's own message describes."""
+    rows = filter(None, (line.partition("#")[0].rstrip("\r\n") for line in lines))
+    for i, row in enumerate(rows, 1):
+        cells = row.split(",")
+        for j in q_cols:
+            if j >= len(cells):
+                return
+            where = f"row {i}, column {header[j]} is"
+            try:
+                value = float(cells[j])
+            except ValueError:
+                yield f"{where} {cells[j]!r}, not a number"
+                continue
+            if not math.isfinite(value):
+                yield f"{where} {value}, not finite"
 
 
 def _check_pool(pool, task):

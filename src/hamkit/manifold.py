@@ -3,9 +3,8 @@
 As in `integrators`, each raw step maps its run's state to the next: (Q, P,
 (dt/2) skew(Q^T grad f), f, ||Q^T Q - I||) on SO(n), the defect formed once
 per step to check the group and to record it, and (q, p, (dt/2) grad f, f, J,
-W = L^{-1} J for R_g = L L^T, residual that ended the Newton solve, lambda)
-for RATTLE.  f comes with the kick's gradient from one
-`Problem.value_and_grad` call.
+W = L^{-1} J, L^{-1} for R_g = L L^T, final Newton residual, lambda) for
+RATTLE; one `Problem.value_and_grad` call gives f with the kick's gradient.
 
 An SO(n) step keeps P exactly skew with no momentum map (`lie_group_step`),
 so only building a `MatrixGroupState` checks skewness, and a RATTLE step
@@ -13,8 +12,8 @@ that runs no Newton iteration takes no multiplier kick.
 
 numpy does all the linear algebra, on one BLAS thread pool.  The drift's
 exponential is `_expm`, a Taylor polynomial of matrix products; the trace
-minimum's SVD and determinant, RATTLE's Cholesky certificate and its m x m
-solves come from np.linalg.
+minimum's SVD and determinant, and RATTLE's Cholesky factor of R_g and its
+inverse, one of each per position, come from np.linalg.
 """
 from __future__ import annotations
 
@@ -261,19 +260,20 @@ def sphere_constraint(radius=1.0, **kwargs):
 
 
 def _projector(q, g, cons):
-    """(J, W = L^{-1} J) at q, L the Cholesky factor of R_g = J g^{-1} J^T,
-    which `_project` needs: J^T R_g^{-1} J = W^T W.  The factorisation
-    certifies R_g positive definite; a rank-deficient J or a non-finite R_g
-    raises GeometryError."""
+    """(J, W = L^{-1} J, L^{-1}) at q for R_g = J g^{-1} J^T = L L^T, the one
+    factorisation of R_g: `_project` takes W^T W = J^T R_g^{-1} J, the Newton
+    solve L^{-T} L^{-1} = R_g^{-1}.  The Cholesky factor certifies R_g positive
+    definite; a rank-deficient J or a non-finite R_g raises GeometryError."""
     jac = cons.jacobian(q)
     r_g = jac.dot(g.g_inv).dot(jac.T)
     if not _all_finite(r_g):
         raise GeometryError("R_g = J g^{-1} J^T is non-finite")
     try:
-        return jac, np.linalg.solve(np.linalg.cholesky(r_g), jac)
+        l_inv = np.linalg.inv(np.linalg.cholesky(r_g))
     except np.linalg.LinAlgError:
         raise GeometryError("constraint Jacobian is rank deficient (R_g not "
                             "positive definite)") from None
+    return jac, l_inv.dot(jac), l_inv
 
 
 def _project(p, w, g):
@@ -295,14 +295,15 @@ def project_momentum(q, p, g, cons):
 
 def _rattle_step(s, t_k, dt, g, sched, prob, cons):
     """`rattle_step` on raw arrays: maps s = (q, p, half kick, f(q), J, W,
-    residual, lambda) at t_k to the next s; see `_conformal_step`.  It reads
-    the half kick (dt/2) grad f, J and `_projector`'s W at q, each None to
-    evaluate it, and not f, the residual (the sup norm of psi(q) that ended
-    the Newton solve) or the multipliers lambda.  The Newton system is formed
-    only when the unconstrained drift leaves the constraint (psi beyond
-    newton_tol); otherwise lambda = 0, with no multiplier kick.  A non-finite
-    psi after the drift raises ConstraintSolveError."""
-    q_k, jac, w, lam, residual = s[0], s[4], s[5], np.zeros(cons.m), 0.0
+    L^{-1}, residual, lambda) at t_k to the next s; see `_conformal_step`.  It
+    reads the half kick (dt/2) grad f and `_projector`'s J, W and L^{-1} at q,
+    each None to evaluate it, not f, the residual (the sup norm of psi(q) that
+    ended the Newton solve) or lambda.  The Newton matrix, c R_g at q, is
+    inverted from L^{-1} only when the unconstrained drift leaves the
+    constraint (psi beyond newton_tol); otherwise lambda = 0, with no
+    multiplier kick.  A non-finite psi after the drift raises
+    ConstraintSolveError.  The step factors nothing itself."""
+    q_k, (jac, w, l_inv), lam, residual = s[0], s[4:7], np.zeros(cons.m), 0.0
 
     def drift(q, p_half, h, decay):
         nonlocal lam, residual
@@ -314,13 +315,12 @@ def _rattle_step(s, t_k, dt, g, sched, prob, cons):
         if not math.isfinite(residual):
             raise ConstraintSolveError(f"non-finite constraint value after the "
                                        f"drift: {residual}", residual=residual)
-        # q(lambda) = base_q - kick_mat @ lambda
-        kick_mat = h * (0.5 * dt * decay) * g.g_inv.dot(jac.T)
-        try:   # frozen-Jacobian (quasi-)Newton: one inverse serves every iterate
-            newton_inv = np.linalg.inv(jac.dot(kick_mat))
-        except np.linalg.LinAlgError:
+        c = h * (0.5 * dt * decay)   # Newton matrix: J kick_mat = c R_g
+        if c == 0.0:
             raise GeometryError("singular Newton system in RATTLE constraint "
-                                "solve") from None
+                                "solve")
+        kick_mat = c * g.g_inv.dot(jac.T)   # q = base_q - kick_mat lambda
+        newton_inv = l_inv.T.dot(l_inv) / c   # frozen Jacobian: one inverse
         for _ in range(cons.newton_max_iter):
             lam = lam + newton_inv.dot(res)
             q_new = base_q - kick_mat.dot(lam)
@@ -335,28 +335,28 @@ def _rattle_step(s, t_k, dt, g, sched, prob, cons):
         return q_new, p_half - 0.5 * dt * decay * jac.T.dot(lam)
 
     def project(q, p):   # called at q_k, then at the new position
-        nonlocal jac, w
+        nonlocal jac, w, l_inv
         if jac is None or q is not q_k:
-            jac, w = _projector(q, g, cons)
+            jac, w, l_inv = _projector(q, g, cons)
         return _project(p, w, g)
 
     q, p, half_kick, f = _conformal_step(
         *s[:3], t_k, dt, sched, lambda q, p: prob.value_and_grad(q), drift,
         project)
-    return q, p, half_kick, f, jac, w, residual, lam
+    return q, p, half_kick, f, jac, w, l_inv, residual, lam
 
 
 def rattle_step(x, t_k, dt, g, sched, prob, cons):
     """One damped RATTLE step; returns (new state, Lagrange multipliers).
 
     The position update, the multiplier kick and the constraint equations are
-    solved simultaneously: Newton iteration on lambda until
-    psi(q_{k+1}(lambda)) = 0 within cons.newton_tol; a drift within it takes
-    lambda = 0 and no kick.  The momentum map is project_momentum.  `cons`
-    holds at least one constraint.
+    solved simultaneously: Newton iteration on lambda, with the inverse of
+    R_g from the projector at q_k, until psi(q_{k+1}(lambda)) = 0 within
+    cons.newton_tol; a drift within it takes lambda = 0 and no kick.  The
+    momentum map is project_momentum.  `cons` holds at least one constraint.
     """
-    q, p, *_, lam = _rattle_step((x.q, x.p, None, None, None, None, None, None),
-                                 t_k, dt, g, sched, prob, cons)
+    q, p, *_, lam = _rattle_step((x.q, x.p, *[None] * 7), t_k, dt, g, sched,
+                                 prob, cons)
     return PhasePoint(q, p), lam
 
 
@@ -382,14 +382,14 @@ def run_rattle_optimizer(x, prob, dt, g, sched, cons, num_steps,
     """Iterate rattle_step; reports the constraint residual per record."""
     _check_positive("step size dt", dt)   # before dt * kick, which may warn
     _check_dims(x.dim, g, prob)
-    jac, w = _projector(x.q, g, cons)
-    x = PhasePoint(x.q, _project(x.p, w, g))
+    proj = _projector(x.q, g, cons)   # J, W, L^{-1}
+    x = PhasePoint(x.q, _project(x.p, proj[1], g))
     f0, grad0 = prob.value_and_grad(x.q)   # one evaluation per point
     traj, (q, p, *_) = _run_steps(
-        (x.q, x.p, 0.5 * dt * grad0, f0, jac, w,
+        (x.q, x.p, 0.5 * dt * grad0, f0, *proj,
          _sup_norm(cons.value(x.q)), np.zeros(cons.m)),
         lambda s, t_k: _rattle_step(s, t_k, dt, g, sched, prob, cons),
-        lambda s: s[6], sched, dt, num_steps, prob.f_star,
+        lambda s: s[7], sched, dt, num_steps, prob.f_star,
         record_every=record_every, target_gap=target_gap,
         extra_name="constraint_residual")
     return traj, PhasePoint(q, p)

@@ -174,6 +174,9 @@ class DiffusionSpec:
     def validate_at(self, x):
         s = np.asarray(self.s_field(x), float)
         a = np.asarray(self.a_field(x), float)
+        for name, field in (("S(x)", s), ("A(x)", a)):   # NaN passes a >
+            if not _all_finite(field):
+                raise DomainError(f"{name} is non-finite at the sampled point")
         if np.max(np.abs(s - s.T)) > 1e-12:
             raise DomainError("S(x) is not symmetric at the sampled point")
         if np.max(np.abs(a + a.T)) > 1e-12:
@@ -204,13 +207,17 @@ def complete_recipe_drift(x, prob, spec):
 def mcmc_estimate(samples, f):
     """Sample mean of f with a batch-means standard error.
 
-    Uses floor(sqrt(n)) batches; requires at least 100 samples.
+    Uses floor(sqrt(n)) batches; requires at least 100 samples, and f
+    finite at each of them.
     """
     samples = _as_samples(samples)
     n = samples.shape[0]
     if n < 100:
         raise DomainError(f"mcmc_estimate needs >= 100 samples, got {n}")
     fs = _rows(f, samples).reshape(n)
+    if not _all_finite(fs):
+        raise DomainError(f"f is non-finite at row "
+                          f"{np.flatnonzero(~np.isfinite(fs))[0]}")
     mean = float(fs.mean())
     n_batches = int(math.floor(math.sqrt(n)))
     batch_size = n // n_batches

@@ -3,7 +3,7 @@ import numpy as np
 
 from hamkit import PhasePoint, Problem, Trajectory, project_momentum, skew_part
 from hamkit.integrators import _conformal_step
-from hamkit.manifold import _expm
+from hamkit.manifold import _expm, _projector
 
 
 def constant_problem(d, c=0.0):
@@ -59,16 +59,18 @@ def lie_step_with_skew_map(Q, P, t_k, dt, g_scalar, sched, prob):
 def rattle_step_always_kicking(x, t_k, dt, g, sched, prob, cons):
     """`rattle_step` whose drift applies the multiplier kick
     -(dt/2) exp(-De) J^T lambda also when no Newton iteration ran (lambda = 0).
-    Returns (state, lambda); the solve must converge."""
-    jac, lam = cons.jacobian(x.q), np.zeros(cons.m)
+    Returns (state, lambda); the solve must converge.  Its Newton inverse,
+    as the library's, is (c R_g)^{-1} from `_projector`'s L^{-1} at q_k."""
+    (jac, _, l_inv), lam = _projector(x.q, g, cons), np.zeros(cons.m)
 
     def drift(q, p_half, h, decay):
         nonlocal lam
         base_q = q_new = q + h * g.inv_mul(p_half)
         res = cons.value(q_new)
         if np.abs(res).max() > cons.newton_tol:
-            kick_mat = h * (0.5 * dt * decay) * g.g_inv.dot(jac.T)
-            newton_inv = np.linalg.inv(jac.dot(kick_mat))
+            c = h * (0.5 * dt * decay)
+            kick_mat = c * g.g_inv.dot(jac.T)
+            newton_inv = l_inv.T.dot(l_inv) / c
             for _ in range(cons.newton_max_iter):
                 lam = lam + newton_inv.dot(res)
                 q_new = base_q - kick_mat.dot(lam)

@@ -575,9 +575,8 @@ class TestDiscrepancyExperiment:
         path = tmp_path / "pool.csv"
         path.write_text("chain,step,accepted,q_1,q_2\n0,0,1,1.0,2.0\n"
                         f"0,1,1,{cell},2.0\n0,2,1,0.5,0.0\n0,3,1,-1.0,0.5\n")
-        named = re.escape(str(path))
-        if cell in ("nan", "-inf"):
-            named += f".*row 2, column q_1 is {cell}"
+        shown = cell if cell in ("nan", "-inf") else repr(cell)
+        named = re.escape(f"{path}: row 2, column q_1 is {shown}, not ")
         for task in ({"kind": "ksd_mismatch", "m": 4},
                      {"kind": "mmd_ustat_zero", "n": 2}):
             params = {"tasks": [dict(task, samples_file=str(path))]}

@@ -240,12 +240,13 @@ def test_only_manifold_imports_scipy(path):
 
 
 def test_manifold_calls_no_numpy_lapack():
-    # outside the three factorisations, manifold.py calls no LAPACK routine
-    # (np.linalg.norm is plain numpy): the SO(n) drift's exponential is
-    # matrix products only, and the trace minimum's SVD, the projector's
-    # Cholesky certificate and RATTLE's Newton inverse are the only
-    # factorisations a run takes
-    factoring = {"so_trace_minimum", "_projector", "_rattle_step"}
+    # outside the two factorising functions, manifold.py calls no LAPACK
+    # routine (np.linalg.norm is plain numpy): the SO(n) drift's exponential
+    # is matrix products only, and the trace minimum's SVD and the
+    # projector's Cholesky factor of R_g with its inverse are the only
+    # factorisations a run takes.  `_rattle_step` is not among them: its
+    # Newton inverse comes from the projector's inverse factor.
+    factoring = {"so_trace_minimum", "_projector"}
     path = PACKAGE / "manifold.py"
     used = []
     for top in ast.parse(path.read_text(), filename=str(path)).body:

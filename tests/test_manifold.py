@@ -514,13 +514,16 @@ class TestProjectMomentum:
         # fails, reading the lower triangle as np.linalg.cholesky does (R_g
         # is symmetric only to rounding).  Otherwise L_g p meets the
         # cotangent condition J g^{-1} (L_g p) = 0 up to rounding: the
-        # factor L and W = L^{-1} J (m x d) come out backward stable, so
-        # W^T W g^{-1} p errs by about (m + d) u kappa(R_g) |p| at most, and
-        # J g^{-1} maps that, with the check's own rounding, by at most
-        # |J|_2 / scale (g = scale I, where L_g is the orthogonal projector
-        # off J's rows and |L_g p| <= |p|).  An operation that underflows
-        # errs by up to eta = 2^-1074 more, before the map and in the check
-        # itself.  The bound allows 8 times that (and is inf where kappa is).
+        # factor L comes out backward stable, and inv(L), which solves
+        # L x = e_j backward stably for each column e_j, errs by about
+        # m u kappa(L) = m u kappa(R_g)^{1/2} relative; W = inv(L) J (m x d)
+        # adds about d u.  So W^T W g^{-1} p errs by about
+        # (m + d) u kappa(R_g) |p| at most, and J g^{-1} maps that, with the
+        # check's own rounding, by at most |J|_2 / scale (g = scale I, where
+        # L_g is the orthogonal projector off J's rows and |L_g p| <= |p|).
+        # An operation that underflows errs by up to eta = 2^-1074 more,
+        # before the map and in the check itself.  The bound allows 8 times
+        # that (and is inf where kappa is).
         u = 2.0 ** -53
         q, p = np.array(q), np.array(p)
         plane = np.array([[1.0, -2.0, 0.5]])
@@ -803,7 +806,7 @@ class TestRattle:
             return point
 
         def step(x, err):
-            q, p, *_, r, lam = _rattle_step((*x, *[None] * 6), 0.0, dt, g,
+            q, p, *_, r, lam = _rattle_step((*x, *[None] * 7), 0.0, dt, g,
                                             sched, prob, cons)
             assert np.any(lam != 0.0) == newton and r <= tol
             rounding = math.sqrt(2 * d) * (6 * d + 36) * u * big

@@ -681,6 +681,21 @@ class TestCompleteRecipe:
         with pytest.raises(DomainError):
             complete_recipe_drift(np.zeros(2), prob, neg_s)
 
+    @pytest.mark.parametrize("name, field", [
+        ("S", [[1.0, math.nan], [math.nan, 1.0]]),
+        ("A", [[0.0, math.inf], [-math.inf, 0.0]]),
+        ("A", [[0.0, -math.inf], [math.inf, 0.0]])])
+    def test_nonfinite_field_refused(self, name, field, recwarn):
+        # symmetric and antisymmetric as far as a > test sees, which a NaN
+        # fails: S(x) used to give the drift a NaN entry, and A(x) a NaN
+        # drift with RuntimeWarnings
+        fields = {"S": np.eye(2), "A": np.zeros((2, 2)), name: np.array(field)}
+        with pytest.raises(DomainError, match=rf"^{name}\(x\) is non-finite"):
+            complete_recipe_drift(np.zeros(2), problems.standard_gaussian(2),
+                                  DiffusionSpec(lambda x: fields["S"],
+                                                lambda x: fields["A"]))
+        assert not recwarn.list
+
     @pytest.mark.parametrize("dim", [1, 2, 5, 12])
     def test_fd_divergence_matches_coordinate_loop(self, dim):
         rng = np.random.default_rng(dim)
@@ -745,6 +760,14 @@ class TestMcmcEstimate:
     def test_too_few(self):
         with pytest.raises(DomainError):
             mcmc_estimate(np.zeros(50), lambda x: 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_f_refused(self, bad, recwarn):
+        # used to return (nan, nan) or (inf, nan) with a RuntimeWarning
+        draws = np.arange(200.0)
+        with pytest.raises(DomainError, match="non-finite at row 7$"):
+            mcmc_estimate(draws, lambda x: bad if x[0] in (7.0, 9.0) else 1.0)
+        assert not recwarn.list
 
 
 class TestSamplesCsv:
